@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +41,7 @@ class QuadratureError(EstimationError):
     """Numerical integration failed to reach the requested accuracy."""
 
 
+@functools.lru_cache(maxsize=None)
 def z_quantile(ci_level: float) -> float:
     """Two-sided normal critical value for a confidence level (1.959964 at 0.95)."""
     if not 0.0 < ci_level < 1.0:
@@ -314,19 +317,26 @@ class CsvSchema:
 def load_csv(path: str | Path, schema: CsvSchema | None = None) -> ObservationSet:
     """Read a comma-separated, UTF-8, headered file into an ObservationSet.
 
-    Numbers are parsed as 64-bit floats. Errors name the offending line
-    (counting the header as line 1) and column.
+    Numbers are parsed as 64-bit floats. A leading byte order mark and blank
+    lines are ignored. Errors name the offending line of the file (the header
+    is line 1) and column.
     """
     schema = schema or CsvSchema()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: file is empty, expected a header row") from None
         header = [h.strip() for h in header]
-        rows = list(reader)
+        rows, linenos = [], array("l")  # file line of each non-blank record
+        for row in reader:
+            if row:
+                rows.append(row)
+                linenos.append(reader.line_num)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows after the header")
 
     def col_index(name: str) -> int:
         try:
@@ -377,8 +387,7 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> ObservationSe
     t = np.empty(n) if t_idx is not None else None
     a = np.empty(n) if a_idx is not None else None
     w = np.empty((n, len(w_idx)))
-    for i, row in enumerate(rows):
-        lineno = i + 2  # header is line 1
+    for i, (lineno, row) in enumerate(zip(linenos, rows)):
         y[i] = parse(row, lineno, y_idx)
         if a is not None:
             a[i] = parse(row, lineno, a_idx)

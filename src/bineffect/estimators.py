@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Literal
+from functools import cached_property
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -21,6 +22,7 @@ from .core import (
     SingularDesignError,
     ValidationError,
     positivity_diagnostic,
+    z_quantile,
 )
 from .nuisance import (
     OutcomeModel,
@@ -40,10 +42,14 @@ _RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
 
 @dataclass(frozen=True)
 class BootstrapConfig:
-    """Nonparametric bootstrap settings; results are deterministic given `seed`."""
+    """Nonparametric bootstrap settings; results are deterministic given `seed`.
+
+    `seed` is anything np.random.default_rng accepts, or an existing
+    Generator, which the resampling then advances.
+    """
 
     replicates: int = 1000
-    seed: int = 0
+    seed: int | np.random.Generator = 0
     ci_method: Literal["normal", "percentile"] = "normal"
 
     def __post_init__(self) -> None:
@@ -94,6 +100,11 @@ class SandwichComponents:
         return slice(3 + 2 * self.p, 3 + 3 * self.p)
 
 
+def _influence_se(phi: np.ndarray) -> float:
+    """Estimator SE from influence values: sqrt of (mean of phi^2) / n."""
+    return float(np.sqrt(np.mean(phi**2) / phi.shape[0]))
+
+
 @dataclass(frozen=True)
 class InfluenceRecord:
     """Estimated influence values, one per unit; mean zero for AIPW."""
@@ -103,9 +114,7 @@ class InfluenceRecord:
 
     @property
     def se(self) -> float:
-        """Estimator SE: sqrt of (mean of phi^2) / n."""
-        n = self.phi.shape[0]
-        return float(np.sqrt(np.mean(self.phi**2) / n))
+        return _influence_se(self.phi)
 
 
 def sandwich_variance(fit: RegressionFit, data: ObservationSet) -> SandwichComponents:
@@ -142,13 +151,60 @@ def sandwich_variance(fit: RegressionFit, data: ObservationSet) -> SandwichCompo
     return SandwichComponents(theta=theta, a_n=a_n, b_n=b_n, vcov=vcov, n=n, p=p)
 
 
-def _reg_point(fit: RegressionFit, estimand: EstimandSpec) -> float:
-    if estimand.kind is EstimandKind.BATE:
-        return fit.beta_t
-    inter = float(fit.tw_bar @ fit.beta_interact)
-    if estimand.arm == 1:
-        return (1.0 - fit.t_bar) * fit.beta_t - inter
-    return -fit.t_bar * fit.beta_t - inter
+class Nuisances:
+    """Nuisance fits for one sample, shared by every estimator and estimand.
+
+    The outcome regression and the propensity are fitted on first use, each
+    at most once, unless a prefit model is injected. The predictions `pscore`,
+    `m1` and `m0` and the positivity diagnostics are computed once. A fit
+    that raises is not cached, so the next estimator that needs it raises too.
+    """
+
+    def __init__(
+        self,
+        data: ObservationSet,
+        outcome: OutcomeModel | None = None,
+        propensity: PropensityModel | None = None,
+    ) -> None:
+        self.data = data
+        self.propensity_injected = propensity is not None
+        if outcome is not None:
+            self.outcome = outcome
+        if propensity is not None:
+            self.propensity = propensity
+
+    @cached_property
+    def regression(self) -> RegressionFit:
+        """Interacted OLS fit; `reg` and its sandwich always use this one."""
+        return fit_ols_interacted(self.data)
+
+    @cached_property
+    def outcome(self) -> OutcomeModel:
+        return self.regression
+
+    @cached_property
+    def propensity(self) -> PropensityModel:
+        return fit_logistic(self.data)
+
+    @cached_property
+    def sandwich(self) -> SandwichComponents:
+        return sandwich_variance(self.regression, self.data)
+
+    @cached_property
+    def pscore(self) -> np.ndarray:
+        return np.asarray(self.propensity.predict_proba(self.data.w), dtype=float)
+
+    @cached_property
+    def m1(self) -> np.ndarray:
+        return np.asarray(self.outcome.predict(1.0, self.data.w), dtype=float)
+
+    @cached_property
+    def m0(self) -> np.ndarray:
+        return np.asarray(self.outcome.predict(0.0, self.data.w), dtype=float)
+
+    @cached_property
+    def diagnostics(self) -> tuple[str, ...]:
+        return tuple(positivity_diagnostic(self.propensity, self.data))
 
 
 def delta_method_se(components: SandwichComponents, estimand: EstimandSpec) -> float:
@@ -169,20 +225,16 @@ def delta_method_se(components: SandwichComponents, estimand: EstimandSpec) -> f
     return float(np.sqrt(g @ c.vcov @ g / c.n))
 
 
-def estimate_reg(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    ci_level: float = 0.95,
-    seed: int | None = None,
-) -> EstimateReport:
-    """Regression estimator with M-estimation (sandwich + delta method) SE."""
-    fit = fit_ols_interacted(data)
-    comps = sandwich_variance(fit, data)
-    point = _reg_point(fit, estimand)
-    se = delta_method_se(comps, estimand)
-    return EstimateReport.from_point_se(
-        estimand, "reg", point, se, data.n, ci_level=ci_level, seed=seed
-    )
+def _reg(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> tuple[float, float]:
+    """Regression point and its delta-method SE."""
+    fit = nuis.regression
+    se = delta_method_se(nuis.sandwich, estimand)
+    if estimand.kind is EstimandKind.BATE:
+        return fit.beta_t, se
+    inter = float(fit.tw_bar @ fit.beta_interact)
+    if estimand.arm == 1:
+        return (1.0 - fit.t_bar) * fit.beta_t - inter, se
+    return -fit.t_bar * fit.beta_t - inter, se
 
 
 def _ipw_point(data: ObservationSet, pscore: np.ndarray, estimand: EstimandSpec) -> float:
@@ -198,24 +250,24 @@ def _ipw_point(data: ObservationSet, pscore: np.ndarray, estimand: EstimandSpec)
 
 def _bootstrap_many(
     data: ObservationSet,
-    fn: Callable[[ObservationSet], np.ndarray],
-    replicates: int,
-    rng: np.random.Generator,
+    fn: Callable[[ObservationSet], Sequence[float]],
+    k: int,
+    boot: BootstrapConfig,
     ci_level: float,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Resample rows with replacement; returns (ses, percentile cis, redraws).
+) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """Resample rows with replacement; returns (ses, percentile cis, redraw note).
 
-    Resamples on which `fn` fails with a degenerate arm, separation or a
-    singular design are redrawn and counted.
+    `fn` returns `k` statistics per resample. Resamples on which it fails
+    with a degenerate arm, separation or a singular design are redrawn and
+    counted; the note is None unless more than 1% of resamples were redrawn.
     """
     n = data.n
-    first = np.asarray(fn(data), dtype=float)
-    k = first.shape[0]
-    estimates = np.empty((replicates, k))
+    rng = np.random.default_rng(boot.seed)
+    estimates = np.empty((boot.replicates, k))
     redraws = 0
-    max_redraws = max(1000, 100 * replicates)
+    max_redraws = max(1000, 100 * boot.replicates)
     b = 0
-    while b < replicates:
+    while b < boot.replicates:
         idx = rng.integers(0, n, size=n)
         try:
             estimates[b] = fn(data.subset(idx))
@@ -230,7 +282,13 @@ def _bootstrap_many(
     ses = estimates.std(axis=0, ddof=1)
     alpha = (1.0 - ci_level) / 2.0
     cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T
-    return ses, cis, redraws
+    note = None
+    if redraws > 0.01 * boot.replicates:
+        note = (
+            f"bootstrap redrew {redraws} degenerate resamples "
+            f"({100.0 * redraws / boot.replicates:.1f}% of {boot.replicates})"
+        )
+    return ses, cis, note
 
 
 def bootstrap_se(
@@ -245,80 +303,45 @@ def bootstrap_se(
     nuisances refit) on each resample. Deterministic for a fixed seed. Warns
     when more than 1% of resamples had to be redrawn.
     """
-    rng = np.random.default_rng(boot.seed)
-    ses, cis, redraws = _bootstrap_many(
-        data, lambda d: np.array([estimator_fn(d)]), boot.replicates, rng, ci_level
-    )
-    if redraws > 0.01 * boot.replicates:
-        warnings.warn(
-            f"bootstrap redrew {redraws} degenerate resamples "
-            f"({100.0 * redraws / boot.replicates:.1f}% of {boot.replicates})",
-            stacklevel=2,
-        )
+    ses, cis, note = _bootstrap_many(data, lambda d: [estimator_fn(d)], 1, boot, ci_level)
+    if note is not None:
+        warnings.warn(note, stacklevel=2)
     return float(ses[0]), (float(cis[0, 0]), float(cis[0, 1]))
 
 
-def estimate_ipw(
+def _ipw(
     data: ObservationSet,
-    estimand: EstimandSpec,
-    boot: BootstrapConfig | None = None,
-    ci_level: float = 0.95,
-    propensity: PropensityModel | None = None,
-) -> EstimateReport:
-    """Horvitz-Thompson style weighting estimator with bootstrap SE.
+    nuis: Nuisances,
+    estimands: Sequence[EstimandSpec],
+    boot: BootstrapConfig,
+    ci_level: float,
+) -> tuple[list[tuple], str | None]:
+    """IPW (point, bootstrap SE, percentile CI or None) per estimand, and the
+    bootstrap's redraw note.
 
-    The propensity model is refit inside every bootstrap resample unless a
-    prefit `propensity` is injected, in which case that fixed model is used
-    throughout.
+    All estimands share one set of resamples. Each resample refits the
+    propensity warm-started from the full-sample fit; an injected propensity
+    is reused unchanged instead.
     """
-    boot = boot or BootstrapConfig()
-    prop = propensity if propensity is not None else fit_logistic(data)
-    pscore = np.asarray(prop.predict_proba(data.w), dtype=float)
-    point = _ipw_point(data, pscore, estimand)
-    diagnostics = list(positivity_diagnostic(prop, data))
+    prop = nuis.propensity
+    start = None if nuis.propensity_injected else np.concatenate([[prop.intercept], prop.coef])
 
-    if propensity is not None:
-        def fn(d: ObservationSet) -> np.ndarray:
-            ps = np.asarray(propensity.predict_proba(d.w), dtype=float)
-            return np.array([_ipw_point(d, ps, estimand)])
-    else:
-        def fn(d: ObservationSet) -> np.ndarray:
-            model = fit_logistic(d)
-            ps = np.asarray(model.predict_proba(d.w), dtype=float)
-            return np.array([_ipw_point(d, ps, estimand)])
+    def points(d: ObservationSet, pscore: np.ndarray) -> list[float]:
+        return [_ipw_point(d, pscore, e) for e in estimands]
 
-    rng = np.random.default_rng(boot.seed)
-    ses, cis, redraws = _bootstrap_many(data, fn, boot.replicates, rng, ci_level)
-    if redraws > 0.01 * boot.replicates:
-        diagnostics.append(
-            f"bootstrap redrew {redraws} degenerate resamples "
-            f"({100.0 * redraws / boot.replicates:.1f}% of {boot.replicates})"
-        )
-    se = float(ses[0])
-    ci = None
-    if boot.ci_method == "percentile":
-        ci = (float(cis[0, 0]), float(cis[0, 1]))
-    return EstimateReport.from_point_se(
-        estimand,
-        "ipw",
-        point,
-        se,
-        data.n,
-        ci_level=ci_level,
-        diagnostics=tuple(diagnostics),
-        seed=boot.seed,
-        ci=ci,
-    )
+    def statistic(d: ObservationSet) -> list[float]:
+        model = prop if start is None else fit_logistic(d, start=start)
+        return points(d, np.asarray(model.predict_proba(d.w), dtype=float))
+
+    ses, cis, note = _bootstrap_many(data, statistic, len(estimands), boot, ci_level)
+    percentile = boot.ci_method == "percentile"
+    rows = zip(points(data, nuis.pscore), ses, cis)
+    return [(point, se, ci if percentile else None) for point, se, ci in rows], note
 
 
-def _aipw_contributions(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    m1: np.ndarray,
-    m0: np.ndarray,
-    pscore: np.ndarray,
-) -> np.ndarray:
+def _aipw_contributions(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> np.ndarray:
     t, y = data.t, data.y
+    m1, m0, pscore = nuis.m1, nuis.m0, nuis.pscore
     if estimand.kind is EstimandKind.BATE:
         m_obs = np.where(t == 1.0, m1, m0)
         weight = t / pscore - (1.0 - t) / (1.0 - pscore)
@@ -328,52 +351,11 @@ def _aipw_contributions(
     return ((1.0 - t) / (1.0 - pscore)) * (y - m0) + m0 - y
 
 
-def _nuisances(
-    data: ObservationSet,
-    outcome: OutcomeModel | None,
-    propensity: PropensityModel | None,
-) -> tuple[OutcomeModel, PropensityModel]:
-    m = outcome if outcome is not None else fit_ols_interacted(data)
-    g = propensity if propensity is not None else fit_logistic(data)
-    return m, g
-
-
-def aipw_influence(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    outcome: OutcomeModel | None = None,
-    propensity: PropensityModel | None = None,
-) -> InfluenceRecord:
-    """Estimated efficient influence values at the AIPW solution (mean zero)."""
-    m, g = _nuisances(data, outcome, propensity)
-    pscore = np.asarray(g.predict_proba(data.w), dtype=float)
-    m1 = np.asarray(m.predict(1.0, data.w), dtype=float)
-    m0 = np.asarray(m.predict(0.0, data.w), dtype=float)
-    contrib = _aipw_contributions(data, estimand, m1, m0, pscore)
-    return InfluenceRecord(phi=contrib - contrib.mean(), estimand=estimand)
-
-
-def estimate_aipw(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    ci_level: float = 0.95,
-    outcome: OutcomeModel | None = None,
-    propensity: PropensityModel | None = None,
-    seed: int | None = None,
-) -> EstimateReport:
-    """Augmented IPW (doubly robust) estimator with influence-curve SE."""
-    m, g = _nuisances(data, outcome, propensity)
-    pscore = np.asarray(g.predict_proba(data.w), dtype=float)
-    m1 = np.asarray(m.predict(1.0, data.w), dtype=float)
-    m0 = np.asarray(m.predict(0.0, data.w), dtype=float)
-    contrib = _aipw_contributions(data, estimand, m1, m0, pscore)
+def _aipw(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> tuple[float, float]:
+    """AIPW point and its influence-curve SE."""
+    contrib = _aipw_contributions(data, nuis, estimand)
     point = float(contrib.mean())
-    record = InfluenceRecord(phi=contrib - point, estimand=estimand)
-    diagnostics = tuple(positivity_diagnostic(g, data))
-    return EstimateReport.from_point_se(
-        estimand, "aipw", point, record.se, data.n,
-        ci_level=ci_level, diagnostics=diagnostics, seed=seed,
-    )
+    return point, _influence_se(contrib - point)
 
 
 @dataclass(frozen=True)
@@ -386,11 +368,6 @@ class TmleFit:
     q1: np.ndarray
     q0: np.ndarray
     q_obs: np.ndarray
-
-    @property
-    def se(self) -> float:
-        n = self.influence.shape[0]
-        return float(np.sqrt(np.mean(self.influence**2) / n))
 
 
 def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
@@ -425,26 +402,9 @@ def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
     )
 
 
-def tmle_update(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    outcome: OutcomeModel | None = None,
-    propensity: PropensityModel | None = None,
-) -> TmleFit:
-    """Targeted maximum likelihood update and plug-in estimate.
-
-    The outcome is min-max scaled to [0, 1]; initial predictions are bounded
-    away from 0/1, fluctuated on the logit scale with the clever covariate as
-    the single regressor and the initial logit as a fixed offset, and the
-    updated predictions are mapped back to the original scale. Point
-    estimates and influence values are invariant to affine rescaling of y.
-    """
-    m, g = _nuisances(data, outcome, propensity)
-    t, y, w = data.t, data.y, data.w
-    pscore = np.asarray(g.predict_proba(w), dtype=float)
-    m1 = np.asarray(m.predict(1.0, w), dtype=float)
-    m0 = np.asarray(m.predict(0.0, w), dtype=float)
-
+def _tmle_fit(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> TmleFit:
+    t, y = data.t, data.y
+    pscore, m1, m0 = nuis.pscore, nuis.m1, nuis.m0
     lo, hi = float(y.min()), float(y.max())
     span = hi - lo
     if span == 0.0:
@@ -492,6 +452,100 @@ def tmle_update(
     return TmleFit(point, float(beta), phi, y1, y0, y_obs_pred)
 
 
+def _tmle(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> tuple[float, float]:
+    """TMLE point and its influence-curve SE."""
+    fit = _tmle_fit(data, nuis, estimand)
+    return fit.point, _influence_se(fit.influence)
+
+
+ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
+
+_CLOSED_FORM = {"reg": _reg, "aipw": _aipw, "tmle": _tmle}
+
+
+def estimate_many(
+    data: ObservationSet,
+    estimators: Sequence[str],
+    estimands: Sequence[EstimandSpec],
+    nuisances: Nuisances | None = None,
+    boot: BootstrapConfig | None = None,
+    ci_level: float = 0.95,
+    seed: int | None = None,
+) -> list[EstimateReport]:
+    """One report per (estimator, estimand), estimators in the outer order.
+
+    All estimators draw on one `Nuisances` (fresh for `data` unless given),
+    so each nuisance model is fitted at most once. `boot` (default
+    `BootstrapConfig()`) applies to ipw, whose estimands share one set of
+    resamples. `seed` is recorded in every report. The arguments are checked
+    before anything is fitted.
+    """
+    z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
+    for name in estimators:
+        if name not in ESTIMATOR_NAMES:
+            raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    nuis = nuisances if nuisances is not None else Nuisances(data)
+    if nuis.data is not data:
+        raise ValidationError("nuisances were built for a different ObservationSet")
+    reports: list[EstimateReport] = []
+    for name in estimators:
+        note = None
+        if name == "ipw":
+            rows, note = _ipw(data, nuis, estimands, boot or BootstrapConfig(), ci_level)
+        else:
+            rows = [(*_CLOSED_FORM[name](data, nuis, e), None) for e in estimands]
+        diagnostics = () if name == "reg" else nuis.diagnostics + ((note,) if note else ())
+        reports += [
+            EstimateReport.from_point_se(
+                e, name, point, se, data.n,
+                ci_level=ci_level, diagnostics=diagnostics, seed=seed, ci=ci,
+            )
+            for e, (point, se, ci) in zip(estimands, rows)
+        ]
+    return reports
+
+
+def estimate_reg(
+    data: ObservationSet,
+    estimand: EstimandSpec,
+    ci_level: float = 0.95,
+    seed: int | None = None,
+) -> EstimateReport:
+    """Regression estimator with M-estimation (sandwich + delta method) SE."""
+    return estimate_many(data, ["reg"], [estimand], ci_level=ci_level, seed=seed)[0]
+
+
+def estimate_ipw(
+    data: ObservationSet,
+    estimand: EstimandSpec,
+    boot: BootstrapConfig | None = None,
+    ci_level: float = 0.95,
+    propensity: PropensityModel | None = None,
+) -> EstimateReport:
+    """Horvitz-Thompson style weighting estimator with bootstrap SE.
+
+    The propensity model is refit inside every bootstrap resample, starting
+    from the full-sample fit, unless a prefit `propensity` is injected, in
+    which case that fixed model is used throughout.
+    """
+    boot = boot or BootstrapConfig()
+    nuis = Nuisances(data, propensity=propensity)
+    return estimate_many(data, ["ipw"], [estimand], nuis, boot, ci_level, seed=boot.seed)[0]
+
+
+def estimate_aipw(
+    data: ObservationSet,
+    estimand: EstimandSpec,
+    ci_level: float = 0.95,
+    outcome: OutcomeModel | None = None,
+    propensity: PropensityModel | None = None,
+    seed: int | None = None,
+) -> EstimateReport:
+    """Augmented IPW (doubly robust) estimator with influence-curve SE."""
+    nuis = Nuisances(data, outcome, propensity)
+    return estimate_many(data, ["aipw"], [estimand], nuis, ci_level=ci_level, seed=seed)[0]
+
+
 def estimate_tmle(
     data: ObservationSet,
     estimand: EstimandSpec,
@@ -501,32 +555,33 @@ def estimate_tmle(
     seed: int | None = None,
 ) -> EstimateReport:
     """Targeted maximum likelihood estimator with influence-curve SE."""
-    m, g = _nuisances(data, outcome, propensity)
-    fit = tmle_update(data, estimand, outcome=m, propensity=g)
-    diagnostics = tuple(positivity_diagnostic(g, data))
-    return EstimateReport.from_point_se(
-        estimand, "tmle", fit.point, fit.se, data.n,
-        ci_level=ci_level, diagnostics=diagnostics, seed=seed,
-    )
+    nuis = Nuisances(data, outcome, propensity)
+    return estimate_many(data, ["tmle"], [estimand], nuis, ci_level=ci_level, seed=seed)[0]
 
 
-ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
-
-
-def estimate(
+def aipw_influence(
     data: ObservationSet,
     estimand: EstimandSpec,
-    estimator: str,
-    boot: BootstrapConfig | None = None,
-    ci_level: float = 0.95,
-) -> EstimateReport:
-    """Dispatch on estimator name; `boot` only applies to 'ipw'."""
-    if estimator == "reg":
-        return estimate_reg(data, estimand, ci_level=ci_level)
-    if estimator == "ipw":
-        return estimate_ipw(data, estimand, boot=boot, ci_level=ci_level)
-    if estimator == "aipw":
-        return estimate_aipw(data, estimand, ci_level=ci_level)
-    if estimator == "tmle":
-        return estimate_tmle(data, estimand, ci_level=ci_level)
-    raise ValidationError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_NAMES}")
+    outcome: OutcomeModel | None = None,
+    propensity: PropensityModel | None = None,
+) -> InfluenceRecord:
+    """Estimated efficient influence values at the AIPW solution (mean zero)."""
+    contrib = _aipw_contributions(data, Nuisances(data, outcome, propensity), estimand)
+    return InfluenceRecord(phi=contrib - contrib.mean(), estimand=estimand)
+
+
+def tmle_update(
+    data: ObservationSet,
+    estimand: EstimandSpec,
+    outcome: OutcomeModel | None = None,
+    propensity: PropensityModel | None = None,
+) -> TmleFit:
+    """Targeted maximum likelihood update and plug-in estimate.
+
+    The outcome is min-max scaled to [0, 1]; initial predictions are bounded
+    away from 0/1, fluctuated on the logit scale with the clever covariate as
+    the single regressor and the initial logit as a fixed offset, and the
+    updated predictions are mapped back to the original scale. Point
+    estimates and influence values are invariant to affine rescaling of y.
+    """
+    return _tmle_fit(data, Nuisances(data, outcome, propensity), estimand)

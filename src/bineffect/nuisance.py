@@ -246,8 +246,3 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
     labels = ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
     beta = _irls(x, t, labels, start=start)
     return PropensityModel(intercept=float(beta[0]), coef=beta[1:].copy())
-
-
-def predict_outcome(fit: OutcomeModel, t, w):
-    """Evaluate a fitted outcome model at (t, w)."""
-    return fit.predict(t, w)

@@ -21,17 +21,7 @@ from .core import (
     ValidationError,
     binarize,
 )
-from .estimators import (
-    ESTIMATOR_NAMES,
-    _bootstrap_many,
-    _ipw_point,
-    _reg_point,
-    delta_method_se,
-    estimate_aipw,
-    estimate_tmle,
-    sandwich_variance,
-)
-from .nuisance import fit_logistic, fit_ols_interacted
+from .estimators import BootstrapConfig, Nuisances, estimate_many
 
 _QUAD_TARGET = 1e-4     # required absolute accuracy of the truth values
 _TAIL_SDS = 10.0        # integration range; mass beyond is < 1e-20
@@ -250,66 +240,27 @@ class McResult:
 def _replicate_worker(task) -> dict:
     """One Monte Carlo replicate; returns {(estimator, estimand key): (point, se)}.
 
-    Nuisance fits are shared across estimators and estimands within the
+    One Nuisances object serves every estimator and estimand of the
     replicate, and the IPW bootstrap reuses one set of resamples for all
-    estimands. The RNG stream is derived from (seed, n, replicate) so results
-    do not depend on scheduling.
+    estimands. A failing estimator gives None for its cells and leaves the
+    others untouched. The RNG stream is derived from (seed, n, replicate), so
+    results do not depend on scheduling.
     """
     spec, n, estimators, estimand_keys, boot_replicates, seed, rep = task
     estimands = [EstimandSpec.from_key(k) for k in estimand_keys]
     rng = np.random.default_rng([seed, n, rep])
     data = sample_dgp(spec, n, rng)
+    nuisances = Nuisances(data)
+    # bootstrap indices continue the replicate's stream after the sample
+    boot = BootstrapConfig(boot_replicates, seed=rng) if "ipw" in estimators else None
     out: dict = {}
-    ols = prop = None
-
-    def outcome_fit():
-        nonlocal ols
-        if ols is None:
-            ols = fit_ols_interacted(data)
-        return ols
-
-    def propensity_fit():
-        nonlocal prop
-        if prop is None:
-            prop = fit_logistic(data)
-        return prop
-
     for est in estimators:
         try:
-            if est == "reg":
-                fit = outcome_fit()
-                comps = sandwich_variance(fit, data)
-                for e in estimands:
-                    out[(est, e.key)] = (_reg_point(fit, e), delta_method_se(comps, e))
-            elif est == "ipw":
-                model = propensity_fit()
-                pscore = np.asarray(model.predict_proba(data.w), dtype=float)
-                points = [_ipw_point(data, pscore, e) for e in estimands]
-                start = np.concatenate([[model.intercept], model.coef])
-
-                def fn(d: ObservationSet) -> np.ndarray:
-                    refit = fit_logistic(d, start=start)
-                    ps = np.asarray(refit.predict_proba(d.w), dtype=float)
-                    return np.array([_ipw_point(d, ps, e) for e in estimands])
-
-                ses, _, _ = _bootstrap_many(data, fn, boot_replicates, rng, 0.95)
-                for e, pt, se in zip(estimands, points, ses):
-                    out[(est, e.key)] = (pt, float(se))
-            elif est == "aipw":
-                for e in estimands:
-                    rep_out = estimate_aipw(
-                        data, e, outcome=outcome_fit(), propensity=propensity_fit()
-                    )
-                    out[(est, e.key)] = (rep_out.point, rep_out.se)
-            elif est == "tmle":
-                for e in estimands:
-                    rep_out = estimate_tmle(
-                        data, e, outcome=outcome_fit(), propensity=propensity_fit()
-                    )
-                    out[(est, e.key)] = (rep_out.point, rep_out.se)
+            reports = estimate_many(data, [est], estimands, nuisances, boot)
         except EstimationError:
-            for e in estimands:
-                out[(est, e.key)] = None
+            reports = [None] * len(estimands)
+        for e, r in zip(estimands, reports):
+            out[(est, e.key)] = None if r is None else (r.point, r.se)
     return out
 
 
@@ -333,9 +284,6 @@ def run_monte_carlo(
     """
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
-    for est in estimators:
-        if est not in ESTIMATOR_NAMES:
-            raise ValidationError(f"unknown estimator {est!r}; expected one of {ESTIMATOR_NAMES}")
     truth = truth_oracle(spec)
     estimator_tuple = tuple(estimators)
     estimand_keys = tuple(e.key for e in estimands)

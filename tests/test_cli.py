@@ -79,6 +79,24 @@ class TestEstimateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert [r["estimator"] for r in payload] == ["reg", "aipw"]
 
+    @pytest.mark.parametrize("estimator", ["ipw", "reg"])
+    def test_out_of_range_ci_level_rejected_before_fitting(
+        self, data_csv, capsys, monkeypatch, estimator
+    ):
+        from bineffect import estimators
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted before the arguments were checked")
+
+        monkeypatch.setattr(estimators, "fit_logistic", no_fit)
+        monkeypatch.setattr(estimators, "fit_ols_interacted", no_fit)
+        code = run_cli(
+            "estimate", "--input", data_csv, "--cutoff", "6", "--estimator", estimator,
+            "--ci-level", "1.5", "--boot-reps", "20",
+        )
+        assert code == 1
+        assert "ci_level" in capsys.readouterr().err
+
     def test_env_var_seed(self, data_csv, capsys, monkeypatch):
         monkeypatch.setenv("BINEFFECT_SEED", "777")
         code = run_cli(

@@ -138,6 +138,27 @@ class TestCsv:
         with pytest.raises(ValidationError, match="binarization rule"):
             load_csv(path)
 
+    def test_utf8_byte_order_mark(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes("\ufeffy,t,w1\n1.0,0,0.1\n2.0,1,0.2\n".encode("utf-8"))
+        data = load_csv(path)
+        assert data.y.tolist() == [1.0, 2.0]
+        assert data.p == 1
+
+    def test_blank_lines_skipped_with_file_line_numbers(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("y,t,w1\n1.0,0,0.1\n2.0,1,0.2\n\n")
+        assert load_csv(path).n == 2
+        path.write_text("y,t,w1\n\n1.0,0,0.1\nfoo,1,0.2\n")
+        with pytest.raises(ValidationError, match="line 4: column 'y'"):
+            load_csv(path)
+
+    def test_header_only_names_the_file(self, tmp_path):
+        path = tmp_path / "header_only.csv"
+        path.write_text("y,t,w1\n")
+        with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
+            load_csv(path)
+
     @given(
         n=st.integers(1, 12),
         p=st.integers(0, 3),
@@ -209,6 +230,11 @@ class TestReportTypes:
         half = z_quantile(0.95) * 1.5
         assert report.ci == (2.0 - half, 2.0 + half)
         assert abs(z_quantile(0.95) - 1.959964) < 1e-6
+
+    def test_bad_level_raises_on_every_call(self):
+        for _ in range(2):  # the memoised quantile must not remember a failure
+            with pytest.raises(ValidationError):
+                z_quantile(1.5)
 
     def test_negative_se_rejected(self):
         with pytest.raises(ValidationError):

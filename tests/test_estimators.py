@@ -1,20 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bineffect import (
+    ESTIMATOR_NAMES,
     BootstrapConfig,
     EstimandSpec,
+    Nuisances,
     ObservationSet,
     PropensityModel,
+    ValidationError,
     aipw_influence,
     bootstrap_se,
     delta_method_se,
     estimate_aipw,
     estimate_ipw,
+    estimate_many,
     estimate_reg,
     estimate_tmle,
+    estimators,
     fit_ols_interacted,
     sandwich_variance,
     tmle_update,
@@ -282,3 +289,74 @@ class TestCrossEstimatorEquivalences:
         assert estimate_ipw(shuffled, BATE, boot).point == pytest.approx(
             estimate_ipw(dataset, BATE, boot).point, rel=1e-9
         )
+
+
+def count_calls(monkeypatch, name):
+    """Replace estimators.<name> with a wrapper; returns the list of its calls' kwargs."""
+    calls = []
+    original = getattr(estimators, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, name, counted)
+    return calls
+
+
+class TestEstimateMany:
+    def test_matches_separate_calls_with_each_nuisance_fitted_once(self, monkeypatch):
+        data = make_dataset(n=90, p=2, seed=8)
+        estimands = (BATE, PEB1, PEB0)
+        boot = BootstrapConfig(replicates=25, seed=3)
+        separate = [
+            report
+            for fn in (
+                lambda e: estimate_reg(data, e, seed=3),
+                lambda e: estimate_ipw(data, e, boot),
+                lambda e: estimate_aipw(data, e, seed=3),
+                lambda e: estimate_tmle(data, e, seed=3),
+            )
+            for report in map(fn, estimands)
+        ]
+        ols = count_calls(monkeypatch, "fit_ols_interacted")
+        logistic = count_calls(monkeypatch, "fit_logistic")
+        positivity = count_calls(monkeypatch, "positivity_diagnostic")
+        joint = estimate_many(data, ESTIMATOR_NAMES, estimands, boot=boot, seed=3)
+        # the joint bootstrap reduces a wider array, so its SD may differ in the last bit
+        assert [replace(r, se=0.0, ci=(0.0, 0.0)) for r in joint] == [
+            replace(r, se=0.0, ci=(0.0, 0.0)) for r in separate
+        ]
+        for j, s in zip(joint, separate):
+            assert j.se == pytest.approx(s.se, rel=1e-12)
+            assert j.ci == pytest.approx(s.ci, rel=1e-12)
+        assert len(ols) == 1
+        assert len(positivity) == 1
+        # one full-sample fit, then one warm-started refit per resample
+        assert [kw.get("start") is None for kw in logistic] == [True] + [False] * boot.replicates
+
+    def test_injected_propensity_is_never_refit(self, monkeypatch):
+        data = make_binary_w_dataset(n=60, seed=3)
+        model = PropensityModel(intercept=0.1, coef=np.array([0.2]))
+        logistic = count_calls(monkeypatch, "fit_logistic")
+        reports = estimate_many(
+            data, ["ipw", "aipw"], [BATE], Nuisances(data, propensity=model),
+            boot=BootstrapConfig(replicates=10, seed=0),
+        )
+        assert [r.estimator for r in reports] == ["ipw", "aipw"]
+        assert logistic == []
+
+    def test_nuisances_must_belong_to_the_sample(self):
+        data = make_dataset(n=40, seed=1)
+        other = make_dataset(n=40, seed=2)
+        with pytest.raises(ValidationError, match="different"):
+            estimate_many(data, ["reg"], [BATE], Nuisances(other))
+
+    def test_rejects_bad_arguments_before_fitting(self, monkeypatch):
+        data = make_dataset(n=40, seed=1)
+        ols = count_calls(monkeypatch, "fit_ols_interacted")
+        with pytest.raises(ValidationError, match="ci_level"):
+            estimate_many(data, ["reg"], [BATE], ci_level=0.0)
+        with pytest.raises(ValidationError, match="unknown estimator"):
+            estimate_many(data, ["reg", "magic"], [BATE])
+        assert ols == []

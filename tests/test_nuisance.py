@@ -11,7 +11,6 @@ from bineffect import (
     ValidationError,
     fit_logistic,
     fit_ols_interacted,
-    predict_outcome,
 )
 from bineffect.nuisance import interacted_design
 from bineffect.simulation import sample_dgp
@@ -182,11 +181,11 @@ class TestPredictOutcome:
         t[:2] = [0.0, 1.0]
         data = ObservationSet(w=rng.normal(size=(n, 1)), t=t, y=2.0 + 3.0 * t)
         fit = fit_ols_interacted(data)
-        assert predict_outcome(fit, 1.0, np.array([123.0])) == pytest.approx(5.0, abs=1e-7)
+        assert fit.predict(1.0, np.array([123.0])) == pytest.approx(5.0, abs=1e-7)
 
     def test_at_demeaning_center_gives_intercept(self, dataset):
         fit = fit_ols_interacted(dataset)
-        assert predict_outcome(fit, 0.0, fit.w_mean) == pytest.approx(fit.beta0, abs=1e-12)
+        assert fit.predict(0.0, fit.w_mean) == pytest.approx(fit.beta0, abs=1e-12)
 
     def test_matches_manual_dot_product(self, dataset):
         fit = fit_ols_interacted(dataset)
@@ -196,7 +195,7 @@ class TestPredictOutcome:
             t = float(rng.integers(0, 2))
             wc = w - fit.w_mean
             manual = fit.beta0 + t * fit.beta_t + wc @ fit.beta_w + t * (wc @ fit.beta_interact)
-            assert predict_outcome(fit, t, w) == pytest.approx(manual, abs=1e-12)
+            assert fit.predict(t, w) == pytest.approx(manual, abs=1e-12)
 
     def test_vectorized_matches_scalar(self, dataset):
         fit = fit_ols_interacted(dataset)

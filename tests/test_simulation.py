@@ -8,7 +8,10 @@ from bineffect import (
     EstimandSpec,
     QuadratureError,
     ValidationError,
+    estimate_aipw,
     estimate_reg,
+    estimate_tmle,
+    estimators,
 )
 from bineffect.simulation import (
     DgpSpec,
@@ -21,6 +24,7 @@ from bineffect.simulation import (
 
 BATE = EstimandSpec.bate()
 PEB1 = EstimandSpec.peb(1)
+PEB0 = EstimandSpec.peb(0)
 
 # Values computed independently: closed-form truncated-normal moments for the
 # polynomial part (E[Z^3 1(Z>c)] = (c^2+2) phi(c) etc.) plus quadrature for
@@ -176,6 +180,28 @@ class TestMonteCarlo:
             assert np.isfinite(row.mean_estimate)
             assert np.isfinite(row.sim_se)
             assert row.n_failed == 0
+
+    def test_cells_are_means_of_library_estimates(self, dgp):
+        n, reps, seed = 120, 4, 13
+        estimands = (BATE, PEB1, PEB0)
+        library = {"reg": estimate_reg, "aipw": estimate_aipw, "tmle": estimate_tmle}
+        result = run_monte_carlo(dgp, [n], reps, list(library), seed, estimands=estimands)[0]
+        datasets = [sample_dgp(dgp, n, np.random.default_rng([seed, n, r])) for r in range(reps)]
+        for name, fn in library.items():
+            for e in estimands:
+                reports = [fn(d, e) for d in datasets]
+                row = result.row(name, e)
+                assert row.n_failed == 0
+                assert row.mean_estimate == np.mean([r.point for r in reports])
+                assert row.mean_est_se == np.mean([r.se for r in reports])
+
+    def test_reg_only_run_fits_no_propensity(self, dgp, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("propensity fitted for a reg-only run")
+
+        monkeypatch.setattr(estimators, "fit_logistic", no_fit)
+        results = run_monte_carlo(dgp, [60], 2, ["reg"], seed=4, boot_replicates=0)
+        assert all(row.n_failed == 0 for row in results[0].rows)
 
     def test_deterministic_and_thread_invariant(self, dgp):
         kwargs = dict(estimands=(BATE,), boot_replicates=10)
