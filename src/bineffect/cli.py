@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,6 @@ from .core import (
 )
 from .estimators import BootstrapConfig, estimate_many
 from .simulation import (
-    DENSITY_ARMS,
     DgpSpec,
     density_curve,
     density_curve_to_csv,
@@ -43,23 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated invocation; mutually required flags are checked on build."""
-
-    subcommand: str
-    args: argparse.Namespace
-
-    def __post_init__(self) -> None:
-        a = self.args
-        if self.subcommand == "estimate":
-            if a.estimand == "peb" and a.arm is None:
-                raise ValidationError("--estimand peb requires --arm 0 or --arm 1")
-        if self.subcommand == "densities":
-            if a.arm not in DENSITY_ARMS:
-                raise ValidationError(f"--arm must be one of {DENSITY_ARMS}")
 
 
 def _default_seed() -> int:
@@ -111,8 +92,10 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_estimate(config: CliConfig) -> int:
-    args = config.args
+def cmd_estimate(args: argparse.Namespace) -> int:
+    if args.estimand == "peb" and args.arm is None:
+        raise ValidationError("--estimand peb requires --arm 0 or --arm 1")
+    estimators = args.estimator.split(",")
     rule = None
     if args.cutoff is not None:
         rule = BinarizationRule(args.cutoff, Direction(args.direction))
@@ -121,10 +104,10 @@ def cmd_estimate(config: CliConfig) -> int:
         EstimandSpec.bate() if args.estimand == "bate" else EstimandSpec.peb(args.arm)
     )
     seed = args.seed if args.seed is not None else _default_seed()
-    boot = BootstrapConfig(replicates=args.boot_reps, seed=seed, ci_method=args.boot_ci)
-    reports = estimate_many(
-        data, args.estimator.split(","), [estimand], boot=boot, ci_level=args.ci_level, seed=seed
-    )
+    boot = None
+    if "ipw" in estimators:
+        boot = BootstrapConfig(replicates=args.boot_reps, seed=seed, ci_method=args.boot_ci)
+    reports = estimate_many(data, estimators, [estimand], boot=boot, ci_level=args.ci_level, seed=seed)
 
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
@@ -165,8 +148,7 @@ def cmd_estimate(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_truth(config: CliConfig) -> int:
-    args = config.args
+def cmd_truth(args: argparse.Namespace) -> int:
     report = truth_oracle(_dgp_from_args(args))
     if args.format == "json":
         text = json.dumps(report.to_dict(), indent=2) + "\n"
@@ -181,10 +163,12 @@ def cmd_truth(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(config: CliConfig) -> int:
-    args = config.args
+def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _dgp_from_args(args)
-    n_list = [int(v) for v in args.n.split(",")]
+    sizes = args.n.split(",")
+    if not all(v.strip().isdecimal() and int(v) > 0 for v in sizes):
+        raise ValidationError(f"--n must be comma separated positive integers, got {args.n!r}")
+    n_list = [int(v) for v in sizes]
     estimators = args.estimators.split(",")
     estimands = [EstimandSpec.from_key(k) for k in args.estimands.split(",")]
     seed = args.seed if args.seed is not None else _default_seed()
@@ -224,8 +208,7 @@ def cmd_simulate(config: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_densities(config: CliConfig) -> int:
-    args = config.args
+def cmd_densities(args: argparse.Namespace) -> int:
     spec = _dgp_from_args(args)
     try:
         start, stop, step = (float(v) for v in args.grid.split(":"))
@@ -305,8 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = CliConfig(subcommand=args.subcommand, args=args)
-        return _COMMANDS[args.subcommand](config)
+        return _COMMANDS[args.subcommand](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -131,6 +131,15 @@ class EstimandSpec:
             return "bate"
         return f"peb{self.arm}"
 
+    @property
+    def contrast(self) -> tuple[float, float, float]:
+        """Weights on the policy means (mu1, mu0, E[Y]) that give this estimand.
+
+        BATE = mu1 - mu0 and PEB compares one policy with the status quo.
+        This is the only place that maps `kind` and `arm` to arithmetic.
+        """
+        return {"bate": (1.0, -1.0, 0.0), "peb1": (1.0, 0.0, -1.0), "peb0": (0.0, 1.0, -1.0)}[self.key]
+
     @classmethod
     def from_key(cls, key: str) -> "EstimandSpec":
         table = {"bate": cls.bate(), "peb1": cls.peb(1), "peb0": cls.peb(0)}

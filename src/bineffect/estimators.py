@@ -8,13 +8,11 @@ from functools import cached_property
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 from scipy.special import expit, logit
 
 from .core import (
     ConvergenceError,
     DegenerateArmError,
-    EstimandKind,
     EstimandSpec,
     EstimateReport,
     ObservationSet,
@@ -59,47 +57,6 @@ class BootstrapConfig:
             raise ValidationError(f"ci_method must be 'normal' or 'percentile', got {self.ci_method!r}")
 
 
-@dataclass(frozen=True)
-class SandwichComponents:
-    """Stacked-estimating-equation pieces for the regression estimator.
-
-    theta is ordered (t_bar, tw_bar, beta0, beta_t, beta_w, beta_interact);
-    vcov is the asymptotic covariance of sqrt(n) * (theta_hat - theta), i.e.
-    A_n^{-1} B_n A_n^{-1}.
-    """
-
-    theta: np.ndarray
-    a_n: np.ndarray
-    b_n: np.ndarray
-    vcov: np.ndarray
-    n: int
-    p: int
-
-    @property
-    def idx_t_bar(self) -> int:
-        return 0
-
-    @property
-    def idx_tw_bar(self) -> slice:
-        return slice(1, 1 + self.p)
-
-    @property
-    def idx_beta0(self) -> int:
-        return 1 + self.p
-
-    @property
-    def idx_beta_t(self) -> int:
-        return 2 + self.p
-
-    @property
-    def idx_beta_w(self) -> slice:
-        return slice(3 + self.p, 3 + 2 * self.p)
-
-    @property
-    def idx_beta_interact(self) -> slice:
-        return slice(3 + 2 * self.p, 3 + 3 * self.p)
-
-
 def _influence_se(phi: np.ndarray) -> float:
     """Estimator SE from influence values: sqrt of (mean of phi^2) / n."""
     return float(np.sqrt(np.mean(phi**2) / phi.shape[0]))
@@ -115,40 +72,6 @@ class InfluenceRecord:
     @property
     def se(self) -> float:
         return _influence_se(self.phi)
-
-
-def sandwich_variance(fit: RegressionFit, data: ObservationSet) -> SandwichComponents:
-    """M-estimation sandwich for (t_bar, tw_bar, regression coefficients).
-
-    The per-unit estimating function stacks the two mean deviations with the OLS
-    score x_i * r_i; the bread is block diagonal with identity blocks for the
-    two mean components and the average outer product of the design rows for
-    the regression block.
-    """
-    t, w = data.t, data.w
-    n, p = data.n, data.p
-    wc = w - fit.w_mean
-    x = interacted_design(t, wc)
-    r = fit.residuals
-    psi = np.hstack(
-        [
-            (t - fit.t_bar)[:, None],
-            t[:, None] * wc - fit.tw_bar,
-            x * r[:, None],
-        ]
-    )
-    b_n = psi.T @ psi / n
-    a_n = block_diag(np.eye(1 + p), x.T @ x / n)
-    try:
-        a_inv = np.linalg.inv(a_n)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError("singular bread matrix A_n; the design is rank deficient") from None
-    vcov = a_inv @ b_n @ a_inv.T
-    vcov = (vcov + vcov.T) / 2.0
-    theta = np.concatenate(
-        [[fit.t_bar], fit.tw_bar, [fit.beta0], [fit.beta_t], fit.beta_w, fit.beta_interact]
-    )
-    return SandwichComponents(theta=theta, a_n=a_n, b_n=b_n, vcov=vcov, n=n, p=p)
 
 
 class Nuisances:
@@ -175,7 +98,7 @@ class Nuisances:
 
     @cached_property
     def regression(self) -> RegressionFit:
-        """Interacted OLS fit; `reg` and its sandwich always use this one."""
+        """Interacted OLS fit; `reg` always uses this one."""
         return fit_ols_interacted(self.data)
 
     @cached_property
@@ -185,10 +108,6 @@ class Nuisances:
     @cached_property
     def propensity(self) -> PropensityModel:
         return fit_logistic(self.data)
-
-    @cached_property
-    def sandwich(self) -> SandwichComponents:
-        return sandwich_variance(self.regression, self.data)
 
     @cached_property
     def pscore(self) -> np.ndarray:
@@ -207,45 +126,49 @@ class Nuisances:
         return tuple(positivity_diagnostic(self.propensity, self.data))
 
 
-def delta_method_se(components: SandwichComponents, estimand: EstimandSpec) -> float:
-    """Delta-method SE of the regression estimand from the sandwich covariance."""
-    c = components
-    g = np.zeros(c.theta.shape[0])
-    beta_t = c.theta[c.idx_beta_t]
-    beta_interact = c.theta[c.idx_beta_interact]
-    t_bar = c.theta[c.idx_t_bar]
-    tw_bar = c.theta[c.idx_tw_bar]
-    if estimand.kind is EstimandKind.BATE:
-        g[c.idx_beta_t] = 1.0
-    else:
-        g[c.idx_t_bar] = -beta_t
-        g[c.idx_tw_bar] = -beta_interact
-        g[c.idx_beta_t] = (1.0 - t_bar) if estimand.arm == 1 else -t_bar
-        g[c.idx_beta_interact] = -tw_bar
-    return float(np.sqrt(g @ c.vcov @ g / c.n))
+def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.ndarray]:
+    """Regression arm triple (mu1, mu0, E[Y]) and its per-unit influence values.
 
-
-def _reg(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> tuple[float, float]:
-    """Regression point and its delta-method SE."""
+    mu1 = beta0 + beta_t, mu0 = beta0 and E[Y] = beta0 + t_bar * beta_t +
+    tw_bar . beta_interact. The influence values are those of the stacked
+    M-estimator of (t_bar, tw_bar, OLS coefficients): the rows of
+    x_i r_i (X'X/n)^-1 for the coefficients and the deviations t_i - t_bar and
+    t_i wc_i - tw_bar for the two means, with the covariate mean used to
+    center w held fixed. mean(phi^2) / n of a contrast is then the stacked
+    sandwich variance with the delta method applied (Stefanski & Boos 2002).
+    """
     fit = nuis.regression
-    se = delta_method_se(nuis.sandwich, estimand)
-    if estimand.kind is EstimandKind.BATE:
-        return fit.beta_t, se
-    inter = float(fit.tw_bar @ fit.beta_interact)
-    if estimand.arm == 1:
-        return (1.0 - fit.t_bar) * fit.beta_t - inter, se
-    return -fit.t_bar * fit.beta_t - inter, se
+    t, p = data.t, data.p
+    wc = data.w - fit.w_mean
+    x = interacted_design(t, wc)
+    try:
+        bread_inv = np.linalg.inv(x.T @ x / data.n)
+    except np.linalg.LinAlgError:
+        raise SingularDesignError("singular bread matrix X'X/n; the design is rank deficient") from None
+    coef = (x * fit.residuals[:, None]) @ bread_inv
+    beta0, beta_t, beta_interact = coef[:, 0], coef[:, 1], coef[:, 2 + p :]
+    e_y = (
+        beta0
+        + fit.t_bar * beta_t
+        + beta_interact @ fit.tw_bar
+        + fit.beta_t * (t - fit.t_bar)
+        + (t[:, None] * wc - fit.tw_bar) @ fit.beta_interact
+    )
+    theta = np.array(
+        [
+            fit.beta0 + fit.beta_t,
+            fit.beta0,
+            fit.beta0 + fit.t_bar * fit.beta_t + float(fit.tw_bar @ fit.beta_interact),
+        ]
+    )
+    return theta, np.column_stack([beta0 + beta_t, beta0, e_y])
 
 
-def _ipw_point(data: ObservationSet, pscore: np.ndarray, estimand: EstimandSpec) -> float:
+def _ipw_arms(data: ObservationSet, pscore: np.ndarray) -> np.ndarray:
+    """Horvitz-Thompson arm triple (mu1, mu0, E[Y])."""
     t, y = data.t, data.y
-    treated = np.sum(t * y / pscore)
-    control = np.sum((1.0 - t) * y / (1.0 - pscore))
-    if estimand.kind is EstimandKind.BATE:
-        return float((treated - control) / data.n)
-    baseline = np.sum(y)
-    side = treated if estimand.arm == 1 else control
-    return float((side - baseline) / data.n)
+    sums = [np.sum(t * y / pscore), np.sum((1.0 - t) * y / (1.0 - pscore)), np.sum(y)]
+    return np.array(sums) / data.n
 
 
 def _bootstrap_many(
@@ -261,6 +184,7 @@ def _bootstrap_many(
     with a degenerate arm, separation or a singular design are redrawn and
     counted; the note is None unless more than 1% of resamples were redrawn.
     """
+    z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
     n = data.n
     rng = np.random.default_rng(boot.seed)
     estimates = np.empty((boot.replicates, k))
@@ -312,12 +236,12 @@ def bootstrap_se(
 def _ipw(
     data: ObservationSet,
     nuis: Nuisances,
-    estimands: Sequence[EstimandSpec],
+    contrasts: np.ndarray,
     boot: BootstrapConfig,
     ci_level: float,
 ) -> tuple[list[tuple], str | None]:
-    """IPW (point, bootstrap SE, percentile CI or None) per estimand, and the
-    bootstrap's redraw note.
+    """IPW (point, bootstrap SE, percentile CI or None) per row of
+    `contrasts`, and the bootstrap's redraw note.
 
     All estimands share one set of resamples. Each resample refits the
     propensity warm-started from the full-sample fit; an injected propensity
@@ -326,36 +250,26 @@ def _ipw(
     prop = nuis.propensity
     start = None if nuis.propensity_injected else np.concatenate([[prop.intercept], prop.coef])
 
-    def points(d: ObservationSet, pscore: np.ndarray) -> list[float]:
-        return [_ipw_point(d, pscore, e) for e in estimands]
-
-    def statistic(d: ObservationSet) -> list[float]:
+    def statistic(d: ObservationSet) -> np.ndarray:
         model = prop if start is None else fit_logistic(d, start=start)
-        return points(d, np.asarray(model.predict_proba(d.w), dtype=float))
+        return contrasts @ _ipw_arms(d, np.asarray(model.predict_proba(d.w), dtype=float))
 
-    ses, cis, note = _bootstrap_many(data, statistic, len(estimands), boot, ci_level)
+    ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
     percentile = boot.ci_method == "percentile"
-    rows = zip(points(data, nuis.pscore), ses, cis)
+    rows = zip(contrasts @ _ipw_arms(data, nuis.pscore), ses, cis)
     return [(point, se, ci if percentile else None) for point, se, ci in rows], note
 
 
-def _aipw_contributions(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> np.ndarray:
-    t, y = data.t, data.y
-    m1, m0, pscore = nuis.m1, nuis.m0, nuis.pscore
-    if estimand.kind is EstimandKind.BATE:
-        m_obs = np.where(t == 1.0, m1, m0)
-        weight = t / pscore - (1.0 - t) / (1.0 - pscore)
-        return weight * (y - m_obs) + m1 - m0
-    if estimand.arm == 1:
-        return (t / pscore) * (y - m1) + m1 - y
-    return ((1.0 - t) / (1.0 - pscore)) * (y - m0) + m0 - y
-
-
-def _aipw(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> tuple[float, float]:
-    """AIPW point and its influence-curve SE."""
-    contrib = _aipw_contributions(data, nuis, estimand)
-    point = float(contrib.mean())
-    return point, _influence_se(contrib - point)
+def _aipw_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.ndarray]:
+    """AIPW arm triple and its influence values (mean zero): the means of the
+    per-unit augmented terms t/pscore (y - m1) + m1, (1-t)/(1-pscore) (y - m0)
+    + m0 and y, and their deviations from those means."""
+    t, y, pscore, m1, m0 = data.t, data.y, nuis.pscore, nuis.m1, nuis.m0
+    z = np.column_stack(
+        [(t / pscore) * (y - m1) + m1, ((1.0 - t) / (1.0 - pscore)) * (y - m0) + m0, y]
+    )
+    theta = z.mean(axis=0)
+    return theta, z - theta
 
 
 @dataclass(frozen=True)
@@ -403,6 +317,7 @@ def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
 
 
 def _tmle_fit(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> TmleFit:
+    c1, c0, c_y = estimand.contrast
     t, y = data.t, data.y
     pscore, m1, m0 = nuis.pscore, nuis.m1, nuis.m0
     lo, hi = float(y.min()), float(y.max())
@@ -416,19 +331,11 @@ def _tmle_fit(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> 
     q0 = np.clip((m0 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND)
     q_obs = np.where(t == 1.0, q1, q0)
 
-    # clever covariate H(t, w), on the observed arm and at each fixed arm
-    if estimand.kind is EstimandKind.BATE:
-        h_obs = t / pscore - (1.0 - t) / (1.0 - pscore)
-        h_arm1 = 1.0 / pscore
-        h_arm0 = -1.0 / (1.0 - pscore)
-    elif estimand.arm == 1:
-        h_obs = 1.0 - t / pscore
-        h_arm1 = 1.0 - 1.0 / pscore
-        h_arm0 = np.ones(data.n)
-    else:
-        h_obs = 1.0 - (1.0 - t) / (1.0 - pscore)
-        h_arm1 = np.ones(data.n)
-        h_arm0 = 1.0 - 1.0 / (1.0 - pscore)
+    # clever covariate c1 t/pscore + c0 (1-t)/(1-pscore) + c_y, at each fixed
+    # arm and on the observed one
+    h_arm1 = c1 / pscore + c_y
+    h_arm0 = c0 / (1.0 - pscore) + c_y
+    h_obs = np.where(t == 1.0, h_arm1, h_arm0)
 
     beta = _fluctuate(ys, logit(q_obs), h_obs)
     q1_new = expit(logit(q1) + beta * h_arm1)
@@ -439,15 +346,10 @@ def _tmle_fit(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> 
     y0 = lo + span * q0_new
     y_obs_pred = lo + span * q_obs_new
 
-    if estimand.kind is EstimandKind.BATE:
-        point = float(np.mean(y1 - y0))
-        phi = h_obs * (y - y_obs_pred) + (y1 - y0) - point
-    elif estimand.arm == 1:
-        point = float(np.mean(y1) - np.mean(y_obs_pred))
-        phi = (t / pscore) * (y - y1) + y1 - y - point
-    else:
-        point = float(np.mean(y0) - np.mean(y_obs_pred))
-        phi = ((1.0 - t) / (1.0 - pscore)) * (y - y0) + y0 - y - point
+    # influence value H (y - Q) + plug-in - point; mean zero once targeted
+    plug_in = c1 * y1 + c0 * y0 + c_y * y_obs_pred
+    point = float(np.mean(plug_in))
+    phi = h_obs * (y - y_obs_pred) + plug_in - point
 
     return TmleFit(point, float(beta), phi, y1, y0, y_obs_pred)
 
@@ -460,7 +362,7 @@ def _tmle(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> tupl
 
 ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
 
-_CLOSED_FORM = {"reg": _reg, "aipw": _aipw, "tmle": _tmle}
+_ARMS = {"reg": _reg_arms, "aipw": _aipw_arms}
 
 
 def estimate_many(
@@ -479,6 +381,11 @@ def estimate_many(
     `BootstrapConfig()`) applies to ipw, whose estimands share one set of
     resamples. `seed` is recorded in every report. The arguments are checked
     before anything is fitted.
+
+    Every estimand is a contrast of the policy means (mu1, mu0, E[Y]). reg
+    and aipw estimate that triple and its influence values once, and each
+    estimand's point and SE follow from its contrast; tmle targets once per
+    estimand.
     """
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
     for name in estimators:
@@ -487,13 +394,17 @@ def estimate_many(
     nuis = nuisances if nuisances is not None else Nuisances(data)
     if nuis.data is not data:
         raise ValidationError("nuisances were built for a different ObservationSet")
+    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
     reports: list[EstimateReport] = []
     for name in estimators:
         note = None
         if name == "ipw":
-            rows, note = _ipw(data, nuis, estimands, boot or BootstrapConfig(), ci_level)
+            rows, note = _ipw(data, nuis, contrasts, boot or BootstrapConfig(), ci_level)
+        elif name == "tmle":
+            rows = [(*_tmle(data, nuis, e), None) for e in estimands]
         else:
-            rows = [(*_CLOSED_FORM[name](data, nuis, e), None) for e in estimands]
+            theta, phi = _ARMS[name](data, nuis)
+            rows = [(theta @ c, _influence_se(phi @ c), None) for c in contrasts]
         diagnostics = () if name == "reg" else nuis.diagnostics + ((note,) if note else ())
         reports += [
             EstimateReport.from_point_se(
@@ -511,7 +422,7 @@ def estimate_reg(
     ci_level: float = 0.95,
     seed: int | None = None,
 ) -> EstimateReport:
-    """Regression estimator with M-estimation (sandwich + delta method) SE."""
+    """Regression estimator with M-estimation influence-value SE."""
     return estimate_many(data, ["reg"], [estimand], ci_level=ci_level, seed=seed)[0]
 
 
@@ -566,8 +477,8 @@ def aipw_influence(
     propensity: PropensityModel | None = None,
 ) -> InfluenceRecord:
     """Estimated efficient influence values at the AIPW solution (mean zero)."""
-    contrib = _aipw_contributions(data, Nuisances(data, outcome, propensity), estimand)
-    return InfluenceRecord(phi=contrib - contrib.mean(), estimand=estimand)
+    _, phi = _aipw_arms(data, Nuisances(data, outcome, propensity))
+    return InfluenceRecord(phi=phi @ estimand.contrast, estimand=estimand)
 
 
 def tmle_update(

@@ -97,6 +97,13 @@ class TestEstimateCommand:
         assert code == 1
         assert "ci_level" in capsys.readouterr().err
 
+    def test_boot_reps_checked_only_when_ipw_runs(self, data_csv, capsys):
+        base = ["estimate", "--input", data_csv, "--cutoff", "6", "--boot-reps", "1"]
+        assert run_cli(*base, "--estimator", "reg") == 0
+        capsys.readouterr()
+        assert run_cli(*base, "--estimator", "ipw") == 1
+        assert "at least 2 replicates" in capsys.readouterr().err
+
     def test_env_var_seed(self, data_csv, capsys, monkeypatch):
         monkeypatch.setenv("BINEFFECT_SEED", "777")
         code = run_cli(
@@ -142,6 +149,12 @@ class TestSimulateCommand:
         assert run_cli(*args, "--output", str(out1)) == 0
         assert run_cli(*args, "--output", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("value", ["abc", "150,,300", "-5", "60,0"])
+    def test_bad_n_is_a_validation_error(self, capsys, value):
+        assert run_cli("simulate", "--n", value, "--reps", "2", "--threads", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--n" in err
 
     def test_json_format(self, capsys):
         code = run_cli("simulate", "--reps", "2", "--n", "60", "--boot-reps", "10",

@@ -20,3 +20,12 @@ def test_no_module_imports_another_modules_private_names(module):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{module} imports private names {private}"
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("core.py", "__init__.py")),
+)
+def test_estimand_kind_is_mapped_only_in_core(module):
+    """Estimators see an estimand only through `EstimandSpec.contrast`."""
+    assert "EstimandKind" not in (PACKAGE / module).read_text(encoding="utf-8")
