@@ -43,14 +43,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+def _seed(args: argparse.Namespace) -> int:
+    """--seed, else the BINEFFECT_SEED environment variable, else 0."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
+    if seed < 0:
+        raise ValidationError(f"--seed (or {SEED_ENV_VAR}) must be non-negative, got {seed}")
+    return seed
 
 
 def _dgp_from_args(args: argparse.Namespace) -> DgpSpec:
@@ -95,6 +99,7 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.estimand == "peb" and args.arm is None:
         raise ValidationError("--estimand peb requires --arm 0 or --arm 1")
+    seed = _seed(args)
     estimators = args.estimator.split(",")
     rule = None
     if args.cutoff is not None:
@@ -103,7 +108,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     estimand = (
         EstimandSpec.bate() if args.estimand == "bate" else EstimandSpec.peb(args.arm)
     )
-    seed = args.seed if args.seed is not None else _default_seed()
     boot = None
     if "ipw" in estimators:
         boot = BootstrapConfig(replicates=args.boot_reps, seed=seed, ci_method=args.boot_ci)
@@ -171,7 +175,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_list = [int(v) for v in sizes]
     estimators = args.estimators.split(",")
     estimands = [EstimandSpec.from_key(k) for k in args.estimands.split(",")]
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     results = run_monte_carlo(
         spec,
         n_list,

@@ -29,6 +29,7 @@ from .nuisance import (
     fit_logistic,
     fit_ols_interacted,
     interacted_design,
+    refit_logistic,
 )
 
 _TMLE_BOUND = 5e-4   # keeps logit of scaled predictions finite
@@ -36,6 +37,7 @@ _TMLE_TOL = 1e-10
 _TMLE_MAX_ITER = 100
 
 _RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
+_BLOCK_ELEMENTS = 2**17  # bootstrap indices per block: caps the (m, n) working set
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,8 @@ class BootstrapConfig:
             raise ValidationError(f"bootstrap needs at least 2 replicates, got {self.replicates}")
         if self.ci_method not in ("normal", "percentile"):
             raise ValidationError(f"ci_method must be 'normal' or 'percentile', got {self.ci_method!r}")
+        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
+            raise ValidationError(f"bootstrap seed must be non-negative, got {self.seed}")
 
 
 def _influence_se(phi: np.ndarray) -> float:
@@ -164,45 +168,56 @@ def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.nda
     return theta, np.column_stack([beta0 + beta_t, beta0, e_y])
 
 
-def _ipw_arms(data: ObservationSet, pscore: np.ndarray) -> np.ndarray:
-    """Horvitz-Thompson arm triple (mu1, mu0, E[Y])."""
+def _ipw_arms(
+    data: ObservationSet, pscore: np.ndarray, counts: np.ndarray | float = 1.0
+) -> np.ndarray:
+    """Horvitz-Thompson arm triple (mu1, mu0, E[Y]); given an (m, n) matrix of
+    frequency weights `counts` (and pscore (n,) or (m, n)), one triple per row."""
     t, y = data.t, data.y
-    sums = [np.sum(t * y / pscore), np.sum((1.0 - t) * y / (1.0 - pscore)), np.sum(y)]
-    return np.array(sums) / data.n
+    sums = [
+        np.sum(counts * (t * y) / pscore, axis=-1),
+        np.sum(counts * ((1.0 - t) * y) / (1.0 - pscore), axis=-1),
+        np.sum(counts * y, axis=-1),
+    ]
+    return np.stack(sums, axis=-1) / data.n
 
 
 def _bootstrap_many(
     data: ObservationSet,
-    fn: Callable[[ObservationSet], Sequence[float]],
+    statistic: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     k: int,
     boot: BootstrapConfig,
     ci_level: float,
 ) -> tuple[np.ndarray, np.ndarray, str | None]:
     """Resample rows with replacement; returns (ses, percentile cis, redraw note).
 
-    `fn` returns `k` statistics per resample. Resamples on which it fails
-    with a degenerate arm, separation or a singular design are redrawn and
-    counted; the note is None unless more than 1% of resamples were redrawn.
+    Each resample is one `rng.integers(0, n, size=n)` draw. `statistic` takes
+    an (m, n) block of such index rows and returns their (m, k) estimates and
+    an (m,) mask of the resamples it could evaluate. The others (a degenerate
+    arm, separation, a singular design) are redrawn and counted, so the
+    accepted resamples are the first `replicates` good draws of the stream.
+    A block holds at most `_BLOCK_ELEMENTS` indices. The note is None unless
+    more than 1% of resamples were redrawn.
     """
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
     n = data.n
     rng = np.random.default_rng(boot.seed)
+    block = max(1, _BLOCK_ELEMENTS // n)
     estimates = np.empty((boot.replicates, k))
     redraws = 0
     max_redraws = max(1000, 100 * boot.replicates)
     b = 0
     while b < boot.replicates:
-        idx = rng.integers(0, n, size=n)
-        try:
-            estimates[b] = fn(data.subset(idx))
-        except _RESAMPLE_ERRORS:
-            redraws += 1
-            if redraws > max_redraws:
-                raise ConvergenceError(
-                    f"bootstrap gave up after {redraws} redraws of degenerate resamples"
-                ) from None
-            continue
-        b += 1
+        m = min(block, boot.replicates - b)
+        values, ok = statistic(np.stack([rng.integers(0, n, size=n) for _ in range(m)]))
+        good = int(np.count_nonzero(ok))
+        estimates[b : b + good] = values[ok]
+        b += good
+        redraws += m - good
+        if redraws > max_redraws:
+            raise ConvergenceError(
+                f"bootstrap gave up after {redraws} redraws of degenerate resamples"
+            )
     ses = estimates.std(axis=0, ddof=1)
     alpha = (1.0 - ci_level) / 2.0
     cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T
@@ -227,7 +242,18 @@ def bootstrap_se(
     nuisances refit) on each resample. Deterministic for a fixed seed. Warns
     when more than 1% of resamples had to be redrawn.
     """
-    ses, cis, note = _bootstrap_many(data, lambda d: [estimator_fn(d)], 1, boot, ci_level)
+
+    def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = np.empty((idx.shape[0], 1))
+        ok = np.ones(idx.shape[0], dtype=bool)
+        for i, rows in enumerate(idx):
+            try:
+                values[i] = estimator_fn(data.subset(rows))
+            except _RESAMPLE_ERRORS:
+                ok[i] = False
+        return values, ok
+
+    ses, cis, note = _bootstrap_many(data, statistic, 1, boot, ci_level)
     if note is not None:
         warnings.warn(note, stacklevel=2)
     return float(ses[0]), (float(cis[0, 0]), float(cis[0, 1]))
@@ -243,16 +269,24 @@ def _ipw(
     """IPW (point, bootstrap SE, percentile CI or None) per row of
     `contrasts`, and the bootstrap's redraw note.
 
-    All estimands share one set of resamples. Each resample refits the
-    propensity warm-started from the full-sample fit; an injected propensity
-    is reused unchanged instead.
+    All estimands share one set of resamples, each seen as a row of counts
+    on the original units. The propensity is refitted on a whole block of
+    resamples at once, warm-started from the full-sample fit; an injected
+    propensity is evaluated on the counts without refitting.
     """
+    n = data.n
     prop = nuis.propensity
     start = None if nuis.propensity_injected else np.concatenate([[prop.intercept], prop.coef])
 
-    def statistic(d: ObservationSet) -> np.ndarray:
-        model = prop if start is None else fit_logistic(d, start=start)
-        return contrasts @ _ipw_arms(d, np.asarray(model.predict_proba(d.w), dtype=float))
+    def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = idx.shape[0]
+        offsets = (idx + n * np.arange(m)[:, None]).ravel()
+        counts = np.bincount(offsets, minlength=m * n).reshape(m, n).astype(float)
+        if start is None:
+            pscore, ok = nuis.pscore, np.ones(m, dtype=bool)
+        else:
+            pscore, ok = refit_logistic(data, counts, start)
+        return _ipw_arms(data, pscore, counts) @ contrasts.T, ok
 
     ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
     percentile = boot.ci_method == "percentile"

@@ -188,6 +188,19 @@ class PropensityModel:
         return probs
 
 
+def _solve_each(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton steps one problem at a time; a singular Hessian gives a zero
+    step and is flagged."""
+    step = np.zeros_like(grad)
+    singular = np.zeros(grad.shape[0], dtype=bool)
+    for i in range(grad.shape[0]):
+        try:
+            step[i] = np.linalg.solve(hess[i], grad[i])
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return step, singular
+
+
 def _irls(
     x: np.ndarray,
     t: np.ndarray,
@@ -195,39 +208,85 @@ def _irls(
     start: np.ndarray | None = None,
     tol: float = _IRLS_TOL,
     max_iter: int = _IRLS_MAX_ITER,
-) -> np.ndarray:
-    beta = np.zeros(x.shape[1]) if start is None else start.astype(float).copy()
-    steps: list[float] = []
+    counts: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton-Raphson logistic MLE of t on x, for one sample or many
+    frequency-weighted copies of it.
+
+    Row b of the (m, n) `counts` weights unit i by how often it appears in
+    problem b; None is the single unit-weight fit. All problems iterate
+    together, each from `start`, and a problem stops moving once its largest
+    step drops below `tol`. Returns the (m, d) coefficients and an (m,) mask
+    of the problems that converged. A problem whose coefficients pass the
+    separation bound or whose weighted Hessian is singular is flagged
+    instead; for the single fit it raises SeparationError or
+    SingularDesignError. A problem still moving after `max_iter` iterations
+    raises ConvergenceError.
+    """
+    single = counts is None
+    ct = None if single else np.ascontiguousarray(counts.T)  # (n, k): problems in columns
+    m, d = (1 if single else counts.shape[0]), x.shape[1]
+    beta = np.zeros((m, d)) if start is None else np.tile(np.asarray(start, dtype=float), (m, 1))
+    ok = np.ones(m, dtype=bool)
+    active, b = np.arange(m), beta.copy()  # the problems still moving, and their coefficients
+    # row-wise x_i x_i', so the Hessians of k problems are one (k, n) @ (n, d*d) product
+    outer = (x[:, :, None] * x[:, None, :]).reshape(-1, d * d) if m > 1 else None
+    t_col = t[:, None]
+    steps = []
     for _ in range(max_iter):
-        probs = expit(x @ beta)
-        weights = probs * (1.0 - probs)
-        hess = (x * weights[:, None]).T @ x
-        grad = x.T @ (t - probs)
+        probs = expit(x @ b.T)
+        cw = probs * (1.0 - probs)
+        resid = t_col - probs
+        if not single:
+            cw *= ct
+            resid *= ct
+        if active.size == 1:  # a plain product: the single fit keeps its exact arithmetic
+            hess = ((x * cw).T @ x)[None]
+        else:
+            hess = (cw.T @ outer).reshape(-1, d, d)
+        grad = (x.T @ resid).T
         try:
-            step = np.linalg.solve(hess, grad)
+            step = np.linalg.solve(hess, grad[..., None])[..., 0]
+            singular = None
         except np.linalg.LinAlgError:
-            if np.max(np.abs(beta)) > _SEPARATION_BOUND / 2:
-                raise SeparationError(
-                    "logistic fit diverged (singular weighted Hessian at large coefficients); "
-                    "the treatment arms appear separated"
+            step, singular = _solve_each(hess, grad)
+            if single:
+                if np.max(np.abs(b)) > _SEPARATION_BOUND / 2:
+                    raise SeparationError(
+                        "logistic fit diverged (singular weighted Hessian at large "
+                        "coefficients); the treatment arms appear separated"
+                    ) from None
+                cols = _collinear_columns(x, labels)
+                raise SingularDesignError(
+                    f"singular logistic design; collinear columns: {', '.join(cols)}"
                 ) from None
-            cols = _collinear_columns(x, labels)
-            raise SingularDesignError(
-                f"singular logistic design; collinear columns: {', '.join(cols)}"
-            ) from None
-        beta += step
-        steps.append(float(np.max(np.abs(step))))
-        if np.max(np.abs(beta)) > _SEPARATION_BOUND:
+        b += step
+        size = np.max(np.abs(step), axis=1)
+        failed = np.max(np.abs(b), axis=1) > _SEPARATION_BOUND
+        if single and failed[0]:
             raise SeparationError(
                 f"logistic coefficients exceeded {_SEPARATION_BOUND:g} in magnitude; "
                 "the treatment arms appear (quasi-)separated"
             )
-        if steps[-1] < tol:
-            return beta
-    trace = ", ".join(f"{s:.3g}" for s in steps[-5:])
+        if singular is not None:
+            failed |= singular
+        moving = ~(failed | (size < tol))  # a NaN step keeps moving, into ConvergenceError
+        steps.append((size, moving))
+        if not moving.all():
+            beta[active] = b
+            ok[active[failed]] = False
+            if not moving.any():
+                return beta, ok
+            active, b, ct = active[moving], b[moving], ct[:, moving]
+    trace = ", ".join(f"{size[moving].max():.3g}" for size, moving in steps[-5:])
     raise ConvergenceError(
         f"IRLS did not converge in {max_iter} iterations; last step sizes: {trace}"
     )
+
+
+def _logistic_design(data: ObservationSet) -> tuple[np.ndarray, list[str]]:
+    x = np.hstack([np.ones((data.n, 1)), data.w])
+    return x, ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
 
 
 def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> PropensityModel:
@@ -237,12 +296,37 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
     100 iterations). No ridge is applied: separation raises SeparationError
     rather than being silently regularized away.
     """
-    t, w = data.t, data.w
+    t = data.t
     if t.size == 0 or np.all(t == t[0]):
         raise DegenerateArmError(
             "cannot fit the propensity model: both treatment arms must be present"
         )
-    x = np.hstack([np.ones((data.n, 1)), w])
-    labels = ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
-    beta = _irls(x, t, labels, start=start)
-    return PropensityModel(intercept=float(beta[0]), coef=beta[1:].copy())
+    x, labels = _logistic_design(data)
+    beta, _ = _irls(x, t, labels, start=start)
+    return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
+
+
+def refit_logistic(
+    data: ObservationSet, counts: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refit the propensity on m frequency-weighted resamples of `data` at once.
+
+    Row b of the (m, n) `counts` holds how often each unit appears in
+    resample b: the frequency-weight view of the nonparametric bootstrap
+    (Efron & Tibshirani 1993). Every refit starts from `start` (intercept,
+    then coefficients) and all of them run as one batched IRLS. Returns each
+    refit's probabilities for every unit, (m, n) and clipped like
+    `predict_proba`, and an (m,) mask of the refits that succeeded; a
+    resample on which `fit_logistic` would raise DegenerateArmError,
+    SeparationError or SingularDesignError is flagged instead. A refit that
+    does not converge raises ConvergenceError.
+    """
+    x, labels = _logistic_design(data)
+    treated = counts @ data.t
+    ok = (treated > 0.0) & (treated < counts.sum(axis=1))  # both arms present
+    beta = np.tile(np.asarray(start, dtype=float), (counts.shape[0], 1))
+    both = np.flatnonzero(ok)
+    if both.size:
+        beta[both], ok[both] = _irls(x, data.t, labels, start=start, counts=counts[both])
+    probs = np.clip(expit(beta @ x.T), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    return probs, ok

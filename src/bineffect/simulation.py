@@ -284,6 +284,10 @@ def run_monte_carlo(
     """
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    if any(n < 1 for n in n_list):
+        raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
     truth = truth_oracle(spec)
     estimator_tuple = tuple(estimators)
     estimand_keys = tuple(e.key for e in estimands)

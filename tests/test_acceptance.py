@@ -30,6 +30,8 @@ from bineffect.simulation import DgpSpec, density_curve, run_monte_carlo, sample
 from test_estimators import ehw_robust_se, stratified_plug_in_bate
 from conftest import make_binary_w_dataset, make_dataset
 
+pytestmark = pytest.mark.acceptance
+
 SEED = 20260809
 SPEC = DgpSpec()
 BATE = EstimandSpec.bate()

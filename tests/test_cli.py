@@ -104,6 +104,16 @@ class TestEstimateCommand:
         assert run_cli(*base, "--estimator", "ipw") == 1
         assert "at least 2 replicates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", ["ipw", "reg"])
+    def test_negative_seed_is_a_validation_error(self, data_csv, capsys, estimator):
+        code = run_cli(
+            "estimate", "--input", data_csv, "--cutoff", "6", "--estimator", estimator,
+            "--boot-reps", "20", "--seed", "-1",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+
     def test_env_var_seed(self, data_csv, capsys, monkeypatch):
         monkeypatch.setenv("BINEFFECT_SEED", "777")
         code = run_cli(
@@ -155,6 +165,11 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--n", value, "--reps", "2", "--threads", "1") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--n" in err
+
+    def test_negative_seed_is_a_validation_error(self, capsys):
+        assert run_cli("simulate", "--reps", "2", "--seed", "-1", "--threads", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
 
     def test_json_format(self, capsys):
         code = run_cli("simulate", "--reps", "2", "--n", "60", "--boot-reps", "10",

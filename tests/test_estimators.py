@@ -9,11 +9,16 @@ from bineffect import (
     ESTIMATOR_NAMES,
     BinarizationRule,
     BootstrapConfig,
+    ConvergenceError,
+    DegenerateArmError,
+    DgpSpec,
     Direction,
     EstimandSpec,
     Nuisances,
     ObservationSet,
     PropensityModel,
+    SeparationError,
+    SingularDesignError,
     ValidationError,
     aipw_influence,
     bootstrap_se,
@@ -23,6 +28,8 @@ from bineffect import (
     estimate_reg,
     estimate_tmle,
     estimators,
+    fit_logistic,
+    nuisance,
     tmle_update,
 )
 from bineffect.nuisance import interacted_design
@@ -227,6 +234,11 @@ class TestBootstrapSe:
             )
         assert np.isfinite(se) and ci[0] <= ci[1]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            BootstrapConfig(replicates=20, seed=-1)
+        BootstrapConfig(replicates=20, seed=np.random.default_rng(0))
+
     def test_bad_level_rejected_before_resampling(self):
         data = make_dataset(n=100, p=1, seed=2)
         calls = []
@@ -324,16 +336,16 @@ class TestMirrorIdentity:
         assert lt[("reg", key)].se == pytest.approx(geq[("reg", MIRROR[key][0])].se, rel=1e-6)
 
 
-def count_calls(monkeypatch, name):
-    """Replace estimators.<name> with a wrapper; returns the list of its calls' kwargs."""
+def count_calls(monkeypatch, name, module=estimators):
+    """Replace module.<name> with a wrapper; returns the list of its calls' kwargs."""
     calls = []
-    original = getattr(estimators, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(estimators, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -354,6 +366,7 @@ class TestEstimateMany:
         ]
         ols = count_calls(monkeypatch, "fit_ols_interacted")
         logistic = count_calls(monkeypatch, "fit_logistic")
+        irls = count_calls(monkeypatch, "_irls", module=nuisance)
         positivity = count_calls(monkeypatch, "positivity_diagnostic")
         joint = estimate_many(data, ESTIMATOR_NAMES, estimands, boot=boot, seed=3)
         # the joint bootstrap reduces a wider array, so its SD may differ in the last bit
@@ -365,19 +378,25 @@ class TestEstimateMany:
             assert j.ci == pytest.approx(s.ci, rel=1e-12)
         assert len(ols) == 1
         assert len(positivity) == 1
-        # one full-sample fit, then one warm-started refit per resample
-        assert [kw.get("start") is None for kw in logistic] == [True] + [False] * boot.replicates
+        # one cold full-sample fit and no per-resample fits: with no redraws the
+        # resamples form one block, refitted by a single batched IRLS call
+        assert [kw.get("start") is None for kw in logistic] == [True]
+        assert not any("redrew" in note for r in joint for note in r.diagnostics)
+        shapes = [None if kw.get("counts") is None else kw["counts"].shape for kw in irls]
+        assert shapes == [None, (boot.replicates, data.n)]
 
     def test_injected_propensity_is_never_refit(self, monkeypatch):
         data = make_binary_w_dataset(n=60, seed=3)
         model = PropensityModel(intercept=0.1, coef=np.array([0.2]))
         logistic = count_calls(monkeypatch, "fit_logistic")
+        irls = count_calls(monkeypatch, "_irls", module=nuisance)
         reports = estimate_many(
             data, ["ipw", "aipw"], [BATE], Nuisances(data, propensity=model),
             boot=BootstrapConfig(replicates=10, seed=0),
         )
         assert [r.estimator for r in reports] == ["ipw", "aipw"]
         assert logistic == []
+        assert irls == []
 
     def test_nuisances_must_belong_to_the_sample(self):
         data = make_dataset(n=40, seed=1)
@@ -393,3 +412,75 @@ class TestEstimateMany:
         with pytest.raises(ValidationError, match="unknown estimator"):
             estimate_many(data, ["reg", "magic"], [BATE])
         assert ols == []
+
+
+def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95):
+    """The bootstrap as a loop over resamples: subset the rows, refit the
+    propensity warm-started from the full-sample fit, and redraw a resample
+    whose refit fails. Returns (ses, percentile cis, redraw count)."""
+    full = fit_logistic(data)
+    start = np.concatenate([[full.intercept], full.coef])
+    estimates, redraws = [], 0
+    while len(estimates) < replicates:
+        d = data.subset(rng.integers(0, data.n, size=data.n))
+        try:
+            pscore = fit_logistic(d, start=start).predict_proba(d.w)
+        except (DegenerateArmError, SeparationError, SingularDesignError):
+            redraws += 1
+            continue
+        arms = [np.sum(d.t * d.y / pscore), np.sum((1 - d.t) * d.y / (1 - pscore)), np.sum(d.y)]
+        estimates.append(contrasts @ np.array(arms) / d.n)
+    alpha = (1.0 - ci_level) / 2.0
+    estimates = np.array(estimates)
+    cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T
+    return estimates.std(axis=0, ddof=1), cis, redraws
+
+
+def tiny_sample():
+    """Six units, two treated: resamples often lose an arm, separate or
+    leave the covariate constant."""
+    w = np.array([[0.0], [0.0], [1.0], [1.0], [0.0], [1.0]])
+    return ObservationSet(w=w, t=[1.0, 0.0, 1.0, 0.0, 0.0, 0.0], y=np.arange(6.0))
+
+
+class TestBatchedBootstrap:
+    """The batched frequency-weight refit against the per-resample loop."""
+
+    @pytest.mark.parametrize(
+        "make, replicates, must_redraw",
+        [
+            (lambda: sample_dgp(DgpSpec(), 150, seed=4), 200, False),
+            (tiny_sample, 100, True),
+            (lambda: sample_dgp(DgpSpec(a_mean_slope=3.0), 100, seed=1), 200, True),
+        ],
+        ids=["n150", "tiny", "near_separated"],
+    )
+    def test_same_resamples_ses_and_redraws_as_the_loop(self, make, replicates, must_redraw):
+        data = make()
+        estimands = (BATE, PEB1, PEB0)
+        contrasts = np.array([e.contrast for e in estimands])
+        loop_rng, batch_rng = np.random.default_rng(17), np.random.default_rng(17)
+        ses, cis, redraws = per_resample_bootstrap(data, contrasts, replicates, loop_rng)
+        boot = BootstrapConfig(replicates, seed=batch_rng, ci_method="percentile")
+        reports = estimate_many(data, ["ipw"], estimands, boot=boot)
+        assert redraws > 0 or not must_redraw
+        for report, se, ci in zip(reports, ses, cis):
+            assert report.se == pytest.approx(se, rel=1e-12)
+            assert report.ci == pytest.approx(tuple(ci), rel=1e-12)
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+        notes = [d for d in reports[0].diagnostics if d.startswith("bootstrap redrew")]
+        expected = f"bootstrap redrew {redraws} degenerate resamples ({100.0 * redraws / replicates:.1f}% of {replicates})"
+        assert notes == ([expected] if redraws > 0.01 * replicates else [])
+
+    def test_resample_that_does_not_converge_raises(self, monkeypatch):
+        original = nuisance._irls
+
+        def one_step_refits(*args, **kwargs):
+            if kwargs.get("counts") is not None:
+                kwargs["max_iter"] = 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nuisance, "_irls", one_step_refits)
+        data = sample_dgp(DgpSpec(), 150, seed=4)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            estimate_many(data, ["ipw"], [BATE], boot=BootstrapConfig(20, seed=0))

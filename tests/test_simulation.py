@@ -232,6 +232,11 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             run_monte_carlo(dgp, [50], 2, ["magic"], seed=0)
 
+    @pytest.mark.parametrize("n_list, seed", [([50], -1), ([50, -5], 0), ([0], 0)])
+    def test_negative_seed_or_size_rejected(self, dgp, n_list, seed):
+        with pytest.raises(ValidationError):
+            run_monte_carlo(dgp, n_list, 2, ["reg"], seed=seed)
+
 
 class TestLargeSampleConsistency:
     def test_regression_estimate_approaches_oracle(self, dgp):
