@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -23,7 +25,6 @@ from .estimators import BootstrapConfig, estimate_many
 from .simulation import (
     DgpSpec,
     density_curve,
-    density_curve_to_csv,
     mc_results_to_csv,
     run_monte_carlo,
     truth_oracle,
@@ -84,6 +85,15 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _csv_text(header: list[str], rows: list[list]) -> str:
+    """CSV with a header line; floats written as their repr, None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def _sig6(x: float) -> str:
     return f"{x:.6g}"
 
@@ -117,27 +127,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         payload = [r.to_dict() for r in reports]
         text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
     elif args.format == "csv":
-        lines = ["estimand,arm,estimator,point,se,ci_low,ci_high,ci_level,n,seed,warnings"]
-        for r in reports:
-            d = r.to_dict()
-            lines.append(
-                ",".join(
-                    [
-                        d["estimand"],
-                        "" if d["arm"] is None else str(d["arm"]),
-                        d["estimator"],
-                        repr(d["point"]),
-                        repr(d["se"]),
-                        repr(d["ci"][0]),
-                        repr(d["ci"][1]),
-                        repr(d["ci_level"]),
-                        str(d["n"]),
-                        str(d["seed"]),
-                        ";".join(d["warnings"]),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        header = "estimand,arm,estimator,point,se,ci_low,ci_high,ci_level,n,seed,warnings".split(",")
+        rows = [
+            [r.estimand.kind.value, r.estimand.arm, r.estimator, r.point, r.se, *r.ci,
+             r.ci_level, r.n, r.seed, ";".join(r.diagnostics)]
+            for r in reports
+        ]
+        text = _csv_text(header, rows)
     else:
         header = ["estimand", "estimator", "point", "se", "ci_low", "ci_high", "n"]
         rows = [
@@ -158,8 +154,7 @@ def cmd_truth(args: argparse.Namespace) -> int:
         text = json.dumps(report.to_dict(), indent=2) + "\n"
     elif args.format == "csv":
         d = report.to_dict()
-        keys = list(d)
-        text = ",".join(keys) + "\n" + ",".join(repr(d[k]) for k in keys) + "\n"
+        text = _csv_text(list(d), [list(d.values())])
     else:
         rows = [[k, _sig6(v)] for k, v in report.to_dict().items()]
         text = _text_table(["quantity", "value"], rows)
@@ -229,7 +224,7 @@ def cmd_densities(args: argparse.Namespace) -> int:
             {"arm": args.arm, "w": args.w, "points": [[a, d] for a, d in curve]}, indent=2
         ) + "\n"
     else:
-        text = density_curve_to_csv(curve)
+        text = _csv_text(["a", "density"], curve.tolist())
     _write_output(text, args.output)
     return EXIT_OK
 

@@ -191,13 +191,15 @@ def _bootstrap_many(
 ) -> tuple[np.ndarray, np.ndarray, str | None]:
     """Resample rows with replacement; returns (ses, percentile cis, redraw note).
 
-    Each resample is one `rng.integers(0, n, size=n)` draw. `statistic` takes
-    an (m, n) block of such index rows and returns their (m, k) estimates and
-    an (m,) mask of the resamples it could evaluate. The others (a degenerate
-    arm, separation, a singular design) are redrawn and counted, so the
-    accepted resamples are the first `replicates` good draws of the stream.
-    A block holds at most `_BLOCK_ELEMENTS` indices. The note is None unless
-    more than 1% of resamples were redrawn.
+    A block of m resamples is one `rng.integers(0, n, size=(m, n))` draw; it
+    gives the same indices, and leaves the generator in the same state, as m
+    successive size-n draws. `statistic` takes the (m, n) block of index rows
+    and returns their (m, k) estimates and an (m,) mask of the resamples it
+    could evaluate. The others (a degenerate arm, separation, a singular
+    design) are redrawn and counted, so the accepted resamples are the first
+    `replicates` good draws of the stream. A block holds at most
+    `_BLOCK_ELEMENTS` indices. The note is None unless more than 1% of
+    resamples were redrawn.
     """
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
     n = data.n
@@ -209,7 +211,7 @@ def _bootstrap_many(
     b = 0
     while b < boot.replicates:
         m = min(block, boot.replicates - b)
-        values, ok = statistic(np.stack([rng.integers(0, n, size=n) for _ in range(m)]))
+        values, ok = statistic(rng.integers(0, n, size=(m, n)))
         good = int(np.count_nonzero(ok))
         estimates[b : b + good] = values[ok]
         b += good

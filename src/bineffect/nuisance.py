@@ -41,45 +41,17 @@ def _collinear_columns(x: np.ndarray, labels: list[str]) -> list[str]:
     return out
 
 
-def _as_rows(w, p: int) -> np.ndarray:
-    """Normalize covariate input to an (n, p) matrix."""
-    arr = np.asarray(w, dtype=float)
-    if arr.ndim == 0:
-        if p == 1:
-            return arr.reshape(1, 1)
-        if p == 0:
-            return arr.reshape(1, 0)[:, :0]
-        raise ValidationError(f"scalar covariate given but model expects {p} covariates")
-    if arr.ndim == 1:
-        if arr.shape[0] == p:
-            return arr.reshape(1, p)
-        if p == 1:
-            return arr.reshape(-1, 1)
-        raise ValidationError(f"covariate vector of length {arr.shape[0]} does not match p={p}")
-    if arr.ndim == 2:
-        if arr.shape[1] != p:
-            raise ValidationError(f"covariate matrix has {arr.shape[1]} columns, expected {p}")
-        return arr
-    raise ValidationError(f"covariates must be at most 2-d, got shape {arr.shape}")
+def _rows(w, p: int) -> np.ndarray:
+    """`w` as a float array whose last axis holds the p covariates."""
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != (p,):
+        raise ValidationError(f"covariates of shape {w.shape} do not end in p={p} entries")
+    return w
 
 
 def _linear_predict(beta0, beta_t, beta_w, beta_interact, w_mean, t, w):
-    p = w_mean.shape[0]
-    scalar = np.ndim(t) == 0 and np.ndim(w) <= 1
-    rows = _as_rows(w, p)
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    m = max(rows.shape[0], tv.shape[0])
-    if tv.shape[0] == 1 and m > 1:
-        tv = np.full(m, tv[0])
-    if rows.shape[0] == 1 and m > 1:
-        rows = np.broadcast_to(rows, (m, p))
-    if tv.shape[0] != rows.shape[0]:
-        raise ValidationError(
-            f"t has {tv.shape[0]} entries but w has {rows.shape[0]} rows"
-        )
-    wc = rows - w_mean
-    out = beta0 + tv * beta_t + wc @ beta_w + tv * (wc @ beta_interact)
-    return float(out[0]) if scalar else out
+    wc = _rows(w, w_mean.shape[0]) - w_mean
+    return beta0 + t * beta_t + wc @ beta_w + t * (wc @ beta_interact)
 
 
 @dataclass(frozen=True)
@@ -104,12 +76,8 @@ class RegressionFit:
     def p(self) -> int:
         return self.w_mean.shape[0]
 
-    @property
-    def design_dim(self) -> int:
-        return 2 + 2 * self.p
-
     def predict(self, t, w):
-        """Evaluate m(t, w); accepts scalars, vectors or row-aligned arrays."""
+        """Evaluate m(t, w) for a scalar or length-n t and a (p,) or (n, p) w."""
         return _linear_predict(
             self.beta0, self.beta_t, self.beta_w, self.beta_interact, self.w_mean, t, w
         )
@@ -179,13 +147,10 @@ class PropensityModel:
         return self.coef.shape[0]
 
     def predict_proba(self, w):
-        """Predicted treatment probabilities, strictly inside (0, 1)."""
-        rows = _as_rows(w, self.p)
-        probs = expit(self.intercept + rows @ self.coef)
-        probs = np.clip(probs, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-        if rows.shape[0] == 1 and np.ndim(w) <= 1:
-            return float(probs[0])
-        return probs
+        """Pr(T=1 | w) strictly inside (0, 1): a number for a (p,) w, an (n,)
+        array for an (n, p) w."""
+        probs = expit(self.intercept + _rows(w, self.p) @ self.coef)
+        return np.clip(probs, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
 def _solve_each(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

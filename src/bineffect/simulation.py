@@ -356,11 +356,3 @@ def mc_results_to_csv(
                 ]
             buf.write(",".join(cells) + "\n")
     return buf.getvalue()
-
-
-def density_curve_to_csv(curve: np.ndarray) -> str:
-    buf = io.StringIO()
-    buf.write("a,density\n")
-    for a, d in curve:
-        buf.write(f"{float(a)!r},{float(d)!r}\n")
-    return buf.getvalue()

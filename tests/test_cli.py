@@ -1,11 +1,16 @@
+import csv
+import io
 import json
+import re
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bineffect import save_csv, truth_oracle
-from bineffect.cli import main
+from bineffect.cli import build_parser, main
 from bineffect.simulation import DgpSpec, sample_dgp
 
 
@@ -69,6 +74,19 @@ class TestEstimateCommand:
         point_text = float(table[1].split()[2])
         assert point_csv == point_json
         assert point_text == float(f"{point_json:.6g}")
+
+    def test_csv_rows_keep_warnings_with_commas_in_one_field(self, tmp_path, capsys):
+        path = tmp_path / "overlap.csv"
+        save_csv(sample_dgp(DgpSpec(a_mean_slope=4.0), 2000, 1), path)
+        base = ["estimate", "--input", str(path), "--cutoff", "6", "--estimator", "reg,aipw"]
+        assert run_cli(*base, "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run_cli(*base, "--format", "csv") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [len(r) for r in rows] == [11, 11, 11]
+        assert any("," in w for w in payload[1]["warnings"])  # the overlap warnings
+        for row, report in zip(rows[1:], payload):
+            assert row[rows[0].index("warnings")] == ";".join(report["warnings"])
 
     def test_multiple_estimators(self, data_csv, capsys):
         code = run_cli(
@@ -198,3 +216,24 @@ class TestDensitiesCommand:
 
     def test_bad_arm(self, capsys):
         assert run_cli("densities", "--w", "0", "--arm", "tilde9") == 1
+
+
+def _readme_commands() -> list[str]:
+    """Every `bineffect ...` command in README's fenced blocks, with `\\`
+    continuations joined and a trailing `# ...` comment dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("bineffect "):
+                commands.append(shlex.join(shlex.split(line, comments=True)))
+    return commands
+
+
+def test_readme_has_the_simulate_tables_command():
+    assert any("simulate --seed 20260809" in c for c in _readme_commands())
+
+
+@pytest.mark.parametrize("command", _readme_commands())
+def test_readme_command_parses(command):
+    build_parser().parse_args(shlex.split(command)[1:])  # parses only; a rejected flag exits

@@ -202,3 +202,14 @@ class TestPredictOutcome:
         batch = fit.predict(dataset.t, dataset.w)
         singles = [fit.predict(float(dataset.t[i]), dataset.w[i]) for i in range(5)]
         np.testing.assert_allclose(batch[:5], singles, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad_w", [lambda p: np.zeros(p + 1), lambda p: np.zeros((3, p + 1)), lambda p: 1.0],
+        ids=["vector", "matrix", "scalar"],
+    )
+    def test_covariate_width_must_match(self, dataset, bad_w):
+        w = bad_w(dataset.p)
+        with pytest.raises(ValidationError):
+            fit_ols_interacted(dataset).predict(1.0, w)
+        with pytest.raises(ValidationError):
+            fit_logistic(dataset).predict_proba(w)
