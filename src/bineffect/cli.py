@@ -78,6 +78,16 @@ def _add_dgp_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--noise-sd", type=float, default=1.0)
 
 
+def _check_output_path(path: str | None) -> None:
+    """Fail before any work when --output cannot be written as a file."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise ValidationError(f"--output {path} is a directory")
+    if not Path(path).parent.is_dir():
+        raise ValidationError(f"--output {path}: directory {Path(path).parent} does not exist")
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -287,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_path(args.output)
         return _COMMANDS[args.subcommand](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

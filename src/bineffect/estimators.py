@@ -29,6 +29,7 @@ from .nuisance import (
     fit_logistic,
     fit_ols_interacted,
     interacted_design,
+    logistic_cells,
     refit_logistic,
 )
 
@@ -168,18 +169,17 @@ def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.nda
     return theta, np.column_stack([beta0 + beta_t, beta0, e_y])
 
 
-def _ipw_arms(
-    data: ObservationSet, pscore: np.ndarray, counts: np.ndarray | float = 1.0
-) -> np.ndarray:
-    """Horvitz-Thompson arm triple (mu1, mu0, E[Y]); given an (m, n) matrix of
-    frequency weights `counts` (and pscore (n,) or (m, n)), one triple per row."""
-    t, y = data.t, data.y
+def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: int) -> np.ndarray:
+    """Horvitz-Thompson arm triple (mu1, mu0, E[Y]) of a sample of n units,
+    from the treatment `t` of each row (a unit or a cell), the sum of y over
+    the units in that row and the row's propensity. An (m, k) `y_sums` and
+    `pscore` give one triple per resample."""
     sums = [
-        np.sum(counts * (t * y) / pscore, axis=-1),
-        np.sum(counts * ((1.0 - t) * y) / (1.0 - pscore), axis=-1),
-        np.sum(counts * y, axis=-1),
+        np.sum((t * y_sums) / pscore, axis=-1),
+        np.sum(((1.0 - t) * y_sums) / (1.0 - pscore), axis=-1),
+        np.sum(y_sums, axis=-1),
     ]
-    return np.stack(sums, axis=-1) / data.n
+    return np.stack(sums, axis=-1) / n
 
 
 def _bootstrap_many(
@@ -271,28 +271,39 @@ def _ipw(
     """IPW (point, bootstrap SE, percentile CI or None) per row of
     `contrasts`, and the bootstrap's redraw note.
 
-    All estimands share one set of resamples, each seen as a row of counts
-    on the original units. The propensity is refitted on a whole block of
-    resamples at once, warm-started from the full-sample fit; an injected
-    propensity is evaluated on the counts without refitting.
+    All estimands share one set of resamples. Each resample is seen as counts
+    and y sums per row: per `logistic_cells` cell when units share cells, as
+    with discrete covariates, else per unit. The propensity is refitted on a
+    whole block of resamples at once, warm-started from the full-sample fit;
+    an injected propensity is evaluated per unit without refitting.
     """
-    n = data.n
+    n, y = data.n, data.y
     prop = nuis.propensity
-    start = None if nuis.propensity_injected else np.concatenate([[prop.intercept], prop.coef])
+    if nuis.propensity_injected:
+        x, t, cell = None, data.t, None
+    else:
+        start = np.concatenate([[prop.intercept], prop.coef])
+        x, t, cell = logistic_cells(data)
+    k = t.shape[0]
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = idx.shape[0]
-        offsets = (idx + n * np.arange(m)[:, None]).ravel()
-        counts = np.bincount(offsets, minlength=m * n).reshape(m, n).astype(float)
-        if start is None:
+        offsets = idx if cell is None else cell[idx]
+        offsets = (offsets + k * np.arange(m)[:, None]).ravel()
+        counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
+        if x is None:
             pscore, ok = nuis.pscore, np.ones(m, dtype=bool)
         else:
-            pscore, ok = refit_logistic(data, counts, start)
-        return _ipw_arms(data, pscore, counts) @ contrasts.T, ok
+            pscore, ok = refit_logistic(x, t, counts, start)
+        if cell is None:
+            y_sums = counts * y
+        else:
+            y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
+        return _ipw_arms(t, y_sums, pscore, n) @ contrasts.T, ok
 
     ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
     percentile = boot.ci_method == "percentile"
-    rows = zip(contrasts @ _ipw_arms(data, nuis.pscore), ses, cis)
+    rows = zip(contrasts @ _ipw_arms(data.t, y, nuis.pscore, n), ses, cis)
     return [(point, se, ci if percentile else None) for point, se, ci in rows], note
 
 

@@ -22,6 +22,7 @@ _IRLS_TOL = 1e-10          # max coefficient change at convergence
 _IRLS_MAX_ITER = 100
 _SEPARATION_BOUND = 30.0   # |coef| beyond this is read as (quasi-)separation
 _PROB_FLOOR = 1e-15        # keeps predicted probabilities strictly inside (0, 1)
+_MAX_CELL_SHARE = 0.9      # refit on cells only when they number at most this share of the units
 
 
 def design_labels(p: int) -> list[str]:
@@ -249,9 +250,12 @@ def _irls(
     )
 
 
-def _logistic_design(data: ObservationSet) -> tuple[np.ndarray, list[str]]:
-    x = np.hstack([np.ones((data.n, 1)), data.w])
-    return x, ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
+def _logistic_labels(p: int) -> list[str]:
+    return ["intercept"] + [f"w{j + 1}" for j in range(p)]
+
+
+def _logistic_design(data: ObservationSet) -> np.ndarray:
+    return np.hstack([np.ones((data.n, 1)), data.w])
 
 
 def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> PropensityModel:
@@ -266,32 +270,57 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
         raise DegenerateArmError(
             "cannot fit the propensity model: both treatment arms must be present"
         )
-    x, labels = _logistic_design(data)
-    beta, _ = _irls(x, t, labels, start=start)
+    beta, _ = _irls(_logistic_design(data), t, _logistic_labels(data.p), start=start)
     return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
 
 
-def refit_logistic(
-    data: ObservationSet, counts: np.ndarray, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refit the propensity on m frequency-weighted resamples of `data` at once.
+def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The distinct (logistic design row, t) pairs of `data`: the cells of the
+    grouped-binomial form of the propensity likelihood (McCullagh & Nelder
+    1989, section 4.4).
 
-    Row b of the (m, n) `counts` holds how often each unit appears in
-    resample b: the frequency-weight view of the nonparametric bootstrap
-    (Efron & Tibshirani 1993). Every refit starts from `start` (intercept,
-    then coefficients) and all of them run as one batched IRLS. Returns each
-    refit's probabilities for every unit, (m, n) and clipped like
-    `predict_proba`, and an (m,) mask of the refits that succeeded; a
-    resample on which `fit_logistic` would raise DegenerateArmError,
-    SeparationError or SingularDesignError is flagged instead. A refit that
-    does not converge raises ConvergenceError.
+    Returns the (k, d) cell design rows, their (k,) treatments and each
+    unit's (n,) cell index. A frequency-weighted likelihood or sum over the
+    units depends on the weights only through their totals per cell. When
+    the cells number more than `_MAX_CELL_SHARE` of the units, as with
+    continuous covariates, grouping costs more than it saves: the units are
+    returned as they are, with None for the index.
     """
-    x, labels = _logistic_design(data)
-    treated = counts @ data.t
+    x = _logistic_design(data)
+    rows = np.column_stack([x, data.t])
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    first = np.ones(data.n, dtype=bool)  # the first unit of each cell, in sorted order
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    if np.count_nonzero(first) > _MAX_CELL_SHARE * data.n:
+        return x, data.t, None
+    cell = np.empty(data.n, dtype=np.intp)
+    cell[order] = np.cumsum(first) - 1
+    return ranked[first, :-1], ranked[first, -1], cell
+
+
+def refit_logistic(
+    x: np.ndarray, t: np.ndarray, counts: np.ndarray, start: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Refit the propensity on m frequency-weighted resamples at once.
+
+    `x` (k, d) and `t` (k,) are logistic design rows and treatments, either
+    the units of a sample or its `logistic_cells`. Row b of the (m, k)
+    `counts` holds how often each row appears in resample b: the
+    frequency-weight view of the nonparametric bootstrap (Efron & Tibshirani
+    1993). Every refit starts from `start` (intercept, then coefficients) and
+    all of them run as one batched IRLS. Returns each refit's probabilities
+    for every row, (m, k) and clipped like `predict_proba`, and an (m,) mask
+    of the refits that succeeded; a resample on which `fit_logistic` would
+    raise DegenerateArmError, SeparationError or SingularDesignError is
+    flagged instead. A refit that does not converge raises ConvergenceError.
+    """
+    treated = counts @ t
     ok = (treated > 0.0) & (treated < counts.sum(axis=1))  # both arms present
     beta = np.tile(np.asarray(start, dtype=float), (counts.shape[0], 1))
     both = np.flatnonzero(ok)
     if both.size:
-        beta[both], ok[both] = _irls(x, data.t, labels, start=start, counts=counts[both])
+        labels = _logistic_labels(x.shape[1] - 1)
+        beta[both], ok[both] = _irls(x, t, labels, start=start, counts=counts[both])
     probs = np.clip(expit(beta @ x.T), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return probs, ok

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bineffect import save_csv, truth_oracle
+from bineffect import cli, estimators, save_csv, simulation, truth_oracle
 from bineffect.cli import build_parser, main
 from bineffect.simulation import DgpSpec, sample_dgp
 
@@ -24,6 +24,22 @@ def data_csv(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def forbid(monkeypatch, module, *names):
+    """Make each named function of `module` fail the test if it is called."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --output was checked")
+
+    for name in names:
+        monkeypatch.setattr(module, name, no_work)
+
+
+def assert_missing_output_dir(code, capsys):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--output" in err and "does not exist" in err
 
 
 class TestEstimateCommand:
@@ -132,6 +148,15 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed" in err
 
+    def test_missing_output_dir_rejected_before_reading(self, data_csv, tmp_path, capsys, monkeypatch):
+        forbid(monkeypatch, cli, "load_csv")
+        forbid(monkeypatch, estimators, "fit_ols_interacted", "fit_logistic")
+        code = run_cli(
+            "estimate", "--input", data_csv, "--cutoff", "6", "--estimator", "reg,ipw",
+            "--output", str(tmp_path / "missing" / "x.json"),
+        )
+        assert_missing_output_dir(code, capsys)
+
     def test_env_var_seed(self, data_csv, capsys, monkeypatch):
         monkeypatch.setenv("BINEFFECT_SEED", "777")
         code = run_cli(
@@ -188,6 +213,19 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--reps", "2", "--seed", "-1", "--threads", "1") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed" in err
+
+    def test_missing_output_dir_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        forbid(monkeypatch, cli, "run_monte_carlo")
+        forbid(monkeypatch, simulation, "sample_dgp")
+        code = run_cli("simulate", "--reps", "2", "--n", "60", "--threads", "1",
+                       "--output", str(tmp_path / "missing" / "x.csv"))
+        assert_missing_output_dir(code, capsys)
+
+    def test_output_that_is_a_directory_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
+        forbid(monkeypatch, cli, "run_monte_carlo")
+        assert run_cli("simulate", "--reps", "2", "--n", "60", "--output", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "is a directory" in err
 
     def test_json_format(self, capsys):
         code = run_cli("simulate", "--reps", "2", "--n", "60", "--boot-reps", "10",

@@ -443,6 +443,15 @@ def tiny_sample():
     return ObservationSet(w=w, t=[1.0, 0.0, 1.0, 0.0, 0.0, 0.0], y=np.arange(6.0))
 
 
+def two_binary_covariates(n=30, seed=0):
+    """Two binary covariates (4 patterns, 8 cells with the arm): at n=30 some
+    resamples lose an arm within a pattern and separate."""
+    rng = np.random.default_rng(seed)
+    w = (rng.random((n, 2)) < 0.5).astype(float)
+    t = (rng.random(n) < 1.0 / (1.0 + np.exp(w[:, 1] - w[:, 0]))).astype(float)
+    return ObservationSet(w=w, t=t, y=t + w.sum(axis=1) + rng.normal(size=n))
+
+
 class TestBatchedBootstrap:
     """The batched frequency-weight refit against the per-resample loop."""
 
@@ -452,8 +461,10 @@ class TestBatchedBootstrap:
             (lambda: sample_dgp(DgpSpec(), 150, seed=4), 200, False),
             (tiny_sample, 100, True),
             (lambda: sample_dgp(DgpSpec(a_mean_slope=3.0), 100, seed=1), 200, True),
+            (lambda: make_dataset(n=120, p=2, seed=5), 200, False),
+            (two_binary_covariates, 200, True),
         ],
-        ids=["n150", "tiny", "near_separated"],
+        ids=["n150", "tiny", "near_separated", "continuous", "two_binary"],
     )
     def test_same_resamples_ses_and_redraws_as_the_loop(self, make, replicates, must_redraw):
         data = make()
@@ -471,6 +482,13 @@ class TestBatchedBootstrap:
         notes = [d for d in reports[0].diagnostics if d.startswith("bootstrap redrew")]
         expected = f"bootstrap redrew {redraws} degenerate resamples ({100.0 * redraws / replicates:.1f}% of {replicates})"
         assert notes == ([expected] if redraws > 0.01 * replicates else [])
+
+    def test_refit_runs_on_cells_not_units(self, monkeypatch):
+        data = sample_dgp(DgpSpec(), 150, seed=4)
+        irls = count_calls(monkeypatch, "_irls", module=nuisance)
+        estimate_many(data, ["ipw"], [BATE, PEB1], boot=BootstrapConfig(200, seed=0))
+        blocks = [kw["counts"].shape for kw in irls if kw.get("counts") is not None]
+        assert blocks and all(cols <= 4 for _, cols in blocks)
 
     def test_resample_that_does_not_converge_raises(self, monkeypatch):
         original = nuisance._irls

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from bineffect import (
     EstimandSpec,
@@ -62,6 +62,30 @@ def trapezoid_truth(spec):
     return e_mu1 - e_mu0, e_mu1 - e_y, e_mu0 - e_y, e_y
 
 
+def scipy_density_truth(spec):
+    """The oracle's quadrature with the density from scipy.stats.norm.pdf:
+    (psi_bate, psi_peb1, psi_peb0, e_y, quadrature_error_bound)."""
+    e_y = e_mu1 = e_mu0 = err = 0.0
+    for w in (0.0, 1.0):
+        weight = spec.w_prob if w == 1.0 else 1.0 - spec.w_prob
+        m, sd, pi1 = spec.a_mean(w), spec.a_sd, spec.propensity(w)
+
+        def integrand(a, w=w, m=m, sd=sd):
+            outcome = float(spec.outcome_fn(np.float64(a), np.float64(w)))
+            return outcome * float(stats.norm.pdf(a, loc=m, scale=sd))
+
+        lo, hi = m - 10.0 * sd, m + 10.0 * sd
+        pieces = []
+        for left, right in ((max(spec.cutoff, lo), hi), (lo, min(spec.cutoff, hi))):
+            val, abserr = integrate.quad(integrand, left, right, limit=200) if left < right else (0.0, 0.0)
+            pieces.append(val)
+            err += abserr * weight / min(pi1, 1.0 - pi1)
+        e_y += weight * (pieces[0] + pieces[1])
+        e_mu1 += weight * pieces[0] / pi1
+        e_mu0 += weight * pieces[1] / (1.0 - pi1)
+    return e_mu1 - e_mu0, e_mu1 - e_y, e_mu0 - e_y, e_y, err
+
+
 class TestSampleDgp:
     def test_conditional_treatment_means(self, dgp):
         data = sample_dgp(dgp, 100_000, seed=0)
@@ -113,6 +137,25 @@ class TestTruthOracle:
         assert report.psi_peb1 - report.psi_peb0 == pytest.approx(
             report.psi_bate, abs=2 * report.quadrature_error_bound + 1e-9
         )
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {},
+            {"a_mean_slope": 4.0},
+            {"a_sd": 2.0, "cutoff": 5.0},
+            {"w_prob": 0.3},
+            {"outcome_fn": lambda a, w: 2.0 * a + 3.0 * w},
+            {"noise_sd": 0.0},
+        ],
+        ids=["default", "slope4", "sd2_cutoff5", "w_prob", "linear", "noiseless"],
+    )
+    def test_closed_form_density_matches_scipy(self, changes):
+        spec = DgpSpec(**changes)
+        report = truth_oracle(spec)
+        values = (report.psi_bate, report.psi_peb1, report.psi_peb0, report.e_y,
+                  report.quadrature_error_bound)
+        assert values == pytest.approx(scipy_density_truth(spec), rel=1e-12)
 
     def test_constant_outcome(self):
         spec = DgpSpec(outcome_fn=lambda a, w: np.full_like(np.asarray(a, dtype=float), 7.5))
