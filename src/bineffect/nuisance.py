@@ -254,8 +254,8 @@ def _logistic_labels(p: int) -> list[str]:
     return ["intercept"] + [f"w{j + 1}" for j in range(p)]
 
 
-def _logistic_design(data: ObservationSet) -> np.ndarray:
-    return np.hstack([np.ones((data.n, 1)), data.w])
+def _logistic_design(w: np.ndarray) -> np.ndarray:
+    return np.hstack([np.ones((w.shape[0], 1)), w])
 
 
 def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> PropensityModel:
@@ -270,7 +270,7 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
         raise DegenerateArmError(
             "cannot fit the propensity model: both treatment arms must be present"
         )
-    beta, _ = _irls(_logistic_design(data), t, _logistic_labels(data.p), start=start)
+    beta, _ = _irls(_logistic_design(data.w), t, _logistic_labels(data.p), start=start)
     return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
 
 
@@ -286,17 +286,19 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
     continuous covariates, grouping costs more than it saves: the units are
     returned as they are, with None for the index.
     """
-    x = _logistic_design(data)
-    rows = np.column_stack([x, data.t])
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    first = np.ones(data.n, dtype=bool)  # the first unit of each cell, in sorted order
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=first[1:])
+    keys = (data.t, *data.w.T)
+    order = np.lexsort(keys)
+    first = np.zeros(data.n, dtype=bool)  # the first unit of each cell, in sorted order
+    first[0] = True
+    for key in keys:
+        ranked = key[order]
+        first[1:] |= ranked[1:] != ranked[:-1]
     if np.count_nonzero(first) > _MAX_CELL_SHARE * data.n:
-        return x, data.t, None
+        return _logistic_design(data.w), data.t, None
     cell = np.empty(data.n, dtype=np.intp)
     cell[order] = np.cumsum(first) - 1
-    return ranked[first, :-1], ranked[first, -1], cell
+    units = order[first]
+    return _logistic_design(data.w[units]), data.t[units], cell
 
 
 def refit_logistic(
