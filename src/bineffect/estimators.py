@@ -279,17 +279,14 @@ def _ipw(
     """
     n, y = data.n, data.y
     prop = nuis.propensity
-    if nuis.propensity_injected:
-        x, t, cell = None, data.t, None
-    else:
-        start = np.concatenate([[prop.intercept], prop.coef])
-        x, t, cell = logistic_cells(data)
+    start = np.concatenate([[prop.intercept], prop.coef])
+    x, t, cell = (None, data.t, None) if nuis.propensity_injected else logistic_cells(data)
     k = t.shape[0]
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = idx.shape[0]
-        offsets = idx if cell is None else cell[idx]
-        offsets = (offsets + k * np.arange(m)[:, None]).ravel()
+        drawn = idx if cell is None else cell[idx]
+        offsets = (drawn + k * np.arange(m)[:, None]).ravel()
         counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
         if x is None:
             pscore, ok = nuis.pscore, np.ones(m, dtype=bool)
