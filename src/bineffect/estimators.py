@@ -278,9 +278,11 @@ def _ipw(
     an injected propensity is evaluated per unit without refitting.
     """
     n, y = data.n, data.y
-    prop = nuis.propensity
-    start = np.concatenate([[prop.intercept], prop.coef])
-    x, t, cell = (None, data.t, None) if nuis.propensity_injected else logistic_cells(data)
+    if nuis.propensity_injected:
+        x, t, cell = None, data.t, None
+    else:
+        x, t, cell = logistic_cells(data)
+        start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
     k = t.shape[0]
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +294,7 @@ def _ipw(
             pscore, ok = nuis.pscore, np.ones(m, dtype=bool)
         else:
             pscore, ok = refit_logistic(x, t, counts, start)
-        if cell is None:
+        if cell is None:  # one unit per row: its y sum is its count times its y
             y_sums = counts * y
         else:
             y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)

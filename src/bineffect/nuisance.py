@@ -22,7 +22,6 @@ _IRLS_TOL = 1e-10          # max coefficient change at convergence
 _IRLS_MAX_ITER = 100
 _SEPARATION_BOUND = 30.0   # |coef| beyond this is read as (quasi-)separation
 _PROB_FLOOR = 1e-15        # keeps predicted probabilities strictly inside (0, 1)
-_MAX_CELL_SHARE = 0.9      # refit on cells only when they number at most this share of the units
 
 
 def design_labels(p: int) -> list[str]:
@@ -170,7 +169,7 @@ def _solve_each(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _irls(
     x: np.ndarray,
     t: np.ndarray,
-    labels: list[str],
+    labels: list[str] | None = None,
     start: np.ndarray | None = None,
     tol: float = _IRLS_TOL,
     max_iter: int = _IRLS_MAX_ITER,
@@ -179,15 +178,15 @@ def _irls(
     """Newton-Raphson logistic MLE of t on x, for one sample or many
     frequency-weighted copies of it.
 
-    Row b of the (m, n) `counts` weights unit i by how often it appears in
-    problem b; None is the single unit-weight fit. All problems iterate
-    together, each from `start`, and a problem stops moving once its largest
-    step drops below `tol`. Returns the (m, d) coefficients and an (m,) mask
-    of the problems that converged. A problem whose coefficients pass the
-    separation bound or whose weighted Hessian is singular is flagged
-    instead; for the single fit it raises SeparationError or
-    SingularDesignError. A problem still moving after `max_iter` iterations
-    raises ConvergenceError.
+    Row b of the (m, n) `counts` weights row i of `x` by how often it
+    appears in problem b; None is the single unit-weight fit. All problems
+    iterate together, each from `start`, and a problem stops moving once its
+    largest step drops below `tol`. Returns the (m, d) coefficients and an
+    (m,) mask of the problems that converged. A problem whose coefficients
+    pass the separation bound or whose weighted Hessian is singular is
+    flagged instead; for the single fit it raises SeparationError or
+    SingularDesignError, which names the collinear columns by `labels`. A
+    problem still moving after `max_iter` iterations raises ConvergenceError.
     """
     single = counts is None
     ct = None if single else np.ascontiguousarray(counts.T)  # (n, k): problems in columns
@@ -250,10 +249,6 @@ def _irls(
     )
 
 
-def _logistic_labels(p: int) -> list[str]:
-    return ["intercept"] + [f"w{j + 1}" for j in range(p)]
-
-
 def _logistic_design(w: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((w.shape[0], 1)), w])
 
@@ -270,7 +265,8 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
         raise DegenerateArmError(
             "cannot fit the propensity model: both treatment arms must be present"
         )
-    beta, _ = _irls(_logistic_design(data.w), t, _logistic_labels(data.p), start=start)
+    labels = ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
+    beta, _ = _irls(_logistic_design(data.w), t, labels, start=start)
     return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
 
 
@@ -281,10 +277,9 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Returns the (k, d) cell design rows, their (k,) treatments and each
     unit's (n,) cell index. A frequency-weighted likelihood or sum over the
-    units depends on the weights only through their totals per cell. When
-    the cells number more than `_MAX_CELL_SHARE` of the units, as with
-    continuous covariates, grouping costs more than it saves: the units are
-    returned as they are, with None for the index.
+    units depends on the weights only through their totals per cell. When no
+    two units share a cell, as with continuous covariates, grouping saves
+    nothing: the units are returned as they are, with None for the index.
     """
     keys = (data.t, *data.w.T)
     order = np.lexsort(keys)
@@ -293,7 +288,7 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
     for key in keys:
         ranked = key[order]
         first[1:] |= ranked[1:] != ranked[:-1]
-    if np.count_nonzero(first) > _MAX_CELL_SHARE * data.n:
+    if first.all():
         return _logistic_design(data.w), data.t, None
     cell = np.empty(data.n, dtype=np.intp)
     cell[order] = np.cumsum(first) - 1
@@ -322,7 +317,6 @@ def refit_logistic(
     beta = np.tile(np.asarray(start, dtype=float), (counts.shape[0], 1))
     both = np.flatnonzero(ok)
     if both.size:
-        labels = _logistic_labels(x.shape[1] - 1)
-        beta[both], ok[both] = _irls(x, t, labels, start=start, counts=counts[both])
+        beta[both], ok[both] = _irls(x, t, start=start, counts=counts[both])
     probs = np.clip(expit(beta @ x.T), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return probs, ok

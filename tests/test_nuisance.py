@@ -12,8 +12,8 @@ from bineffect import (
     fit_logistic,
     fit_ols_interacted,
 )
-from bineffect.nuisance import interacted_design
-from bineffect.simulation import sample_dgp
+from bineffect.nuisance import interacted_design, logistic_cells
+from bineffect.simulation import DgpSpec, sample_dgp
 from conftest import make_dataset
 
 PI_W0 = float(stats.norm.sf(1.0))   # Pr(A >= 6 | w=0) = 1 - Phi(1)
@@ -171,6 +171,29 @@ class TestLogistic:
         model = fit_logistic(dataset)
         probs = model.predict_proba(np.array([[1e6] * dataset.p, [-1e6] * dataset.p]))
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
+
+
+class TestLogisticCells:
+    def test_binary_covariate_gives_at_most_four_cells(self):
+        data = sample_dgp(DgpSpec(), 150, seed=4)
+        x, t, cell = logistic_cells(data)
+        assert len(t) <= 4
+        np.testing.assert_array_equal(x[cell], np.hstack([np.ones((data.n, 1)), data.w]))
+        np.testing.assert_array_equal(t[cell], data.t)
+
+    def test_no_shared_cell_keeps_the_units(self, dataset):
+        x, t, cell = logistic_cells(dataset)
+        assert cell is None
+        np.testing.assert_array_equal(x, np.hstack([np.ones((dataset.n, 1)), dataset.w]))
+        np.testing.assert_array_equal(t, dataset.t)
+
+    def test_one_repeated_unit_is_grouped(self, dataset):
+        rows = np.r_[np.arange(dataset.n), 0]
+        data = dataset.subset(rows)
+        x, t, cell = logistic_cells(data)
+        assert len(t) == data.n - 1 and cell[0] == cell[-1]
+        np.testing.assert_array_equal(x[cell], np.hstack([np.ones((data.n, 1)), data.w]))
+        np.testing.assert_array_equal(t[cell], data.t)
 
 
 class TestPredictOutcome:
