@@ -21,7 +21,7 @@ from .core import (
     ValidationError,
     load_csv,
 )
-from .estimators import BootstrapConfig, estimate_many
+from .estimators import BootstrapConfig, check_estimate_args, estimate_many
 from .simulation import (
     DgpSpec,
     density_curve,
@@ -124,13 +124,14 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     rule = None
     if args.cutoff is not None:
         rule = BinarizationRule(args.cutoff, Direction(args.direction))
-    data = load_csv(args.input, CsvSchema(rule=rule))
-    estimand = (
-        EstimandSpec.bate() if args.estimand == "bate" else EstimandSpec.peb(args.arm)
-    )
     boot = None
     if "ipw" in estimators:
         boot = BootstrapConfig(replicates=args.boot_reps, seed=seed, ci_method=args.boot_ci)
+    check_estimate_args(estimators, args.ci_level)  # every argument is checked before the file is read
+    estimand = (
+        EstimandSpec.bate() if args.estimand == "bate" else EstimandSpec.peb(args.arm)
+    )
+    data = load_csv(args.input, CsvSchema(rule=rule))
     reports = estimate_many(data, estimators, [estimand], boot=boot, ci_level=args.ci_level, seed=seed)
 
     if args.format == "json":

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import enum
 import functools
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -327,25 +328,32 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> ObservationSe
     """Read a comma-separated, UTF-8, headered file into an ObservationSet.
 
     Numbers are parsed as 64-bit floats. A leading byte order mark and blank
-    lines are ignored. Errors name the offending line of the file (the header
-    is line 1) and column.
+    lines are ignored. A record may not have more fields than the header.
+    Errors name the offending line of the file (the header is line 1) and
+    column.
+
+    The numbers of the whole file are read in one `np.loadtxt` pass when the
+    header is unquoted, every record holds one float per header field and
+    `t`, if read, is 0/1. Any other file (quoted fields, short or long
+    records, text, a header with no records) is read again from the start by
+    the `csv.reader` row loop, which raises every error; both paths give the
+    same values.
     """
     schema = schema or CsvSchema()
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: file is empty, expected a header row") from None
-        header = [h.strip() for h in header]
-        rows, linenos = [], array("l")  # file line of each non-blank record
-        for row in reader:
-            if row:
-                rows.append(row)
-                linenos.append(reader.line_num)
-    if not rows:
-        raise ValidationError(f"{path}: no data rows after the header")
+        cols = _read_table(path, fh, schema)
+        if cols is None:
+            fh.seek(0)
+            cols = _read_rows(path, fh, schema)
+    y, t, a, w = cols
+    if t is None:
+        t = binarize(a, schema.rule)
+    return ObservationSet(w=w, t=t, y=y, a=a, rule=schema.rule)
+
+
+def _column_indices(path: Path, header: list[str], schema: CsvSchema):
+    """Header positions of y, t (or None), a (or None) and the covariates."""
 
     def col_index(name: str) -> int:
         try:
@@ -378,6 +386,52 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> ObservationSe
         w_idx = [col_index(c) for c in schema.covariates]
     else:
         w_idx = [j for j in range(len(header)) if j not in reserved]
+    return y_idx, t_idx, a_idx, w_idx
+
+
+def _read_table(path: Path, fh, schema: CsvSchema):
+    """(y, t, a, w) from one `np.loadtxt` pass, or None for the row loop.
+
+    Accepts only what the row loop reads to the same values: an unquoted
+    header, then records of exactly one float per header field (no quotes,
+    text or empty fields), at least one of them, and a 0/1 `t`.
+    """
+    first = fh.readline()
+    if '"' in first:
+        return None
+    header = [h.strip() for h in next(csv.reader([first]))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no records
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float)
+        except (ValueError, UserWarning):
+            return None
+    if table.shape[1] != len(header):
+        return None
+    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, schema)
+    t = None if t_idx is None else table[:, t_idx]
+    if t is not None and not np.isin(t, (0.0, 1.0)).all():
+        return None
+    a = None if a_idx is None else table[:, a_idx]
+    return table[:, y_idx], t, a, table[:, w_idx]
+
+
+def _read_rows(path: Path, fh, schema: CsvSchema):
+    """(y, t, a, w) from a `csv.reader` row loop that names the line of each error."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: file is empty, expected a header row") from None
+    header = [h.strip() for h in header]
+    rows, linenos = [], array("l")  # file line of each non-blank record
+    for row in reader:
+        if row:
+            rows.append(row)
+            linenos.append(reader.line_num)
+    if not rows:
+        raise ValidationError(f"{path}: no data rows after the header")
+    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, schema)
 
     def parse(row: list[str], lineno: int, j: int) -> float:
         if j >= len(row):
@@ -397,6 +451,11 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> ObservationSe
     a = np.empty(n) if a_idx is not None else None
     w = np.empty((n, len(w_idx)))
     for i, (lineno, row) in enumerate(zip(linenos, rows)):
+        if len(row) > len(header):
+            raise ValidationError(
+                f"{path}: line {lineno}: expected {len(header)} fields as in the header, "
+                f"got {len(row)}"
+            )
         y[i] = parse(row, lineno, y_idx)
         if a is not None:
             a[i] = parse(row, lineno, a_idx)
@@ -410,10 +469,7 @@ def load_csv(path: str | Path, schema: CsvSchema | None = None) -> ObservationSe
                 )
         for k, j in enumerate(w_idx):
             w[i, k] = parse(row, lineno, j)
-
-    if t is None:
-        t = binarize(a, schema.rule)
-    return ObservationSet(w=w, t=t, y=y, a=a, rule=schema.rule)
+    return y, t, a, w
 
 
 def save_csv(data: ObservationSet, path: str | Path) -> None:

@@ -411,6 +411,14 @@ ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
 _ARMS = {"reg": _reg_arms, "aipw": _aipw_arms}
 
 
+def check_estimate_args(estimators: Sequence[str], ci_level: float) -> None:
+    """Raise ValidationError for an unknown estimator name or a level outside (0, 1)."""
+    z_quantile(ci_level)
+    for name in estimators:
+        if name not in ESTIMATOR_NAMES:
+            raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+
+
 def estimate_many(
     data: ObservationSet,
     estimators: Sequence[str],
@@ -433,10 +441,7 @@ def estimate_many(
     estimand's point and SE follow from its contrast; tmle targets once per
     estimand.
     """
-    z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
-    for name in estimators:
-        if name not in ESTIMATOR_NAMES:
-            raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    check_estimate_args(estimators, ci_level)
     nuis = nuisances if nuisances is not None else Nuisances(data)
     if nuis.data is not data:
         raise ValidationError("nuisances were built for a different ObservationSet")

@@ -30,7 +30,7 @@ def forbid(monkeypatch, module, *names):
     """Make each named function of `module` fail the test if it is called."""
 
     def no_work(*args, **kwargs):
-        raise AssertionError("work started before --output was checked")
+        raise AssertionError("work started before the arguments were checked")
 
     for name in names:
         monkeypatch.setattr(module, name, no_work)
@@ -156,6 +156,21 @@ class TestEstimateCommand:
             "--output", str(tmp_path / "missing" / "x.json"),
         )
         assert_missing_output_dir(code, capsys)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--estimator", "reg,foo"], "unknown estimator 'foo'"),
+            (["--estimator", "reg", "--ci-level", "1.5"], "ci_level"),
+            (["--estimator", "ipw", "--boot-reps", "1"], "at least 2 replicates"),
+        ],
+    )
+    def test_arguments_rejected_before_reading(self, data_csv, capsys, monkeypatch, flags, message):
+        forbid(monkeypatch, cli, "load_csv")
+        code = run_cli("estimate", "--input", data_csv, "--cutoff", "6", *flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_env_var_seed(self, data_csv, capsys, monkeypatch):
         monkeypatch.setenv("BINEFFECT_SEED", "777")

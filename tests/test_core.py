@@ -1,11 +1,14 @@
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bineffect import core
 from bineffect import (
     BinarizationRule,
     CsvSchema,
@@ -22,7 +25,7 @@ from bineffect import (
     save_csv,
     z_quantile,
 )
-from bineffect.simulation import sample_dgp
+from bineffect.simulation import DgpSpec, sample_dgp
 
 GEQ6 = BinarizationRule(6.0, Direction.GEQ)
 
@@ -159,6 +162,34 @@ class TestCsv:
         with pytest.raises(ValidationError, match="header_only.csv: no data rows"):
             load_csv(path)
 
+    @pytest.mark.parametrize("record", ["1.5,1,0,9", "1.5,1,0,", "1,234,1,0"])
+    def test_record_longer_than_header_names_line_and_counts(self, tmp_path, record):
+        path = tmp_path / "d.csv"
+        path.write_text(f"y,t,w1\n2.5,0,1\n{record}\n")
+        with pytest.raises(ValidationError, match="line 3: expected 3 fields as in the header, got 4"):
+            load_csv(path)
+
+    def test_quoted_numbers_are_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"y","t","w1"\n"1.5","0"," 2 "\n2.5,1,"3e1"\n')
+        data = load_csv(path)
+        assert data.y.tolist() == [1.5, 2.5]
+        assert data.w[:, 0].tolist() == [2.0, 30.0]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_unquoted_numeric_file_skips_the_row_loop(self, tmp_path, monkeypatch, seed):
+        data = sample_dgp(DgpSpec(), 2000, seed)
+        path = tmp_path / "d.csv"
+        save_csv(data, path)
+
+        def no_row_loop(*args, **kwargs):
+            raise AssertionError("the row loop read a file the np.loadtxt pass accepts")
+
+        monkeypatch.setattr(core, "_read_rows", no_row_loop)
+        back = load_csv(path, CsvSchema(rule=data.rule))
+        for name in ("y", "t", "a", "w"):
+            assert np.array_equal(getattr(back, name), getattr(data, name)), name
+
     @given(
         n=st.integers(1, 12),
         p=st.integers(0, 3),
@@ -186,6 +217,126 @@ class TestCsv:
         assert np.array_equal(back.w, data.w)
         if with_a:
             assert np.array_equal(back.a, data.a)
+
+
+def _load_outcome(path, schema):
+    """load_csv's arrays, or the type and message of what it raised."""
+    try:
+        data = load_csv(path, schema)
+    except Exception as exc:  # compared between the two paths, not handled
+        return type(exc), str(exc)
+    return tuple(None if v is None else v.tobytes() for v in (data.y, data.t, data.a, data.w)), data.w.shape
+
+
+def _both_paths(text, schema=None):
+    """Outcome of load_csv as it is and with the row loop alone, and whether the
+    row loop ran in the first."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        calls = []
+        row_loop = core._read_rows
+
+        def counted(*args):
+            calls.append(args)
+            return row_loop(*args)
+
+        with mock.patch.object(core, "_read_rows", counted):
+            chosen = _load_outcome(path, schema)
+        with mock.patch.object(core, "_read_table", return_value=None):
+            rows_only = _load_outcome(path, schema)
+    return chosen, rows_only, bool(calls)
+
+
+_CLEAN = ["0", "1", "1.5", "-2.25", " 3 ", "1e3", "7"]
+_ODD = ['"1"', "", "x", "1_5", "#1", "nan", "inf", "2", " ", "1,5", "0.5", "\t1\t"]
+
+
+@st.composite
+def _csv_texts(draw):
+    header = draw(st.sampled_from(["y,t,w1", "y,t", " y , t ,w1,w2", '"y",t,w1', "y,a,w1", "t,w1"]))
+    k = header.count(",") + 1
+    t_col = [h.strip() for h in header.split(",")].index("t") if "t" in header else None
+    lines = []
+    for _ in range(draw(st.integers(0, 5))):
+        fields = [draw(st.sampled_from(_CLEAN)) for _ in range(k)]
+        if t_col is not None:
+            fields[t_col] = draw(st.sampled_from(["0", "1"]))
+        lines.append(",".join(fields))
+    if lines and draw(st.booleans()):  # one defect in an otherwise clean file
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        kind = draw(st.sampled_from(["field", "short", "long", "comma", "blank", "spaces"]))
+        if kind == "field":
+            fields[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD))
+        elif kind == "short":
+            fields.pop()
+        elif kind == "long":
+            fields.append(draw(st.sampled_from(_CLEAN)))
+        elif kind == "comma":
+            fields.append("")
+        lines[i] = {"blank": "", "spaces": "  "}.get(kind, ",".join(fields))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = eol.join([header, *lines]) + (eol if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+class TestCsvFastPathMatchesRowLoop:
+    """The np.loadtxt pass returns what the row loop returns, or leaves the file to it."""
+
+    @given(text=_csv_texts())
+    @settings(max_examples=150, deadline=None)
+    def test_generated_files(self, text):
+        schema = CsvSchema(rule=GEQ6) if ",a," in text else None
+        chosen, rows_only, _ = _both_paths(text, schema)
+        assert chosen == rows_only
+
+    @pytest.mark.parametrize(
+        "text, fast",
+        [
+            ("\ufeffy,t,w1\n1.5,0,2\n2.5,1,3\n", True),
+            ("y,t,w1\r\n1.5,0,2\r\n2.5,1,3\r\n", True),
+            ("y,t,w1\r1.5,0,2\r2.5,1,3\r", True),
+            ("y,t,w1\n\n1.5,0,2\n\r\n2.5,1,3\n\n", True),
+            ("y,t,w1\n1.5,0,2\n   \n2.5,1,3\n", False),
+            ("y,t,w1\n 1.5 ,\t0, 2\n2.5 ,1 ,3\xa0\n", True),
+            ('y,t,w1\n"1.5",0,2\n2.5,1,"3"\n', False),
+            ('"y","t","w1"\n1.5,0,2\n', False),
+            ("y,t,w1\n1.5,0\n", False),
+            ("y,t,w1\n1.5,0,2,9\n", False),
+            ("y,t,w1\n1.5,0,2,\n", False),
+            ("y,t,w1\n1,234,0,2\n2.5,1,3\n", False),
+            ("y,t,w1\n#1.5,0,2\n", False),
+            ("y,t,w1\n1_5,0,2\n", False),
+            ("y,t,w1\nnan,0,2\n", True),
+            ("y,t,w1\n1.5,0,inf\n", True),
+            ("y,t,w1\n1.5,0,2\n2.5,2,3\n", False),
+            ("y,t,w1\n1.5,nan,2\n", False),
+            ("y,a,w1\n1.5,5.5,2\n2.5,6,3\n", True),
+            ("t,w1\n0,2\n", True),
+            ("y,t,w1\n", False),
+            ("y,t,w1\n\n\n", False),
+            ("", False),
+        ],
+    )
+    def test_fixed_files(self, text, fast):
+        schema = CsvSchema(rule=GEQ6) if text.startswith("y,a") else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            chosen, rows_only, row_loop_ran = _both_paths(text, schema)
+        assert [str(w.message) for w in caught] == []  # e.g. numpy's empty-input warning
+        assert chosen == rows_only
+        assert row_loop_ran is not fast
+
+    def test_header_only_keeps_its_error_and_prints_nothing(self, tmp_path, capfd):
+        path = tmp_path / "header_only.csv"
+        path.write_text("y,t,w1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValidationError, match="no data rows after the header"):
+                load_csv(path)
+        assert [str(w.message) for w in caught] == []
+        assert capfd.readouterr().err == ""
 
 
 class _FixedProbs:
