@@ -10,7 +10,6 @@ an exact quadrature truth oracle.
 from .core import (
     BinarizationRule,
     ConvergenceError,
-    CsvSchema,
     DegenerateArmError,
     Direction,
     EstimandKind,
@@ -69,7 +68,6 @@ __all__ = [
     "BinarizationRule",
     "BootstrapConfig",
     "ConvergenceError",
-    "CsvSchema",
     "DegenerateArmError",
     "DgpSpec",
     "Direction",

@@ -14,7 +14,6 @@ import numpy as np
 
 from .core import (
     BinarizationRule,
-    CsvSchema,
     Direction,
     EstimandSpec,
     EstimationError,
@@ -26,6 +25,7 @@ from .simulation import (
     DgpSpec,
     density_curve,
     mc_results_to_csv,
+    mc_table,
     run_monte_carlo,
     truth_oracle,
 )
@@ -109,10 +109,9 @@ def _sig6(x: float) -> str:
 
 
 def _text_table(header: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[j]) for r in rows)) if rows else len(h) for j, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[j]) for j, h in enumerate(header))]
-    for r in rows:
-        lines.append("  ".join(r[j].ljust(widths[j]) for j in range(len(header))))
+    table = [header, *rows]
+    widths = [max(len(r[j]) for r in table) for j in range(len(header))]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(r, widths)) for r in table]
     return "\n".join(lines) + "\n"
 
 
@@ -131,7 +130,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     estimand = (
         EstimandSpec.bate() if args.estimand == "bate" else EstimandSpec.peb(args.arm)
     )
-    data = load_csv(args.input, CsvSchema(rule=rule))
+    data = load_csv(args.input, rule)
     reports = estimate_many(data, estimators, [estimand], boot=boot, ci_level=args.ci_level, seed=seed)
 
     if args.format == "json":
@@ -196,20 +195,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         text = json.dumps([r.to_dict() for r in results], indent=2) + "\n"
     elif args.format == "text-table":
         truth = truth_oracle(spec)
+        header, rows = mc_table(results, estimators, estimands)
         blocks = []
         for e in estimands:
-            header = ["n"]
-            for est in estimators:
-                header += [f"{est}_estimate", f"{est}_bias", f"{est}_est_se", f"{est}_sim_se"]
-            rows = []
-            for res in results:
-                row = [str(res.n)]
-                for est in estimators:
-                    cell = res.row(est, e)
-                    row += [_sig6(cell.mean_estimate), _sig6(cell.bias), _sig6(cell.mean_est_se), _sig6(cell.sim_se)]
-                rows.append(row)
+            cells = [[str(n), *map(_sig6, values)] for key, n, *values in rows if key == e.key]
             blocks.append(
-                f"estimand: {e.key} (truth {_sig6(truth.value(e))})\n" + _text_table(header, rows)
+                f"estimand: {e.key} (truth {_sig6(truth.value(e))})\n" + _text_table(header[1:], cells)
             )
         text = "\n".join(blocks)
     else:
@@ -300,10 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_output_path(args.output)
         return _COMMANDS[args.subcommand](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except EstimationError as exc:

@@ -309,87 +309,59 @@ class EstimateReport:
         }
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column naming for CSV ingestion.
-
-    With the defaults the loader expects a `y` column, a binary `t` column
-    and/or a continuous `a` column, and treats every other column as a
-    covariate in header order. A continuous treatment requires `rule`.
-    """
-
-    outcome: str = "y"
-    treatment: str | None = None
-    covariates: tuple[str, ...] | None = None
-    rule: BinarizationRule | None = None
-
-
-def load_csv(path: str | Path, schema: CsvSchema | None = None) -> ObservationSet:
+def load_csv(path: str | Path, rule: BinarizationRule | None = None) -> ObservationSet:
     """Read a comma-separated, UTF-8, headered file into an ObservationSet.
 
+    `y` is the outcome, `t` and/or `a` the treatment and every other column a
+    covariate, in header order; an `a` without `t` needs `rule` to derive t.
     Numbers are parsed as 64-bit floats. A leading byte order mark and blank
     lines are ignored. A record may not have more fields than the header.
     Errors name the offending line of the file (the header is line 1) and
-    column.
+    column, or the path of a directory or of a file that is not UTF-8.
 
     The numbers of the whole file are read in one `np.loadtxt` pass when the
     header is unquoted, every record holds one float per header field and
-    `t`, if read, is 0/1. Any other file (quoted fields, short or long
+    `t`, if present, is 0/1. Any other file (quoted fields, short or long
     records, text, a header with no records) is read again from the start by
     the `csv.reader` row loop, which raises every error; both paths give the
     same values.
     """
-    schema = schema or CsvSchema()
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        cols = _read_table(path, fh, schema)
-        if cols is None:
-            fh.seek(0)
-            cols = _read_rows(path, fh, schema)
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            cols = _read_table(path, fh, rule)
+            if cols is None:
+                fh.seek(0)
+                cols = _read_rows(path, fh, rule)
+    except IsADirectoryError:
+        raise ValidationError(f"{path}: is a directory, expected a CSV file") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
     y, t, a, w = cols
     if t is None:
-        t = binarize(a, schema.rule)
-    return ObservationSet(w=w, t=t, y=y, a=a, rule=schema.rule)
+        t = binarize(a, rule)
+    return ObservationSet(w=w, t=t, y=y, a=a, rule=rule)
 
 
-def _column_indices(path: Path, header: list[str], schema: CsvSchema):
+def _column_indices(path: Path, header: list[str], rule: BinarizationRule | None):
     """Header positions of y, t (or None), a (or None) and the covariates."""
-
-    def col_index(name: str) -> int:
-        try:
-            return header.index(name)
-        except ValueError:
-            raise ValidationError(f"{path}: missing required column '{name}'") from None
-
-    y_idx = col_index(schema.outcome)
-    t_idx = a_idx = None
-    if schema.treatment is not None:
-        if schema.rule is not None:
-            a_idx = col_index(schema.treatment)
-        else:
-            t_idx = col_index(schema.treatment)
-    else:
-        if "t" in header:
-            t_idx = header.index("t")
-        if "a" in header:
-            a_idx = header.index("a")
-        if t_idx is None and a_idx is None:
-            raise ValidationError(f"{path}: expected a treatment column named 't' or 'a'")
-    if t_idx is None and schema.rule is None:
+    if "y" not in header:
+        raise ValidationError(f"{path}: missing required column 'y'")
+    y_idx = header.index("y")
+    t_idx = header.index("t") if "t" in header else None
+    a_idx = header.index("a") if "a" in header else None
+    if t_idx is None and a_idx is None:
+        raise ValidationError(f"{path}: expected a treatment column named 't' or 'a'")
+    if t_idx is None and rule is None:
         raise ValidationError(
-            f"{path}: continuous treatment column "
-            f"'{schema.treatment or 'a'}' requires a binarization rule (--cutoff/--direction)"
+            f"{path}: continuous treatment column 'a' requires a binarization rule "
+            "(--cutoff/--direction)"
         )
-
-    reserved = {y_idx, t_idx, a_idx} - {None}
-    if schema.covariates is not None:
-        w_idx = [col_index(c) for c in schema.covariates]
-    else:
-        w_idx = [j for j in range(len(header)) if j not in reserved]
+    w_idx = [j for j in range(len(header)) if j not in (y_idx, t_idx, a_idx)]
     return y_idx, t_idx, a_idx, w_idx
 
 
-def _read_table(path: Path, fh, schema: CsvSchema):
+def _read_table(path: Path, fh, rule: BinarizationRule | None):
     """(y, t, a, w) from one `np.loadtxt` pass, or None for the row loop.
 
     Accepts only what the row loop reads to the same values: an unquoted
@@ -408,7 +380,7 @@ def _read_table(path: Path, fh, schema: CsvSchema):
             return None
     if table.shape[1] != len(header):
         return None
-    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, schema)
+    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
     t = None if t_idx is None else table[:, t_idx]
     if t is not None and not np.isin(t, (0.0, 1.0)).all():
         return None
@@ -416,7 +388,7 @@ def _read_table(path: Path, fh, schema: CsvSchema):
     return table[:, y_idx], t, a, table[:, w_idx]
 
 
-def _read_rows(path: Path, fh, schema: CsvSchema):
+def _read_rows(path: Path, fh, rule: BinarizationRule | None):
     """(y, t, a, w) from a `csv.reader` row loop that names the line of each error."""
     reader = csv.reader(fh)
     try:
@@ -431,7 +403,7 @@ def _read_rows(path: Path, fh, schema: CsvSchema):
             linenos.append(reader.line_num)
     if not rows:
         raise ValidationError(f"{path}: no data rows after the header")
-    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, schema)
+    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
 
     def parse(row: list[str], lineno: int, j: int) -> float:
         if j >= len(row):

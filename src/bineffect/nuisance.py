@@ -72,10 +72,6 @@ class RegressionFit:
     tw_bar: np.ndarray
     residuals: np.ndarray
 
-    @property
-    def p(self) -> int:
-        return self.w_mean.shape[0]
-
     def predict(self, t, w):
         """Evaluate m(t, w) for a scalar or length-n t and a (p,) or (n, p) w."""
         return _linear_predict(
@@ -171,7 +167,6 @@ def _irls(
     t: np.ndarray,
     labels: list[str] | None = None,
     start: np.ndarray | None = None,
-    tol: float = _IRLS_TOL,
     max_iter: int = _IRLS_MAX_ITER,
     counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -181,7 +176,7 @@ def _irls(
     Row b of the (m, n) `counts` weights row i of `x` by how often it
     appears in problem b; None is the single unit-weight fit. All problems
     iterate together, each from `start`, and a problem stops moving once its
-    largest step drops below `tol`. Returns the (m, d) coefficients and an
+    largest step drops below `_IRLS_TOL`. Returns the (m, d) coefficients and an
     (m,) mask of the problems that converged. A problem whose coefficients
     pass the separation bound or whose weighted Hessian is singular is
     flagged instead; for the single fit it raises SeparationError or
@@ -235,7 +230,7 @@ def _irls(
             )
         if singular is not None:
             failed |= singular
-        moving = ~(failed | (size < tol))  # a NaN step keeps moving, into ConvergenceError
+        moving = ~(failed | (size < _IRLS_TOL))  # a NaN step keeps moving, into ConvergenceError
         steps.append((size, moving))
         if not moving.all():
             beta[active] = b

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import os
@@ -180,7 +181,7 @@ def density_curve(spec: DgpSpec, arm: str, w: int, grid: np.ndarray) -> np.ndarr
     if grid.size and not np.isfinite(grid).all():
         raise ValidationError("grid must be finite")
     base = stats.norm.pdf(grid, loc=spec.a_mean(w), scale=spec.a_sd)
-    treated_region = np.asarray(spec.rule.apply(grid), dtype=bool) if grid.size else np.zeros(0, bool)
+    treated_region = np.asarray(spec.rule.apply(grid), dtype=bool)
     pi1 = spec.propensity(w)
     if arm == "status_quo":
         dens = base
@@ -282,7 +283,7 @@ def run_monte_carlo(
     quadrature truth, mean estimated SE and the SD of the estimates across
     replicates. Replicates whose estimator fails (degenerate arm, separation)
     are excluded and counted. Deterministic for a fixed seed regardless of
-    `threads`.
+    `threads`; None runs one process per core.
     """
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
@@ -290,6 +291,8 @@ def run_monte_carlo(
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if any(n < 1 for n in n_list):
         raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
+    if threads is not None and threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     truth = truth_oracle(spec)
     estimator_tuple = tuple(estimators)
     estimand_keys = tuple(e.key for e in estimands)
@@ -333,28 +336,32 @@ def run_monte_carlo(
     return results
 
 
+def mc_table(
+    results: Sequence[McResult], estimators: Sequence[str], estimands: Sequence[EstimandSpec]
+) -> tuple[list[str], list[list]]:
+    """Header and rows of the Monte Carlo table: one row per (estimand, n), then
+    the mean estimate, bias, mean est SE and sim SE of each estimator."""
+    header = ["estimand", "n"]
+    for est in estimators:
+        header += [f"{est}_estimate", f"{est}_bias", f"{est}_est_se", f"{est}_sim_se"]
+    rows = []
+    for e in estimands:
+        for res in results:
+            row = [e.key, res.n]
+            for est in estimators:
+                cell = res.row(est, e)
+                row += [cell.mean_estimate, cell.bias, cell.mean_est_se, cell.sim_se]
+            rows.append(row)
+    return header, rows
+
+
 def mc_results_to_csv(
     results: Sequence[McResult],
     estimators: Sequence[str],
     estimands: Sequence[EstimandSpec] = (EstimandSpec.bate(), EstimandSpec.peb(1)),
 ) -> str:
-    """Render Monte Carlo results as CSV, one row per (estimand, n), with
-    Estimate/Bias/Est SE/Sim SE column groups per estimator."""
+    """`mc_table` as CSV text, floats at full precision."""
+    header, rows = mc_table(results, estimators, estimands)
     buf = io.StringIO()
-    header = ["estimand", "n"]
-    for est in estimators:
-        header += [f"{est}_estimate", f"{est}_bias", f"{est}_est_se", f"{est}_sim_se"]
-    buf.write(",".join(header) + "\n")
-    for e in estimands:
-        for res in results:
-            cells = [e.key, str(res.n)]
-            for est in estimators:
-                row = res.row(est, e)
-                cells += [
-                    repr(row.mean_estimate),
-                    repr(row.bias),
-                    repr(row.mean_est_se),
-                    repr(row.sim_se),
-                ]
-            buf.write(",".join(cells) + "\n")
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
     return buf.getvalue()

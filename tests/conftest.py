@@ -29,6 +29,16 @@ def make_binary_w_dataset(n=60, seed=0, y_scale=1.0):
     return ObservationSet(w=w[:, None], t=t, y=y)
 
 
+def forbid(monkeypatch, module, *names):
+    """Make each named function of `module` fail the test if it is called."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    for name in names:
+        monkeypatch.setattr(module, name, no_work)
+
+
 @pytest.fixture
 def dataset():
     return make_dataset()

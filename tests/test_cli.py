@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bineffect import cli, estimators, save_csv, simulation, truth_oracle
+from bineffect import EstimandSpec, cli, estimators, save_csv, simulation, truth_oracle
 from bineffect.cli import build_parser, main
-from bineffect.simulation import DgpSpec, sample_dgp
+from bineffect.simulation import DgpSpec, mc_results_to_csv, run_monte_carlo, sample_dgp
+from conftest import forbid
 
 
 @pytest.fixture
@@ -24,16 +25,6 @@ def data_csv(tmp_path):
 
 def run_cli(*argv):
     return main(list(argv))
-
-
-def forbid(monkeypatch, module, *names):
-    """Make each named function of `module` fail the test if it is called."""
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the arguments were checked")
-
-    for name in names:
-        monkeypatch.setattr(module, name, no_work)
 
 
 def assert_missing_output_dir(code, capsys):
@@ -172,6 +163,16 @@ class TestEstimateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("kind", ["directory", "latin1"])
+    def test_unreadable_input_is_a_validation_error(self, tmp_path, capsys, kind):
+        path = tmp_path
+        if kind == "latin1":
+            path = tmp_path / "latin1.csv"
+            path.write_bytes(b"y,t,w1\n1.5,0,2\n2.5,1,\xe93\n")
+        assert run_cli("estimate", "--input", str(path), "--estimator", "reg") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     def test_env_var_seed(self, data_csv, capsys, monkeypatch):
         monkeypatch.setenv("BINEFFECT_SEED", "777")
         code = run_cli(
@@ -242,6 +243,36 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "is a directory" in err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected_before_any_replicate(self, capsys, monkeypatch, threads):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp")
+        assert run_cli("simulate", "--reps", "2", "--n", "60", "--threads", threads) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "threads" in err
+
+    def test_csv_and_text_table_are_one_table(self, dgp, capsys, monkeypatch):
+        estimators, keys = ["reg", "aipw"], ["bate", "peb1", "peb0"]
+        estimands = [EstimandSpec.from_key(k) for k in keys]
+        results = run_monte_carlo(dgp, [60, 80], 3, estimators, seed=5, estimands=estimands)
+        monkeypatch.setattr(cli, "run_monte_carlo", lambda *args, **kwargs: results)
+        args = ["simulate", "--estimators", ",".join(estimators), "--estimands", ",".join(keys)]
+        assert run_cli(*args, "--format", "csv") == 0
+        csv_text = capsys.readouterr().out
+        assert csv_text == mc_results_to_csv(results, estimators, estimands)
+        csv_header, *csv_rows = csv.reader(io.StringIO(csv_text))
+        assert run_cli(*args, "--format", "text-table") == 0
+        table_rows = []
+        for key, block in zip(keys, capsys.readouterr().out.split("\n\n"), strict=True):
+            title, header, *lines = block.strip("\n").split("\n")
+            assert title.startswith(f"estimand: {key} (truth ")
+            assert header.split() == csv_header[1:]
+            table_rows += [[key, *line.split()] for line in lines]
+        assert len(table_rows) == len(csv_rows) == 6
+        for table_row, csv_row in zip(table_rows, csv_rows):
+            assert table_row[0] == csv_row[0]
+            assert table_row[1:] == [f"{float(cell):.6g}" for cell in csv_row[1:]]
+        assert mc_results_to_csv(results, estimators, ()) == ",".join(csv_header) + "\n"
+
     def test_json_format(self, capsys):
         code = run_cli("simulate", "--reps", "2", "--n", "60", "--boot-reps", "10",
                        "--seed", "0", "--estimators", "reg", "--estimands", "bate",
@@ -271,10 +302,13 @@ class TestDensitiesCommand:
         assert run_cli("densities", "--w", "0", "--arm", "tilde9") == 1
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands() -> list[str]:
     """Every `bineffect ...` command in README's fenced blocks, with `\\`
     continuations joined and a trailing `# ...` comment dropped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     commands = []
     for block in re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
@@ -290,3 +324,14 @@ def test_readme_has_the_simulate_tables_command():
 @pytest.mark.parametrize("command", _readme_commands())
 def test_readme_command_parses(command):
     build_parser().parse_args(shlex.split(command)[1:])  # parses only; a rejected flag exits
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    """README's fenced python blocks run in order in one namespace, so the
+    library docs name no API that is gone."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)  # a block may write a file
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

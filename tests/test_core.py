@@ -1,3 +1,4 @@
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from bineffect import (
     BinarizationRule,
-    CsvSchema,
     Direction,
     EstimandSpec,
     EstimateReport,
@@ -112,7 +112,7 @@ class TestCsv:
     def test_load_with_rule_derives_t(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("y,a,w1\n1.5,5.0,0.1\n2.5,6.0,0.2\n3.5,7.5,0.3\n")
-        data = load_csv(path, CsvSchema(rule=GEQ6))
+        data = load_csv(path, GEQ6)
         assert data.n == 3
         assert data.t.tolist() == [0.0, 1.0, 1.0]
         assert data.a is not None and data.a.tolist() == [5.0, 6.0, 7.5]
@@ -165,6 +165,17 @@ class TestCsv:
                 load_csv(path)
         assert [str(w.message) for w in caught] == []  # numpy's empty-input warning stays inside
 
+    def test_directory_is_a_validation_error_naming_it(self, tmp_path):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(tmp_path))}: is a directory"):
+            load_csv(tmp_path)
+
+    @pytest.mark.parametrize("raw", [b"y,t,w1\n1.5,0,2\n2.5,1,\xe93\n", b"y,t,w\xe9\n1.5,0,2\n"])
+    def test_non_utf8_file_is_a_validation_error_naming_it(self, tmp_path, raw):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="latin1.csv: not UTF-8 text"):
+            load_csv(path)
+
     @pytest.mark.parametrize("record", ["1.5,1,0,9", "1.5,1,0,", "1,234,1,0"])
     def test_record_longer_than_header_names_line_and_counts(self, tmp_path, record):
         path = tmp_path / "d.csv"
@@ -189,7 +200,7 @@ class TestCsv:
             raise AssertionError("the row loop read a file the np.loadtxt pass accepts")
 
         monkeypatch.setattr(core, "_read_rows", no_row_loop)
-        back = load_csv(path, CsvSchema(rule=data.rule))
+        back = load_csv(path, data.rule)
         for name in ("y", "t", "a", "w"):
             assert np.array_equal(getattr(back, name), getattr(data, name)), name
 
@@ -214,7 +225,7 @@ class TestCsv:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "round.csv"
             save_csv(data, path)
-            back = load_csv(path, CsvSchema(rule=data.rule))
+            back = load_csv(path, data.rule)
         assert np.array_equal(back.y, data.y)
         assert np.array_equal(back.t, data.t)
         assert np.array_equal(back.w, data.w)
@@ -222,25 +233,25 @@ class TestCsv:
             assert np.array_equal(back.a, data.a)
 
 
-def _load_outcome(path, schema):
+def _load_outcome(path, rule):
     """load_csv's arrays, or the type and message of what it raised."""
     try:
-        data = load_csv(path, schema)
+        data = load_csv(path, rule)
     except Exception as exc:  # compared between the two paths, not handled
         return type(exc), str(exc)
     return tuple(None if v is None else v.tobytes() for v in (data.y, data.t, data.a, data.w)), data.w.shape
 
 
-def _both_paths(text, schema=None):
+def _both_paths(text, rule=None):
     """Outcome of load_csv as it is and with the row loop alone, and whether the
     row loop ran in the first."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(text.encode("utf-8"))
         with mock.patch.object(core, "_read_rows", wraps=core._read_rows) as row_loop:
-            chosen = _load_outcome(path, schema)
+            chosen = _load_outcome(path, rule)
         with mock.patch.object(core, "_read_table", return_value=None):
-            rows_only = _load_outcome(path, schema)
+            rows_only = _load_outcome(path, rule)
     return chosen, rows_only, row_loop.called
 
 
@@ -283,8 +294,8 @@ class TestCsvFastPathMatchesRowLoop:
     @given(text=_csv_texts())
     @settings(max_examples=150, deadline=None)
     def test_generated_files(self, text):
-        schema = CsvSchema(rule=GEQ6) if ",a," in text else None
-        chosen, rows_only, _ = _both_paths(text, schema)
+        rule = GEQ6 if ",a," in text else None
+        chosen, rows_only, _ = _both_paths(text, rule)
         assert chosen == rows_only
 
     @pytest.mark.parametrize(
@@ -316,10 +327,10 @@ class TestCsvFastPathMatchesRowLoop:
         ],
     )
     def test_fixed_files(self, text, fast):
-        schema = CsvSchema(rule=GEQ6) if text.startswith("y,a") else None
+        rule = GEQ6 if text.startswith("y,a") else None
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            chosen, rows_only, row_loop_ran = _both_paths(text, schema)
+            chosen, rows_only, row_loop_ran = _both_paths(text, rule)
         assert [str(w.message) for w in caught] == []  # e.g. numpy's empty-input warning
         assert chosen == rows_only
         assert row_loop_ran is not fast

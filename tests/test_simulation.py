@@ -12,6 +12,7 @@ from bineffect import (
     estimate_reg,
     estimate_tmle,
     estimators,
+    simulation,
 )
 from bineffect.simulation import (
     DgpSpec,
@@ -21,6 +22,7 @@ from bineffect.simulation import (
     sample_dgp,
     truth_oracle,
 )
+from conftest import forbid
 
 BATE = EstimandSpec.bate()
 PEB1 = EstimandSpec.peb(1)
@@ -270,6 +272,12 @@ class TestMonteCarlo:
         assert [ln.split(",")[:2] for ln in lines[1:]] == [
             ["bate", "60"], ["bate", "90"], ["peb1", "60"], ["peb1", "90"],
         ]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected_before_any_replicate(self, dgp, monkeypatch, threads):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp")
+        with pytest.raises(ValidationError, match="threads must be >= 1"):
+            run_monte_carlo(dgp, [60], 2, ["reg"], seed=0, threads=threads)
 
     def test_unknown_estimator_rejected(self, dgp):
         with pytest.raises(ValidationError):
