@@ -35,11 +35,7 @@ from .estimators import (
     TmleFit,
     aipw_influence,
     bootstrap_se,
-    estimate_aipw,
-    estimate_ipw,
     estimate_many,
-    estimate_reg,
-    estimate_tmle,
     tmle_update,
 )
 from .nuisance import (
@@ -95,11 +91,7 @@ __all__ = [
     "bootstrap_se",
     "cubic_sine_outcome",
     "density_curve",
-    "estimate_aipw",
-    "estimate_ipw",
     "estimate_many",
-    "estimate_reg",
-    "estimate_tmle",
     "fit_logistic",
     "fit_ols_interacted",
     "load_csv",

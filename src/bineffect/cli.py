@@ -217,9 +217,14 @@ def cmd_densities(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"--grid must look like start:stop:step, got {args.grid!r}"
         ) from None
+    if not np.isfinite([start, stop, step]).all():
+        raise ValidationError(f"--grid start, stop and step must be finite, got {args.grid!r}")
     if step <= 0:
         raise ValidationError("--grid step must be positive")
-    grid = np.arange(start, stop + step / 2.0, step)
+    try:
+        grid = np.arange(start, stop + step / 2.0, step)
+    except (ValueError, MemoryError):
+        raise ValidationError(f"--grid {args.grid!r} has too many points") from None
     curve = density_curve(spec, args.arm, args.w, grid)
     if args.format == "json":
         text = json.dumps(

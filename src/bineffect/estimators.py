@@ -320,14 +320,12 @@ def _aipw_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.nd
 
 @dataclass(frozen=True)
 class TmleFit:
-    """Targeted update of the outcome predictions for one estimand."""
+    """Targeted estimate for one estimand: point, fluctuation coefficient and
+    influence values."""
 
     point: float
     fluctuation: float
     influence: np.ndarray
-    q1: np.ndarray
-    q0: np.ndarray
-    q_obs: np.ndarray
 
 
 def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
@@ -369,8 +367,7 @@ def _tmle_fit(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> 
     lo, hi = float(y.min()), float(y.max())
     span = hi - lo
     if span == 0.0:
-        zero = np.zeros(data.n)
-        return TmleFit(0.0, 0.0, zero, m1, m0, np.where(t == 1.0, m1, m0))
+        return TmleFit(0.0, 0.0, np.zeros(data.n))
 
     ys = (y - lo) / span
     q1 = np.clip((m1 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND)
@@ -397,13 +394,7 @@ def _tmle_fit(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> 
     point = float(np.mean(plug_in))
     phi = h_obs * (y - y_obs_pred) + plug_in - point
 
-    return TmleFit(point, float(beta), phi, y1, y0, y_obs_pred)
-
-
-def _tmle(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> tuple[float, float]:
-    """TMLE point and its influence-curve SE."""
-    fit = _tmle_fit(data, nuis, estimand)
-    return fit.point, _influence_se(fit.influence)
+    return TmleFit(point, float(beta), phi)
 
 
 ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
@@ -452,7 +443,8 @@ def estimate_many(
         if name == "ipw":
             rows, note = _ipw(data, nuis, contrasts, boot or BootstrapConfig(), ci_level)
         elif name == "tmle":
-            rows = [(*_tmle(data, nuis, e), None) for e in estimands]
+            fits = [_tmle_fit(data, nuis, e) for e in estimands]
+            rows = [(fit.point, _influence_se(fit.influence), None) for fit in fits]
         else:
             theta, phi = _ARMS[name](data, nuis)
             rows = [(theta @ c, _influence_se(phi @ c), None) for c in contrasts]
@@ -465,60 +457,6 @@ def estimate_many(
             for e, (point, se, ci) in zip(estimands, rows)
         ]
     return reports
-
-
-def estimate_reg(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    ci_level: float = 0.95,
-    seed: int | None = None,
-) -> EstimateReport:
-    """Regression estimator with M-estimation influence-value SE."""
-    return estimate_many(data, ["reg"], [estimand], ci_level=ci_level, seed=seed)[0]
-
-
-def estimate_ipw(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    boot: BootstrapConfig | None = None,
-    ci_level: float = 0.95,
-    propensity: PropensityModel | None = None,
-) -> EstimateReport:
-    """Horvitz-Thompson style weighting estimator with bootstrap SE.
-
-    The propensity model is refit inside every bootstrap resample, starting
-    from the full-sample fit, unless a prefit `propensity` is injected, in
-    which case that fixed model is used throughout.
-    """
-    boot = boot or BootstrapConfig()
-    nuis = Nuisances(data, propensity=propensity)
-    return estimate_many(data, ["ipw"], [estimand], nuis, boot, ci_level, seed=boot.seed)[0]
-
-
-def estimate_aipw(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    ci_level: float = 0.95,
-    outcome: OutcomeModel | None = None,
-    propensity: PropensityModel | None = None,
-    seed: int | None = None,
-) -> EstimateReport:
-    """Augmented IPW (doubly robust) estimator with influence-curve SE."""
-    nuis = Nuisances(data, outcome, propensity)
-    return estimate_many(data, ["aipw"], [estimand], nuis, ci_level=ci_level, seed=seed)[0]
-
-
-def estimate_tmle(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    ci_level: float = 0.95,
-    outcome: OutcomeModel | None = None,
-    propensity: PropensityModel | None = None,
-    seed: int | None = None,
-) -> EstimateReport:
-    """Targeted maximum likelihood estimator with influence-curve SE."""
-    nuis = Nuisances(data, outcome, propensity)
-    return estimate_many(data, ["tmle"], [estimand], nuis, ci_level=ci_level, seed=seed)[0]
 
 
 def aipw_influence(

@@ -165,27 +165,25 @@ def _solve_each(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _irls(
     x: np.ndarray,
     t: np.ndarray,
-    labels: list[str] | None = None,
+    counts: np.ndarray,
     start: np.ndarray | None = None,
     max_iter: int = _IRLS_MAX_ITER,
-    counts: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton-Raphson logistic MLE of t on x, for one sample or many
-    frequency-weighted copies of it.
+    """Newton-Raphson logistic MLE of t on x for m frequency-weighted copies
+    of one sample.
 
     Row b of the (m, n) `counts` weights row i of `x` by how often it
-    appears in problem b; None is the single unit-weight fit. All problems
-    iterate together, each from `start`, and a problem stops moving once its
-    largest step drops below `_IRLS_TOL`. Returns the (m, d) coefficients and an
-    (m,) mask of the problems that converged. A problem whose coefficients
-    pass the separation bound or whose weighted Hessian is singular is
-    flagged instead; for the single fit it raises SeparationError or
-    SingularDesignError, which names the collinear columns by `labels`. A
-    problem still moving after `max_iter` iterations raises ConvergenceError.
+    appears in problem b. All problems iterate together, each from `start`,
+    and a problem stops moving once its largest step drops below `_IRLS_TOL`.
+    Returns the (m, d) coefficients and an (m,) mask of the problems that
+    converged. A problem whose coefficients pass the separation bound or
+    whose weighted Hessian is singular is flagged instead; its coefficients
+    are those of the step that flagged it (unchanged by a singular
+    Hessian). A problem still moving after `max_iter` iterations raises
+    ConvergenceError.
     """
-    single = counts is None
-    ct = None if single else np.ascontiguousarray(counts.T)  # (n, k): problems in columns
-    m, d = (1 if single else counts.shape[0]), x.shape[1]
+    ct = np.ascontiguousarray(counts.T)  # (n, k): problems in columns
+    m, d = counts.shape[0], x.shape[1]
     beta = np.zeros((m, d)) if start is None else np.tile(np.asarray(start, dtype=float), (m, 1))
     ok = np.ones(m, dtype=bool)
     active, b = np.arange(m), beta.copy()  # the problems still moving, and their coefficients
@@ -196,11 +194,10 @@ def _irls(
     for _ in range(max_iter):
         probs = expit(x @ b.T)
         cw = probs * (1.0 - probs)
+        cw *= ct
         resid = t_col - probs
-        if not single:
-            cw *= ct
-            resid *= ct
-        if active.size == 1:  # a plain product: the single fit keeps its exact arithmetic
+        resid *= ct
+        if active.size == 1:  # a plain product: a lone problem keeps its exact arithmetic
             hess = ((x * cw).T @ x)[None]
         else:
             hess = (cw.T @ outer).reshape(-1, d, d)
@@ -210,24 +207,9 @@ def _irls(
             singular = None
         except np.linalg.LinAlgError:
             step, singular = _solve_each(hess, grad)
-            if single:
-                if np.max(np.abs(b)) > _SEPARATION_BOUND / 2:
-                    raise SeparationError(
-                        "logistic fit diverged (singular weighted Hessian at large "
-                        "coefficients); the treatment arms appear separated"
-                    ) from None
-                cols = _collinear_columns(x, labels)
-                raise SingularDesignError(
-                    f"singular logistic design; collinear columns: {', '.join(cols)}"
-                ) from None
         b += step
         size = np.max(np.abs(step), axis=1)
         failed = np.max(np.abs(b), axis=1) > _SEPARATION_BOUND
-        if single and failed[0]:
-            raise SeparationError(
-                f"logistic coefficients exceeded {_SEPARATION_BOUND:g} in magnitude; "
-                "the treatment arms appear (quasi-)separated"
-            )
         if singular is not None:
             failed |= singular
         moving = ~(failed | (size < _IRLS_TOL))  # a NaN step keeps moving, into ConvergenceError
@@ -260,9 +242,23 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
         raise DegenerateArmError(
             "cannot fit the propensity model: both treatment arms must be present"
         )
-    labels = ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
-    beta, _ = _irls(_logistic_design(data.w), t, labels, start=start)
-    return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
+    x = _logistic_design(data.w)
+    beta, ok = _irls(x, t, start=start, counts=np.ones((1, data.n)))
+    if ok[0]:
+        return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
+    size = np.max(np.abs(beta))
+    if size > _SEPARATION_BOUND:
+        raise SeparationError(
+            f"logistic coefficients exceeded {_SEPARATION_BOUND:g} in magnitude; "
+            "the treatment arms appear (quasi-)separated"
+        )
+    if size > _SEPARATION_BOUND / 2:
+        raise SeparationError(
+            "logistic fit diverged (singular weighted Hessian at large "
+            "coefficients); the treatment arms appear separated"
+        )
+    cols = _collinear_columns(x, ["intercept"] + [f"w{j + 1}" for j in range(data.p)])
+    raise SingularDesignError(f"singular logistic design; collinear columns: {', '.join(cols)}")
 
 
 def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:

@@ -13,15 +13,14 @@ import pytest
 
 from bineffect import (
     BootstrapConfig,
+    ESTIMATOR_NAMES,
     EstimandSpec,
+    Nuisances,
     ObservationSet,
     PropensityModel,
     aipw_influence,
     bootstrap_se,
-    estimate_aipw,
-    estimate_ipw,
-    estimate_reg,
-    estimate_tmle,
+    estimate_many,
     fit_logistic,
     fit_ols_interacted,
     tmle_update,
@@ -181,18 +180,13 @@ def test_criterion_4_double_robustness(oracle):
         wrong_outcome = MarginalOutcome(data)
         good_outcome = fit_ols_interacted(data)
         good_prop = fit_logistic(data)
-        sums["aipw_mis_outcome"] += estimate_aipw(
-            data, BATE, outcome=wrong_outcome, propensity=good_prop
-        ).point
-        sums["tmle_mis_outcome"] += estimate_tmle(
-            data, BATE, outcome=wrong_outcome, propensity=good_prop
-        ).point
-        sums["aipw_mis_prop"] += estimate_aipw(
-            data, BATE, outcome=good_outcome, propensity=flat_prop
-        ).point
-        sums["tmle_mis_prop"] += estimate_tmle(
-            data, BATE, outcome=good_outcome, propensity=flat_prop
-        ).point
+        for case, outcome, propensity in (
+            ("mis_outcome", wrong_outcome, good_prop),
+            ("mis_prop", good_outcome, flat_prop),
+        ):
+            nuisances = Nuisances(data, outcome=outcome, propensity=propensity)
+            for report in estimate_many(data, ["aipw", "tmle"], [BATE], nuisances):
+                sums[f"{report.estimator}_{case}"] += report.point
     biases = {key: total / reps - oracle.psi_bate for key, total in sums.items()}
     ok = all(abs(b) < 0.5 for b in biases.values())
     _check(
@@ -211,8 +205,9 @@ def test_criterion_5_coverage(oracle):
         data = sample_dgp(SPEC, n, seed=[SEED, 5, rep])
         outcome = fit_ols_interacted(data)
         propensity = fit_logistic(data)
-        reg = estimate_reg(data, BATE)
-        aipw = estimate_aipw(data, BATE, outcome=outcome, propensity=propensity)
+        reg, aipw = estimate_many(
+            data, ["reg", "aipw"], [BATE], Nuisances(data, outcome=outcome, propensity=propensity)
+        )
         hits["reg"] += reg.ci[0] <= truth <= reg.ci[1]
         hits["aipw"] += aipw.ci[0] <= truth <= aipw.ci[1]
     rates = {key: count / reps for key, count in hits.items()}
@@ -227,16 +222,11 @@ def test_criterion_5_coverage(oracle):
 def test_criterion_6_small_instance_equivalences():
     data = make_binary_w_dataset(n=70, seed=1)
     brute = stratified_plug_in_bate(data)
-    points = {
-        "reg": estimate_reg(data, BATE).point,
-        "ipw": estimate_ipw(data, BATE, BootstrapConfig(replicates=10, seed=0)).point,
-        "aipw": estimate_aipw(data, BATE).point,
-        "tmle": estimate_tmle(data, BATE).point,
-    }
-    errors = {key: abs(value - brute) for key, value in points.items()}
-    peb1 = estimate_reg(data, PEB1).point
-    peb0 = estimate_reg(data, PEB0).point
-    bate = estimate_reg(data, BATE).point
+    reports = estimate_many(
+        data, ESTIMATOR_NAMES, [BATE], boot=BootstrapConfig(replicates=10, seed=0)
+    )
+    errors = {r.estimator: abs(r.point - brute) for r in reports}
+    bate, peb1, peb0 = (r.point for r in estimate_many(data, ["reg"], [BATE, PEB1, PEB0]))
     identity_err = abs((peb1 - peb0) - bate)
     ok = all(err <= 1e-8 for err in errors.values()) and identity_err <= 1e-10 * max(1.0, abs(bate))
     _check(
@@ -251,7 +241,7 @@ def test_criterion_7_variance_crosschecks(mc_tables):
     mc, _ = mc_tables
     # sandwich BATE SE vs an independent EHW computation
     data = make_dataset(n=80, p=2, seed=3)
-    sandwich_se = estimate_reg(data, BATE).se
+    sandwich_se = estimate_many(data, ["reg"], [BATE])[0].se
     ehw = ehw_robust_se(data, 1)
     ehw_rel_err = abs(sandwich_se / ehw - 1.0)
     # mean bootstrap SE of the IPW estimator vs simulated SEs at n=300
@@ -297,10 +287,11 @@ def test_criterion_8_invariant_suite():
     small = sample_dgp(SPEC, 200, seed=[SEED, 8, 1])
     perm = np.random.default_rng(0).permutation(small.n)
     shuffled = small.subset(perm)
-    for fn, name in ((estimate_reg, "reg"), (estimate_aipw, "aipw"), (estimate_tmle, "tmle")):
-        a, b = fn(small, BATE).point, fn(shuffled, BATE).point
+    names = ["reg", "aipw", "tmle"]
+    for ra, rb in zip(estimate_many(small, names, [BATE]), estimate_many(shuffled, names, [BATE])):
+        a, b = ra.point, rb.point
         if abs(a - b) > 1e-9 * max(1.0, abs(a)):
-            problems.append(f"{name} not permutation invariant")
+            problems.append(f"{ra.estimator} not permutation invariant")
 
     # seed determinism of sampling and the bootstrap
     if not np.array_equal(sample_dgp(SPEC, 100, seed=5).y, sample_dgp(SPEC, 100, seed=5).y):

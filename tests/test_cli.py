@@ -298,6 +298,12 @@ class TestDensitiesCommand:
     def test_bad_grid(self, capsys):
         assert run_cli("densities", "--w", "0", "--grid", "nope") == 1
 
+    @pytest.mark.parametrize("grid", ["nan:1:0.5", "0:inf:1", "0:1e12:1e-3"])
+    def test_unusable_grid_is_a_validation_error(self, capsys, grid):
+        assert run_cli("densities", "--w", "0", "--grid", grid) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--grid" in err
+
     def test_bad_arm(self, capsys):
         assert run_cli("densities", "--w", "0", "--arm", "tilde9") == 1
 

@@ -22,11 +22,7 @@ from bineffect import (
     ValidationError,
     aipw_influence,
     bootstrap_se,
-    estimate_aipw,
-    estimate_ipw,
     estimate_many,
-    estimate_reg,
-    estimate_tmle,
     estimators,
     fit_logistic,
     nuisance,
@@ -68,17 +64,15 @@ class TestRegression:
     def test_no_covariates_difference_of_means(self):
         t = np.array([1.0] * 5 + [0.0] * 5)
         y = np.where(t == 1.0, 10.0, 4.0)
-        report = estimate_reg(ObservationSet(w=np.empty((10, 0)), t=t, y=y), BATE)
+        [report] = estimate_many(ObservationSet(w=np.empty((10, 0)), t=t, y=y), ["reg"], [BATE])
         assert report.point == pytest.approx(6.0, abs=1e-10)
 
     def test_peb_identity(self, dataset):
-        bate = estimate_reg(dataset, BATE).point
-        peb1 = estimate_reg(dataset, PEB1).point
-        peb0 = estimate_reg(dataset, PEB0).point
+        bate, peb1, peb0 = (r.point for r in estimate_many(dataset, ["reg"], [BATE, PEB1, PEB0]))
         assert peb1 - peb0 == pytest.approx(bate, rel=1e-10)
 
     def test_report_fields(self, dataset):
-        report = estimate_reg(dataset, PEB1, ci_level=0.9)
+        [report] = estimate_many(dataset, ["reg"], [PEB1], ci_level=0.9)
         assert report.estimator == "reg"
         assert report.n == dataset.n
         assert report.ci[0] < report.point < report.ci[1]
@@ -88,33 +82,34 @@ class TestSandwich:
     @pytest.mark.parametrize("seed,p", [(0, 1), (1, 2), (5, 3)])
     def test_bate_se_equals_ehw(self, seed, p):
         data = make_dataset(n=50, p=p, seed=seed)
-        se = estimate_reg(data, BATE).se
-        assert se == pytest.approx(ehw_robust_se(data, 1), rel=1e-8)
+        [report] = estimate_many(data, ["reg"], [BATE])
+        assert report.se == pytest.approx(ehw_robust_se(data, 1), rel=1e-8)
 
     def test_row_duplication_scaling(self, dataset):
         doubled = dataset.subset(np.concatenate([np.arange(dataset.n)] * 2))
-        for estimand in (BATE, PEB1):
-            se1 = estimate_reg(dataset, estimand).se
-            se2 = estimate_reg(doubled, estimand).se
-            assert se2**2 == pytest.approx(se1**2 / 2.0, rel=1e-8)
+        once = estimate_many(dataset, ["reg"], [BATE, PEB1])
+        twice = estimate_many(doubled, ["reg"], [BATE, PEB1])
+        for r1, r2 in zip(once, twice):
+            assert r2.se**2 == pytest.approx(r1.se**2 / 2.0, rel=1e-8)
 
     def test_peb_se_close_to_bootstrap(self):
         data = make_dataset(n=300, p=1, seed=21)
-        delta_se = estimate_reg(data, PEB1).se
+        [report] = estimate_many(data, ["reg"], [PEB1])
         boot_se, _ = bootstrap_se(
             data,
-            lambda d: estimate_reg(d, PEB1).point,
+            lambda d: estimate_many(d, ["reg"], [PEB1])[0].point,
             BootstrapConfig(replicates=500, seed=77),
         )
-        assert delta_se == pytest.approx(boot_se, rel=0.15)
+        assert report.se == pytest.approx(boot_se, rel=0.15)
 
 
 class TestIpw:
     def test_hand_computed_horvitz_thompson(self):
         data = ObservationSet(w=np.zeros((2, 1)), t=[1.0, 0.0], y=[3.0, 1.0])
         model = PropensityModel(intercept=0.0, coef=np.zeros(1))
-        report = estimate_ipw(
-            data, BATE, BootstrapConfig(replicates=30, seed=1), propensity=model
+        [report] = estimate_many(
+            data, ["ipw"], [BATE], Nuisances(data, propensity=model),
+            BootstrapConfig(replicates=30, seed=1),
         )
         assert report.point == pytest.approx(2.0, abs=1e-12)
         assert report.se >= 0.0
@@ -122,24 +117,23 @@ class TestIpw:
     def test_peb_identity(self):
         data = make_binary_w_dataset(n=80, seed=2)
         boot = BootstrapConfig(replicates=20, seed=0)
-        bate = estimate_ipw(data, BATE, boot).point
-        peb1 = estimate_ipw(data, PEB1, boot).point
-        peb0 = estimate_ipw(data, PEB0, boot).point
+        bate, peb1, peb0 = (
+            r.point for r in estimate_many(data, ["ipw"], [BATE, PEB1, PEB0], boot=boot)
+        )
         assert peb1 - peb0 == pytest.approx(bate, rel=1e-10)
 
     def test_seed_determinism(self):
         data = make_binary_w_dataset(n=60, seed=4)
         boot = BootstrapConfig(replicates=50, seed=123)
-        first = estimate_ipw(data, BATE, boot)
-        second = estimate_ipw(data, BATE, boot)
+        [first] = estimate_many(data, ["ipw"], [BATE], boot=boot)
+        [second] = estimate_many(data, ["ipw"], [BATE], boot=boot)
         assert first.se == second.se
         assert first.ci == second.ci
 
     def test_percentile_ci(self):
         data = make_binary_w_dataset(n=80, seed=5)
-        report = estimate_ipw(
-            data, BATE, BootstrapConfig(replicates=200, seed=8, ci_method="percentile")
-        )
+        boot = BootstrapConfig(replicates=200, seed=8, ci_method="percentile")
+        [report] = estimate_many(data, ["ipw"], [BATE], boot=boot)
         assert report.ci[0] < report.ci[1]
 
 
@@ -153,21 +147,18 @@ class TestAipw:
         wc = w - w.mean(axis=0)
         y = 1.0 + 2.0 * t + 0.7 * wc[:, 0] + 0.3 * t * wc[:, 0]  # zero residuals
         data = ObservationSet(w=w, t=t, y=y)
-        aipw = estimate_aipw(data, BATE).point
-        reg = estimate_reg(data, BATE).point
-        assert aipw == pytest.approx(reg, abs=1e-8)
+        aipw, reg = estimate_many(data, ["aipw", "reg"], [BATE])
+        assert aipw.point == pytest.approx(reg.point, abs=1e-8)
 
     def test_influence_mean_zero_and_se(self, dataset):
         for estimand in (BATE, PEB1, PEB0):
             record = aipw_influence(dataset, estimand)
             assert abs(record.phi.mean()) < 1e-8
-            report = estimate_aipw(dataset, estimand)
+            [report] = estimate_many(dataset, ["aipw"], [estimand])
             assert report.se == pytest.approx(record.se, rel=1e-12)
 
     def test_peb_identity(self, dataset):
-        bate = estimate_aipw(dataset, BATE).point
-        peb1 = estimate_aipw(dataset, PEB1).point
-        peb0 = estimate_aipw(dataset, PEB0).point
+        bate, peb1, peb0 = (r.point for r in estimate_many(dataset, ["aipw"], [BATE, PEB1, PEB0]))
         assert peb1 - peb0 == pytest.approx(bate, rel=1e-10)
 
 
@@ -177,8 +168,8 @@ class TestTmle:
         for estimand in (BATE, PEB1):
             fit = tmle_update(data, estimand)
             assert fit.fluctuation == pytest.approx(0.0, abs=1e-8)
-        reg = estimate_reg(data, BATE).point
-        assert estimate_tmle(data, BATE).point == pytest.approx(reg, abs=1e-8)
+        reg, tmle = estimate_many(data, ["reg", "tmle"], [BATE])
+        assert tmle.point == pytest.approx(reg.point, abs=1e-8)
 
     def test_influence_mean_zero_after_update(self, dgp):
         data = sample_dgp(dgp, 400, seed=3)
@@ -190,18 +181,16 @@ class TestTmle:
     def test_affine_rescaling_invariance(self):
         data = make_dataset(n=80, p=2, seed=13, y_scale=3.0)
         scaled = ObservationSet(w=data.w, t=data.t, y=4.5 * data.y - 11.0)
-        for estimand in (BATE, PEB1):
-            base = estimate_tmle(data, estimand).point
-            rescaled = estimate_tmle(scaled, estimand).point
-            assert rescaled / 4.5 == pytest.approx(base, rel=1e-6)
+        bases = estimate_many(data, ["tmle"], [BATE, PEB1])
+        for base, rescaled in zip(bases, estimate_many(scaled, ["tmle"], [BATE, PEB1])):
+            assert rescaled.point / 4.5 == pytest.approx(base.point, rel=1e-6)
 
     def test_agrees_with_aipw_on_dgp(self, dgp):
         diffs = []
         for rep in range(20):
             data = sample_dgp(dgp, 500, seed=[100, rep])
-            diffs.append(
-                abs(estimate_tmle(data, BATE).point - estimate_aipw(data, BATE).point)
-            )
+            tmle, aipw = estimate_many(data, ["tmle", "aipw"], [BATE])
+            diffs.append(abs(tmle.point - aipw.point))
         assert np.mean(diffs) < 0.5
 
 
@@ -218,7 +207,7 @@ class TestBootstrapSe:
     def test_bitwise_determinism(self):
         data = make_dataset(n=50, p=1, seed=2)
         cfg = BootstrapConfig(replicates=100, seed=99)
-        fn = lambda d: estimate_reg(d, BATE).point
+        fn = lambda d: estimate_many(d, ["reg"], [BATE])[0].point
         assert bootstrap_se(data, fn, cfg) == bootstrap_se(data, fn, cfg)
 
     def test_degenerate_resamples_redrawn(self):
@@ -227,9 +216,9 @@ class TestBootstrapSe:
         with pytest.warns(UserWarning, match="redrew"):
             se, ci = bootstrap_se(
                 data,
-                lambda d: estimate_reg(
-                    ObservationSet(w=np.empty((d.n, 0)), t=d.t, y=d.y), BATE
-                ).point,
+                lambda d: estimate_many(
+                    ObservationSet(w=np.empty((d.n, 0)), t=d.t, y=d.y), ["reg"], [BATE]
+                )[0].point,
                 BootstrapConfig(replicates=25, seed=0),
             )
         assert np.isfinite(se) and ci[0] <= ci[1]
@@ -257,19 +246,19 @@ class TestEstimatorProperties:
     @settings(max_examples=25, deadline=None)
     def test_peb_decomposition_holds_everywhere(self, seed, p):
         data = make_dataset(n=45, p=p, seed=seed)
-        for fn in (estimate_reg, estimate_aipw):
-            bate = fn(data, BATE).point
-            gap = fn(data, PEB1).point - fn(data, PEB0).point
-            assert gap == pytest.approx(bate, rel=1e-9, abs=1e-9)
+        for name in ("reg", "aipw"):
+            bate, peb1, peb0 = (r.point for r in estimate_many(data, [name], [BATE, PEB1, PEB0]))
+            assert peb1 - peb0 == pytest.approx(bate, rel=1e-9, abs=1e-9)
 
     @given(seed=st.integers(0, 2**31), scale=st.floats(0.1, 50.0), shift=st.floats(-100.0, 100.0))
     @settings(max_examples=15, deadline=None)
     def test_tmle_affine_equivariance(self, seed, scale, shift):
         data = make_dataset(n=60, p=1, seed=seed)
         rescaled = ObservationSet(w=data.w, t=data.t, y=scale * data.y + shift)
-        base = estimate_tmle(data, BATE).point
-        assert estimate_tmle(rescaled, BATE).point == pytest.approx(
-            scale * base, rel=1e-6, abs=1e-6 * max(1.0, scale)
+        [base] = estimate_many(data, ["tmle"], [BATE])
+        [report] = estimate_many(rescaled, ["tmle"], [BATE])
+        assert report.point == pytest.approx(
+            scale * base.point, rel=1e-6, abs=1e-6 * max(1.0, scale)
         )
 
 
@@ -277,21 +266,19 @@ class TestCrossEstimatorEquivalences:
     def test_all_four_match_stratified_plug_in(self):
         data = make_binary_w_dataset(n=70, seed=1)
         brute = stratified_plug_in_bate(data)
-        assert estimate_reg(data, BATE).point == pytest.approx(brute, abs=1e-8)
-        ipw = estimate_ipw(data, BATE, BootstrapConfig(replicates=10, seed=0))
-        assert ipw.point == pytest.approx(brute, abs=1e-8)
-        assert estimate_aipw(data, BATE).point == pytest.approx(brute, abs=1e-8)
-        assert estimate_tmle(data, BATE).point == pytest.approx(brute, abs=1e-8)
+        reports = estimate_many(
+            data, ESTIMATOR_NAMES, [BATE], boot=BootstrapConfig(replicates=10, seed=0)
+        )
+        for report in reports:
+            assert report.point == pytest.approx(brute, abs=1e-8)
 
     def test_permutation_invariance(self, dataset):
         perm = np.random.default_rng(33).permutation(dataset.n)
         shuffled = dataset.subset(perm)
-        for fn in (estimate_reg, estimate_aipw, estimate_tmle):
-            assert fn(shuffled, BATE).point == pytest.approx(fn(dataset, BATE).point, rel=1e-9)
         boot = BootstrapConfig(replicates=10, seed=0)
-        assert estimate_ipw(shuffled, BATE, boot).point == pytest.approx(
-            estimate_ipw(dataset, BATE, boot).point, rel=1e-9
-        )
+        moved = estimate_many(shuffled, ESTIMATOR_NAMES, [BATE], boot=boot)
+        for m, base in zip(moved, estimate_many(dataset, ESTIMATOR_NAMES, [BATE], boot=boot)):
+            assert m.point == pytest.approx(base.point, rel=1e-9)
 
 
 def mirrored_reports(spec, n, seed):
@@ -356,13 +343,9 @@ class TestEstimateMany:
         boot = BootstrapConfig(replicates=25, seed=3)
         separate = [
             report
-            for fn in (
-                lambda e: estimate_reg(data, e, seed=3),
-                lambda e: estimate_ipw(data, e, boot),
-                lambda e: estimate_aipw(data, e, seed=3),
-                lambda e: estimate_tmle(data, e, seed=3),
-            )
-            for report in map(fn, estimands)
+            for name in ESTIMATOR_NAMES
+            for e in estimands
+            for report in estimate_many(data, [name], [e], boot=boot, seed=3)
         ]
         ols = count_calls(monkeypatch, "fit_ols_interacted")
         logistic = count_calls(monkeypatch, "fit_logistic")
@@ -382,8 +365,8 @@ class TestEstimateMany:
         # resamples form one block, refitted by a single batched IRLS call
         assert [kw.get("start") is None for kw in logistic] == [True]
         assert not any("redrew" in note for r in joint for note in r.diagnostics)
-        shapes = [None if kw.get("counts") is None else kw["counts"].shape for kw in irls]
-        assert shapes == [None, (boot.replicates, data.n)]
+        shapes = [kw["counts"].shape for kw in irls]
+        assert shapes == [(1, data.n), (boot.replicates, data.n)]
 
     def test_injected_propensity_is_never_refit(self, monkeypatch):
         data = make_binary_w_dataset(n=60, seed=3)
@@ -487,14 +470,14 @@ class TestBatchedBootstrap:
         data = sample_dgp(DgpSpec(), 150, seed=4)
         irls = count_calls(monkeypatch, "_irls", module=nuisance)
         estimate_many(data, ["ipw"], [BATE, PEB1], boot=BootstrapConfig(200, seed=0))
-        blocks = [kw["counts"].shape for kw in irls if kw.get("counts") is not None]
+        blocks = [kw["counts"].shape for kw in irls if kw.get("start") is not None]
         assert blocks and all(cols <= 4 for _, cols in blocks)
 
     def test_resample_that_does_not_converge_raises(self, monkeypatch):
         original = nuisance._irls
 
         def one_step_refits(*args, **kwargs):
-            if kwargs.get("counts") is not None:
+            if kwargs.get("start") is not None:
                 kwargs["max_iter"] = 1
             return original(*args, **kwargs)
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import bineffect
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bineffect"
 
 
@@ -29,3 +31,9 @@ def test_no_module_imports_another_modules_private_names(module):
 def test_estimand_kind_is_mapped_only_in_core(module):
     """Estimators see an estimand only through `EstimandSpec.contrast`."""
     assert "EstimandKind" not in (PACKAGE / module).read_text(encoding="utf-8")
+
+
+def test_every_public_name_resolves():
+    """`from bineffect import *` needs every name in `__all__` on the package."""
+    missing = [name for name in bineffect.__all__ if not hasattr(bineffect, name)]
+    assert missing == []

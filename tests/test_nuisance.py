@@ -165,7 +165,7 @@ class TestLogistic:
 
         x = np.hstack([np.ones((dataset.n, 1)), dataset.w])
         with pytest.raises(ConvergenceError, match="last step sizes"):
-            _irls(x, dataset.t, ["intercept", "w1", "w2"], max_iter=1)
+            _irls(x, dataset.t, counts=np.ones((1, dataset.n)), max_iter=1)
 
     def test_probabilities_strictly_inside_unit_interval(self, dataset):
         model = fit_logistic(dataset)

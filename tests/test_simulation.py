@@ -8,9 +8,7 @@ from bineffect import (
     EstimandSpec,
     QuadratureError,
     ValidationError,
-    estimate_aipw,
-    estimate_reg,
-    estimate_tmle,
+    estimate_many,
     estimators,
     simulation,
 )
@@ -229,12 +227,12 @@ class TestMonteCarlo:
     def test_cells_are_means_of_library_estimates(self, dgp):
         n, reps, seed = 120, 4, 13
         estimands = (BATE, PEB1, PEB0)
-        library = {"reg": estimate_reg, "aipw": estimate_aipw, "tmle": estimate_tmle}
-        result = run_monte_carlo(dgp, [n], reps, list(library), seed, estimands=estimands)[0]
+        names = ["reg", "aipw", "tmle"]
+        result = run_monte_carlo(dgp, [n], reps, names, seed, estimands=estimands)[0]
         datasets = [sample_dgp(dgp, n, np.random.default_rng([seed, n, r])) for r in range(reps)]
-        for name, fn in library.items():
+        for name in names:
             for e in estimands:
-                reports = [fn(d, e) for d in datasets]
+                reports = [estimate_many(d, [name], [e])[0] for d in datasets]
                 row = result.row(name, e)
                 assert row.n_failed == 0
                 assert row.mean_estimate == np.mean([r.point for r in reports])
@@ -294,6 +292,6 @@ class TestLargeSampleConsistency:
         # the conditional mean given (t, w) is exactly linear for binary w,
         # so the interacted fit is consistent; check at a single large n
         data = sample_dgp(dgp, 1_000_000, seed=77)
-        report = estimate_reg(data, BATE)
+        [report] = estimate_many(data, ["reg"], [BATE])
         truth = truth_oracle(dgp).psi_bate
         assert abs(report.point - truth) < 3.0 * report.se
