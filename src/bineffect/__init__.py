@@ -12,7 +12,6 @@ from .core import (
     ConvergenceError,
     DegenerateArmError,
     Direction,
-    EstimandKind,
     EstimandSpec,
     EstimateReport,
     EstimationError,
@@ -68,7 +67,6 @@ __all__ = [
     "DgpSpec",
     "Direction",
     "ESTIMATOR_NAMES",
-    "EstimandKind",
     "EstimandSpec",
     "EstimateReport",
     "EstimationError",

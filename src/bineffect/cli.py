@@ -139,7 +139,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         header = "estimand,arm,estimator,point,se,ci_low,ci_high,ci_level,n,seed,warnings".split(",")
         rows = [
-            [r.estimand.kind.value, r.estimand.arm, r.estimator, r.point, r.se, *r.ci,
+            [r.estimand.kind, r.estimand.arm, r.estimator, r.point, r.se, *r.ci,
              r.ci_level, r.n, r.seed, ";".join(r.diagnostics)]
             for r in reports
         ]

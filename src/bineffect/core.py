@@ -74,17 +74,6 @@ class BinarizationRule:
         if not isinstance(self.direction, Direction):
             raise ValidationError(f"direction must be a Direction, got {self.direction!r}")
 
-    def apply(self, a: np.ndarray | float) -> np.ndarray | float:
-        """Map treatment values to {0, 1}; total on finite reals."""
-        arr = np.asarray(a, dtype=float)
-        if arr.size and not np.isfinite(arr).all():
-            raise ValidationError("treatment values must be finite")
-        if self.direction is Direction.GEQ:
-            out = (arr >= self.cutoff).astype(float)
-        else:
-            out = (arr < self.cutoff).astype(float)
-        return float(out) if np.ndim(a) == 0 else out
-
 
 def binarize(a: np.ndarray, rule: BinarizationRule) -> np.ndarray:
     """Binarize a vector of continuous treatments with `rule`.
@@ -95,58 +84,56 @@ def binarize(a: np.ndarray, rule: BinarizationRule) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"expected a 1-d treatment vector, got shape {arr.shape}")
-    return np.asarray(rule.apply(arr), dtype=float)
+    if arr.size and not np.isfinite(arr).all():
+        raise ValidationError("treatment values must be finite")
+    treated = arr >= rule.cutoff if rule.direction is Direction.GEQ else arr < rule.cutoff
+    return treated.astype(float)
 
 
-class EstimandKind(enum.Enum):
-    BATE = "bate"
-    PEB = "peb"
+# estimand key -> its weights on the policy means (mu1, mu0, E[Y])
+_CONTRASTS = {"bate": (1.0, -1.0, 0.0), "peb1": (1.0, 0.0, -1.0), "peb0": (0.0, 1.0, -1.0)}
 
 
 @dataclass(frozen=True)
 class EstimandSpec:
-    """Target quantity: the binarized ATE, or the policy effect for one arm."""
+    """Target quantity, named by its key: the binarized ATE ('bate'), or the
+    policy effect of binarization for arm 1 ('peb1') or arm 0 ('peb0')."""
 
-    kind: EstimandKind
-    arm: int | None = None
+    key: str
 
     def __post_init__(self) -> None:
-        if self.kind is EstimandKind.PEB:
-            if self.arm not in (0, 1):
-                raise ValidationError("PEB requires arm in {0, 1}")
-        elif self.arm is not None:
-            object.__setattr__(self, "arm", None)  # arm is ignored for BATE
+        if self.key not in _CONTRASTS:
+            raise ValidationError(f"unknown estimand {self.key!r}; expected one of {sorted(_CONTRASTS)}")
 
     @classmethod
     def bate(cls) -> "EstimandSpec":
-        return cls(EstimandKind.BATE)
+        return cls("bate")
 
     @classmethod
     def peb(cls, arm: int) -> "EstimandSpec":
-        return cls(EstimandKind.PEB, arm)
+        return cls(f"peb{arm}")
+
+    @classmethod
+    def from_key(cls, key: str) -> "EstimandSpec":
+        return cls(key)
 
     @property
-    def key(self) -> str:
-        """Short machine name: 'bate', 'peb1' or 'peb0'."""
-        if self.kind is EstimandKind.BATE:
-            return "bate"
-        return f"peb{self.arm}"
+    def kind(self) -> str:
+        """'bate' or 'peb'."""
+        return "bate" if self.key == "bate" else "peb"
+
+    @property
+    def arm(self) -> int | None:
+        """The restricted policy a PEB compares with the status quo; None for BATE."""
+        return None if self.key == "bate" else int(self.key[-1])
 
     @property
     def contrast(self) -> tuple[float, float, float]:
         """Weights on the policy means (mu1, mu0, E[Y]) that give this estimand.
 
         BATE = mu1 - mu0 and PEB compares one policy with the status quo.
-        This is the only place that maps `kind` and `arm` to arithmetic.
         """
-        return {"bate": (1.0, -1.0, 0.0), "peb1": (1.0, 0.0, -1.0), "peb0": (0.0, 1.0, -1.0)}[self.key]
-
-    @classmethod
-    def from_key(cls, key: str) -> "EstimandSpec":
-        table = {"bate": cls.bate(), "peb1": cls.peb(1), "peb0": cls.peb(0)}
-        if key not in table:
-            raise ValidationError(f"unknown estimand {key!r}; expected one of {sorted(table)}")
-        return table[key]
+        return _CONTRASTS[self.key]
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -162,7 +149,7 @@ class ObservationSet:
     `w` is the n x p covariate matrix, `t` the binary treatment, `y` the
     outcome, and `a` the optional continuous treatment the binary one was
     derived from. When both `a` and a rule are present, `t` must equal
-    `rule.apply(a)` exactly. All values must be finite.
+    `binarize(a, rule)` exactly. All values must be finite.
     """
 
     w: np.ndarray
@@ -200,7 +187,7 @@ class ObservationSet:
                 bad = int(np.argwhere(~np.isfinite(a))[0][0])
                 raise ValidationError(f"non-finite value in column 'a' at row {bad}")
             if self.rule is not None:
-                derived = self.rule.apply(a)
+                derived = binarize(a, self.rule)
                 if not np.array_equal(derived, t):
                     bad = int(np.argwhere(derived != t)[0][0])
                     raise ValidationError(
@@ -247,56 +234,37 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """One estimate with its standard error, normal confidence interval and notes."""
+    """One estimate with its standard error, confidence interval and notes.
+
+    `ci` defaults to the normal interval point +- z * se at `ci_level`.
+    """
 
     estimand: EstimandSpec
     estimator: str
     point: float
     se: float
-    ci_level: float
-    ci: tuple[float, float]
     n: int
+    ci_level: float = 0.95
     diagnostics: tuple[str, ...] = ()
     seed: int | None = None
+    ci: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.se < 0 or not np.isfinite(self.se):
-            raise ValidationError(f"se must be finite and >= 0, got {self.se}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValidationError(f"ci_level must be in (0, 1), got {self.ci_level}")
-
-    @classmethod
-    def from_point_se(
-        cls,
-        estimand: EstimandSpec,
-        estimator: str,
-        point: float,
-        se: float,
-        n: int,
-        ci_level: float = 0.95,
-        diagnostics: tuple[str, ...] = (),
-        seed: int | None = None,
-        ci: tuple[float, float] | None = None,
-    ) -> "EstimateReport":
-        """Build a report; `ci` defaults to the normal interval point +- z*se."""
-        if ci is None:
-            half = z_quantile(ci_level) * se
-            ci = (point - half, point + half)
-        return cls(
-            estimand=estimand,
-            estimator=estimator,
-            point=float(point),
-            se=float(se),
-            ci_level=float(ci_level),
-            ci=(float(ci[0]), float(ci[1])),
-            n=int(n),
-            diagnostics=tuple(diagnostics),
-            seed=seed,
-        )
+        point, se = float(self.point), float(self.se)
+        if se < 0 or not np.isfinite(se):
+            raise ValidationError(f"se must be finite and >= 0, got {se}")
+        half = z_quantile(self.ci_level) * se  # raises ValidationError for a level outside (0, 1)
+        ci = (point - half, point + half) if self.ci is None else self.ci
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "se", se)
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "ci_level", float(self.ci_level))
+        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
+        object.__setattr__(self, "ci", (float(ci[0]), float(ci[1])))
 
     def to_dict(self) -> dict:
         return {
-            "estimand": self.estimand.kind.value,
+            "estimand": self.estimand.kind,
             "arm": self.estimand.arm,
             "estimator": self.estimator,
             "point": self.point,
@@ -345,6 +313,9 @@ def load_csv(path: str | Path, rule: BinarizationRule | None = None) -> Observat
 
 def _column_indices(path: Path, header: list[str], rule: BinarizationRule | None):
     """Header positions of y, t (or None), a (or None) and the covariates."""
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise ValidationError(f"{path}: column '{name}' appears more than once in the header")
     if "y" not in header:
         raise ValidationError(f"{path}: missing required column 'y'")
     y_idx = header.index("y")

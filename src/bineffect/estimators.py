@@ -450,7 +450,7 @@ def estimate_many(
             rows = [(theta @ c, _influence_se(phi @ c), None) for c in contrasts]
         diagnostics = () if name == "reg" else nuis.diagnostics + ((note,) if note else ())
         reports += [
-            EstimateReport.from_point_se(
+            EstimateReport(
                 e, name, point, se, data.n,
                 ci_level=ci_level, diagnostics=diagnostics, seed=seed, ci=ci,
             )

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -181,7 +180,7 @@ def density_curve(spec: DgpSpec, arm: str, w: int, grid: np.ndarray) -> np.ndarr
     if grid.size and not np.isfinite(grid).all():
         raise ValidationError("grid must be finite")
     base = stats.norm.pdf(grid, loc=spec.a_mean(w), scale=spec.a_sd)
-    treated_region = np.asarray(spec.rule.apply(grid), dtype=bool)
+    treated_region = binarize(grid, spec.rule).astype(bool)
     pi1 = spec.propensity(w)
     if arm == "status_quo":
         dens = base
@@ -275,15 +274,16 @@ def run_monte_carlo(
     seed: int,
     estimands: Sequence[EstimandSpec] = (EstimandSpec.bate(), EstimandSpec.peb(1)),
     boot_replicates: int = 200,
-    threads: int | None = 1,
+    threads: int = 1,
 ) -> list[McResult]:
     """Repeated-sampling study of the requested estimators.
 
     Per (n, estimator, estimand) cell: mean estimate, bias against the
     quadrature truth, mean estimated SE and the SD of the estimates across
     replicates. Replicates whose estimator fails (degenerate arm, separation)
-    are excluded and counted. Deterministic for a fixed seed regardless of
-    `threads`; None runs one process per core.
+    are excluded and counted. `threads` worker processes share the
+    replicates of each sample size, at most one process per replicate.
+    Deterministic for a fixed seed regardless of `threads`.
     """
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
@@ -291,12 +291,12 @@ def run_monte_carlo(
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if any(n < 1 for n in n_list):
         raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
-    if threads is not None and threads < 1:
+    if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     truth = truth_oracle(spec)
     estimator_tuple = tuple(estimators)
     estimand_keys = tuple(e.key for e in estimands)
-    threads = threads or os.cpu_count() or 1
+    threads = min(threads, replicates)  # a pool starts all its workers at the first task
 
     results = []
     for n in n_list:

@@ -327,6 +327,12 @@ def test_readme_has_the_simulate_tables_command():
     assert any("simulate --seed 20260809" in c for c in _readme_commands())
 
 
+def test_readme_has_every_density_curve_command():
+    parsed = [build_parser().parse_args(shlex.split(c)[1:]) for c in _readme_commands()]
+    pairs = {(a.arm, a.w) for a in parsed if a.subcommand == "densities" and a.output is not None}
+    assert pairs == {(arm, w) for arm in simulation.DENSITY_ARMS for w in (0, 1)}
+
+
 @pytest.mark.parametrize("command", _readme_commands())
 def test_readme_command_parses(command):
     build_parser().parse_args(shlex.split(command)[1:])  # parses only; a rejected flag exits

@@ -41,10 +41,6 @@ class TestBinarize:
         rule = BinarizationRule(6.0, Direction.LT)
         assert binarize(np.array([6.0, 6.0, 6.0]), rule).tolist() == [0.0, 0.0, 0.0]
 
-    def test_apply_at_cutoff(self):
-        assert GEQ6.apply(6.0) == 1.0
-        assert BinarizationRule(6.0, Direction.LT).apply(6.0) == 0.0
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             binarize(np.array([1.0, np.nan]), GEQ6)
@@ -175,6 +171,22 @@ class TestCsv:
         path.write_bytes(raw)
         with pytest.raises(ValidationError, match="latin1.csv: not UTF-8 text"):
             load_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, name, row_loop",
+        [
+            ("y,t,y,w1\n1.5,0,2,3\n2.5,1,4,5\n", "y", False),
+            ('"y","t","y","w1"\n1.5,0,2,3\n2.5,1,4,5\n', "y", True),
+            ("y,t,t,w1\n1.5,0,1,3\n2.5,1,0,5\n", "t", False),
+            ('y,"t",t,w1\n1.5,0,1,3\n2.5,1,0,5\n', "t", True),
+        ],
+    )
+    def test_repeated_header_column_is_rejected_on_both_paths(self, text, name, row_loop):
+        chosen, rows_only, row_loop_ran = _both_paths(text)
+        assert chosen == rows_only
+        assert chosen[0] is ValidationError
+        assert f"column '{name}' appears more than once in the header" in chosen[1]
+        assert row_loop_ran == row_loop
 
     @pytest.mark.parametrize("record", ["1.5,1,0,9", "1.5,1,0,", "1,234,1,0"])
     def test_record_longer_than_header_names_line_and_counts(self, tmp_path, record):
@@ -372,9 +384,7 @@ class TestReportTypes:
         assert EstimandSpec.from_key("peb1") == EstimandSpec.peb(1)
 
     def test_normal_ci_identity(self):
-        report = EstimateReport.from_point_se(
-            EstimandSpec.bate(), "reg", point=2.0, se=1.5, n=10, ci_level=0.95
-        )
+        report = EstimateReport(EstimandSpec.bate(), "reg", point=2.0, se=1.5, n=10, ci_level=0.95)
         half = z_quantile(0.95) * 1.5
         assert report.ci == (2.0 - half, 2.0 + half)
         assert abs(z_quantile(0.95) - 1.959964) < 1e-6
@@ -386,10 +396,10 @@ class TestReportTypes:
 
     def test_negative_se_rejected(self):
         with pytest.raises(ValidationError):
-            EstimateReport.from_point_se(EstimandSpec.bate(), "reg", 1.0, -0.1, 10)
+            EstimateReport(EstimandSpec.bate(), "reg", 1.0, -0.1, 10)
 
     def test_to_dict_keys(self):
-        d = EstimateReport.from_point_se(EstimandSpec.peb(1), "aipw", 1.0, 0.5, 20, seed=3).to_dict()
+        d = EstimateReport(EstimandSpec.peb(1), "aipw", 1.0, 0.5, 20, seed=3).to_dict()
         assert set(d) == {
             "estimand", "arm", "estimator", "point", "se", "ci", "ci_level", "n", "warnings", "seed",
         }

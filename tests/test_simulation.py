@@ -254,6 +254,26 @@ class TestMonteCarlo:
         assert serial[0] == again[0]
         assert serial[0] == threaded[0]
 
+    def test_pool_is_capped_at_the_replicate_count(self, dgp, monkeypatch):
+        pools = []
+
+        class RecordingPool:  # starts no process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+        run_monte_carlo(dgp, [60, 80], 3, ["reg"], seed=0, threads=64)
+        assert pools == [3, 3]
+
     def test_bias_is_against_oracle(self, dgp):
         results = run_monte_carlo(dgp, [100], 3, ["reg"], seed=2, estimands=(BATE,))
         row = results[0].row("reg", BATE)
