@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 
 class ValidationError(ValueError):
@@ -47,7 +47,7 @@ def z_quantile(ci_level: float) -> float:
     """Two-sided normal critical value for a confidence level (1.959964 at 0.95)."""
     if not 0.0 < ci_level < 1.0:
         raise ValidationError(f"ci_level must be in (0, 1), got {ci_level}")
-    return float(stats.norm.ppf(0.5 + ci_level / 2.0))
+    return float(special.ndtri(0.5 + ci_level / 2.0))
 
 
 class Direction(enum.Enum):
@@ -285,7 +285,9 @@ def load_csv(path: str | Path, rule: BinarizationRule | None = None) -> Observat
     Numbers are parsed as 64-bit floats. A leading byte order mark and blank
     lines are ignored. A record may not have more fields than the header.
     Errors name the offending line of the file (the header is line 1) and
-    column, or the path of a directory or of a file that is not UTF-8.
+    column, or the path of a directory or of a file that is not UTF-8. The
+    header's own errors (a missing `y` or treatment, a repeated name) are
+    raised before any record is read.
 
     The numbers of the whole file are read in one `np.loadtxt` pass when the
     header is unquoted, every record holds one float per header field and
@@ -337,12 +339,14 @@ def _read_table(path: Path, fh, rule: BinarizationRule | None):
 
     Accepts only what the row loop reads to the same values: an unquoted
     header, then records of exactly one float per header field (no quotes,
-    text or empty fields), at least one of them, and a 0/1 `t`.
+    text or empty fields), at least one of them, and a 0/1 `t`. An unquoted
+    header is checked, and its errors raised, before any record is read.
     """
     first = fh.readline()
-    if '"' in first:
+    if not first or '"' in first:
         return None
     header = [h.strip() for h in next(csv.reader([first]))]
+    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no records
         try:
@@ -351,7 +355,6 @@ def _read_table(path: Path, fh, rule: BinarizationRule | None):
             return None
     if table.shape[1] != len(header):
         return None
-    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
     t = None if t_idx is None else table[:, t_idx]
     if t is not None and not np.isin(t, (0.0, 1.0)).all():
         return None
@@ -367,6 +370,7 @@ def _read_rows(path: Path, fh, rule: BinarizationRule | None):
     except StopIteration:
         raise ValidationError(f"{path}: file is empty, expected a header row") from None
     header = [h.strip() for h in header]
+    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
     rows, linenos = [], array("l")  # file line of each non-blank record
     for row in reader:
         if row:
@@ -374,7 +378,6 @@ def _read_rows(path: Path, fh, rule: BinarizationRule | None):
             linenos.append(reader.line_num)
     if not rows:
         raise ValidationError(f"{path}: no data rows after the header")
-    y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
 
     def parse(row: list[str], lineno: int, j: int) -> float:
         if j >= len(row):
@@ -432,17 +435,24 @@ def save_csv(data: ObservationSet, path: str | Path) -> None:
 
 
 def positivity_diagnostic(fit, data: ObservationSet, eps: float = 0.01) -> list[str]:
-    """Flag units whose estimated propensity is within `eps` of 0 or 1.
+    """Summarise the units whose estimated propensity is within `eps` of 0 or 1.
 
-    `fit` is any object with a predict_proba(w) method. Returns warning
-    strings (one per flagged unit) and never raises on extreme values.
+    `fit` is any object with a predict_proba(w) method. A unit is flagged
+    when its propensity is strictly below `eps` or strictly above 1 - eps.
+    Returns [] when no unit is flagged, otherwise one warning string with the
+    band, the number flagged of n, the count on each side, and the minimum
+    and maximum propensity over all units; it never raises on extreme
+    values. The flagged indices themselves are
+    `np.flatnonzero((p < eps) | (p > 1 - eps))` for `p = Nuisances(data).pscore`.
     """
     if not 0.0 < eps < 0.5:
         raise ValidationError(f"eps must be in (0, 0.5), got {eps}")
     probs = np.asarray(fit.predict_proba(data.w), dtype=float).ravel()
-    out = []
-    for i in np.flatnonzero((probs < eps) | (probs > 1.0 - eps)):
-        out.append(
-            f"unit {int(i)}: propensity {probs[i]:.6g} outside [{eps:g}, {1.0 - eps:g}]"
-        )
-    return out
+    below = int(np.count_nonzero(probs < eps))
+    above = int(np.count_nonzero(probs > 1.0 - eps))
+    if below + above == 0:
+        return []
+    return [
+        f"propensity outside [{eps:g}, {1.0 - eps:g}] for {below + above} of {probs.size} units "
+        f"({below} below, {above} above; min {probs.min():.6g}, max {probs.max():.6g})"
+    ]

@@ -95,6 +95,26 @@ class TestEstimateCommand:
         for row, report in zip(rows[1:], payload):
             assert row[rows[0].index("warnings")] == ";".join(report["warnings"])
 
+    @pytest.mark.parametrize("n", [2_000, 20_000])
+    def test_one_positivity_warning_per_report_whatever_n(self, tmp_path, capsys, n):
+        path = tmp_path / "overlap.csv"
+        save_csv(sample_dgp(DgpSpec(a_mean_slope=4.0), n, 7), path)
+        code = run_cli(
+            "estimate", "--input", str(path), "--cutoff", "6",
+            "--estimator", "reg,ipw,aipw,tmle", "--boot-reps", "20",
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        positivity = {
+            r["estimator"]: [w for w in r["warnings"] if w.startswith("propensity outside")]
+            for r in payload
+        }
+        assert {name: len(found) for name, found in positivity.items()} == {
+            "reg": 0, "ipw": 1, "aipw": 1, "tmle": 1,
+        }
+        assert payload[0]["warnings"] == []
+        assert f" of {n} units (0 below, " in positivity["ipw"][0]
+
     def test_multiple_estimators(self, data_csv, capsys):
         code = run_cli(
             "estimate", "--input", data_csv, "--cutoff", "6",

@@ -1,13 +1,16 @@
+import csv
 import re
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from bineffect import (
     BinarizationRule,
@@ -26,6 +29,7 @@ from bineffect import (
     z_quantile,
 )
 from bineffect.simulation import DgpSpec, sample_dgp
+from conftest import forbid
 
 GEQ6 = BinarizationRule(6.0, Direction.GEQ)
 
@@ -187,6 +191,45 @@ class TestCsv:
         assert chosen[0] is ValidationError
         assert f"column '{name}' appears more than once in the header" in chosen[1]
         assert row_loop_ran == row_loop
+
+    @pytest.mark.parametrize("records", [0, 1000])
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("y,t,y,w1", "column 'y' appears more than once"),
+            ('"y","t","y","w1"', "column 'y' appears more than once"),
+            ("t,w1,w2,w3", "missing required column 'y'"),
+            ('"y","w1","w2","w3"', "expected a treatment column"),
+        ],
+    )
+    def test_bad_header_is_reported_before_any_record_is_read(
+        self, tmp_path, monkeypatch, header, message, records
+    ):
+        path = tmp_path / "d.csv"
+        path.write_text(header + "\n" + "1.5,0,2,3\n" * records)
+        parsed = []  # every row a csv.reader in core yields
+        real_reader = csv.reader
+
+        class CountingReader:
+            def __init__(self, lines):
+                self._reader = real_reader(lines)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                parsed.append(next(self._reader))
+                return parsed[-1]
+
+            @property
+            def line_num(self):
+                return self._reader.line_num
+
+        forbid(monkeypatch, np, "loadtxt")
+        monkeypatch.setattr(core, "csv", SimpleNamespace(reader=CountingReader))
+        with pytest.raises(ValidationError, match=message):
+            load_csv(path)
+        assert len(parsed) == 1  # the header
 
     @pytest.mark.parametrize("record", ["1.5,1,0,9", "1.5,1,0,", "1,234,1,0"])
     def test_record_longer_than_header_names_line_and_counts(self, tmp_path, record):
@@ -365,14 +408,41 @@ class TestPositivity:
         probs = np.full(dataset.n, 0.5)
         probs[7] = 0.001
         warnings = positivity_diagnostic(_FixedProbs(probs), dataset, eps=0.01)
-        assert len(warnings) == 1
-        assert "unit 7" in warnings[0]
+        assert warnings == [
+            f"propensity outside [0.01, 0.99] for 1 of {dataset.n} units "
+            "(1 below, 0 above; min 0.001, max 0.5)"
+        ]
+
+    def test_propensities_at_the_band_edges_are_not_flagged(self, dataset):
+        probs = np.full(dataset.n, 0.5)
+        probs[:2] = [0.01, 0.99]
+        assert positivity_diagnostic(_FixedProbs(probs), dataset, eps=0.01) == []
+        probs[2:4] = [np.nextafter(0.01, 0.0), np.nextafter(0.99, 1.0)]
+        (warning,) = positivity_diagnostic(_FixedProbs(probs), dataset, eps=0.01)
+        assert f"for 2 of {dataset.n} units (1 below, 1 above;" in warning
+
+    def test_many_flagged_units_give_one_string(self):
+        n = 100_000
+        data = ObservationSet(w=np.zeros((n, 1)), t=np.arange(n) % 2, y=np.zeros(n))
+        probs = np.linspace(0.0, 1.0, n)
+        below, above = int((probs < 0.05).sum()), int((probs > 0.95).sum())
+        warnings = positivity_diagnostic(_FixedProbs(probs), data, eps=0.05)
+        assert warnings == [
+            f"propensity outside [0.05, 0.95] for {below + above} of {n} units "
+            f"({below} below, {above} above; min 0, max 1)"
+        ]
 
     def test_dgp_fit_is_clean_at_default_eps(self, dgp):
         data = sample_dgp(dgp, 500, seed=11)
         model = fit_logistic(data)
         # population propensities are 1 - Phi(1) and Phi(1), far from 0/1
         assert positivity_diagnostic(model, data, eps=0.01) == []
+
+
+def test_z_quantile_matches_scipy_stats():
+    levels = np.random.default_rng(5).uniform(1e-6, 1.0 - 1e-6, 2000)
+    expected = stats.norm.ppf(0.5 + levels / 2.0)
+    assert np.array_equal([z_quantile(float(level)) for level in levels], expected)
 
 
 class TestReportTypes:

@@ -1,6 +1,9 @@
 """Module boundaries inside the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,15 @@ def test_every_public_name_resolves():
     """`from bineffect import *` needs every name in `__all__` on the package."""
     missing = [name for name in bineffect.__all__ if not hasattr(bineffect, name)]
     assert missing == []
+
+
+def test_import_loads_neither_scipy_stats_nor_integrate():
+    """`scipy.stats` and `scipy.integrate` take most of a bare import; the
+    package needs only `scipy.special` until `truth_oracle` runs."""
+    probe = "import sys, bineffect; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -183,6 +183,21 @@ class TestTruthOracle:
         assert first.psi_bate == pytest.approx(bate_fine, abs=1e-4)
 
 
+def test_propensity_and_density_match_scipy_stats():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        spec = DgpSpec(
+            a_mean_base=rng.normal(5.0, 3.0), a_mean_slope=rng.normal(0.0, 4.0),
+            a_sd=rng.uniform(0.05, 5.0), cutoff=rng.normal(6.0, 5.0),
+        )
+        grid = rng.normal(spec.cutoff, 4.0 * spec.a_sd, 100)
+        for w in (0, 1):
+            loc = spec.a_mean(w)
+            assert spec.propensity(w) == float(stats.norm.sf(spec.cutoff, loc=loc, scale=spec.a_sd))
+            status_quo = density_curve(spec, "status_quo", w, grid)[:, 1]
+            assert np.array_equal(status_quo, stats.norm.pdf(grid, loc=loc, scale=spec.a_sd))
+
+
 class TestDensityCurve:
     def test_zero_outside_region(self, dgp):
         curve = density_curve(dgp, "tilde1", 0, np.array([5.99]))
