@@ -343,7 +343,7 @@ def _read_table(path: Path, fh, rule: BinarizationRule | None):
     header is checked, and its errors raised, before any record is read.
     """
     first = fh.readline()
-    if not first or '"' in first:
+    if not first or '"' in first:  # an empty file is named by the row loop
         return None
     header = [h.strip() for h in next(csv.reader([first]))]
     y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
