@@ -118,6 +118,8 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
 def cmd_estimate(args: argparse.Namespace) -> int:
     if args.estimand == "peb" and args.arm is None:
         raise ValidationError("--estimand peb requires --arm 0 or --arm 1")
+    if args.estimand == "bate" and args.arm is not None:
+        raise ValidationError("--arm applies only to --estimand peb")
     seed = _seed(args)
     estimators = args.estimator.split(",")
     rule = None
@@ -127,9 +129,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if "ipw" in estimators:
         boot = BootstrapConfig(replicates=args.boot_reps, seed=seed, ci_method=args.boot_ci)
     check_estimate_args(estimators, args.ci_level)  # every argument is checked before the file is read
-    estimand = (
-        EstimandSpec.bate() if args.estimand == "bate" else EstimandSpec.peb(args.arm)
-    )
+    estimand = EstimandSpec("bate" if args.estimand == "bate" else f"peb{args.arm}")
     data = load_csv(args.input, rule)
     reports = estimate_many(data, estimators, [estimand], boot=boot, ci_level=args.ci_level, seed=seed)
 
@@ -179,7 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValidationError(f"--n must be comma separated positive integers, got {args.n!r}")
     n_list = [int(v) for v in sizes]
     estimators = args.estimators.split(",")
-    estimands = [EstimandSpec.from_key(k) for k in args.estimands.split(",")]
+    estimands = [EstimandSpec(k) for k in args.estimands.split(",")]
     seed = _seed(args)
     results = run_monte_carlo(
         spec,

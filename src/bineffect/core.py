@@ -434,20 +434,20 @@ def save_csv(data: ObservationSet, path: str | Path) -> None:
             writer.writerow([repr(float(col[i])) for _, col in cols])
 
 
-def positivity_diagnostic(fit, data: ObservationSet, eps: float = 0.01) -> list[str]:
+def positivity_diagnostic(pscore: np.ndarray, eps: float = 0.01) -> list[str]:
     """Summarise the units whose estimated propensity is within `eps` of 0 or 1.
 
-    `fit` is any object with a predict_proba(w) method. A unit is flagged
-    when its propensity is strictly below `eps` or strictly above 1 - eps.
-    Returns [] when no unit is flagged, otherwise one warning string with the
-    band, the number flagged of n, the count on each side, and the minimum
-    and maximum propensity over all units; it never raises on extreme
-    values. The flagged indices themselves are
-    `np.flatnonzero((p < eps) | (p > 1 - eps))` for `p = Nuisances(data).pscore`.
+    `pscore` holds one fitted propensity per unit, as `Nuisances(data).pscore`
+    does. A unit is flagged when its propensity is strictly below `eps` or
+    strictly above 1 - eps. Returns [] when no unit is flagged, otherwise one
+    warning string with the band, the number flagged of n, the count on each
+    side, and the minimum and maximum propensity over all units; it never
+    raises on extreme values. The flagged indices themselves are
+    `np.flatnonzero((pscore < eps) | (pscore > 1 - eps))`.
     """
     if not 0.0 < eps < 0.5:
         raise ValidationError(f"eps must be in (0, 0.5), got {eps}")
-    probs = np.asarray(fit.predict_proba(data.w), dtype=float).ravel()
+    probs = np.asarray(pscore, dtype=float).ravel()
     below = int(np.count_nonzero(probs < eps))
     above = int(np.count_nonzero(probs > 1.0 - eps))
     if below + above == 0:

@@ -128,7 +128,7 @@ class Nuisances:
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
-        return tuple(positivity_diagnostic(self.propensity, self.data))
+        return tuple(positivity_diagnostic(self.pscore))
 
 
 def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.ndarray]:
@@ -145,25 +145,28 @@ def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.nda
     fit = nuis.regression
     t, p = data.t, data.p
     wc = data.w - fit.w_mean
+    t_bar = float(t.mean())
+    tw_bar = (t[:, None] * wc).mean(axis=0)
+    residuals = data.y - fit.predict(t, data.w)
     x = interacted_design(t, wc)
     try:
         bread_inv = np.linalg.inv(x.T @ x / data.n)
     except np.linalg.LinAlgError:
         raise SingularDesignError("singular bread matrix X'X/n; the design is rank deficient") from None
-    coef = (x * fit.residuals[:, None]) @ bread_inv
+    coef = (x * residuals[:, None]) @ bread_inv
     beta0, beta_t, beta_interact = coef[:, 0], coef[:, 1], coef[:, 2 + p :]
     e_y = (
         beta0
-        + fit.t_bar * beta_t
-        + beta_interact @ fit.tw_bar
-        + fit.beta_t * (t - fit.t_bar)
-        + (t[:, None] * wc - fit.tw_bar) @ fit.beta_interact
+        + t_bar * beta_t
+        + beta_interact @ tw_bar
+        + fit.beta_t * (t - t_bar)
+        + (t[:, None] * wc - tw_bar) @ fit.beta_interact
     )
     theta = np.array(
         [
             fit.beta0 + fit.beta_t,
             fit.beta0,
-            fit.beta0 + fit.t_bar * fit.beta_t + float(fit.tw_bar @ fit.beta_interact),
+            fit.beta0 + t_bar * fit.beta_t + float(tw_bar @ fit.beta_interact),
         ]
     )
     return theta, np.column_stack([beta0 + beta_t, beta0, e_y])
@@ -360,41 +363,44 @@ def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
     )
 
 
-def _tmle_fit(data: ObservationSet, nuis: Nuisances, estimand: EstimandSpec) -> TmleFit:
-    c1, c0, c_y = estimand.contrast
+def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[TmleFit]:
+    """Targeted fit per (c1, c0, c_y) row of `contrasts`, all from one untargeted
+    start: y scaled to [0, 1] and the logits of the bounded initial fit."""
     t, y = data.t, data.y
     pscore, m1, m0 = nuis.pscore, nuis.m1, nuis.m0
-    lo, hi = float(y.min()), float(y.max())
-    span = hi - lo
+    lo = float(y.min())
+    span = float(y.max()) - lo
     if span == 0.0:
-        return TmleFit(0.0, 0.0, np.zeros(data.n))
+        return [TmleFit(0.0, 0.0, np.zeros(data.n)) for _ in contrasts]
 
     ys = (y - lo) / span
-    q1 = np.clip((m1 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND)
-    q0 = np.clip((m0 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND)
-    q_obs = np.where(t == 1.0, q1, q0)
+    logit_q1 = logit(np.clip((m1 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
+    logit_q0 = logit(np.clip((m0 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
+    logit_q_obs = np.where(t == 1.0, logit_q1, logit_q0)
 
-    # clever covariate c1 t/pscore + c0 (1-t)/(1-pscore) + c_y, at each fixed
-    # arm and on the observed one
-    h_arm1 = c1 / pscore + c_y
-    h_arm0 = c0 / (1.0 - pscore) + c_y
-    h_obs = np.where(t == 1.0, h_arm1, h_arm0)
+    fits = []
+    for c1, c0, c_y in contrasts:
+        # clever covariate c1 t/pscore + c0 (1-t)/(1-pscore) + c_y, at each
+        # fixed arm and on the observed one
+        h_arm1 = c1 / pscore + c_y
+        h_arm0 = c0 / (1.0 - pscore) + c_y
+        h_obs = np.where(t == 1.0, h_arm1, h_arm0)
 
-    beta = _fluctuate(ys, logit(q_obs), h_obs)
-    q1_new = expit(logit(q1) + beta * h_arm1)
-    q0_new = expit(logit(q0) + beta * h_arm0)
-    q_obs_new = np.where(t == 1.0, q1_new, q0_new)
+        beta = _fluctuate(ys, logit_q_obs, h_obs)
+        q1_new = expit(logit_q1 + beta * h_arm1)
+        q0_new = expit(logit_q0 + beta * h_arm0)
+        q_obs_new = np.where(t == 1.0, q1_new, q0_new)
 
-    y1 = lo + span * q1_new
-    y0 = lo + span * q0_new
-    y_obs_pred = lo + span * q_obs_new
+        y1 = lo + span * q1_new
+        y0 = lo + span * q0_new
+        y_obs_pred = lo + span * q_obs_new
 
-    # influence value H (y - Q) + plug-in - point; mean zero once targeted
-    plug_in = c1 * y1 + c0 * y0 + c_y * y_obs_pred
-    point = float(np.mean(plug_in))
-    phi = h_obs * (y - y_obs_pred) + plug_in - point
-
-    return TmleFit(point, float(beta), phi)
+        # influence value H (y - Q) + plug-in - point; mean zero once targeted
+        plug_in = c1 * y1 + c0 * y0 + c_y * y_obs_pred
+        point = float(np.mean(plug_in))
+        phi = h_obs * (y - y_obs_pred) + plug_in - point
+        fits.append(TmleFit(point, float(beta), phi))
+    return fits
 
 
 ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
@@ -429,8 +435,8 @@ def estimate_many(
 
     Every estimand is a contrast of the policy means (mu1, mu0, E[Y]). reg
     and aipw estimate that triple and its influence values once, and each
-    estimand's point and SE follow from its contrast; tmle targets once per
-    estimand.
+    estimand's point and SE follow from its contrast. tmle scales its initial
+    fit once and targets each estimand separately.
     """
     check_estimate_args(estimators, ci_level)
     nuis = nuisances if nuisances is not None else Nuisances(data)
@@ -443,8 +449,7 @@ def estimate_many(
         if name == "ipw":
             rows, note = _ipw(data, nuis, contrasts, boot or BootstrapConfig(), ci_level)
         elif name == "tmle":
-            fits = [_tmle_fit(data, nuis, e) for e in estimands]
-            rows = [(fit.point, _influence_se(fit.influence), None) for fit in fits]
+            rows = [(f.point, _influence_se(f.influence), None) for f in _tmle_fits(data, nuis, contrasts)]
         else:
             theta, phi = _ARMS[name](data, nuis)
             rows = [(theta @ c, _influence_se(phi @ c), None) for c in contrasts]
@@ -484,4 +489,4 @@ def tmle_update(
     updated predictions are mapped back to the original scale. Point
     estimates and influence values are invariant to affine rescaling of y.
     """
-    return _tmle_fit(data, Nuisances(data, outcome, propensity), estimand)
+    return _tmle_fits(data, Nuisances(data, outcome, propensity), np.array([estimand.contrast]))[0]

@@ -49,34 +49,21 @@ def _rows(w, p: int) -> np.ndarray:
     return w
 
 
-def _linear_predict(beta0, beta_t, beta_w, beta_interact, w_mean, t, w):
-    wc = _rows(w, w_mean.shape[0]) - w_mean
-    return beta0 + t * beta_t + wc @ beta_w + t * (wc @ beta_interact)
-
-
 @dataclass(frozen=True)
 class RegressionFit:
-    """OLS fit of y on [1, t, demeaned w, t x demeaned w].
-
-    Stores everything the downstream variance formulas need: the demeaning
-    center, the treated fraction t_bar, the mean of t times demeaned w, and
-    the training residuals.
-    """
+    """OLS fit of y on [1, t, demeaned w, t x demeaned w], with the
+    demeaning center `w_mean`."""
 
     beta0: float
     beta_t: float
     beta_w: np.ndarray
     beta_interact: np.ndarray
     w_mean: np.ndarray
-    t_bar: float
-    tw_bar: np.ndarray
-    residuals: np.ndarray
 
     def predict(self, t, w):
         """Evaluate m(t, w) for a scalar or length-n t and a (p,) or (n, p) w."""
-        return _linear_predict(
-            self.beta0, self.beta_t, self.beta_w, self.beta_interact, self.w_mean, t, w
-        )
+        wc = _rows(w, self.w_mean.shape[0]) - self.w_mean
+        return self.beta0 + t * self.beta_t + wc @ self.beta_w + t * (wc @ self.beta_interact)
 
 
 class OutcomeModel(Protocol):
@@ -113,21 +100,12 @@ def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
     if rank < d:
         cols = _collinear_columns(x, design_labels(p))
         raise SingularDesignError(f"singular design matrix; collinear columns: {', '.join(cols)}")
-    beta0, beta_t = float(beta[0]), float(beta[1])
-    beta_w = beta[2 : 2 + p].copy()
-    beta_interact = beta[2 + p :].copy()
-    # residuals go through the same path as predict(), so recomputing
-    # y - predict(t, w) on the training rows reproduces them bit for bit
-    pred = _linear_predict(beta0, beta_t, beta_w, beta_interact, w_mean, t, w)
     return RegressionFit(
-        beta0=beta0,
-        beta_t=beta_t,
-        beta_w=beta_w,
-        beta_interact=beta_interact,
+        beta0=float(beta[0]),
+        beta_t=float(beta[1]),
+        beta_w=beta[2 : 2 + p].copy(),
+        beta_interact=beta[2 + p :].copy(),
         w_mean=w_mean,
-        t_bar=float(t.mean()),
-        tw_bar=(t[:, None] * wc).mean(axis=0),
-        residuals=y - pred,
     )
 
 

@@ -6,7 +6,7 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .core import (
     ValidationError,
     binarize,
 )
-from .estimators import BootstrapConfig, Nuisances, estimate_many
+from .estimators import BootstrapConfig, Nuisances, check_estimate_args, estimate_many
 
 _QUAD_TARGET = 1e-4     # required absolute accuracy of the truth values
 _TAIL_SDS = 10.0        # integration range; mass beyond is < 1e-20
@@ -251,13 +251,12 @@ def _replicate_worker(task) -> dict:
     others untouched. The RNG stream is derived from (seed, n, replicate), so
     results do not depend on scheduling.
     """
-    spec, n, estimators, estimand_keys, boot_replicates, seed, rep = task
-    estimands = [EstimandSpec.from_key(k) for k in estimand_keys]
+    spec, n, estimators, estimands, boot, seed, rep = task
     rng = np.random.default_rng([seed, n, rep])
     data = sample_dgp(spec, n, rng)
     nuisances = Nuisances(data)
     # bootstrap indices continue the replicate's stream after the sample
-    boot = BootstrapConfig(boot_replicates, seed=rng) if "ipw" in estimators else None
+    boot = None if boot is None else replace(boot, seed=rng)
     out: dict = {}
     for est in estimators:
         try:
@@ -286,7 +285,8 @@ def run_monte_carlo(
     replicates. Replicates whose estimator fails (degenerate arm, separation)
     are excluded and counted. `threads` worker processes share the
     replicates of each sample size, at most one process per replicate.
-    Deterministic for a fixed seed regardless of `threads`.
+    Deterministic for a fixed seed regardless of `threads`. Every argument is
+    checked before any work, the estimator names and bootstrap size included.
     """
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
@@ -296,15 +296,15 @@ def run_monte_carlo(
         raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
+    check_estimate_args(estimators, 0.95)  # the level estimate_many reports at
+    boot = BootstrapConfig(boot_replicates) if "ipw" in estimators else None
     truth = truth_oracle(spec)
-    estimator_tuple = tuple(estimators)
-    estimand_keys = tuple(e.key for e in estimands)
     threads = min(threads, replicates)  # a pool starts all its workers at the first task
 
     results = []
     for n in n_list:
         tasks = [
-            (spec, int(n), estimator_tuple, estimand_keys, boot_replicates, int(seed), rep)
+            (spec, int(n), estimators, estimands, boot, int(seed), rep)
             for rep in range(replicates)
         ]
         if threads > 1:
@@ -315,7 +315,7 @@ def run_monte_carlo(
             outcomes = [_replicate_worker(t) for t in tasks]
 
         rows = []
-        for est in estimator_tuple:
+        for est in estimators:
             for e in estimands:
                 cells = [o[(est, e.key)] for o in outcomes if o.get((est, e.key)) is not None]
                 n_failed = replicates - len(cells)

@@ -174,6 +174,7 @@ class TestEstimateCommand:
             (["--estimator", "reg,foo"], "unknown estimator 'foo'"),
             (["--estimator", "reg", "--ci-level", "1.5"], "ci_level"),
             (["--estimator", "ipw", "--boot-reps", "1"], "at least 2 replicates"),
+            (["--estimand", "bate", "--arm", "0"], "--arm applies only to --estimand peb"),
         ],
     )
     def test_arguments_rejected_before_reading(self, data_csv, capsys, monkeypatch, flags, message):

@@ -17,12 +17,12 @@ from bineffect import (
     Direction,
     EstimandSpec,
     EstimateReport,
+    Nuisances,
     ObservationSet,
     PropensityModel,
     ValidationError,
     binarize,
     core,
-    fit_logistic,
     load_csv,
     positivity_diagnostic,
     save_csv,
@@ -391,52 +391,39 @@ class TestCsvFastPathMatchesRowLoop:
         assert row_loop_ran is not fast
 
 
-class _FixedProbs:
-    def __init__(self, probs):
-        self._probs = np.asarray(probs, dtype=float)
-
-    def predict_proba(self, w):
-        return self._probs
-
-
 class TestPositivity:
     def test_all_half_is_clean(self, dataset):
         model = PropensityModel(intercept=0.0, coef=np.zeros(dataset.p))
-        assert positivity_diagnostic(model, dataset, eps=0.01) == []
+        assert positivity_diagnostic(model.predict_proba(dataset.w), eps=0.01) == []
 
-    def test_flags_extreme_unit(self, dataset):
-        probs = np.full(dataset.n, 0.5)
+    def test_flags_extreme_unit(self):
+        probs = np.full(40, 0.5)
         probs[7] = 0.001
-        warnings = positivity_diagnostic(_FixedProbs(probs), dataset, eps=0.01)
-        assert warnings == [
-            f"propensity outside [0.01, 0.99] for 1 of {dataset.n} units "
-            "(1 below, 0 above; min 0.001, max 0.5)"
+        assert positivity_diagnostic(probs, eps=0.01) == [
+            "propensity outside [0.01, 0.99] for 1 of 40 units (1 below, 0 above; min 0.001, max 0.5)"
         ]
 
-    def test_propensities_at_the_band_edges_are_not_flagged(self, dataset):
-        probs = np.full(dataset.n, 0.5)
+    def test_propensities_at_the_band_edges_are_not_flagged(self):
+        probs = np.full(40, 0.5)
         probs[:2] = [0.01, 0.99]
-        assert positivity_diagnostic(_FixedProbs(probs), dataset, eps=0.01) == []
+        assert positivity_diagnostic(probs, eps=0.01) == []
         probs[2:4] = [np.nextafter(0.01, 0.0), np.nextafter(0.99, 1.0)]
-        (warning,) = positivity_diagnostic(_FixedProbs(probs), dataset, eps=0.01)
-        assert f"for 2 of {dataset.n} units (1 below, 1 above;" in warning
+        (warning,) = positivity_diagnostic(probs, eps=0.01)
+        assert "for 2 of 40 units (1 below, 1 above;" in warning
 
     def test_many_flagged_units_give_one_string(self):
         n = 100_000
-        data = ObservationSet(w=np.zeros((n, 1)), t=np.arange(n) % 2, y=np.zeros(n))
         probs = np.linspace(0.0, 1.0, n)
         below, above = int((probs < 0.05).sum()), int((probs > 0.95).sum())
-        warnings = positivity_diagnostic(_FixedProbs(probs), data, eps=0.05)
-        assert warnings == [
+        assert positivity_diagnostic(probs, eps=0.05) == [
             f"propensity outside [0.05, 0.95] for {below + above} of {n} units "
             f"({below} below, {above} above; min 0, max 1)"
         ]
 
     def test_dgp_fit_is_clean_at_default_eps(self, dgp):
         data = sample_dgp(dgp, 500, seed=11)
-        model = fit_logistic(data)
         # population propensities are 1 - Phi(1) and Phi(1), far from 0/1
-        assert positivity_diagnostic(model, data, eps=0.01) == []
+        assert positivity_diagnostic(Nuisances(data).pscore, eps=0.01) == []
 
 
 def test_z_quantile_matches_scipy_stats():

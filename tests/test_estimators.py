@@ -48,6 +48,25 @@ def ehw_robust_se(data, coef_index):
     return float(np.sqrt(cov[coef_index, coef_index]))
 
 
+def ipw_sandwich_se(data, contrasts):
+    """Independent route for the ipw SE: the stacked M-estimator sandwich of
+    (logistic coefficients, mu1, mu0, E[Y]) (Lunceford & Davidian 2004;
+    Stefanski & Boos 2002). The influence value of mu1 is t y / e - mu1 +
+    H1' I^-1 x (t - e), with H1 = mean(-t y (1 - e) / e x) and I = mean(e (1 -
+    e) x x'); mu0 uses H0 = mean((1 - t) y e / (1 - e) x), and E[Y] is y - ybar.
+    Returns one SE per row of `contrasts`."""
+    t, y = data.t, data.y
+    x = np.hstack([np.ones((data.n, 1)), data.w])
+    e = fit_logistic(data).predict_proba(data.w)
+    info = (x * (e * (1.0 - e))[:, None]).T @ x / data.n
+    coef = np.linalg.solve(info, (x * (t - e)[:, None]).T).T  # rows I^-1 x_i (t_i - e_i)
+    h1 = -(x * (t * y * (1.0 - e) / e)[:, None]).mean(axis=0)
+    h0 = (x * ((1.0 - t) * y * e / (1.0 - e))[:, None]).mean(axis=0)
+    z1, z0 = t * y / e, (1.0 - t) * y / (1.0 - e)
+    phi = np.column_stack([z1 - z1.mean() + coef @ h1, z0 - z0.mean() + coef @ h0, y - y.mean()])
+    return np.sqrt(np.mean((phi @ contrasts.T) ** 2, axis=0) / data.n)
+
+
 def stratified_plug_in_bate(data):
     """Brute-force nonparametric estimate for p=1 binary w."""
     w = data.w[:, 0]
@@ -137,6 +156,40 @@ class TestIpw:
         assert report.ci[0] < report.ci[1]
 
 
+def three_normal_covariates(n, seed):
+    """w ~ N(0, I_3), a ~ N(5 + w1, 1.5), t = 1(a >= 6), y = a^3/10 + w.(1, 2, 3) + N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, 3))
+    a = rng.normal(5.0 + w[:, 0], 1.5)
+    y = a**3 / 10.0 + w @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=n)
+    return ObservationSet(w=w, t=(a >= 6.0).astype(float), y=y)
+
+
+IPW_GATE_B = 400
+# the bootstrap SE's relative error is about 1/sqrt(2B); the band is four of those
+IPW_GATE_BAND = 4.0 / np.sqrt(2 * IPW_GATE_B)
+IPW_GATE_DESIGNS = {
+    "paper_n500": lambda: sample_dgp(DgpSpec(), 500, seed=1),
+    "paper_n2000": lambda: sample_dgp(DgpSpec(), 2000, seed=1),
+    "overlap_1e5": lambda: sample_dgp(DgpSpec(a_mean_slope=4.0), 100_000, seed=7),
+    "three_covariates_2e4": lambda: three_normal_covariates(20_000, seed=1),
+}
+
+
+class TestIpwSandwichGate:
+    """The ipw bootstrap SE against the stacked M-estimator sandwich, for
+    every estimand, with the band fixed from B alone."""
+
+    @pytest.mark.parametrize("design", list(IPW_GATE_DESIGNS))
+    def test_bootstrap_se_within_band_of_sandwich(self, design):
+        data = IPW_GATE_DESIGNS[design]()
+        estimands = (BATE, PEB1, PEB0)
+        reports = estimate_many(data, ["ipw"], estimands, boot=BootstrapConfig(IPW_GATE_B, seed=0))
+        sandwich = ipw_sandwich_se(data, np.array([e.contrast for e in estimands]))
+        ratios = np.array([r.se for r in reports]) / sandwich
+        assert np.all(np.abs(ratios - 1.0) <= IPW_GATE_BAND), f"bootstrap/sandwich ratios {ratios}"
+
+
 class TestAipw:
     def test_reduces_to_plug_in_when_outcome_model_is_exact(self):
         rng = np.random.default_rng(6)
@@ -192,6 +245,48 @@ class TestTmle:
             tmle, aipw = estimate_many(data, ["tmle", "aipw"], [BATE])
             diffs.append(abs(tmle.point - aipw.point))
         assert np.mean(diffs) < 0.5
+
+
+def constant_outcome(n=60, seed=2):
+    """make_dataset's covariates and arms with y constant: the TMLE scaling has span 0."""
+    data = make_dataset(n=n, p=1, seed=seed)
+    return ObservationSet(w=data.w, t=data.t, y=np.full(n, 3.5))
+
+
+TMLE_DESIGNS = {
+    "paper": lambda: sample_dgp(DgpSpec(), 500, seed=3),
+    "p3": lambda: make_dataset(n=200, p=3, seed=4),
+    "weak_overlap": lambda: sample_dgp(DgpSpec(a_mean_slope=4.0), 2000, seed=7),
+    "constant_y": constant_outcome,
+}
+
+
+class TestTmleSharedStart:
+    """One tmle call for several estimands shares the untargeted start and
+    gives exactly what one call per estimand gives."""
+
+    @pytest.mark.parametrize("design", list(TMLE_DESIGNS))
+    def test_joint_call_equals_one_call_per_estimand(self, design):
+        data = TMLE_DESIGNS[design]()
+        estimands = (BATE, PEB1, PEB0)
+        joint = estimate_many(data, ["tmle"], estimands)
+        fits = estimators._tmle_fits(data, Nuisances(data), np.array([e.contrast for e in estimands]))
+        for e, report, fit in zip(estimands, joint, fits):
+            [single] = estimate_many(data, ["tmle"], [e])
+            update = tmle_update(data, e)
+            assert report == single
+            assert report.point == update.point == fit.point
+            assert report.se == estimators._influence_se(update.influence)
+            assert update.fluctuation == fit.fluctuation
+            assert np.array_equal(update.influence, fit.influence)
+
+    def test_start_is_scaled_once_per_call(self, monkeypatch):
+        data = sample_dgp(DgpSpec(), 500, seed=3)
+        logits = count_calls(monkeypatch, "logit")
+        estimate_many(data, ["tmle"], [BATE])
+        one = len(logits)
+        estimate_many(data, ["tmle"], [BATE, PEB1, PEB0])
+        assert one > 0 and len(logits) == 2 * one
 
 
 class TestBootstrapSe:
@@ -367,6 +462,15 @@ class TestEstimateMany:
         assert not any("redrew" in note for r in joint for note in r.diagnostics)
         shapes = [kw["counts"].shape for kw in irls]
         assert shapes == [(1, data.n), (boot.replicates, data.n)]
+
+    def test_diagnostics_read_the_cached_pscore(self, monkeypatch):
+        data = make_dataset(n=90, p=2, seed=8)
+        predictions = count_calls(monkeypatch, "predict_proba", module=PropensityModel)
+        nuis = Nuisances(data)
+        nuis.pscore
+        alone = len(predictions)
+        nuis.diagnostics
+        assert len(predictions) == alone == 1
 
     def test_injected_propensity_is_never_refit(self, monkeypatch):
         data = make_binary_w_dataset(n=60, seed=3)

@@ -312,9 +312,17 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="threads must be >= 1"):
             run_monte_carlo(dgp, [60], 2, ["reg"], seed=0, threads=threads)
 
-    def test_unknown_estimator_rejected(self, dgp):
-        with pytest.raises(ValidationError):
-            run_monte_carlo(dgp, [50], 2, ["magic"], seed=0)
+    def test_unknown_estimator_rejected(self, dgp, monkeypatch):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
+        with pytest.raises(ValidationError, match="unknown estimator 'magic'"):
+            run_monte_carlo(dgp, [50], 2, ["reg", "magic"], seed=0, threads=2)
+
+    def test_bootstrap_size_rejected_before_any_replicate(self, dgp, monkeypatch):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
+        with pytest.raises(ValidationError, match="at least 2 replicates"):
+            run_monte_carlo(dgp, [50], 2, ["ipw"], seed=0, boot_replicates=1, threads=2)
+        monkeypatch.undo()
+        run_monte_carlo(dgp, [50], 2, ["reg"], seed=0, boot_replicates=1)  # no ipw, no bootstrap
 
     @pytest.mark.parametrize("n_list, seed", [([50], -1), ([50, -5], 0), ([0], 0)])
     def test_negative_seed_or_size_rejected(self, dgp, n_list, seed):
