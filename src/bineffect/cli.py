@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,7 @@ from .core import (
     EstimandSpec,
     EstimationError,
     ValidationError,
+    csv_text,
     load_csv,
 )
 from .estimators import BootstrapConfig, check_estimate_args, estimate_many
@@ -58,24 +58,17 @@ def _seed(args: argparse.Namespace) -> int:
     return seed
 
 
+# one --flag per numeric DgpSpec field, with the field's default
+_DGP_FIELDS = [f for f in fields(DgpSpec) if f.name != "outcome_fn"]
+
+
 def _dgp_from_args(args: argparse.Namespace) -> DgpSpec:
-    return DgpSpec(
-        w_prob=args.w_prob,
-        a_mean_base=args.a_mean_base,
-        a_mean_slope=args.a_mean_slope,
-        a_sd=args.a_sd,
-        noise_sd=args.noise_sd,
-        cutoff=args.cutoff,
-    )
+    return DgpSpec(**{f.name: getattr(args, f.name) for f in _DGP_FIELDS})
 
 
 def _add_dgp_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cutoff", type=float, default=6.0, help="binarization cutoff")
-    sub.add_argument("--w-prob", type=float, default=0.5)
-    sub.add_argument("--a-mean-base", type=float, default=5.0)
-    sub.add_argument("--a-mean-slope", type=float, default=2.0)
-    sub.add_argument("--a-sd", type=float, default=1.0)
-    sub.add_argument("--noise-sd", type=float, default=1.0)
+    for f in _DGP_FIELDS:
+        sub.add_argument("--" + f.name.replace("_", "-"), type=float, default=f.default)
 
 
 def _check_output_path(path: str | None) -> None:
@@ -86,22 +79,6 @@ def _check_output_path(path: str | None) -> None:
         raise ValidationError(f"--output {path} is a directory")
     if not Path(path).parent.is_dir():
         raise ValidationError(f"--output {path}: directory {Path(path).parent} does not exist")
-
-
-def _write_output(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    """CSV with a header line; floats written as their repr, None as an empty field."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows)
-    return buf.getvalue()
 
 
 def _sig6(x: float) -> str:
@@ -115,7 +92,7 @@ def _text_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: argparse.Namespace) -> str:
     if args.estimand == "peb" and args.arm is None:
         raise ValidationError("--estimand peb requires --arm 0 or --arm 1")
     if args.estimand == "bate" and args.arm is not None:
@@ -135,44 +112,34 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
-        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
-    elif args.format == "csv":
+        return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
+    if args.format == "csv":
         header = "estimand,arm,estimator,point,se,ci_low,ci_high,ci_level,n,seed,warnings".split(",")
         rows = [
             [r.estimand.kind, r.estimand.arm, r.estimator, r.point, r.se, *r.ci,
              r.ci_level, r.n, r.seed, ";".join(r.diagnostics)]
             for r in reports
         ]
-        text = _csv_text(header, rows)
-    else:
-        header = ["estimand", "estimator", "point", "se", "ci_low", "ci_high", "n"]
-        rows = [
-            [r.estimand.key, r.estimator, _sig6(r.point), _sig6(r.se), _sig6(r.ci[0]), _sig6(r.ci[1]), str(r.n)]
-            for r in reports
-        ]
-        text = _text_table(header, rows)
-        for r in reports:
-            for note in r.diagnostics:
-                text += f"note ({r.estimator}): {note}\n"
-    _write_output(text, args.output)
-    return EXIT_OK
+        return csv_text(header, rows)
+    header = ["estimand", "estimator", "point", "se", "ci_low", "ci_high", "n"]
+    rows = [
+        [r.estimand.key, r.estimator, _sig6(r.point), _sig6(r.se), _sig6(r.ci[0]), _sig6(r.ci[1]), str(r.n)]
+        for r in reports
+    ]
+    notes = [f"note ({r.estimator}): {note}\n" for r in reports for note in r.diagnostics]
+    return _text_table(header, rows) + "".join(notes)
 
 
-def cmd_truth(args: argparse.Namespace) -> int:
-    report = truth_oracle(_dgp_from_args(args))
+def cmd_truth(args: argparse.Namespace) -> str:
+    truth = truth_oracle(_dgp_from_args(args)).to_dict()
     if args.format == "json":
-        text = json.dumps(report.to_dict(), indent=2) + "\n"
-    elif args.format == "csv":
-        d = report.to_dict()
-        text = _csv_text(list(d), [list(d.values())])
-    else:
-        rows = [[k, _sig6(v)] for k, v in report.to_dict().items()]
-        text = _text_table(["quantity", "value"], rows)
-    _write_output(text, args.output)
-    return EXIT_OK
+        return json.dumps(truth, indent=2) + "\n"
+    if args.format == "csv":
+        return csv_text(list(truth), [list(truth.values())])
+    return _text_table(["quantity", "value"], [[k, _sig6(v)] for k, v in truth.items()])
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> str:
     spec = _dgp_from_args(args)
     sizes = args.n.split(",")
     if not all(v.strip().isdecimal() and int(v) > 0 for v in sizes):
@@ -192,24 +159,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         threads=args.threads,
     )
     if args.format == "json":
-        text = json.dumps([r.to_dict() for r in results], indent=2) + "\n"
-    elif args.format == "text-table":
-        truth = truth_oracle(spec)
-        header, rows = mc_table(results, estimators, estimands)
-        blocks = []
-        for e in estimands:
-            cells = [[str(n), *map(_sig6, values)] for key, n, *values in rows if key == e.key]
-            blocks.append(
-                f"estimand: {e.key} (truth {_sig6(truth.value(e))})\n" + _text_table(header[1:], cells)
-            )
-        text = "\n".join(blocks)
-    else:
-        text = mc_results_to_csv(results, estimators, estimands)
-    _write_output(text, args.output)
-    return EXIT_OK
+        return json.dumps([r.to_dict() for r in results], indent=2) + "\n"
+    if args.format == "csv":
+        return mc_results_to_csv(results, estimators, estimands)
+    truth = truth_oracle(spec)
+    header, rows = mc_table(results, estimators, estimands)
+    blocks = []
+    for e in estimands:
+        cells = [[str(n), *map(_sig6, values)] for key, n, *values in rows if key == e.key]
+        blocks.append(f"estimand: {e.key} (truth {_sig6(truth.value(e))})\n" + _text_table(header[1:], cells))
+    return "\n".join(blocks)
 
 
-def cmd_densities(args: argparse.Namespace) -> int:
+def cmd_densities(args: argparse.Namespace) -> str:
     spec = _dgp_from_args(args)
     try:
         start, stop, step = (float(v) for v in args.grid.split(":"))
@@ -227,13 +189,9 @@ def cmd_densities(args: argparse.Namespace) -> int:
         raise ValidationError(f"--grid {args.grid!r} has too many points") from None
     curve = density_curve(spec, args.arm, args.w, grid)
     if args.format == "json":
-        text = json.dumps(
-            {"arm": args.arm, "w": args.w, "points": [[a, d] for a, d in curve]}, indent=2
-        ) + "\n"
-    else:
-        text = _csv_text(["a", "density"], curve.tolist())
-    _write_output(text, args.output)
-    return EXIT_OK
+        points = [[a, d] for a, d in curve]
+        return json.dumps({"arm": args.arm, "w": args.w, "points": points}, indent=2) + "\n"
+    return csv_text(["a", "density"], curve.tolist())
 
 
 def build_parser() -> _Parser:
@@ -295,7 +253,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_output_path(args.output)
-        return _COMMANDS[args.subcommand](args)
+        text = _COMMANDS[args.subcommand](args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.output).write_text(text, encoding="utf-8", newline="\n")
+        return EXIT_OK
     except (ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

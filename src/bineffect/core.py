@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import enum
 import functools
+import io
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -349,8 +350,11 @@ def _read_table(path: Path, fh, rule: BinarizationRule | None):
     y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no records
-        try:
-            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float)
+        try:  # given the path rather than `fh`, loadtxt reads in chunks, not line by line
+            table = np.loadtxt(
+                path, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float,
+                skiprows=1, encoding="utf-8-sig",
+            )
         except (ValueError, UserWarning):
             return None
     if table.shape[1] != len(header):
@@ -416,6 +420,16 @@ def _read_rows(path: Path, fh, rule: BinarizationRule | None):
         for k, j in enumerate(w_idx):
             w[i, k] = parse(row, lineno, j)
     return y, t, a, w
+
+
+def csv_text(header: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row; floats are written
+    as their repr and None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def save_csv(data: ObservationSet, path: str | Path) -> None:

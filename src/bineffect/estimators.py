@@ -335,27 +335,32 @@ def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
     """One-dimensional logistic fluctuation: ys ~ expit(offset + beta * h).
 
     Newton iteration with step halving on the quasi-binomial log likelihood.
+    Each coefficient tried is evaluated once: the accepted one's
+    probabilities serve the next Newton step.
     """
-    def loglik(beta: float) -> float:
-        probs = np.clip(expit(offset + beta * h), 1e-12, 1.0 - 1e-12)
-        return float(ys @ np.log(probs) + (1.0 - ys) @ np.log(1.0 - probs))
+    def evaluate(beta: float) -> tuple[np.ndarray, float]:
+        """(probabilities, log likelihood) at beta."""
+        probs = expit(offset + beta * h)
+        clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
+        return probs, float(ys @ np.log(clipped) + (1.0 - ys) @ np.log(1.0 - clipped))
 
     beta = 0.0
-    current = loglik(beta)
+    probs, current = evaluate(beta)
     for _ in range(_TMLE_MAX_ITER):
-        probs = expit(offset + beta * h)
         score = float(h @ (ys - probs))
         curvature = float((h * h) @ (probs * (1.0 - probs)))
         if curvature <= 0.0:
             break  # flat likelihood: nothing left to update
         step = score / curvature
         for _ in range(40):
-            candidate = loglik(beta + step)
-            if candidate >= current - 1e-12:
+            candidate = evaluate(beta + step)
+            if candidate[1] >= current - 1e-12:
                 break
             step /= 2.0
+        else:  # every halving failed: the final step is taken all the same
+            candidate = evaluate(beta + step)
         beta += step
-        current = loglik(beta)
+        probs, current = candidate
         if abs(step) < _TMLE_TOL:
             return beta
     raise ConvergenceError(

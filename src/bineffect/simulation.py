@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,6 +19,7 @@ from .core import (
     QuadratureError,
     ValidationError,
     binarize,
+    csv_text,
 )
 from .estimators import BootstrapConfig, Nuisances, check_estimate_args, estimate_many
 
@@ -53,12 +52,13 @@ class DgpSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.w_prob < 1.0:
             raise ValidationError(f"w_prob must be in (0, 1), got {self.w_prob}")
+        for name in ("a_mean_base", "a_mean_slope", "a_sd", "noise_sd", "cutoff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if self.a_sd <= 0.0:
             raise ValidationError(f"a_sd must be positive, got {self.a_sd}")
         if self.noise_sd < 0.0:
             raise ValidationError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        if not np.isfinite(self.cutoff):
-            raise ValidationError(f"cutoff must be finite, got {self.cutoff}")
 
     @property
     def rule(self) -> BinarizationRule:
@@ -88,13 +88,7 @@ class TruthReport:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "psi_bate": self.psi_bate,
-            "psi_peb1": self.psi_peb1,
-            "psi_peb0": self.psi_peb0,
-            "e_y": self.e_y,
-            "quadrature_error_bound": self.quadrature_error_bound,
-        }
+        return asdict(self)
 
 
 def sample_dgp(spec: DgpSpec, n: int, seed) -> ObservationSet:
@@ -364,7 +358,4 @@ def mc_results_to_csv(
     estimands: Sequence[EstimandSpec] = (EstimandSpec.bate(), EstimandSpec.peb(1)),
 ) -> str:
     """`mc_table` as CSV text, floats at full precision."""
-    header, rows = mc_table(results, estimators, estimands)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
+    return csv_text(*mc_table(results, estimators, estimands))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -217,6 +218,73 @@ class TestTruthCommand:
         assert run_cli("truth", "--format", "text-table") == 0
         out = capsys.readouterr().out
         assert "psi_bate" in out and "202.299" in out
+
+
+DGP_SUBCOMMANDS = {"truth": [], "simulate": [], "densities": ["--w", "1"]}
+DGP_FIELDS = [f for f in dataclasses.fields(DgpSpec) if f.name != "outcome_fn"]
+
+
+class TestDgpFlags:
+    """The generating-process flags are DgpSpec's numeric fields, with its defaults."""
+
+    @pytest.mark.parametrize("subcommand", list(DGP_SUBCOMMANDS))
+    def test_parser_defaults_are_the_spec_defaults(self, subcommand):
+        args = build_parser().parse_args([subcommand, *DGP_SUBCOMMANDS[subcommand]])
+        assert {f.name: getattr(args, f.name) for f in DGP_FIELDS} == {
+            f.name: getattr(DgpSpec(), f.name) for f in DGP_FIELDS
+        }
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("w_prob", 0.4), ("a_mean_base", 5.5), ("a_mean_slope", 1.5), ("a_sd", 1.2), ("cutoff", 6.5)],
+    )
+    def test_each_flag_sets_its_field(self, field, value, capsys):
+        assert run_cli("truth", f"--{field.replace('_', '-')}", str(value)) == 0
+        expected = truth_oracle(DgpSpec(**{field: value})).to_dict()
+        assert json.loads(capsys.readouterr().out) == expected
+
+    @pytest.mark.parametrize(
+        "argv, forbidden",
+        [
+            (["truth", "--a-sd", "nan"], "truth_oracle"),
+            (["truth", "--a-sd", "inf"], "truth_oracle"),
+            (["truth", "--a-mean-base", "nan"], "truth_oracle"),
+            (["densities", "--w", "1", "--a-mean-slope", "nan"], "density_curve"),
+            (["simulate", "--reps", "2", "--threads", "1", "--noise-sd", "inf"], "run_monte_carlo"),
+        ],
+    )
+    def test_non_finite_parameter_rejected_before_any_work(self, argv, forbidden, capsys, monkeypatch):
+        forbid(monkeypatch, cli, forbidden)
+        assert run_cli(*argv) == 1
+        out, err = capsys.readouterr()
+        field = argv[-2][2:].replace("-", "_")
+        assert out == "" and err.startswith(f"error: {field} must be finite")
+
+
+OUTPUT_CALLS = {
+    "estimate": ["--cutoff", "6", "--estimator", "reg,ipw", "--boot-reps", "20", "--seed", "2"],
+    "truth": [],
+    "simulate": ["--reps", "2", "--n", "40", "--estimators", "reg", "--estimands", "bate,peb0",
+                 "--threads", "1", "--seed", "4"],
+    "densities": ["--w", "0", "--grid", "3:9:0.5"],
+}
+OUTPUT_FORMATS = {"estimate": ["json", "csv", "text-table"], "truth": ["json", "csv", "text-table"],
+                  "simulate": ["json", "csv", "text-table"], "densities": ["json", "csv"]}
+
+
+@pytest.mark.parametrize(
+    "subcommand, fmt", [(cmd, fmt) for cmd, formats in OUTPUT_FORMATS.items() for fmt in formats]
+)
+def test_output_file_holds_the_stdout_bytes(subcommand, fmt, data_csv, tmp_path, capsys):
+    argv = [subcommand, *OUTPUT_CALLS[subcommand], "--format", fmt]
+    if subcommand == "estimate":
+        argv += ["--input", data_csv]
+    assert run_cli(*argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / "out.txt"
+    assert run_cli(*argv, "--output", str(path)) == 0
+    assert capsys.readouterr().out == ""
+    assert stdout and path.read_bytes() == stdout.encode("utf-8")
 
 
 class TestSimulateCommand:

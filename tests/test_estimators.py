@@ -281,12 +281,27 @@ class TestTmleSharedStart:
             assert np.array_equal(update.influence, fit.influence)
 
     def test_start_is_scaled_once_per_call(self, monkeypatch):
+        """The untargeted start is scaled once per call, and the fluctuation
+        evaluates `expit` once per coefficient it tries."""
         data = sample_dgp(DgpSpec(), 500, seed=3)
         logits = count_calls(monkeypatch, "logit")
+        expit_args = []
+        expit = estimators.expit
+        monkeypatch.setattr(estimators, "expit", lambda x: expit_args.append(x) or expit(x))
         estimate_many(data, ["tmle"], [BATE])
         one = len(logits)
+        per_estimand = []
+        for e in (BATE, PEB1, PEB0):
+            expit_args.clear()
+            estimate_many(data, ["tmle"], [e])
+            # a repeated argument is a coefficient evaluated twice
+            assert not any(np.array_equal(a, b) for i, a in enumerate(expit_args) for b in expit_args[:i])
+            per_estimand.append(len(expit_args))
+        logits.clear()
+        expit_args.clear()
         estimate_many(data, ["tmle"], [BATE, PEB1, PEB0])
-        assert one > 0 and len(logits) == 2 * one
+        assert one > 0 and len(logits) == one
+        assert len(expit_args) == sum(per_estimand)
 
 
 class TestBootstrapSe:

@@ -86,6 +86,19 @@ def scipy_density_truth(spec):
     return e_mu1 - e_mu0, e_mu1 - e_y, e_mu0 - e_y, e_y, err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        *[(name, bad) for name in ("a_mean_base", "a_mean_slope", "a_sd", "noise_sd", "cutoff")
+          for bad in (float("nan"), float("inf"), float("-inf"))],
+        ("a_sd", 0.0), ("a_sd", -1.0), ("noise_sd", -0.5), ("w_prob", float("nan")), ("w_prob", 1.0),
+    ],
+)
+def test_dgp_spec_rejects_a_bad_parameter_by_name(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be"):
+        DgpSpec(**{field: value})
+
+
 class TestSampleDgp:
     def test_conditional_treatment_means(self, dgp):
         data = sample_dgp(dgp, 100_000, seed=0)
