@@ -350,11 +350,8 @@ def _read_table(path: Path, fh, rule: BinarizationRule | None):
     y_idx, t_idx, a_idx, w_idx = _column_indices(path, header, rule)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file with no records
-        try:  # given the path rather than `fh`, loadtxt reads in chunks, not line by line
-            table = np.loadtxt(
-                path, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float,
-                skiprows=1, encoding="utf-8-sig",
-            )
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None, ndmin=2, dtype=float)
         except (ValueError, UserWarning):
             return None
     if table.shape[1] != len(header):

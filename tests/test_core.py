@@ -1,6 +1,8 @@
 import csv
+import os
 import re
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -258,6 +260,30 @@ class TestCsv:
         back = load_csv(path, data.rule)
         for name in ("y", "t", "a", "w"):
             assert np.array_equal(getattr(back, name), getattr(data, name)), name
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("n", [20, 2000])  # inside, then far beyond, one read buffer
+    def test_pipe_reads_as_the_file(self, tmp_path, n):
+        """A pipe can be read only once: load_csv reads it through one handle
+        to the same arrays as the regular file."""
+        data = sample_dgp(DgpSpec(), n, 1)
+        path = tmp_path / "d.csv"
+        save_csv(data, path)
+        fifo = tmp_path / "d.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        out = {}
+        reader = threading.Thread(
+            target=lambda: out.update(got=_load_outcome(fifo, data.rule)), daemon=True
+        )
+        reader.start()
+        reader.join(timeout=30)
+        if reader.is_alive():  # blocked opening the pipe again after its writer closed
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        writer.join(timeout=30)
+        assert out["got"] == _load_outcome(path, data.rule)
 
     @given(
         n=st.integers(1, 12),
