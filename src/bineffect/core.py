@@ -143,6 +143,41 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The distinct (t, w) rows of a sample, ordered by the last covariate
+    first and by t last, as `np.lexsort((t, *w.T))` orders them.
+
+    Returns the index of one unit per distinct row and each unit's (n,) row
+    index, or None when no two units share a row. A covariate column with no
+    repeated value settles that at the cost of one sort. Otherwise each
+    column's values are ranked and the ranks are combined into one integer
+    key per unit, with the 0/1 `t` as its lowest digit.
+    """
+    n = t.shape[0]
+    key, size = t.astype(np.intp), 2
+    for col in w.T:
+        values = np.sort(col)
+        repeated = values[1:] == values[:-1]
+        if not repeated.any():
+            return None
+        values = values[np.concatenate(([True], ~repeated))]
+        # the rank of each unit's value: one comparison per value when there are few
+        rank = np.searchsorted(values, col) if values.size > 8 else sum((col > v for v in values[:-1]), 0)
+        key = key + size * rank
+        size *= values.size
+        if size > n:  # renumber the rows seen so far; keeps the key below n**2
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max()) + 1
+    present = np.bincount(key, minlength=size) > 0
+    k = int(np.count_nonzero(present))
+    if k == n:
+        return None
+    cell = key if k == size else (np.cumsum(present) - 1)[key]
+    units = np.empty(k, dtype=np.intp)
+    units[cell] = np.arange(n)
+    return units, cell
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Immutable sample of (w, optional a, t, y) rows.
@@ -207,6 +242,12 @@ class ObservationSet:
     @property
     def p(self) -> int:
         return self.w.shape[1]
+
+    @functools.cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """`_group_rows` of this sample, computed on first use. Every binomial
+        fit on the sample depends on a unit only through its row."""
+        return _group_rows(self.t, self.w)
 
     def with_rule(self, rule: BinarizationRule) -> "ObservationSet":
         """Re-derive t from a under `rule`; idempotent for the attached rule."""
@@ -295,15 +336,17 @@ def load_csv(path: str | Path, rule: BinarizationRule | None = None) -> Observat
     `t`, if present, is 0/1. Any other file (quoted fields, short or long
     records, text, a header with no records) is read again from the start by
     the `csv.reader` row loop, which raises every error; both paths give the
-    same values.
+    same values. A file that cannot seek, such as a pipe, is read into
+    memory first, so that the row loop can read it again.
     """
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
-            cols = _read_table(path, fh, rule)
+            text = fh if fh.seekable() else io.StringIO(fh.read(), newline="")
+            cols = _read_table(path, text, rule)
             if cols is None:
-                fh.seek(0)
-                cols = _read_rows(path, fh, rule)
+                text.seek(0)
+                cols = _read_rows(path, text, rule)
     except IsADirectoryError:
         raise ValidationError(f"{path}: is a directory, expected a CSV file") from None
     except UnicodeDecodeError as exc:

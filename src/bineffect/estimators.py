@@ -39,6 +39,7 @@ _TMLE_MAX_ITER = 100
 
 _RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
 _BLOCK_ELEMENTS = 2**17  # bootstrap indices per block: caps the (m, n) working set
+_CELL_SUMS_ELEMENTS = 2**21  # caps the ipw bootstrap's (n, 2k) cell matrix at 16 MB
 
 
 @dataclass(frozen=True)
@@ -276,9 +277,13 @@ def _ipw(
 
     All estimands share one set of resamples. Each resample is seen as counts
     and y sums per row: per `logistic_cells` cell when units share cells, as
-    with discrete covariates, else per unit. The propensity is refitted on a
-    whole block of resamples at once, warm-started from the full-sample fit;
-    an injected propensity is evaluated per unit without refitting.
+    with discrete covariates, else per unit. With few enough cells, a block's
+    counts and y sums are one product of its (m, n) unit multiplicities with
+    the (n, 2k) matrix [indicator | y * indicator] of the cells; with more,
+    each draw's cell and y are gathered and summed per cell. The propensity
+    is refitted on a whole block of resamples at once, warm-started from the
+    full-sample fit; an injected propensity is evaluated per unit without
+    refitting.
     """
     n, y = data.n, data.y
     if nuis.propensity_injected:
@@ -287,20 +292,27 @@ def _ipw(
         x, t, cell = logistic_cells(data)
         start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
     k = t.shape[0]
+    sums = None  # [indicator | y * indicator] of the cells, when small enough
+    if cell is not None and 2 * k * n <= _CELL_SUMS_ELEMENTS:
+        sums = np.zeros((n, 2 * k))
+        rows = np.arange(n)
+        sums[rows, cell] = 1.0
+        sums[rows, k + cell] = y
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = idx.shape[0]
-        drawn = idx if cell is None else cell[idx]
-        offsets = (drawn + k * np.arange(m)[:, None]).ravel()
-        counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
+        if cell is not None and sums is None:
+            offsets = (cell[idx] + k * np.arange(m)[:, None]).ravel()
+            counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
+            y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
+        else:
+            offsets = (idx + n * np.arange(m)[:, None]).ravel()
+            drawn = np.bincount(offsets, minlength=m * n).reshape(m, n).astype(float)  # per unit
+            counts, y_sums = (drawn, drawn * y) if sums is None else np.hsplit(drawn @ sums, 2)
         if x is None:
             pscore, ok = nuis.pscore, np.ones(m, dtype=bool)
         else:
             pscore, ok = refit_logistic(x, t, counts, start)
-        if cell is None:  # one unit per row: its y sum is its count times its y
-            y_sums = counts * y
-        else:
-            y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
         return _ipw_arms(t, y_sums, pscore, n) @ contrasts.T, ok
 
     ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
@@ -331,9 +343,11 @@ class TmleFit:
     influence: np.ndarray
 
 
-def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
+def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
     """One-dimensional logistic fluctuation: ys ~ expit(offset + beta * h).
 
+    The units come grouped into cells that share their offset and h: row c
+    holds the sum of ys over its `sizes[c]` units, and their offset and h.
     Newton iteration with step halving on the quasi-binomial log likelihood.
     Each coefficient tried is evaluated once: the accepted one's
     probabilities serve the next Newton step.
@@ -342,13 +356,13 @@ def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
         """(probabilities, log likelihood) at beta."""
         probs = expit(offset + beta * h)
         clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
-        return probs, float(ys @ np.log(clipped) + (1.0 - ys) @ np.log(1.0 - clipped))
+        return probs, float(ys_sums @ np.log(clipped) + (sizes - ys_sums) @ np.log(1.0 - clipped))
 
     beta = 0.0
     probs, current = evaluate(beta)
     for _ in range(_TMLE_MAX_ITER):
-        score = float(h @ (ys - probs))
-        curvature = float((h * h) @ (probs * (1.0 - probs)))
+        score = float(h @ (ys_sums - sizes * probs))
+        curvature = float((h * h) @ (sizes * (probs * (1.0 - probs))))
         if curvature <= 0.0:
             break  # flat likelihood: nothing left to update
         step = score / curvature
@@ -370,7 +384,11 @@ def _fluctuate(ys: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
 
 def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[TmleFit]:
     """Targeted fit per (c1, c0, c_y) row of `contrasts`, all from one untargeted
-    start: y scaled to [0, 1] and the logits of the bounded initial fit."""
+    start: y scaled to [0, 1] and the logits of the bounded initial fit.
+
+    The offset and the clever covariate depend on a unit only through its
+    (t, w), so the fluctuation runs on the sample's distinct (t, w) cells,
+    read at one unit per cell; points and influence values are per unit."""
     t, y = data.t, data.y
     pscore, m1, m0 = nuis.pscore, nuis.m1, nuis.m0
     lo = float(y.min())
@@ -382,6 +400,11 @@ def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> 
     logit_q1 = logit(np.clip((m1 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
     logit_q0 = logit(np.clip((m0 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
     logit_q_obs = np.where(t == 1.0, logit_q1, logit_q0)
+    if data._cells is None:
+        units, sizes, ys_sums = slice(None), np.ones(data.n), ys
+    else:
+        units, cell = data._cells
+        sizes, ys_sums = np.bincount(cell).astype(float), np.bincount(cell, weights=ys)
 
     fits = []
     for c1, c0, c_y in contrasts:
@@ -391,7 +414,7 @@ def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> 
         h_arm0 = c0 / (1.0 - pscore) + c_y
         h_obs = np.where(t == 1.0, h_arm1, h_arm0)
 
-        beta = _fluctuate(ys, logit_q_obs, h_obs)
+        beta = _fluctuate(ys_sums, sizes, logit_q_obs[units], h_obs[units])
         q1_new = expit(logit_q1 + beta * h_arm1)
         q0_new = expit(logit_q0 + beta * h_arm0)
         q_obs_new = np.where(t == 1.0, q1_new, q0_new)

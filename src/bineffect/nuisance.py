@@ -211,17 +211,20 @@ def _logistic_design(w: np.ndarray) -> np.ndarray:
 def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> PropensityModel:
     """Maximum-likelihood logistic regression of t on [1, w] via IRLS.
 
-    Converges when the largest coefficient change drops below 1e-10 (at most
-    100 iterations). No ridge is applied: separation raises SeparationError
-    rather than being silently regularized away.
+    The likelihood is summed over the `logistic_cells` of `data`, each
+    weighted by its number of units. Converges when the largest coefficient
+    change drops below 1e-10 (at most 100 iterations). No ridge is applied:
+    separation raises SeparationError rather than being silently regularized
+    away.
     """
     t = data.t
     if t.size == 0 or np.all(t == t[0]):
         raise DegenerateArmError(
             "cannot fit the propensity model: both treatment arms must be present"
         )
-    x = _logistic_design(data.w)
-    beta, ok = _irls(x, t, start=start, counts=np.ones((1, data.n)))
+    x, t, cell = logistic_cells(data)
+    counts = np.ones((1, data.n)) if cell is None else np.bincount(cell)[None].astype(float)
+    beta, ok = _irls(x, t, start=start, counts=counts)
     if ok[0]:
         return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
     size = np.max(np.abs(beta))
@@ -235,7 +238,8 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
             "logistic fit diverged (singular weighted Hessian at large "
             "coefficients); the treatment arms appear separated"
         )
-    cols = _collinear_columns(x, ["intercept"] + [f"w{j + 1}" for j in range(data.p)])
+    labels = ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
+    cols = _collinear_columns(_logistic_design(data.w), labels)
     raise SingularDesignError(f"singular logistic design; collinear columns: {', '.join(cols)}")
 
 
@@ -249,19 +253,12 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
     units depends on the weights only through their totals per cell. When no
     two units share a cell, as with continuous covariates, grouping saves
     nothing: the units are returned as they are, with None for the index.
+    The grouping is computed once per sample and kept on it.
     """
-    keys = (data.t, *data.w.T)
-    order = np.lexsort(keys)
-    first = np.zeros(data.n, dtype=bool)  # the first unit of each cell, in sorted order
-    first[0] = True
-    for key in keys:
-        ranked = key[order]
-        first[1:] |= ranked[1:] != ranked[:-1]
-    if first.all():
+    cells = data._cells
+    if cells is None:
         return _logistic_design(data.w), data.t, None
-    cell = np.empty(data.n, dtype=np.intp)
-    cell[order] = np.cumsum(first) - 1
-    units = order[first]
+    units, cell = cells
     return _logistic_design(data.w[units]), data.t[units], cell
 
 

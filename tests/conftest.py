@@ -29,6 +29,15 @@ def make_binary_w_dataset(n=60, seed=0, y_scale=1.0):
     return ObservationSet(w=w[:, None], t=t, y=y)
 
 
+def two_binary_covariates(n=30, seed=0):
+    """Two binary covariates (4 patterns, 8 cells with the arm): at n=30 some
+    resamples lose an arm within a pattern and separate."""
+    rng = np.random.default_rng(seed)
+    w = (rng.random((n, 2)) < 0.5).astype(float)
+    t = (rng.random(n) < 1.0 / (1.0 + np.exp(w[:, 1] - w[:, 0]))).astype(float)
+    return ObservationSet(w=w, t=t, y=t + w.sum(axis=1) + rng.normal(size=n))
+
+
 def forbid(monkeypatch, module, *names):
     """Make each named function of `module` fail the test if it is called."""
 

@@ -2,8 +2,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -285,6 +288,29 @@ def test_output_file_holds_the_stdout_bytes(subcommand, fmt, data_csv, tmp_path,
     assert run_cli(*argv, "--output", str(path)) == 0
     assert capsys.readouterr().out == ""
     assert stdout and path.read_bytes() == stdout.encode("utf-8")
+
+
+def test_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The ipw bootstrap sums each block of resamples per cell with a BLAS
+    product that reduces over the units. `bineffect estimate` must print the
+    same bytes whether BLAS runs on one thread or two."""
+    path = tmp_path / "binary_w.csv"
+    save_csv(sample_dgp(DgpSpec(a_mean_slope=4.0), 20_000, seed=5), path)
+    argv = [
+        sys.executable, "-m", "bineffect", "estimate", "--input", str(path), "--cutoff", "6",
+        "--estimator", "reg,ipw,aipw,tmle", "--boot-reps", "400", "--seed", "3",
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        run = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+    assert [r["estimator"] for r in json.loads(outputs[0])] == ["reg", "ipw", "aipw", "tmle"]
 
 
 class TestSimulateCommand:

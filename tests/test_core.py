@@ -269,21 +269,26 @@ class TestCsv:
         data = sample_dgp(DgpSpec(), n, 1)
         path = tmp_path / "d.csv"
         save_csv(data, path)
+        assert _load_through_pipe(tmp_path, path.read_bytes(), data.rule) == _load_outcome(path, data.rule)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("n", [3, 2000])
+    def test_quoted_file_through_a_pipe_reads_as_the_file(self, tmp_path, n):
+        """A quoted field sends the file to the row loop, which reads the
+        pipe's text again from the start."""
+        rows = "".join(f'"{i * 0.5}",{i % 2},{i % 3}\n' for i in range(n))
+        path = tmp_path / "d.csv"
+        path.write_text("y,t,w1\n" + rows)
+        got = _load_through_pipe(tmp_path, path.read_bytes(), None)
+        assert got == _load_outcome(path, None)
+        assert got[1] == (n, 1)  # arrays, not an error
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_bad_record_through_a_pipe_names_its_line(self, tmp_path):
+        content = b"y,t,w1\n1.5,0,2\n2.5,1,x\n"
+        got = _load_through_pipe(tmp_path, content, None)
         fifo = tmp_path / "d.fifo"
-        os.mkfifo(fifo)
-        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
-        writer.start()
-        out = {}
-        reader = threading.Thread(
-            target=lambda: out.update(got=_load_outcome(fifo, data.rule)), daemon=True
-        )
-        reader.start()
-        reader.join(timeout=30)
-        if reader.is_alive():  # blocked opening the pipe again after its writer closed
-            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
-            reader.join(timeout=30)
-        writer.join(timeout=30)
-        assert out["got"] == _load_outcome(path, data.rule)
+        assert got == (ValidationError, f"{fifo}: line 3: column 'w1': could not parse 'x' as a number")
 
     @given(
         n=st.integers(1, 12),
@@ -312,6 +317,24 @@ class TestCsv:
         assert np.array_equal(back.w, data.w)
         if with_a:
             assert np.array_equal(back.a, data.a)
+
+
+def _load_through_pipe(tmp_path, content, rule):
+    """`_load_outcome` of a named pipe that another thread writes `content` into."""
+    fifo = tmp_path / "d.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(content,), daemon=True)
+    writer.start()
+    out = {}
+    reader = threading.Thread(target=lambda: out.update(got=_load_outcome(fifo, rule)), daemon=True)
+    reader.start()
+    reader.join(timeout=30)
+    if reader.is_alive():  # blocked opening the pipe again after its writer closed
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=30)
+    writer.join(timeout=30)
+    assert not reader.is_alive() and not writer.is_alive()
+    return out["got"]
 
 
 def _load_outcome(path, rule):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit, logit
 
 from bineffect import (
     ESTIMATOR_NAMES,
@@ -22,6 +23,7 @@ from bineffect import (
     ValidationError,
     aipw_influence,
     bootstrap_se,
+    core,
     estimate_many,
     estimators,
     fit_logistic,
@@ -30,7 +32,7 @@ from bineffect import (
 )
 from bineffect.nuisance import interacted_design
 from bineffect.simulation import sample_dgp
-from conftest import make_binary_w_dataset, make_dataset
+from conftest import make_binary_w_dataset, make_dataset, two_binary_covariates
 
 BATE = EstimandSpec.bate()
 PEB1 = EstimandSpec.peb(1)
@@ -304,6 +306,76 @@ class TestTmleSharedStart:
         assert len(expit_args) == sum(per_estimand)
 
 
+def unit_tmle(data, estimand):
+    """(fluctuation, point) of TMLE with the fluctuation fitted on the units,
+    one row each: the reference for the fluctuation on cells. Newton steps
+    with halving, written out from the estimator's definition."""
+    nuis = Nuisances(data)
+    t, y = data.t, data.y
+    lo = float(y.min())
+    span = float(y.max()) - lo
+    ys = (y - lo) / span
+    logit_q1, logit_q0 = (logit(np.clip((m - lo) / span, 5e-4, 1.0 - 5e-4)) for m in (nuis.m1, nuis.m0))
+    c1, c0, c_y = estimand.contrast
+    h1, h0 = c1 / nuis.pscore + c_y, c0 / (1.0 - nuis.pscore) + c_y
+    offset, h = np.where(t == 1.0, logit_q1, logit_q0), np.where(t == 1.0, h1, h0)
+
+    def loglik(beta):
+        probs = np.clip(expit(offset + beta * h), 1e-12, 1.0 - 1e-12)
+        return float(ys @ np.log(probs) + (1.0 - ys) @ np.log(1.0 - probs))
+
+    beta, current = 0.0, loglik(0.0)
+    for _ in range(100):
+        probs = expit(offset + beta * h)
+        curvature = float((h * h) @ (probs * (1.0 - probs)))
+        if curvature <= 0.0:
+            break
+        step = float(h @ (ys - probs)) / curvature
+        for _ in range(40):
+            candidate = loglik(beta + step)
+            if candidate >= current - 1e-12:
+                break
+            step /= 2.0
+        else:
+            candidate = loglik(beta + step)
+        beta, current = beta + step, candidate
+        if abs(step) < 1e-10:
+            break
+    q1, q0 = expit(logit_q1 + beta * h1), expit(logit_q0 + beta * h0)
+    y1, y0 = lo + span * q1, lo + span * q0
+    plug_in = c1 * y1 + c0 * y0 + c_y * (lo + span * np.where(t == 1.0, q1, q0))
+    return beta, float(np.mean(plug_in))
+
+
+class TestTmleOnCells:
+    """The targeting step fitted on the (t, w) cells against the units."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_dgp(DgpSpec(), 500, seed=7),
+            lambda: two_binary_covariates(200, seed=1),
+            lambda: sample_dgp(DgpSpec(a_mean_slope=4.0), 100_000, seed=3),
+        ],
+        ids=["paper500", "two_binary", "overlap1e5"],
+    )
+    @pytest.mark.parametrize("estimand", [BATE, PEB1, PEB0], ids=lambda e: e.key)
+    def test_matches_the_units_on_discrete_designs(self, make, estimand):
+        data = make()
+        assert data._cells is not None
+        fit = tmle_update(data, estimand)
+        beta, point = unit_tmle(data, estimand)
+        assert fit.fluctuation == pytest.approx(beta, abs=1e-10)
+        assert fit.point == pytest.approx(point, abs=1e-10)
+
+    @pytest.mark.parametrize("n, p, seed", [(90, 2, 8), (2000, 3, 1)])
+    @pytest.mark.parametrize("estimand", [BATE, PEB1, PEB0], ids=lambda e: e.key)
+    def test_bit_identical_on_continuous_designs(self, n, p, seed, estimand):
+        data = make_dataset(n=n, p=p, seed=seed)
+        fit = tmle_update(data, estimand)
+        assert (fit.fluctuation, fit.point) == unit_tmle(data, estimand)
+
+
 class TestBootstrapSe:
     def test_matches_analytic_se_for_sample_mean(self):
         rng = np.random.default_rng(15)
@@ -506,6 +578,12 @@ class TestEstimateMany:
         with pytest.raises(ValidationError, match="different"):
             estimate_many(data, ["reg"], [BATE], Nuisances(other))
 
+    def test_one_grouping_per_sample(self, monkeypatch):
+        data = sample_dgp(DgpSpec(), 300, seed=2)
+        groupings = count_calls(monkeypatch, "_group_rows", module=core)
+        estimate_many(data, ESTIMATOR_NAMES, (BATE, PEB1, PEB0), boot=BootstrapConfig(50, seed=0))
+        assert len(groupings) == 1
+
     def test_rejects_bad_arguments_before_fitting(self, monkeypatch):
         data = make_dataset(n=40, seed=1)
         ols = count_calls(monkeypatch, "fit_ols_interacted")
@@ -545,15 +623,6 @@ def tiny_sample():
     return ObservationSet(w=w, t=[1.0, 0.0, 1.0, 0.0, 0.0, 0.0], y=np.arange(6.0))
 
 
-def two_binary_covariates(n=30, seed=0):
-    """Two binary covariates (4 patterns, 8 cells with the arm): at n=30 some
-    resamples lose an arm within a pattern and separate."""
-    rng = np.random.default_rng(seed)
-    w = (rng.random((n, 2)) < 0.5).astype(float)
-    t = (rng.random(n) < 1.0 / (1.0 + np.exp(w[:, 1] - w[:, 0]))).astype(float)
-    return ObservationSet(w=w, t=t, y=t + w.sum(axis=1) + rng.normal(size=n))
-
-
 class TestBatchedBootstrap:
     """The batched frequency-weight refit against the per-resample loop."""
 
@@ -584,6 +653,24 @@ class TestBatchedBootstrap:
         notes = [d for d in reports[0].diagnostics if d.startswith("bootstrap redrew")]
         expected = f"bootstrap redrew {redraws} degenerate resamples ({100.0 * redraws / replicates:.1f}% of {replicates})"
         assert notes == ([expected] if redraws > 0.01 * replicates else [])
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: sample_dgp(DgpSpec(), 150, seed=4), tiny_sample, two_binary_covariates],
+        ids=["n150", "tiny", "two_binary"],
+    )
+    def test_cell_product_and_gathered_draws_agree(self, make, monkeypatch):
+        """Above the size cap of the cell matrix, each draw's cell and y are
+        gathered instead; the two sums give the same resamples."""
+        data = make()
+        boot = BootstrapConfig(200, seed=5, ci_method="percentile")
+        product = estimate_many(data, ["ipw"], [BATE, PEB1, PEB0], boot=boot)
+        monkeypatch.setattr(estimators, "_CELL_SUMS_ELEMENTS", 0)
+        gathered = estimate_many(data, ["ipw"], [BATE, PEB1, PEB0], boot=boot)
+        for a, b in zip(product, gathered):
+            assert a.se == pytest.approx(b.se, rel=1e-12)
+            assert a.ci == pytest.approx(b.ci, rel=1e-12)
+            assert a.diagnostics == b.diagnostics
 
     def test_refit_runs_on_cells_not_units(self, monkeypatch):
         data = sample_dgp(DgpSpec(), 150, seed=4)

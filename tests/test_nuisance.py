@@ -12,9 +12,9 @@ from bineffect import (
     fit_logistic,
     fit_ols_interacted,
 )
-from bineffect.nuisance import interacted_design, logistic_cells
+from bineffect.nuisance import _irls, interacted_design, logistic_cells
 from bineffect.simulation import DgpSpec, sample_dgp
-from conftest import make_dataset
+from conftest import make_dataset, two_binary_covariates
 
 PI_W0 = float(stats.norm.sf(1.0))   # Pr(A >= 6 | w=0) = 1 - Phi(1)
 PI_W1 = float(stats.norm.cdf(1.0))  # Pr(A >= 6 | w=1)
@@ -187,6 +187,132 @@ class TestLogisticCells:
         assert len(t) == data.n - 1 and cell[0] == cell[-1]
         np.testing.assert_array_equal(x[cell], np.hstack([np.ones((data.n, 1)), data.w]))
         np.testing.assert_array_equal(t[cell], data.t)
+
+    def test_a_column_without_ties_gives_no_index(self):
+        rng = np.random.default_rng(2)
+        w = np.column_stack([(rng.random(50) < 0.5), rng.normal(size=50)])
+        data = ObservationSet(w=w, t=(rng.random(50) < 0.5), y=np.zeros(50))
+        assert logistic_cells(data)[2] is None
+
+    def test_rows_distinct_only_jointly_give_no_index(self):
+        rng = np.random.default_rng(0)
+        w = np.round(rng.normal(size=(200, 2)), 2)
+        for col in w.T:  # each column has ties ...
+            assert np.unique(col).size < 200
+        assert np.unique(w, axis=0).shape[0] == 200  # ... but no two rows are equal
+        data = ObservationSet(w=w, t=(rng.random(200) < 0.5), y=np.zeros(200))
+        x, t, cell = logistic_cells(data)
+        assert cell is None
+        np.testing.assert_array_equal(x, np.hstack([np.ones((200, 1)), w]))
+
+    def test_t_splits_a_shared_covariate_pattern(self):
+        data = ObservationSet(w=np.array([[1.0, 2.0]] * 3), t=[1.0, 0.0, 1.0], y=np.zeros(3))
+        x, t, cell = logistic_cells(data)
+        np.testing.assert_array_equal(x, [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
+        np.testing.assert_array_equal(t, [0.0, 1.0])
+        np.testing.assert_array_equal(cell, [1, 0, 1])
+
+    @pytest.mark.parametrize("levels", [(), (2,), (3, 2), (12, 12, 2), (40,)])
+    def test_cells_are_the_lexsort_groups(self, levels):
+        """Few and many values per column, and keys renumbered on the way,
+        give the cells that a lexsort of (t, w) finds, in its order."""
+        rng = np.random.default_rng(len(levels))
+        n = 60
+        w = np.column_stack([rng.integers(0, k, size=n) * 0.5 - 1.0 for k in levels]) if levels else np.empty((n, 0))
+        t = (rng.random(n) < 0.5).astype(float)
+        data = ObservationSet(w=w, t=t, y=np.zeros(n))
+        order = np.lexsort((t, *w.T))
+        keys = np.column_stack([t, w])[order]
+        first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+        expected = np.empty(n, dtype=np.intp)
+        expected[order] = np.cumsum(first) - 1
+        x, t_cells, cell = logistic_cells(data)
+        np.testing.assert_array_equal(cell, expected)
+        np.testing.assert_array_equal(x[:, 1:], keys[first][:, 1:])
+        np.testing.assert_array_equal(t_cells, keys[first][:, 0])
+
+
+def unit_rows_fit(data):
+    """The propensity IRLS on the units, one row each: the reference for the grouped fit."""
+    beta, ok = _irls(np.hstack([np.ones((data.n, 1)), data.w]), data.t, np.ones((1, data.n)))
+    assert ok[0]
+    return beta[0]
+
+
+def coefficients(model):
+    return np.concatenate([[model.intercept], model.coef])
+
+
+def intercept_only():
+    rng = np.random.default_rng(1)
+    t = (rng.random(50) < 0.3).astype(float)
+    return ObservationSet(w=np.empty((50, 0)), t=t, y=np.zeros(50))
+
+
+class TestGroupedFit:
+    """The full-sample fit runs on the cells, weighted by their unit counts."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_dgp(DgpSpec(), 150, seed=4),
+            lambda: sample_dgp(DgpSpec(), 100_000, seed=5),
+            lambda: two_binary_covariates(200, seed=1),
+            intercept_only,
+        ],
+        ids=["paper150", "paper1e5", "two_binary", "intercept_only"],
+    )
+    def test_matches_the_unit_rows(self, make):
+        data = make()
+        assert logistic_cells(data)[2] is not None
+        np.testing.assert_allclose(coefficients(fit_logistic(data)), unit_rows_fit(data), rtol=1e-12)
+
+    @pytest.mark.parametrize("n, p, seed", [(90, 2, 8), (2000, 3, 1), (30, 1, 12)])
+    def test_bit_identical_on_continuous_designs(self, n, p, seed):
+        data = make_dataset(n=n, p=p, seed=seed)
+        assert coefficients(fit_logistic(data)).tobytes() == unit_rows_fit(data).tobytes()
+
+    @pytest.mark.parametrize(
+        "columns, treat, error, message",
+        [
+            (
+                lambda wb, r: [wb], lambda wb, r: wb, SeparationError,
+                "logistic coefficients exceeded 30 in magnitude; the treatment arms appear (quasi-)separated",
+            ),
+            (
+                lambda wb, r: [wb, r < 0.5], lambda wb, r: np.where(wb == 1.0, 1.0, r < 0.3),
+                SeparationError,
+                "logistic coefficients exceeded 30 in magnitude; the treatment arms appear (quasi-)separated",
+            ),
+            (
+                lambda wb, r: [wb, wb], lambda wb, r: r < 0.5, SingularDesignError,
+                "singular logistic design; collinear columns: w1, w2",
+            ),
+            (
+                lambda wb, r: [wb, np.full(60, 3.0)], lambda wb, r: r < 0.5, SingularDesignError,
+                "singular logistic design; collinear columns: intercept, w2",
+            ),
+            (
+                lambda wb, r: [wb, 1.0 - wb], lambda wb, r: r < 0.5, SingularDesignError,
+                "singular logistic design; collinear columns: intercept, w1, w2",
+            ),
+            (
+                lambda wb, r: [wb], lambda wb, r: np.ones(60), DegenerateArmError,
+                "cannot fit the propensity model: both treatment arms must be present",
+            ),
+        ],
+        ids=["separated", "quasi_separated", "repeated_column", "constant_column", "complement", "one_arm"],
+    )
+    def test_errors_and_messages_on_grouped_designs(self, columns, treat, error, message):
+        rng = np.random.default_rng(0)
+        wb = (rng.random(60) < 0.5).astype(float)
+        wb[:2] = [0.0, 1.0]
+        r = rng.random(60)
+        data = ObservationSet(w=np.column_stack(columns(wb, r)), t=treat(wb, r), y=np.zeros(60))
+        assert logistic_cells(data)[2] is not None
+        with pytest.raises(error) as info:
+            fit_logistic(data)
+        assert str(info.value) == message
 
 
 class TestPredictOutcome:
