@@ -143,15 +143,16 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The distinct (t, w) rows of a sample, ordered by the last covariate
     first and by t last, as `np.lexsort((t, *w.T))` orders them.
 
-    Returns the index of one unit per distinct row and each unit's (n,) row
-    index, or None when no two units share a row. A covariate column with no
-    repeated value settles that at the cost of one sort. Otherwise each
-    column's values are ranked and the ranks are combined into one integer
-    key per unit, with the 0/1 `t` as its lowest digit.
+    Returns the index of one unit per distinct row, each unit's (n,) row
+    index and the number of units per row (as floats), or None when no two
+    units share a row. A covariate column with no repeated value settles that
+    at the cost of one sort. Otherwise each column's values are ranked and
+    the ranks are combined into one integer key per unit, with the 0/1 `t`
+    as its lowest digit.
     """
     n = t.shape[0]
     key, size = t.astype(np.intp), 2
@@ -161,21 +162,20 @@ def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
         if not repeated.any():
             return None
         values = values[np.concatenate(([True], ~repeated))]
-        # the rank of each unit's value: one comparison per value when there are few
-        rank = np.searchsorted(values, col) if values.size > 8 else sum((col > v for v in values[:-1]), 0)
-        key = key + size * rank
+        key = key + size * np.searchsorted(values, col)
         size *= values.size
         if size > n:  # renumber the rows seen so far; keeps the key below n**2
             key = np.unique(key, return_inverse=True)[1]
             size = int(key.max()) + 1
-    present = np.bincount(key, minlength=size) > 0
+    sizes = np.bincount(key, minlength=size)
+    present = sizes > 0
     k = int(np.count_nonzero(present))
     if k == n:
         return None
     cell = key if k == size else (np.cumsum(present) - 1)[key]
     units = np.empty(k, dtype=np.intp)
     units[cell] = np.arange(n)
-    return units, cell
+    return units, cell, sizes[present].astype(float)
 
 
 @dataclass(frozen=True)
@@ -244,7 +244,7 @@ class ObservationSet:
         return self.w.shape[1]
 
     @functools.cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """`_group_rows` of this sample, computed on first use. Every binomial
         fit on the sample depends on a unit only through its row."""
         return _group_rows(self.t, self.w)

@@ -26,6 +26,7 @@ from .nuisance import (
     OutcomeModel,
     PropensityModel,
     RegressionFit,
+    cell_sums,
     fit_logistic,
     fit_ols_interacted,
     interacted_design,
@@ -39,7 +40,6 @@ _TMLE_MAX_ITER = 100
 
 _RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
 _BLOCK_ELEMENTS = 2**17  # bootstrap indices per block: caps the (m, n) working set
-_CELL_SUMS_ELEMENTS = 2**21  # caps the ipw bootstrap's (n, 2k) cell matrix at 16 MB
 
 
 @dataclass(frozen=True)
@@ -277,13 +277,9 @@ def _ipw(
 
     All estimands share one set of resamples. Each resample is seen as counts
     and y sums per row: per `logistic_cells` cell when units share cells, as
-    with discrete covariates, else per unit. With few enough cells, a block's
-    counts and y sums are one product of its (m, n) unit multiplicities with
-    the (n, 2k) matrix [indicator | y * indicator] of the cells; with more,
-    each draw's cell and y are gathered and summed per cell. The propensity
-    is refitted on a whole block of resamples at once, warm-started from the
-    full-sample fit; an injected propensity is evaluated per unit without
-    refitting.
+    with discrete covariates, else per unit. The propensity is refitted on a
+    whole block of resamples at once, warm-started from the full-sample fit;
+    an injected propensity is evaluated per unit without refitting.
     """
     n, y = data.n, data.y
     if nuis.propensity_injected:
@@ -292,27 +288,20 @@ def _ipw(
         x, t, cell = logistic_cells(data)
         start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
     k = t.shape[0]
-    sums = None  # [indicator | y * indicator] of the cells, when small enough
-    if cell is not None and 2 * k * n <= _CELL_SUMS_ELEMENTS:
-        sums = np.zeros((n, 2 * k))
-        rows = np.arange(n)
-        sums[rows, cell] = 1.0
-        sums[rows, k + cell] = y
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = idx.shape[0]
-        if cell is not None and sums is None:
-            offsets = (cell[idx] + k * np.arange(m)[:, None]).ravel()
-            counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
-            y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
-        else:
-            offsets = (idx + n * np.arange(m)[:, None]).ravel()
-            drawn = np.bincount(offsets, minlength=m * n).reshape(m, n).astype(float)  # per unit
-            counts, y_sums = (drawn, drawn * y) if sums is None else np.hsplit(drawn @ sums, 2)
+        drawn = idx if cell is None else cell[idx]
+        offsets = (drawn + k * np.arange(m)[:, None]).ravel()
+        counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
         if x is None:
             pscore, ok = nuis.pscore, np.ones(m, dtype=bool)
         else:
             pscore, ok = refit_logistic(x, t, counts, start)
+        if cell is None:  # one unit per row: its y sum is its count times its y
+            y_sums = counts * y
+        else:
+            y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
         return _ipw_arms(t, y_sums, pscore, n) @ contrasts.T, ok
 
     ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
@@ -400,11 +389,7 @@ def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> 
     logit_q1 = logit(np.clip((m1 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
     logit_q0 = logit(np.clip((m0 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
     logit_q_obs = np.where(t == 1.0, logit_q1, logit_q0)
-    if data._cells is None:
-        units, sizes, ys_sums = slice(None), np.ones(data.n), ys
-    else:
-        units, cell = data._cells
-        sizes, ys_sums = np.bincount(cell).astype(float), np.bincount(cell, weights=ys)
+    units, sizes, ys_sums = cell_sums(data, ys)
 
     fits = []
     for c1, c0, c_y in contrasts:

@@ -223,8 +223,8 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
             "cannot fit the propensity model: both treatment arms must be present"
         )
     x, t, cell = logistic_cells(data)
-    counts = np.ones((1, data.n)) if cell is None else np.bincount(cell)[None].astype(float)
-    beta, ok = _irls(x, t, start=start, counts=counts)
+    sizes = np.ones(data.n) if cell is None else data._cells[2]
+    beta, ok = _irls(x, t, start=start, counts=sizes[None])
     if ok[0]:
         return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
     size = np.max(np.abs(beta))
@@ -258,8 +258,21 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
     cells = data._cells
     if cells is None:
         return _logistic_design(data.w), data.t, None
-    units, cell = cells
+    units, cell, _ = cells
     return _logistic_design(data.w[units]), data.t[units], cell
+
+
+def cell_sums(
+    data: ObservationSet, values: np.ndarray
+) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+    """One unit of each `logistic_cells` cell, the number of units in each
+    cell and the sum of the (n,) `values` over each. When no two units share
+    a cell, each unit is its own: all units, ones and `values` itself."""
+    cells = data._cells
+    if cells is None:
+        return slice(None), np.ones(data.n), values
+    units, cell, sizes = cells
+    return units, sizes, np.bincount(cell, weights=values, minlength=units.size)
 
 
 def refit_logistic(

@@ -291,9 +291,9 @@ def test_output_file_holds_the_stdout_bytes(subcommand, fmt, data_csv, tmp_path,
 
 
 def test_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The ipw bootstrap sums each block of resamples per cell with a BLAS
-    product that reduces over the units. `bineffect estimate` must print the
-    same bytes whether BLAS runs on one thread or two."""
+    """The fits and their sums reduce over units or cells, some through BLAS.
+    `bineffect estimate` must print the same bytes whether BLAS runs on one
+    thread or two."""
     path = tmp_path / "binary_w.csv"
     save_csv(sample_dgp(DgpSpec(a_mean_slope=4.0), 20_000, seed=5), path)
     argv = [

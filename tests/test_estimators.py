@@ -654,24 +654,6 @@ class TestBatchedBootstrap:
         expected = f"bootstrap redrew {redraws} degenerate resamples ({100.0 * redraws / replicates:.1f}% of {replicates})"
         assert notes == ([expected] if redraws > 0.01 * replicates else [])
 
-    @pytest.mark.parametrize(
-        "make",
-        [lambda: sample_dgp(DgpSpec(), 150, seed=4), tiny_sample, two_binary_covariates],
-        ids=["n150", "tiny", "two_binary"],
-    )
-    def test_cell_product_and_gathered_draws_agree(self, make, monkeypatch):
-        """Above the size cap of the cell matrix, each draw's cell and y are
-        gathered instead; the two sums give the same resamples."""
-        data = make()
-        boot = BootstrapConfig(200, seed=5, ci_method="percentile")
-        product = estimate_many(data, ["ipw"], [BATE, PEB1, PEB0], boot=boot)
-        monkeypatch.setattr(estimators, "_CELL_SUMS_ELEMENTS", 0)
-        gathered = estimate_many(data, ["ipw"], [BATE, PEB1, PEB0], boot=boot)
-        for a, b in zip(product, gathered):
-            assert a.se == pytest.approx(b.se, rel=1e-12)
-            assert a.ci == pytest.approx(b.ci, rel=1e-12)
-            assert a.diagnostics == b.diagnostics
-
     def test_refit_runs_on_cells_not_units(self, monkeypatch):
         data = sample_dgp(DgpSpec(), 150, seed=4)
         irls = count_calls(monkeypatch, "_irls", module=nuisance)

@@ -12,7 +12,7 @@ from bineffect import (
     fit_logistic,
     fit_ols_interacted,
 )
-from bineffect.nuisance import _irls, interacted_design, logistic_cells
+from bineffect.nuisance import _irls, cell_sums, interacted_design, logistic_cells
 from bineffect.simulation import DgpSpec, sample_dgp
 from conftest import make_dataset, two_binary_covariates
 
@@ -211,6 +211,20 @@ class TestLogisticCells:
         np.testing.assert_array_equal(x, [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
         np.testing.assert_array_equal(t, [0.0, 1.0])
         np.testing.assert_array_equal(cell, [1, 0, 1])
+
+    def test_cell_sums_total_each_cell(self):
+        data = sample_dgp(DgpSpec(), 150, seed=4)
+        x, t, cell = logistic_cells(data)
+        units, sizes, sums = cell_sums(data, data.y)
+        np.testing.assert_array_equal(cell[units], np.arange(len(t)))
+        np.testing.assert_array_equal(sizes, np.bincount(cell))
+        np.testing.assert_allclose(sums, [data.y[cell == c].sum() for c in range(len(t))], rtol=1e-12)
+
+    def test_cell_sums_of_distinct_rows_are_the_units(self, dataset):
+        units, sizes, sums = cell_sums(dataset, dataset.y)
+        np.testing.assert_array_equal(np.arange(dataset.n)[units], np.arange(dataset.n))
+        np.testing.assert_array_equal(sizes, np.ones(dataset.n))
+        assert sums is dataset.y
 
     @pytest.mark.parametrize("levels", [(), (2,), (3, 2), (12, 12, 2), (40,)])
     def test_cells_are_the_lexsort_groups(self, levels):
