@@ -29,7 +29,6 @@ from .core import (
 from .estimators import (
     ESTIMATOR_NAMES,
     BootstrapConfig,
-    InfluenceRecord,
     Nuisances,
     TmleFit,
     aipw_influence,
@@ -70,7 +69,6 @@ __all__ = [
     "EstimandSpec",
     "EstimateReport",
     "EstimationError",
-    "InfluenceRecord",
     "McResult",
     "McRow",
     "Nuisances",

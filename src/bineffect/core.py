@@ -138,21 +138,24 @@ class EstimandSpec:
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
+    """A read-only, C-contiguous float copy: BLAS sums an F-ordered matrix in
+    another order, so the layout would otherwise change the estimates."""
+    out = np.array(arr, dtype=float, copy=True, order="C")
     out.flags.writeable = False
     return out
 
 
-def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (t, w) rows of a sample, ordered by the last covariate
     first and by t last, as `np.lexsort((t, *w.T))` orders them.
 
     Returns the index of one unit per distinct row, each unit's (n,) row
-    index and the number of units per row (as floats), or None when no two
-    units share a row. A covariate column with no repeated value settles that
-    at the cost of one sort. Otherwise each column's values are ranked and
-    the ranks are combined into one integer key per unit, with the 0/1 `t`
-    as its lowest digit.
+    index and the number of units per row (as floats). When no two units
+    share a row, each unit is its own row, in sample order: `arange(n)`,
+    `arange(n)` and ones. A covariate column with no repeated value settles
+    that at the cost of one sort. Otherwise each column's values are ranked
+    and the ranks are combined into one integer key per unit, with the 0/1
+    `t` as its lowest digit.
     """
     n = t.shape[0]
     key, size = t.astype(np.intp), 2
@@ -160,7 +163,7 @@ def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         values = np.sort(col)
         repeated = values[1:] == values[:-1]
         if not repeated.any():
-            return None
+            return np.arange(n), np.arange(n), np.ones(n)
         values = values[np.concatenate(([True], ~repeated))]
         key = key + size * np.searchsorted(values, col)
         size *= values.size
@@ -171,7 +174,7 @@ def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     present = sizes > 0
     k = int(np.count_nonzero(present))
     if k == n:
-        return None
+        return np.arange(n), np.arange(n), np.ones(n)
     cell = key if k == size else (np.cumsum(present) - 1)[key]
     units = np.empty(k, dtype=np.intp)
     units[cell] = np.arange(n)
@@ -244,7 +247,7 @@ class ObservationSet:
         return self.w.shape[1]
 
     @functools.cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`_group_rows` of this sample, computed on first use. Every binomial
         fit on the sample depends on a unit only through its row."""
         return _group_rows(self.t, self.w)

@@ -68,18 +68,6 @@ def _influence_se(phi: np.ndarray) -> float:
     return float(np.sqrt(np.mean(phi**2) / phi.shape[0]))
 
 
-@dataclass(frozen=True)
-class InfluenceRecord:
-    """Estimated influence values, one per unit; mean zero for AIPW."""
-
-    phi: np.ndarray
-    estimand: EstimandSpec
-
-    @property
-    def se(self) -> float:
-        return _influence_se(self.phi)
-
-
 class Nuisances:
     """Nuisance fits for one sample, shared by every estimator and estimand.
 
@@ -275,33 +263,29 @@ def _ipw(
     """IPW (point, bootstrap SE, percentile CI or None) per row of
     `contrasts`, and the bootstrap's redraw note.
 
-    All estimands share one set of resamples. Each resample is seen as counts
-    and y sums per row: per `logistic_cells` cell when units share cells, as
-    with discrete covariates, else per unit. The propensity is refitted on a
-    whole block of resamples at once, warm-started from the full-sample fit;
-    an injected propensity is evaluated per unit without refitting.
+    All estimands share one set of resamples. Each resample is seen as its
+    counts and y sums per `logistic_cells` cell; with continuous covariates
+    each unit is its own cell. The propensity is refitted on a whole block of
+    resamples at once, warm-started from the full-sample fit; an injected
+    propensity is read once per cell, at one of its units, and not refitted.
     """
     n, y = data.n, data.y
-    if nuis.propensity_injected:
-        x, t, cell = None, data.t, None
-    else:
-        x, t, cell = logistic_cells(data)
-        start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
+    x, t, cell = logistic_cells(data)
     k = t.shape[0]
+    if nuis.propensity_injected:
+        fixed = nuis.pscore[cell_sums(data, y)[0]]
+    else:
+        start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = idx.shape[0]
-        drawn = idx if cell is None else cell[idx]
-        offsets = (drawn + k * np.arange(m)[:, None]).ravel()
+        offsets = (cell[idx] + k * np.arange(m)[:, None]).ravel()
         counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
-        if x is None:
-            pscore, ok = nuis.pscore, np.ones(m, dtype=bool)
+        if nuis.propensity_injected:
+            pscore, ok = fixed, np.ones(m, dtype=bool)
         else:
             pscore, ok = refit_logistic(x, t, counts, start)
-        if cell is None:  # one unit per row: its y sum is its count times its y
-            y_sums = counts * y
-        else:
-            y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
+        y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
         return _ipw_arms(t, y_sums, pscore, n) @ contrasts.T, ok
 
     ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
@@ -482,10 +466,11 @@ def aipw_influence(
     estimand: EstimandSpec,
     outcome: OutcomeModel | None = None,
     propensity: PropensityModel | None = None,
-) -> InfluenceRecord:
-    """Estimated efficient influence values at the AIPW solution (mean zero)."""
+) -> np.ndarray:
+    """Estimated efficient influence values at the AIPW solution, one per
+    unit (mean zero); the AIPW SE is sqrt(mean(phi**2) / n)."""
     _, phi = _aipw_arms(data, Nuisances(data, outcome, propensity))
-    return InfluenceRecord(phi=phi @ estimand.contrast, estimand=estimand)
+    return phi @ estimand.contrast
 
 
 def tmle_update(

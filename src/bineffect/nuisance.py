@@ -222,9 +222,8 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
         raise DegenerateArmError(
             "cannot fit the propensity model: both treatment arms must be present"
         )
-    x, t, cell = logistic_cells(data)
-    sizes = np.ones(data.n) if cell is None else data._cells[2]
-    beta, ok = _irls(x, t, start=start, counts=sizes[None])
+    x, t, _ = logistic_cells(data)
+    beta, ok = _irls(x, t, start=start, counts=data._cells[2][None])
     if ok[0]:
         return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
     size = np.max(np.abs(beta))
@@ -243,7 +242,7 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
     raise SingularDesignError(f"singular logistic design; collinear columns: {', '.join(cols)}")
 
 
-def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (logistic design row, t) pairs of `data`: the cells of the
     grouped-binomial form of the propensity likelihood (McCullagh & Nelder
     1989, section 4.4).
@@ -251,27 +250,18 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
     Returns the (k, d) cell design rows, their (k,) treatments and each
     unit's (n,) cell index. A frequency-weighted likelihood or sum over the
     units depends on the weights only through their totals per cell. When no
-    two units share a cell, as with continuous covariates, grouping saves
-    nothing: the units are returned as they are, with None for the index.
-    The grouping is computed once per sample and kept on it.
+    two units share a cell, as with continuous covariates, each unit is its
+    own cell, in sample order (k = n). The grouping is computed once per
+    sample and kept on it.
     """
-    cells = data._cells
-    if cells is None:
-        return _logistic_design(data.w), data.t, None
-    units, cell, _ = cells
+    units, cell, _ = data._cells
     return _logistic_design(data.w[units]), data.t[units], cell
 
 
-def cell_sums(
-    data: ObservationSet, values: np.ndarray
-) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
+def cell_sums(data: ObservationSet, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One unit of each `logistic_cells` cell, the number of units in each
-    cell and the sum of the (n,) `values` over each. When no two units share
-    a cell, each unit is its own: all units, ones and `values` itself."""
-    cells = data._cells
-    if cells is None:
-        return slice(None), np.ones(data.n), values
-    units, cell, sizes = cells
+    cell and the sum of the (n,) `values` over each."""
+    units, cell, sizes = data._cells
     return units, sizes, np.bincount(cell, weights=values, minlength=units.size)
 
 
@@ -280,11 +270,10 @@ def refit_logistic(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refit the propensity on m frequency-weighted resamples at once.
 
-    `x` (k, d) and `t` (k,) are logistic design rows and treatments, either
-    the units of a sample or its `logistic_cells`. Row b of the (m, k)
-    `counts` holds how often each row appears in resample b: the
-    frequency-weight view of the nonparametric bootstrap (Efron & Tibshirani
-    1993). Every refit starts from `start` (intercept, then coefficients) and
+    `x` (k, d) and `t` (k,) are logistic design rows and treatments, such as
+    the `logistic_cells` of a sample. Row b of the (m, k) `counts` holds how
+    often each row appears in resample b: the frequency-weight view of the
+    nonparametric bootstrap (Efron & Tibshirani 1993). Every refit starts from `start` (intercept, then coefficients) and
     all of them run as one batched IRLS. Returns each refit's probabilities
     for every row, (m, k) and clipped like `predict_proba`, and an (m,) mask
     of the refits that succeeded; a resample on which `fit_logistic` would

@@ -275,7 +275,7 @@ def test_criterion_8_invariant_suite():
     # influence records have mean zero
     data = sample_dgp(SPEC, 400, seed=[SEED, 8, 0])
     for estimand in (BATE, PEB1, PEB0):
-        if abs(aipw_influence(data, estimand).phi.mean()) >= 1e-8:
+        if abs(aipw_influence(data, estimand).mean()) >= 1e-8:
             problems.append(f"aipw influence mean nonzero for {estimand.key}")
         tmle = tmle_update(data, estimand)
         if abs(tmle.influence.mean()) / max(1.0, np.abs(tmle.influence).max()) >= 1e-8:

@@ -313,6 +313,26 @@ def test_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert [r["estimator"] for r in json.loads(outputs[0])] == ["reg", "ipw", "aipw", "tmle"]
 
 
+def test_quoted_header_prints_the_bytes_of_the_unquoted_one(tmp_path, capsys):
+    """A quoted header sends a file to the row loop instead of the
+    `np.loadtxt` pass; both must give the same estimates to the byte."""
+    rng = np.random.default_rng(2)
+    w = rng.normal(size=(300, 3))
+    t = (rng.random(300) < 1.0 / (1.0 + np.exp(-w.sum(axis=1)))).astype(float)
+    lines = ["y,t,w1,w2,w3"] + [
+        ",".join(repr(float(v)) for v in row)
+        for row in np.column_stack([t + w @ [0.5, -0.3, 0.2] + rng.normal(size=300), t, w])
+    ]
+    outputs = []
+    for name, header in (("plain.csv", lines[0]), ("quoted.csv", '"y","t","w1","w2","w3"')):
+        path = tmp_path / name
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+        assert run_cli("estimate", "--input", str(path), "--estimator", "reg,ipw,aipw,tmle",
+                       "--boot-reps", "50", "--seed", "1") == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 class TestSimulateCommand:
     def test_tiny_run_is_fast_and_well_formed(self, capsys):
         start = time.perf_counter()

@@ -30,7 +30,7 @@ from bineffect import (
     nuisance,
     tmle_update,
 )
-from bineffect.nuisance import interacted_design
+from bineffect.nuisance import interacted_design, logistic_cells
 from bineffect.simulation import sample_dgp
 from conftest import make_binary_w_dataset, make_dataset, two_binary_covariates
 
@@ -207,10 +207,10 @@ class TestAipw:
 
     def test_influence_mean_zero_and_se(self, dataset):
         for estimand in (BATE, PEB1, PEB0):
-            record = aipw_influence(dataset, estimand)
-            assert abs(record.phi.mean()) < 1e-8
+            phi = aipw_influence(dataset, estimand)
+            assert abs(phi.mean()) < 1e-8
             [report] = estimate_many(dataset, ["aipw"], [estimand])
-            assert report.se == pytest.approx(record.se, rel=1e-12)
+            assert report.se == pytest.approx(np.sqrt(np.mean(phi**2) / dataset.n), rel=1e-12)
 
     def test_peb_identity(self, dataset):
         bate, peb1, peb0 = (r.point for r in estimate_many(dataset, ["aipw"], [BATE, PEB1, PEB0]))
@@ -362,7 +362,7 @@ class TestTmleOnCells:
     @pytest.mark.parametrize("estimand", [BATE, PEB1, PEB0], ids=lambda e: e.key)
     def test_matches_the_units_on_discrete_designs(self, make, estimand):
         data = make()
-        assert data._cells is not None
+        assert len(logistic_cells(data)[1]) < data.n
         fit = tmle_update(data, estimand)
         beta, point = unit_tmle(data, estimand)
         assert fit.fluctuation == pytest.approx(beta, abs=1e-10)
@@ -578,6 +578,17 @@ class TestEstimateMany:
         with pytest.raises(ValidationError, match="different"):
             estimate_many(data, ["reg"], [BATE], Nuisances(other))
 
+    def test_estimates_do_not_depend_on_the_layout_of_w(self):
+        """An F-ordered covariate matrix gives the same bytes as a C-ordered one."""
+        data = make_dataset(n=200, p=3, seed=4)
+        flipped = ObservationSet(w=np.asfortranarray(data.w), t=data.t, y=data.y)
+        boot = BootstrapConfig(50, seed=0)
+        reports = [
+            [(r.point, r.se, r.ci) for r in estimate_many(d, ESTIMATOR_NAMES, (BATE, PEB1, PEB0), boot=boot)]
+            for d in (data, flipped)
+        ]
+        assert reports[0] == reports[1]
+
     def test_one_grouping_per_sample(self, monkeypatch):
         data = sample_dgp(DgpSpec(), 300, seed=2)
         groupings = count_calls(monkeypatch, "_group_rows", module=core)
@@ -594,17 +605,20 @@ class TestEstimateMany:
         assert ols == []
 
 
-def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95):
+def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95, propensity=None):
     """The bootstrap as a loop over resamples: subset the rows, refit the
     propensity warm-started from the full-sample fit, and redraw a resample
-    whose refit fails. Returns (ses, percentile cis, redraw count)."""
-    full = fit_logistic(data)
-    start = np.concatenate([[full.intercept], full.coef])
+    whose refit fails. A fixed `propensity` is evaluated on each resample
+    instead, without a refit. Returns (ses, percentile cis, redraw count)."""
+    if propensity is None:
+        full = fit_logistic(data)
+        start = np.concatenate([[full.intercept], full.coef])
     estimates, redraws = [], 0
     while len(estimates) < replicates:
         d = data.subset(rng.integers(0, data.n, size=data.n))
         try:
-            pscore = fit_logistic(d, start=start).predict_proba(d.w)
+            model = fit_logistic(d, start=start) if propensity is None else propensity
+            pscore = model.predict_proba(d.w)
         except (DegenerateArmError, SeparationError, SingularDesignError):
             redraws += 1
             continue
@@ -653,6 +667,26 @@ class TestBatchedBootstrap:
         notes = [d for d in reports[0].diagnostics if d.startswith("bootstrap redrew")]
         expected = f"bootstrap redrew {redraws} degenerate resamples ({100.0 * redraws / replicates:.1f}% of {replicates})"
         assert notes == ([expected] if redraws > 0.01 * replicates else [])
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: sample_dgp(DgpSpec(), 150, seed=4), lambda: make_dataset(n=120, p=2, seed=5)],
+        ids=["n150", "continuous"],
+    )
+    def test_injected_propensity_matches_the_loop(self, make):
+        data = make()
+        model = PropensityModel(intercept=0.1, coef=np.full(data.p, 0.2))
+        estimands = (BATE, PEB1, PEB0)
+        contrasts = np.array([e.contrast for e in estimands])
+        loop_rng, batch_rng = np.random.default_rng(17), np.random.default_rng(17)
+        ses, cis, redraws = per_resample_bootstrap(data, contrasts, 200, loop_rng, propensity=model)
+        boot = BootstrapConfig(200, seed=batch_rng, ci_method="percentile")
+        reports = estimate_many(data, ["ipw"], estimands, Nuisances(data, propensity=model), boot)
+        assert redraws == 0
+        for report, se, ci in zip(reports, ses, cis):
+            assert report.se == pytest.approx(se, rel=1e-12)
+            assert report.ci == pytest.approx(tuple(ci), rel=1e-12)
+        assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
     def test_refit_runs_on_cells_not_units(self, monkeypatch):
         data = sample_dgp(DgpSpec(), 150, seed=4)

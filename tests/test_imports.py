@@ -43,6 +43,23 @@ def test_estimand_kind_is_mapped_only_in_core(module):
     assert reads == [], f"{module} reads {reads}"
 
 
+@pytest.mark.parametrize(
+    "module",
+    sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("core.py", "nuisance.py")),
+)
+def test_grouping_is_read_only_in_core_and_nuisance(module):
+    """Other modules see a sample's (t, w) cells only through
+    `nuisance.logistic_cells` and `nuisance.cell_sums`, so the format of the
+    cached grouping stays behind those two modules."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    reads = [
+        f"line {node.lineno}: ._cells"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_cells"
+    ]
+    assert reads == [], f"{module} reads {reads}"
+
+
 def test_every_public_name_resolves():
     """`from bineffect import *` needs every name in `__all__` on the package."""
     missing = [name for name in bineffect.__all__ if not hasattr(bineffect, name)]

@@ -176,7 +176,7 @@ class TestLogisticCells:
 
     def test_no_shared_cell_keeps_the_units(self, dataset):
         x, t, cell = logistic_cells(dataset)
-        assert cell is None
+        np.testing.assert_array_equal(cell, np.arange(dataset.n))
         np.testing.assert_array_equal(x, np.hstack([np.ones((dataset.n, 1)), dataset.w]))
         np.testing.assert_array_equal(t, dataset.t)
 
@@ -188,13 +188,13 @@ class TestLogisticCells:
         np.testing.assert_array_equal(x[cell], np.hstack([np.ones((data.n, 1)), data.w]))
         np.testing.assert_array_equal(t[cell], data.t)
 
-    def test_a_column_without_ties_gives_no_index(self):
+    def test_a_column_without_ties_gives_the_identity_cells(self):
         rng = np.random.default_rng(2)
         w = np.column_stack([(rng.random(50) < 0.5), rng.normal(size=50)])
         data = ObservationSet(w=w, t=(rng.random(50) < 0.5), y=np.zeros(50))
-        assert logistic_cells(data)[2] is None
+        np.testing.assert_array_equal(logistic_cells(data)[2], np.arange(50))
 
-    def test_rows_distinct_only_jointly_give_no_index(self):
+    def test_rows_distinct_only_jointly_give_the_identity_cells(self):
         rng = np.random.default_rng(0)
         w = np.round(rng.normal(size=(200, 2)), 2)
         for col in w.T:  # each column has ties ...
@@ -202,7 +202,7 @@ class TestLogisticCells:
         assert np.unique(w, axis=0).shape[0] == 200  # ... but no two rows are equal
         data = ObservationSet(w=w, t=(rng.random(200) < 0.5), y=np.zeros(200))
         x, t, cell = logistic_cells(data)
-        assert cell is None
+        np.testing.assert_array_equal(cell, np.arange(200))
         np.testing.assert_array_equal(x, np.hstack([np.ones((200, 1)), w]))
 
     def test_t_splits_a_shared_covariate_pattern(self):
@@ -222,9 +222,9 @@ class TestLogisticCells:
 
     def test_cell_sums_of_distinct_rows_are_the_units(self, dataset):
         units, sizes, sums = cell_sums(dataset, dataset.y)
-        np.testing.assert_array_equal(np.arange(dataset.n)[units], np.arange(dataset.n))
+        np.testing.assert_array_equal(units, np.arange(dataset.n))
         np.testing.assert_array_equal(sizes, np.ones(dataset.n))
-        assert sums is dataset.y
+        assert sums.tobytes() == dataset.y.tobytes()
 
     @pytest.mark.parametrize("levels", [(), (2,), (3, 2), (12, 12, 2), (40,)])
     def test_cells_are_the_lexsort_groups(self, levels):
@@ -278,7 +278,7 @@ class TestGroupedFit:
     )
     def test_matches_the_unit_rows(self, make):
         data = make()
-        assert logistic_cells(data)[2] is not None
+        assert len(logistic_cells(data)[1]) < data.n
         np.testing.assert_allclose(coefficients(fit_logistic(data)), unit_rows_fit(data), rtol=1e-12)
 
     @pytest.mark.parametrize("n, p, seed", [(90, 2, 8), (2000, 3, 1), (30, 1, 12)])
@@ -323,7 +323,7 @@ class TestGroupedFit:
         wb[:2] = [0.0, 1.0]
         r = rng.random(60)
         data = ObservationSet(w=np.column_stack(columns(wb, r)), t=treat(wb, r), y=np.zeros(60))
-        assert logistic_cells(data)[2] is not None
+        assert len(logistic_cells(data)[1]) < data.n
         with pytest.raises(error) as info:
             fit_logistic(data)
         assert str(info.value) == message
