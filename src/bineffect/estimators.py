@@ -29,7 +29,6 @@ from .nuisance import (
     cell_sums,
     fit_logistic,
     fit_ols_interacted,
-    interacted_design,
     logistic_cells,
     refit_logistic,
 )
@@ -123,49 +122,40 @@ class Nuisances:
 def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.ndarray]:
     """Regression arm triple (mu1, mu0, E[Y]) and its per-unit influence values.
 
-    mu1 = beta0 + beta_t, mu0 = beta0 and E[Y] = beta0 + t_bar * beta_t +
-    tw_bar . beta_interact. The influence values are those of the stacked
-    M-estimator of (t_bar, tw_bar, OLS coefficients): the rows of
-    x_i r_i (X'X/n)^-1 for the coefficients and the deviations t_i - t_bar and
-    t_i wc_i - tw_bar for the two means, with the covariate mean used to
-    center w held fixed. mean(phi^2) / n of a contrast is then the stacked
-    sandwich variance with the delta method applied (Stefanski & Boos 2002).
+    The interacted OLS is one least-squares line per arm in wc = w - w_mean,
+    so mu1 = beta0 + beta_t and mu0 = beta0 are the arms' intercepts: each a
+    sum of its arm's outcomes times implied weights fixed by the covariates
+    (Chattopadhyay & Zubizarreta 2023). Arm a's influence values
+    are 1(t_i = a) omega_i r_i, with omega_i = n/n_a - n m_a' S_a^-1 (wc_i -
+    m_a) for the arm's mean m_a and scatter S_a of wc. E[Y] is ybar, with
+    influence values y_i - ybar - wc_i . beta_w. These are the stacked
+    M-estimator's influence values (Stefanski & Boos 2002) with the
+    covariate mean used to center w held fixed. Every sum over the units is
+    an elementwise product's `.sum()`, so none runs through BLAS.
     """
     fit = nuis.regression
-    t, p = data.t, data.p
-    wc = data.w - fit.w_mean
-    t_bar = float(t.mean())
-    tw_bar = (t[:, None] * wc).mean(axis=0)
-    residuals = data.y - fit.predict(t, data.w)
-    x = interacted_design(t, wc)
-    try:
-        bread_inv = np.linalg.inv(x.T @ x / data.n)
-    except np.linalg.LinAlgError:
-        raise SingularDesignError("singular bread matrix X'X/n; the design is rank deficient") from None
-    coef = (x * residuals[:, None]) @ bread_inv
-    beta0, beta_t, beta_interact = coef[:, 0], coef[:, 1], coef[:, 2 + p :]
-    e_y = (
-        beta0
-        + t_bar * beta_t
-        + beta_interact @ tw_bar
-        + fit.beta_t * (t - t_bar)
-        + (t[:, None] * wc - tw_bar) @ fit.beta_interact
-    )
-    theta = np.array(
-        [
-            fit.beta0 + fit.beta_t,
-            fit.beta0,
-            fit.beta0 + t_bar * fit.beta_t + float(tw_bar @ fit.beta_interact),
-        ]
-    )
-    return theta, np.column_stack([beta0 + beta_t, beta0, e_y])
+    t, y, n = data.t, data.y, data.n
+    wc = [column - center for column, center in zip(data.w.T, fit.w_mean)]
+    residuals = y - fit.predict(t, data.w)
+    influence = []
+    for arm in (t, 1.0 - t):
+        n_arm = arm.sum()
+        mean = np.array([(arm * c).sum() for c in wc]) / n_arm
+        dev = [c - m for c, m in zip(wc, mean)]
+        scatter = np.array([[(arm * dj * dk).sum() for dk in dev] for dj in dev]).reshape(data.p, data.p)
+        tilt = np.linalg.solve(scatter, mean)
+        omega = n / n_arm - n * sum(s * d for s, d in zip(tilt, dev))
+        influence.append(arm * omega * residuals)
+    y_bar = y.mean()
+    influence.append(y - y_bar - sum(b * c for b, c in zip(fit.beta_w, wc)))
+    return np.array([fit.beta0 + fit.beta_t, fit.beta0, y_bar]), np.column_stack(influence)
 
 
 def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: int) -> np.ndarray:
     """Horvitz-Thompson arm triple (mu1, mu0, E[Y]) of a sample of n units,
-    from the treatment `t` of each row (a unit or a cell), the sum of y over
-    the units in that row and the row's propensity. An (m, k) `y_sums` and
-    `pscore` give one triple per resample."""
+    from the treatment `t` of each cell, the sum of y over the units in that
+    cell and the cell's propensity. An (m, k) `y_sums` and `pscore` give one
+    triple per resample."""
     sums = [
         np.sum((t * y_sums) / pscore, axis=-1),
         np.sum(((1.0 - t) * y_sums) / (1.0 - pscore), axis=-1),
@@ -263,18 +253,19 @@ def _ipw(
     """IPW (point, bootstrap SE, percentile CI or None) per row of
     `contrasts`, and the bootstrap's redraw note.
 
-    All estimands share one set of resamples. Each resample is seen as its
-    counts and y sums per `logistic_cells` cell; with continuous covariates
-    each unit is its own cell. The propensity is refitted on a whole block of
-    resamples at once, warm-started from the full-sample fit; an injected
-    propensity is read once per cell, at one of its units, and not refitted.
+    All estimands share one set of resamples. The sample and each resample
+    are seen as their counts and y sums per `logistic_cells` cell; with
+    continuous covariates each unit is its own cell. The propensity is
+    refitted on a whole block of resamples at once, warm-started from the
+    full-sample fit; an injected propensity is read once per cell, at one of
+    its units, and not refitted.
     """
     n, y = data.n, data.y
     x, t, cell = logistic_cells(data)
     k = t.shape[0]
-    if nuis.propensity_injected:
-        fixed = nuis.pscore[cell_sums(data, y)[0]]
-    else:
+    units, _, y_cells = cell_sums(data, y)
+    pscore_cells = nuis.pscore[units]
+    if not nuis.propensity_injected:
         start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,7 +273,7 @@ def _ipw(
         offsets = (cell[idx] + k * np.arange(m)[:, None]).ravel()
         counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
         if nuis.propensity_injected:
-            pscore, ok = fixed, np.ones(m, dtype=bool)
+            pscore, ok = pscore_cells, np.ones(m, dtype=bool)
         else:
             pscore, ok = refit_logistic(x, t, counts, start)
         y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
@@ -290,7 +281,7 @@ def _ipw(
 
     ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
     percentile = boot.ci_method == "percentile"
-    rows = zip(contrasts @ _ipw_arms(data.t, y, nuis.pscore, n), ses, cis)
+    rows = zip(contrasts @ _ipw_arms(t, y_cells, pscore_cells, n), ses, cis)
     return [(point, se, ci if percentile else None) for point, se, ci in rows], note
 
 
@@ -321,7 +312,9 @@ def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np
 
     The units come grouped into cells that share their offset and h: row c
     holds the sum of ys over its `sizes[c]` units, and their offset and h.
-    Newton iteration with step halving on the quasi-binomial log likelihood.
+    Newton iteration with step halving on the quasi-binomial log likelihood,
+    whose sums over the cells are elementwise products' `.sum()`: numpy's
+    pairwise sum, which does not depend on the BLAS thread count.
     Each coefficient tried is evaluated once: the accepted one's
     probabilities serve the next Newton step.
     """
@@ -329,13 +322,14 @@ def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np
         """(probabilities, log likelihood) at beta."""
         probs = expit(offset + beta * h)
         clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
-        return probs, float(ys_sums @ np.log(clipped) + (sizes - ys_sums) @ np.log(1.0 - clipped))
+        loglik = (ys_sums * np.log(clipped)).sum() + ((sizes - ys_sums) * np.log(1.0 - clipped)).sum()
+        return probs, float(loglik)
 
     beta = 0.0
     probs, current = evaluate(beta)
     for _ in range(_TMLE_MAX_ITER):
-        score = float(h @ (ys_sums - sizes * probs))
-        curvature = float((h * h) @ (sizes * (probs * (1.0 - probs))))
+        score = float((h * (ys_sums - sizes * probs)).sum())
+        curvature = float((h * h * (sizes * (probs * (1.0 - probs)))).sum())
         if curvature <= 0.0:
             break  # flat likelihood: nothing left to update
         step = score / curvature

@@ -16,7 +16,7 @@ import pytest
 from bineffect import EstimandSpec, cli, estimators, save_csv, simulation, truth_oracle
 from bineffect.cli import build_parser, main
 from bineffect.simulation import DgpSpec, mc_results_to_csv, run_monte_carlo, sample_dgp
-from conftest import forbid
+from conftest import forbid, make_dataset
 
 
 @pytest.fixture
@@ -290,15 +290,12 @@ def test_output_file_holds_the_stdout_bytes(subcommand, fmt, data_csv, tmp_path,
     assert stdout and path.read_bytes() == stdout.encode("utf-8")
 
 
-def test_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    """The fits and their sums reduce over units or cells, some through BLAS.
-    `bineffect estimate` must print the same bytes whether BLAS runs on one
-    thread or two."""
-    path = tmp_path / "binary_w.csv"
-    save_csv(sample_dgp(DgpSpec(a_mean_slope=4.0), 20_000, seed=5), path)
+def estimate_under_one_and_two_blas_threads(path, *args):
+    """stdout of `bineffect estimate` with all four estimators on `path`,
+    run once with BLAS on one thread and once on two."""
     argv = [
-        sys.executable, "-m", "bineffect", "estimate", "--input", str(path), "--cutoff", "6",
-        "--estimator", "reg,ipw,aipw,tmle", "--boot-reps", "400", "--seed", "3",
+        sys.executable, "-m", "bineffect", "estimate", "--input", str(path),
+        "--estimator", "reg,ipw,aipw,tmle", "--seed", "3", *args,
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     outputs = []
@@ -309,8 +306,35 @@ def test_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
         run = subprocess.run(argv, env=env, capture_output=True, timeout=120, check=True)
         outputs.append(run.stdout)
-    assert outputs[0] and outputs[0] == outputs[1]
     assert [r["estimator"] for r in json.loads(outputs[0])] == ["reg", "ipw", "aipw", "tmle"]
+    return outputs
+
+
+def test_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """The fits and their sums reduce over units or cells, some through BLAS.
+    `bineffect estimate` must print the same bytes whether BLAS runs on one
+    thread or two."""
+    path = tmp_path / "binary_w.csv"
+    save_csv(sample_dgp(DgpSpec(a_mean_slope=4.0), 20_000, seed=5), path)
+    outputs = estimate_under_one_and_two_blas_threads(path, "--cutoff", "6", "--boot-reps", "400")
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def continuous_1e5_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("continuous") / "p3.csv"
+    save_csv(make_dataset(n=100_000, p=3, seed=0), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "estimand", [["--estimand", "bate"], ["--estimand", "peb", "--arm", "1"]], ids=["bate", "peb1"]
+)
+def test_continuous_estimate_bytes_do_not_depend_on_the_blas_thread_count(continuous_1e5_csv, estimand):
+    """At 1e5 units with three normal covariates every unit is its own cell,
+    so BLAS would split any product over the units between its threads."""
+    outputs = estimate_under_one_and_two_blas_threads(continuous_1e5_csv, "--boot-reps", "20", *estimand)
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_quoted_header_prints_the_bytes_of_the_unquoted_one(tmp_path, capsys):

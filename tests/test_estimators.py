@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,45 @@ def ehw_robust_se(data, coef_index):
     bread = np.linalg.inv(x.T @ x)
     cov = bread @ (x * (r**2)[:, None]).T @ x @ bread
     return float(np.sqrt(cov[coef_index, coef_index]))
+
+
+def gauss_jordan_inverse(a):
+    """Inverse by Gauss-Jordan elimination with partial pivoting, in the dtype
+    of `a` (np.linalg computes in float64 at most)."""
+    d = a.shape[0]
+    aug = np.hstack([a, np.eye(d, dtype=a.dtype)])
+    for j in range(d):
+        pivot = j + int(np.argmax(np.abs(aug[j:, j])))
+        aug[[j, pivot]] = aug[[pivot, j]]
+        aug[j] /= aug[j, j]
+        others = np.arange(d) != j
+        aug[others] -= aug[others, j, None] * aug[j]
+    return aug[:, d:]
+
+
+def stacked_reg_se(data, contrasts, dtype=np.float64):
+    """Independent route for reg's SEs: the stacked M-estimator of (t_bar,
+    tw_bar, interacted OLS coefficients) with the covariate mean that centers
+    w held fixed, and the delta method to mu1 = beta0 + beta_t, mu0 = beta0
+    and E[Y] = beta0 + t_bar beta_t + tw_bar . beta_interact (Stefanski & Boos
+    2002). The influence values are the rows of x_i r_i (X'X/n)^-1 and the
+    deviations t_i - t_bar and t_i wc_i - tw_bar. Everything, the OLS fit
+    included, is evaluated in `dtype`. Returns one SE per row of `contrasts`."""
+    t, y, w = (np.asarray(v, dtype=dtype) for v in (data.t, data.y, data.w))
+    n, p = data.n, data.p
+    wc = w - w.mean(axis=0)
+    x = np.hstack([np.ones((n, 1), dtype=dtype), t[:, None], wc, t[:, None] * wc])
+    bread_inv = gauss_jordan_inverse(x.T @ x / n)
+    beta = bread_inv @ (x.T @ y / n)
+    coef = (x * (y - x @ beta)[:, None]) @ bread_inv
+    beta0, beta_t, beta_interact = coef[:, 0], coef[:, 1], coef[:, 2 + p :]
+    t_bar, tw_bar = t.mean(), (t[:, None] * wc).mean(axis=0)
+    e_y = (
+        beta0 + t_bar * beta_t + beta_interact @ tw_bar
+        + beta[1] * (t - t_bar) + (t[:, None] * wc - tw_bar) @ beta[2 + p :]
+    )
+    phi = np.column_stack([beta0 + beta_t, beta0, e_y]) @ np.asarray(contrasts, dtype=dtype).T
+    return np.sqrt((phi**2).mean(axis=0) / n)
 
 
 def ipw_sandwich_se(data, contrasts):
@@ -113,6 +153,39 @@ class TestSandwich:
         for r1, r2 in zip(once, twice):
             assert r2.se**2 == pytest.approx(r1.se**2 / 2.0, rel=1e-8)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_dgp(DgpSpec(), 500, seed=3),
+            lambda: sample_dgp(DgpSpec(), 500, seed=11),
+            lambda: make_dataset(n=200, p=1, seed=2),
+            lambda: make_dataset(n=200, p=2, seed=3),
+            lambda: make_dataset(n=500, p=3, seed=4),
+            lambda: sample_dgp(DgpSpec(a_mean_slope=4.0), 2000, seed=7),
+        ],
+        ids=["paper500_s3", "paper500_s11", "p1", "p2", "p3", "weak_overlap"],
+    )
+    def test_every_estimand_se_matches_the_stacked_m_estimator(self, make):
+        """reg's implied-weight influence values give the stacked sandwich's
+        SE for all three estimands, not only for BATE."""
+        data = make()
+        estimands = (BATE, PEB1, PEB0)
+        reports = estimate_many(data, ["reg"], estimands)
+        expected = stacked_reg_se(data, np.array([e.contrast for e in estimands]))
+        assert [r.se for r in reports] == pytest.approx(list(expected), rel=1e-9)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+        reason="np.longdouble is no wider than float64 here",
+    )
+    def test_se_within_1e_13_of_an_extended_precision_evaluation(self):
+        data = sample_dgp(DgpSpec(a_mean_slope=4.0), 100_000, seed=12345)
+        estimands = (BATE, PEB1, PEB0)
+        reports = estimate_many(data, ["reg"], estimands)
+        exact = stacked_reg_se(data, np.array([e.contrast for e in estimands]), dtype=np.longdouble)
+        errors = [abs(r.se - float(e)) / float(e) for r, e in zip(reports, exact)]
+        assert max(errors) <= 1e-13, errors
+
     def test_peb_se_close_to_bootstrap(self):
         data = make_dataset(n=300, p=1, seed=21)
         [report] = estimate_many(data, ["reg"], [PEB1])
@@ -134,6 +207,31 @@ class TestIpw:
         )
         assert report.point == pytest.approx(2.0, abs=1e-12)
         assert report.se >= 0.0
+
+    @pytest.mark.parametrize(
+        "make, injected",
+        [
+            (lambda: sample_dgp(DgpSpec(), 500, seed=3), False),
+            (lambda: make_dataset(n=300, p=2, seed=6), False),
+            (lambda: sample_dgp(DgpSpec(), 500, seed=3), True),
+        ],
+        ids=["discrete", "continuous", "injected"],
+    )
+    def test_point_matches_a_per_unit_exact_sum(self, make, injected):
+        """The point summed over the (t, w) cells against the Horvitz-Thompson
+        sums over the units, each rounded once (math.fsum)."""
+        data = make()
+        model = PropensityModel(intercept=0.3, coef=np.full(data.p, -0.4)) if injected else None
+        estimands = (BATE, PEB1, PEB0)
+        reports = estimate_many(
+            data, ["ipw"], estimands, Nuisances(data, propensity=model), BootstrapConfig(20, seed=0)
+        )
+        e = (model or fit_logistic(data)).predict_proba(data.w)
+        t, y = data.t, data.y
+        arms = [math.fsum(v) / data.n for v in (t * y / e, (1 - t) * y / (1 - e), y)]
+        for report, estimand in zip(reports, estimands):
+            expected = math.fsum(c * arm for c, arm in zip(estimand.contrast, arms))
+            assert report.point == pytest.approx(expected, rel=1e-12)
 
     def test_peb_identity(self):
         data = make_binary_w_dataset(n=80, seed=2)
@@ -309,7 +407,8 @@ class TestTmleSharedStart:
 def unit_tmle(data, estimand):
     """(fluctuation, point) of TMLE with the fluctuation fitted on the units,
     one row each: the reference for the fluctuation on cells. Newton steps
-    with halving, written out from the estimator's definition."""
+    with halving, written out from the estimator's definition, with every
+    sum over the units an elementwise product's `.sum()` as in the estimator."""
     nuis = Nuisances(data)
     t, y = data.t, data.y
     lo = float(y.min())
@@ -322,15 +421,15 @@ def unit_tmle(data, estimand):
 
     def loglik(beta):
         probs = np.clip(expit(offset + beta * h), 1e-12, 1.0 - 1e-12)
-        return float(ys @ np.log(probs) + (1.0 - ys) @ np.log(1.0 - probs))
+        return float((ys * np.log(probs)).sum() + ((1.0 - ys) * np.log(1.0 - probs)).sum())
 
     beta, current = 0.0, loglik(0.0)
     for _ in range(100):
         probs = expit(offset + beta * h)
-        curvature = float((h * h) @ (probs * (1.0 - probs)))
+        curvature = float((h * h * (probs * (1.0 - probs))).sum())
         if curvature <= 0.0:
             break
-        step = float(h @ (ys - probs)) / curvature
+        step = float((h * (ys - probs)).sum()) / curvature
         for _ in range(40):
             candidate = loglik(beta + step)
             if candidate >= current - 1e-12:

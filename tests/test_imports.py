@@ -60,6 +60,21 @@ def test_grouping_is_read_only_in_core_and_nuisance(module):
     assert reads == [], f"{module} reads {reads}"
 
 
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "nuisance.py"))
+def test_interacted_design_is_named_only_in_nuisance(module):
+    """The interacted design's column layout stays in `nuisance.py`; other
+    modules read the fit through `RegressionFit`'s named coefficients."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    names = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "interacted_design")
+        or (isinstance(node, ast.Attribute) and node.attr == "interacted_design")
+        or (isinstance(node, ast.alias) and node.name == "interacted_design")
+    ]
+    assert names == [], f"{module} names interacted_design at {names}"
+
+
 def test_every_public_name_resolves():
     """`from bineffect import *` needs every name in `__all__` on the package."""
     missing = [name for name in bineffect.__all__ if not hasattr(bineffect, name)]
