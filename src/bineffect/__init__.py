@@ -7,6 +7,8 @@ TMLE with influence-curve standard errors), plus a simulation subsystem with
 an exact quadrature truth oracle.
 """
 
+import types as _types
+
 from .core import (
     BinarizationRule,
     ConvergenceError,
@@ -58,45 +60,8 @@ from .simulation import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinarizationRule",
-    "BootstrapConfig",
-    "ConvergenceError",
-    "DegenerateArmError",
-    "DgpSpec",
-    "Direction",
-    "ESTIMATOR_NAMES",
-    "EstimandSpec",
-    "EstimateReport",
-    "EstimationError",
-    "McResult",
-    "McRow",
-    "Nuisances",
-    "ObservationSet",
-    "OutcomeModel",
-    "PropensityModel",
-    "QuadratureError",
-    "RegressionFit",
-    "SeparationError",
-    "SingularDesignError",
-    "TmleFit",
-    "TruthReport",
-    "ValidationError",
-    "aipw_influence",
-    "binarize",
-    "bootstrap_se",
-    "cubic_sine_outcome",
-    "density_curve",
-    "estimate_many",
-    "fit_logistic",
-    "fit_ols_interacted",
-    "load_csv",
-    "mc_results_to_csv",
-    "positivity_diagnostic",
-    "run_monte_carlo",
-    "sample_dgp",
-    "save_csv",
-    "tmle_update",
-    "truth_oracle",
-    "z_quantile",
-]
+# every public name imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -247,10 +247,22 @@ class ObservationSet:
         return self.w.shape[1]
 
     @functools.cached_property
-    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`_group_rows` of this sample, computed on first use. Every binomial
-        fit on the sample depends on a unit only through its row."""
-        return _group_rows(self.t, self.w)
+    def _cells(self) -> tuple[np.ndarray, ...]:
+        """The distinct (t, w) rows of this sample by `_group_rows`, computed
+        on first use: their covariates and treatments, each unit's row index,
+        and per row the number of units, the sum and the mean of y over them
+        and their centred second moment sum((y - mean)**2). Every fit and
+        estimate on the sample depends on a unit only through its row and on
+        y only through these moments."""
+        units, cell, sizes = _group_rows(self.t, self.w)
+        sums = np.bincount(cell, weights=self.y, minlength=sizes.size)
+        means = sums / sizes
+        dev = self.y - means[cell]
+        # the corrected two-pass algorithm (Chan, Golub & LeVeque 1983) takes out the means' rounding
+        shift = np.bincount(cell, weights=dev, minlength=sizes.size) / sizes
+        means += shift
+        m2 = np.bincount(cell, weights=np.square(dev, out=dev), minlength=sizes.size) - sizes * shift * shift
+        return np.take(self.w, units, axis=0), self.t[units], cell, sizes, sums, means, m2
 
     def with_rule(self, rule: BinarizationRule) -> "ObservationSet":
         """Re-derive t from a under `rule`; idempotent for the attached rule."""

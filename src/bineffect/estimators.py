@@ -26,7 +26,8 @@ from .nuisance import (
     OutcomeModel,
     PropensityModel,
     RegressionFit,
-    cell_sums,
+    cell_moments,
+    cell_rows,
     fit_logistic,
     fit_ols_interacted,
     logistic_cells,
@@ -62,18 +63,15 @@ class BootstrapConfig:
             raise ValidationError(f"bootstrap seed must be non-negative, got {self.seed}")
 
 
-def _influence_se(phi: np.ndarray) -> float:
-    """Estimator SE from influence values: sqrt of (mean of phi^2) / n."""
-    return float(np.sqrt(np.mean(phi**2) / phi.shape[0]))
-
-
 class Nuisances:
     """Nuisance fits for one sample, shared by every estimator and estimand.
 
     The outcome regression and the propensity are fitted on first use, each
     at most once, unless a prefit model is injected. The predictions `pscore`,
-    `m1` and `m0` and the positivity diagnostics are computed once. A fit
-    that raises is not cached, so the next estimator that needs it raises too.
+    `m1` and `m0` and the positivity diagnostics are computed once; the
+    predictions hold one value per (t, w) cell of `cell_rows(data)`, which a
+    unit reads at its cell index. A fit that raises is not cached, so the
+    next estimator that needs it raises too.
     """
 
     def __init__(
@@ -104,23 +102,36 @@ class Nuisances:
 
     @cached_property
     def pscore(self) -> np.ndarray:
-        return np.asarray(self.propensity.predict_proba(self.data.w), dtype=float)
+        return np.asarray(self.propensity.predict_proba(cell_rows(self.data)[0]), dtype=float)
 
     @cached_property
     def m1(self) -> np.ndarray:
-        return np.asarray(self.outcome.predict(1.0, self.data.w), dtype=float)
+        return np.asarray(self.outcome.predict(1.0, cell_rows(self.data)[0]), dtype=float)
 
     @cached_property
     def m0(self) -> np.ndarray:
-        return np.asarray(self.outcome.predict(0.0, self.data.w), dtype=float)
+        return np.asarray(self.outcome.predict(0.0, cell_rows(self.data)[0]), dtype=float)
 
     @cached_property
     def diagnostics(self) -> tuple[str, ...]:
-        return tuple(positivity_diagnostic(self.pscore))
+        return tuple(positivity_diagnostic(self.pscore[cell_rows(self.data)[2]]))
 
 
-def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.ndarray]:
-    """Regression arm triple (mu1, mu0, E[Y]) and its per-unit influence values.
+def _per_contrast(theta: np.ndarray, a: list, b: list, contrasts: np.ndarray) -> list[tuple]:
+    """(point, a, b) per row of `contrasts` from the arm triple `theta` and
+    the cell means `a` and slopes in y `b` of each arm's influence values."""
+    return [(theta @ c, *(sum(cj * v for cj, v in zip(c, arms) if cj) for arms in (a, b))) for c in contrasts]
+
+
+def _unit_influence(data: ObservationSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-unit influence values a_c + b_c (y_i - ybar_c), c the unit's cell."""
+    cell, means = cell_rows(data)[2], cell_moments(data)[2]
+    return a[cell] + b[cell] * (data.y - means[cell])
+
+
+def _reg_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[tuple]:
+    """Regression (point, a, b) per row of `contrasts`: a and b are the
+    means and the slopes in y of the influence values in each cell.
 
     The interacted OLS is one least-squares line per arm in wc = w - w_mean,
     so mu1 = beta0 + beta_t and mu0 = beta0 are the arms' intercepts: each a
@@ -130,25 +141,33 @@ def _reg_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.nda
     m_a) for the arm's mean m_a and scatter S_a of wc. E[Y] is ybar, with
     influence values y_i - ybar - wc_i . beta_w. These are the stacked
     M-estimator's influence values (Stefanski & Boos 2002) with the
-    covariate mean used to center w held fixed. Every sum over the units is
-    an elementwise product's `.sum()`, so none runs through BLAS.
+    covariate mean used to center w held fixed. Both arms' scatters are
+    solved as one stack. Every sum over the cells is an elementwise
+    product's `.sum()`, so none runs through BLAS.
     """
     fit = nuis.regression
-    t, y, n = data.t, data.y, data.n
-    wc = [column - center for column, center in zip(data.w.T, fit.w_mean)]
-    residuals = y - fit.predict(t, data.w)
-    influence = []
-    for arm in (t, 1.0 - t):
-        n_arm = arm.sum()
-        mean = np.array([(arm * c).sum() for c in wc]) / n_arm
-        dev = [c - m for c, m in zip(wc, mean)]
-        scatter = np.array([[(arm * dj * dk).sum() for dk in dev] for dj in dev]).reshape(data.p, data.p)
-        tilt = np.linalg.solve(scatter, mean)
-        omega = n / n_arm - n * sum(s * d for s, d in zip(tilt, dev))
-        influence.append(arm * omega * residuals)
-    y_bar = y.mean()
-    influence.append(y - y_bar - sum(b * c for b, c in zip(fit.beta_w, wc)))
-    return np.array([fit.beta0 + fit.beta_t, fit.beta0, y_bar]), np.column_stack(influence)
+    w, t, _ = cell_rows(data)
+    sizes, sums, means, _ = cell_moments(data)
+    n, p = data.n, data.p
+    wc = [column - center for column, center in zip(w.T, fit.w_mean)]
+    arms, n_arms, centres, scatters = (t, 1.0 - t), [], [], []
+    for arm in arms:
+        counts = sizes * arm  # each cell's units in the arm
+        n_arms.append(counts.sum())
+        centres.append([(counts * col).sum() / n_arms[-1] for col in wc])
+        dev = [col - m for col, m in zip(wc, centres[-1])]
+        scatters.append([(counts * dj * dk).sum() for dj in dev for dk in dev])
+    tilts = np.linalg.solve(np.reshape(scatters, (2, p, p)), np.reshape(centres, (2, p, 1)))[..., 0]
+    # omega = n/n_a - n tilt . (wc - m_a), with the arm mean m_a taken out of the sum over columns
+    slopes = [
+        arm * (n / n_arm + n * (tilt @ centre) - n * sum(s * col for s, col in zip(tilt, wc)))
+        for arm, n_arm, tilt, centre in zip(arms, n_arms, tilts, np.reshape(centres, (2, p)))
+    ]
+    residuals = means - fit.predict(t, w)
+    y_bar = sums.sum() / n
+    a = [slope * residuals for slope in slopes]
+    a.append(means - y_bar - sum(beta * col for beta, col in zip(fit.beta_w, wc)))
+    return _per_contrast(np.array([fit.beta0 + fit.beta_t, fit.beta0, y_bar]), a, slopes + [1.0], contrasts)
 
 
 def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: int) -> np.ndarray:
@@ -257,14 +276,14 @@ def _ipw(
     are seen as their counts and y sums per `logistic_cells` cell; with
     continuous covariates each unit is its own cell. The propensity is
     refitted on a whole block of resamples at once, warm-started from the
-    full-sample fit; an injected propensity is read once per cell, at one of
-    its units, and not refitted.
+    full-sample fit; an injected propensity is read once per cell and not
+    refitted.
     """
     n, y = data.n, data.y
     x, t, cell = logistic_cells(data)
     k = t.shape[0]
-    units, _, y_cells = cell_sums(data, y)
-    pscore_cells = nuis.pscore[units]
+    y_cells = cell_moments(data)[1]
+    pscore_cells = nuis.pscore
     if not nuis.propensity_injected:
         start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
 
@@ -285,22 +304,23 @@ def _ipw(
     return [(point, se, ci if percentile else None) for point, se, ci in rows], note
 
 
-def _aipw_arms(data: ObservationSet, nuis: Nuisances) -> tuple[np.ndarray, np.ndarray]:
-    """AIPW arm triple and its influence values (mean zero): the means of the
-    per-unit augmented terms t/pscore (y - m1) + m1, (1-t)/(1-pscore) (y - m0)
-    + m0 and y, and their deviations from those means."""
-    t, y, pscore, m1, m0 = data.t, data.y, nuis.pscore, nuis.m1, nuis.m0
-    z = np.column_stack(
-        [(t / pscore) * (y - m1) + m1, ((1.0 - t) / (1.0 - pscore)) * (y - m0) + m0, y]
-    )
-    theta = z.mean(axis=0)
-    return theta, z - theta
+def _aipw_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[tuple]:
+    """AIPW (point, a, b) per row of `contrasts`, a and b the means and the
+    slopes in y of the influence values in each cell. The arm triple is the
+    mean of the augmented terms t/pscore (y - m1) + m1, (1-t)/(1-pscore)
+    (y - m0) + m0 and y, whose slopes are t/pscore, (1-t)/(1-pscore) and 1."""
+    t, pscore, m1, m0 = cell_rows(data)[1], nuis.pscore, nuis.m1, nuis.m0
+    sizes, _, means, _ = cell_moments(data)
+    b = [t / pscore, (1.0 - t) / (1.0 - pscore), 1.0]
+    z = [b[0] * (means - m1) + m1, b[1] * (means - m0) + m0, means]
+    theta = np.array([(sizes * v).sum() for v in z]) / data.n
+    return _per_contrast(theta, [v - mu for v, mu in zip(z, theta)], b, contrasts)
 
 
 @dataclass(frozen=True)
 class TmleFit:
     """Targeted estimate for one estimand: point, fluctuation coefficient and
-    influence values."""
+    per-unit influence values."""
 
     point: float
     fluctuation: float
@@ -349,25 +369,27 @@ def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np
     )
 
 
-def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[TmleFit]:
-    """Targeted fit per (c1, c0, c_y) row of `contrasts`, all from one untargeted
-    start: y scaled to [0, 1] and the logits of the bounded initial fit.
+def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[tuple]:
+    """Targeted fit per (c1, c0, c_y) row of `contrasts`: its point, the cell
+    means and slopes in y of its influence values, and its fluctuation
+    coefficient. All rows share one untargeted start: y scaled to [0, 1] and
+    the logits of the bounded initial fit.
 
-    The offset and the clever covariate depend on a unit only through its
-    (t, w), so the fluctuation runs on the sample's distinct (t, w) cells,
-    read at one unit per cell; points and influence values are per unit."""
-    t, y = data.t, data.y
-    pscore, m1, m0 = nuis.pscore, nuis.m1, nuis.m0
-    lo = float(y.min())
-    span = float(y.max()) - lo
+    The offset, the clever covariate and the targeted predictions depend on
+    a unit only through its (t, w), so everything runs on the sample's
+    cells; the fluctuation takes each cell's size and sum of scaled y."""
+    t, pscore, m1, m0 = cell_rows(data)[1], nuis.pscore, nuis.m1, nuis.m0
+    sizes, _, means, _ = cell_moments(data)
+    lo = float(data.y.min())
+    span = float(data.y.max()) - lo
     if span == 0.0:
-        return [TmleFit(0.0, 0.0, np.zeros(data.n)) for _ in contrasts]
+        zeros = np.zeros(t.shape[0])
+        return [(0.0, zeros, zeros, 0.0) for _ in contrasts]
 
-    ys = (y - lo) / span
+    ys_sums = sizes * ((means - lo) / span)
     logit_q1 = logit(np.clip((m1 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
     logit_q0 = logit(np.clip((m0 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
     logit_q_obs = np.where(t == 1.0, logit_q1, logit_q0)
-    units, sizes, ys_sums = cell_sums(data, ys)
 
     fits = []
     for c1, c0, c_y in contrasts:
@@ -377,26 +399,21 @@ def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> 
         h_arm0 = c0 / (1.0 - pscore) + c_y
         h_obs = np.where(t == 1.0, h_arm1, h_arm0)
 
-        beta = _fluctuate(ys_sums, sizes, logit_q_obs[units], h_obs[units])
-        q1_new = expit(logit_q1 + beta * h_arm1)
-        q0_new = expit(logit_q0 + beta * h_arm0)
-        q_obs_new = np.where(t == 1.0, q1_new, q0_new)
-
-        y1 = lo + span * q1_new
-        y0 = lo + span * q0_new
-        y_obs_pred = lo + span * q_obs_new
+        beta = _fluctuate(ys_sums, sizes, logit_q_obs, h_obs)
+        y1 = lo + span * expit(logit_q1 + beta * h_arm1)
+        y0 = lo + span * expit(logit_q0 + beta * h_arm0)
+        y_obs_pred = np.where(t == 1.0, y1, y0)
 
         # influence value H (y - Q) + plug-in - point; mean zero once targeted
         plug_in = c1 * y1 + c0 * y0 + c_y * y_obs_pred
-        point = float(np.mean(plug_in))
-        phi = h_obs * (y - y_obs_pred) + plug_in - point
-        fits.append(TmleFit(point, float(beta), phi))
+        point = float((sizes * plug_in).sum() / data.n)
+        fits.append((point, h_obs * (means - y_obs_pred) + plug_in - point, h_obs, float(beta)))
     return fits
 
 
 ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
 
-_ARMS = {"reg": _reg_arms, "aipw": _aipw_arms}
+_CELL_FITS = {"reg": _reg_fits, "aipw": _aipw_fits, "tmle": _tmle_fits}
 
 
 def check_estimate_args(estimators: Sequence[str], ci_level: float) -> None:
@@ -427,23 +444,27 @@ def estimate_many(
     Every estimand is a contrast of the policy means (mu1, mu0, E[Y]). reg
     and aipw estimate that triple and its influence values once, and each
     estimand's point and SE follow from its contrast. tmle scales its initial
-    fit once and targets each estimand separately.
+    fit once and targets each estimand separately. Within a (t, w) cell each
+    influence value of reg, aipw and tmle is affine in y, so their points and
+    SEs are computed on the cells, from each cell's size, mean of y and
+    centred second moment of y.
     """
     check_estimate_args(estimators, ci_level)
     nuis = nuisances if nuisances is not None else Nuisances(data)
     if nuis.data is not data:
         raise ValidationError("nuisances were built for a different ObservationSet")
     contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
+    sizes, _, _, m2 = cell_moments(data)
     reports: list[EstimateReport] = []
     for name in estimators:
         note = None
         if name == "ipw":
             rows, note = _ipw(data, nuis, contrasts, boot or BootstrapConfig(), ci_level)
-        elif name == "tmle":
-            rows = [(f.point, _influence_se(f.influence), None) for f in _tmle_fits(data, nuis, contrasts)]
-        else:
-            theta, phi = _ARMS[name](data, nuis)
-            rows = [(theta @ c, _influence_se(phi @ c), None) for c in contrasts]
+        else:  # SE sqrt(sum_c n_c a_c^2 + b_c^2 M2_c) / n, i.e. sqrt(mean(phi^2) / n)
+            rows = [
+                (point, np.sqrt((sizes * a * a + b * b * m2).sum()) / data.n, None)
+                for point, a, b, *_ in _CELL_FITS[name](data, nuis, contrasts)
+            ]
         diagnostics = () if name == "reg" else nuis.diagnostics + ((note,) if note else ())
         reports += [
             EstimateReport(
@@ -463,8 +484,8 @@ def aipw_influence(
 ) -> np.ndarray:
     """Estimated efficient influence values at the AIPW solution, one per
     unit (mean zero); the AIPW SE is sqrt(mean(phi**2) / n)."""
-    _, phi = _aipw_arms(data, Nuisances(data, outcome, propensity))
-    return phi @ estimand.contrast
+    [(_, a, b)] = _aipw_fits(data, Nuisances(data, outcome, propensity), [estimand.contrast])
+    return _unit_influence(data, a, b)
 
 
 def tmle_update(
@@ -481,4 +502,5 @@ def tmle_update(
     updated predictions are mapped back to the original scale. Point
     estimates and influence values are invariant to affine rescaling of y.
     """
-    return _tmle_fits(data, Nuisances(data, outcome, propensity), np.array([estimand.contrast]))[0]
+    [(point, a, b, beta)] = _tmle_fits(data, Nuisances(data, outcome, propensity), [estimand.contrast])
+    return TmleFit(point, beta, _unit_influence(data, a, b))

@@ -79,11 +79,14 @@ def interacted_design(t: np.ndarray, w_centered: np.ndarray) -> np.ndarray:
 def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
     """Least squares for the fully interacted, covariate-demeaned design.
 
-    Solved by SVD (np.linalg.lstsq); rank deficiency raises
-    SingularDesignError naming the collinear columns, and a single-arm
-    sample raises DegenerateArmError.
+    The units' sum of squares is, per `logistic_cells` cell, the cell size
+    times the squared residual of the cell's mean y plus a constant, so the
+    fit is solved by SVD (np.linalg.lstsq) on the cell rows scaled by the
+    square roots of their sizes. Rank deficiency raises SingularDesignError
+    naming the collinear columns of the unit design, and a single-arm sample
+    raises DegenerateArmError.
     """
-    t, y, w = data.t, data.y, data.w
+    t, w = data.t, data.w
     if np.all(t == t[0] if t.size else True):
         raise DegenerateArmError(
             f"cannot fit the outcome regression: every unit has t={t[0]:.0f}"
@@ -94,11 +97,13 @@ def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
     if data.n <= d:
         raise ValidationError(f"need n > {d} rows to fit {d} coefficients, got n={data.n}")
     w_mean = w.mean(axis=0)
-    wc = w - w_mean
-    x = interacted_design(t, wc)
-    beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=_RANK_TOL)
+    w_cells, t_cells, _, sizes, _, means, _ = data._cells
+    root = np.sqrt(sizes)
+    x = interacted_design(t_cells, w_cells - w_mean)
+    x *= root[:, None]
+    beta, _, rank, _ = np.linalg.lstsq(x, means * root, rcond=_RANK_TOL)
     if rank < d:
-        cols = _collinear_columns(x, design_labels(p))
+        cols = _collinear_columns(interacted_design(t, w - w_mean), design_labels(p))
         raise SingularDesignError(f"singular design matrix; collinear columns: {', '.join(cols)}")
     return RegressionFit(
         beta0=float(beta[0]),
@@ -223,7 +228,7 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
             "cannot fit the propensity model: both treatment arms must be present"
         )
     x, t, _ = logistic_cells(data)
-    beta, ok = _irls(x, t, start=start, counts=data._cells[2][None])
+    beta, ok = _irls(x, t, start=start, counts=data._cells[3][None])
     if ok[0]:
         return PropensityModel(intercept=float(beta[0, 0]), coef=beta[0, 1:].copy())
     size = np.max(np.abs(beta))
@@ -254,15 +259,26 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
     own cell, in sample order (k = n). The grouping is computed once per
     sample and kept on it.
     """
-    units, cell, _ = data._cells
-    return _logistic_design(data.w[units]), data.t[units], cell
+    w, t, cell = cell_rows(data)
+    return _logistic_design(w), t, cell
 
 
-def cell_sums(data: ObservationSet, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One unit of each `logistic_cells` cell, the number of units in each
-    cell and the sum of the (n,) `values` over each."""
-    units, cell, sizes = data._cells
-    return units, sizes, np.bincount(cell, weights=values, minlength=units.size)
+def cell_rows(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (k, p) covariates and (k,) treatments of the `logistic_cells`
+    cells, read at one unit of each, and each unit's (n,) cell index."""
+    return data._cells[:3]
+
+
+def cell_moments(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per `logistic_cells` cell: the number of units, the sum and the mean
+    of y over them, and their centred second moment sum((y - mean)**2).
+
+    Every estimate and SE of reg, aipw and tmle depends on y only through
+    these (Wong et al. 2021, arXiv:2102.11297). They are computed once per
+    sample and kept on it. With continuous covariates each unit is its own
+    cell, with count 1, sum and mean y and second moment 0.
+    """
+    return data._cells[3:]
 
 
 def refit_logistic(

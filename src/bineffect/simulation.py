@@ -83,9 +83,7 @@ class TruthReport:
     quadrature_error_bound: float
 
     def value(self, estimand: EstimandSpec) -> float:
-        return {"bate": self.psi_bate, "peb1": self.psi_peb1, "peb0": self.psi_peb0}[
-            estimand.key
-        ]
+        return getattr(self, f"psi_{estimand.key}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -201,15 +199,7 @@ class McRow:
     n_failed: int
 
     def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "estimand": self.estimand.key,
-            "mean_estimate": self.mean_estimate,
-            "bias": self.bias,
-            "mean_est_se": self.mean_est_se,
-            "sim_se": self.sim_se,
-            "n_failed": self.n_failed,
-        }
+        return {**asdict(self), "estimand": self.estimand.key}
 
 
 @dataclass(frozen=True)
@@ -228,12 +218,7 @@ class McResult:
         raise KeyError(f"no cell for {estimator}/{estimand.key}")
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "rows": [r.to_dict() for r in self.rows],
-        }
+        return {**asdict(self), "rows": [r.to_dict() for r in self.rows]}
 
 
 def _replicate_worker(task) -> dict:

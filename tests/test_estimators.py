@@ -19,6 +19,7 @@ from bineffect import (
     Nuisances,
     ObservationSet,
     PropensityModel,
+    RegressionFit,
     SeparationError,
     SingularDesignError,
     ValidationError,
@@ -370,19 +371,21 @@ class TestTmleSharedStart:
         data = TMLE_DESIGNS[design]()
         estimands = (BATE, PEB1, PEB0)
         joint = estimate_many(data, ["tmle"], estimands)
-        fits = estimators._tmle_fits(data, Nuisances(data), np.array([e.contrast for e in estimands]))
-        for e, report, fit in zip(estimands, joint, fits):
+        nuis = Nuisances(data)
+        fits = estimators._tmle_fits(data, nuis, np.array([e.contrast for e in estimands]))
+        for e, report, (point, a, b, beta) in zip(estimands, joint, fits):
             [single] = estimate_many(data, ["tmle"], [e])
             update = tmle_update(data, e)
             assert report == single
-            assert report.point == update.point == fit.point
-            assert report.se == estimators._influence_se(update.influence)
-            assert update.fluctuation == fit.fluctuation
-            assert np.array_equal(update.influence, fit.influence)
+            assert report.point == update.point == point
+            assert report.se == pytest.approx(np.sqrt(np.mean(update.influence**2) / data.n), rel=1e-12)
+            assert update.fluctuation == beta
+            assert np.array_equal(update.influence, estimators._unit_influence(data, a, b))
 
     def test_start_is_scaled_once_per_call(self, monkeypatch):
-        """The untargeted start is scaled once per call, and the fluctuation
-        evaluates `expit` once per coefficient it tries."""
+        """The untargeted start is scaled once per call, the fluctuation
+        evaluates `expit` once per coefficient it tries, and every `expit` and
+        `logit` runs on the k = 4 cells, not on the units."""
         data = sample_dgp(DgpSpec(), 500, seed=3)
         logits = count_calls(monkeypatch, "logit")
         expit_args = []
@@ -402,6 +405,8 @@ class TestTmleSharedStart:
         estimate_many(data, ["tmle"], [BATE, PEB1, PEB0])
         assert one > 0 and len(logits) == one
         assert len(expit_args) == sum(per_estimand)
+        assert max(np.size(call[0]) for call in logits) <= 4
+        assert max(np.size(x) for x in expit_args) <= 4
 
 
 def unit_tmle(data, estimand):
@@ -410,13 +415,15 @@ def unit_tmle(data, estimand):
     with halving, written out from the estimator's definition, with every
     sum over the units an elementwise product's `.sum()` as in the estimator."""
     nuis = Nuisances(data)
+    cell = logistic_cells(data)[2]
+    pscore, m1, m0 = nuis.pscore[cell], nuis.m1[cell], nuis.m0[cell]  # one value per unit
     t, y = data.t, data.y
     lo = float(y.min())
     span = float(y.max()) - lo
     ys = (y - lo) / span
-    logit_q1, logit_q0 = (logit(np.clip((m - lo) / span, 5e-4, 1.0 - 5e-4)) for m in (nuis.m1, nuis.m0))
+    logit_q1, logit_q0 = (logit(np.clip((m - lo) / span, 5e-4, 1.0 - 5e-4)) for m in (m1, m0))
     c1, c0, c_y = estimand.contrast
-    h1, h0 = c1 / nuis.pscore + c_y, c0 / (1.0 - nuis.pscore) + c_y
+    h1, h0 = c1 / pscore + c_y, c0 / (1.0 - pscore) + c_y
     offset, h = np.where(t == 1.0, logit_q1, logit_q0), np.where(t == 1.0, h1, h0)
 
     def loglik(beta):
@@ -473,6 +480,95 @@ class TestTmleOnCells:
         data = make_dataset(n=n, p=p, seed=seed)
         fit = tmle_update(data, estimand)
         assert (fit.fluctuation, fit.point) == unit_tmle(data, estimand)
+
+
+def extended_reference(data, name, estimands):
+    """(point, SE) per estimand of reg, aipw or tmle from per-unit influence
+    values evaluated in np.longdouble: the reference for the sums over the
+    cells. Built from the estimator's own nuisances (the fits, their
+    predictions read at each unit's cell, and tmle's fluctuation); every
+    point and sum of squares is then one sum over the n units."""
+    L = np.longdouble
+    nuis = Nuisances(data)
+    cell = logistic_cells(data)[2]
+    n, t, y = data.n, data.t.astype(L), data.y.astype(L)
+    e, m1, m0 = (v[cell].astype(L) for v in (nuis.pscore, nuis.m1, nuis.m0))
+    out = []
+    for estimand in estimands:
+        c1, c0, c_y = (L(c) for c in estimand.contrast)
+        if name == "reg":
+            fit = nuis.regression
+            wc = data.w.astype(L) - fit.w_mean.astype(L)
+            beta_w, beta_interact = fit.beta_w.astype(L), fit.beta_interact.astype(L)
+            fitted = L(fit.beta0) + t * L(fit.beta_t) + wc @ beta_w + t * (wc @ beta_interact)
+            phi = c_y * (y - y.mean() - wc @ beta_w)
+            for c, arm in ((c1, t), (c0, 1 - t)):
+                centre = (arm[:, None] * wc).sum(axis=0) / arm.sum()
+                dev = wc - centre
+                tilt = gauss_jordan_inverse((arm[:, None] * dev).T @ dev) @ centre
+                phi = phi + c * arm * (n / arm.sum() - n * (dev @ tilt)) * (y - fitted)
+            point = c1 * (L(fit.beta0) + L(fit.beta_t)) + c0 * L(fit.beta0) + c_y * y.mean()
+        elif name == "aipw":
+            z = c1 * (t / e * (y - m1) + m1) + c0 * ((1 - t) / (1 - e) * (y - m0) + m0) + c_y * y
+            point = z.mean()
+            phi = z - point
+        else:
+            beta = L(tmle_update(data, estimand).fluctuation)
+            lo, span = y.min(), y.max() - y.min()
+            q1, q0 = (logit(np.clip((m - lo) / span, L(5e-4), 1 - L(5e-4))) for m in (m1, m0))
+            h1, h0 = c1 / e + c_y, c0 / (1 - e) + c_y
+            y1, y0 = lo + span * expit(q1 + beta * h1), lo + span * expit(q0 + beta * h0)
+            plug_in = c1 * y1 + c0 * y0 + c_y * np.where(t == 1, y1, y0)
+            point = plug_in.mean()
+            phi = np.where(t == 1, h1, h0) * (y - np.where(t == 1, y1, y0)) + plug_in - point
+        out.append((point, np.sqrt((phi * phi).sum()) / n))
+    return out
+
+
+EXACT_DESIGNS = {
+    "paper500_s1": lambda: sample_dgp(DgpSpec(), 500, seed=1),
+    "paper500_s2": lambda: sample_dgp(DgpSpec(), 500, seed=2),
+    "p1": lambda: make_dataset(n=300, p=1, seed=5),
+    "p2": lambda: make_dataset(n=300, p=2, seed=6),
+    "p3": lambda: make_dataset(n=300, p=3, seed=7),
+    "two_binary": lambda: two_binary_covariates(400, seed=3),
+    "overlap1e5": lambda: sample_dgp(DgpSpec(a_mean_slope=4.0), 100_000, seed=12345),
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here",
+)
+class TestCellSumsAgainstExtendedPrecision:
+    """reg, aipw and tmle points and SEs, summed over the (t, w) cells from
+    each cell's size, mean and centred second moment of y, against per-unit
+    sums in extended precision: points within 1e-9 SE, SEs within 1e-9
+    relative."""
+
+    @staticmethod
+    def errors(data, name):
+        estimands = (BATE, PEB1, PEB0)
+        reports = estimate_many(data, [name], estimands)
+        exact = extended_reference(data, name, estimands)
+        return [
+            (float(abs(np.longdouble(r.point) - point) / se), float(abs(np.longdouble(r.se) - se) / se))
+            for r, (point, se) in zip(reports, exact)
+        ]
+
+    @pytest.mark.parametrize("design", list(EXACT_DESIGNS))
+    @pytest.mark.parametrize("name", ["reg", "aipw", "tmle"])
+    def test_points_and_ses(self, design, name):
+        errors = self.errors(EXACT_DESIGNS[design](), name)
+        assert max(max(pair) for pair in errors) <= 1e-9, errors
+
+    def test_centred_moments_survive_a_large_mean(self):
+        """y + 1e6 on the weak-overlap sample: a second moment taken as the
+        raw sum of y^2 less n ybar^2 loses the SE to cancellation."""
+        base = EXACT_DESIGNS["overlap1e5"]()
+        data = ObservationSet(w=base.w, t=base.t, y=base.y + 1e6)
+        errors = self.errors(data, "aipw")
+        assert max(se for _, se in errors) <= 1e-9, errors
 
 
 class TestBootstrapSe:
@@ -605,12 +701,13 @@ class TestMirrorIdentity:
 
 
 def count_calls(monkeypatch, name, module=estimators):
-    """Replace module.<name> with a wrapper; returns the list of its calls' kwargs."""
+    """Replace module.<name> with a wrapper; returns the list of its calls'
+    arguments, keyword ones by name and positional ones by position."""
     calls = []
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append({**dict(enumerate(args)), **kwargs})
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -657,6 +754,17 @@ class TestEstimateMany:
         alone = len(predictions)
         nuis.diagnostics
         assert len(predictions) == alone == 1
+
+    def test_predictions_run_on_the_cell_rows(self, monkeypatch):
+        """reg, aipw and tmle evaluate the propensity and the outcome model
+        on the 4 (t, w) cell rows of the paper design, never on the units."""
+        data = sample_dgp(DgpSpec(), 2000, seed=1)
+        propensity = count_calls(monkeypatch, "predict_proba", module=PropensityModel)
+        outcome = count_calls(monkeypatch, "predict", module=RegressionFit)
+        estimate_many(data, ["reg", "aipw", "tmle"], (BATE, PEB1, PEB0))
+        assert propensity and outcome
+        assert {np.shape(call[1]) for call in propensity} == {(4, 1)}  # call[0] is the model
+        assert {np.shape(call[2]) for call in outcome} == {(4, 1)}
 
     def test_injected_propensity_is_never_refit(self, monkeypatch):
         data = make_binary_w_dataset(n=60, seed=3)

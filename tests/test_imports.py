@@ -49,7 +49,7 @@ def test_estimand_kind_is_mapped_only_in_core(module):
 )
 def test_grouping_is_read_only_in_core_and_nuisance(module):
     """Other modules see a sample's (t, w) cells only through
-    `nuisance.logistic_cells` and `nuisance.cell_sums`, so the format of the
+    `nuisance.logistic_cells` and `nuisance.cell_moments`, so the format of the
     cached grouping stays behind those two modules."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     reads = [
