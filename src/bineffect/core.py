@@ -251,9 +251,10 @@ class ObservationSet:
         """The distinct (t, w) rows of this sample by `_group_rows`, computed
         on first use: their covariates and treatments, each unit's row index,
         and per row the number of units, the sum and the mean of y over them
-        and their centred second moment sum((y - mean)**2). Every fit and
+        and their centred second moment sum((y - mean)**2); then the
+        covariate mean and the minimum and maximum of y. Every fit and
         estimate on the sample depends on a unit only through its row and on
-        y only through these moments."""
+        y only through these moments and its range."""
         units, cell, sizes = _group_rows(self.t, self.w)
         sums = np.bincount(cell, weights=self.y, minlength=sizes.size)
         means = sums / sizes
@@ -262,7 +263,10 @@ class ObservationSet:
         shift = np.bincount(cell, weights=dev, minlength=sizes.size) / sizes
         means += shift
         m2 = np.bincount(cell, weights=np.square(dev, out=dev), minlength=sizes.size) - sizes * shift * shift
-        return np.take(self.w, units, axis=0), self.t[units], cell, sizes, sums, means, m2
+        unit_level = (np.full(self.p, np.nan), np.nan, np.nan)  # an empty sample has no mean or range
+        if self.n:
+            unit_level = (self.w.mean(axis=0), self.y.min(), self.y.max())
+        return np.take(self.w, units, axis=0), self.t[units], cell, sizes, sums, means, m2, *unit_level
 
     def with_rule(self, rule: BinarizationRule) -> "ObservationSet":
         """Re-derive t from a under `rule`; idempotent for the attached rule."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Literal, Sequence
 
@@ -23,6 +23,7 @@ from .core import (
     z_quantile,
 )
 from .nuisance import (
+    CellBatch,
     OutcomeModel,
     PropensityModel,
     RegressionFit,
@@ -31,6 +32,10 @@ from .nuisance import (
     fit_logistic,
     fit_ols_interacted,
     logistic_cells,
+    logistic_fits,
+    ols_fits,
+    outcome_at_cells,
+    pscore_at_cells,
     refit_logistic,
 )
 
@@ -118,9 +123,13 @@ class Nuisances:
 
 
 def _per_contrast(theta: np.ndarray, a: list, b: list, contrasts: np.ndarray) -> list[tuple]:
-    """(point, a, b) per row of `contrasts` from the arm triple `theta` and
-    the cell means `a` and slopes in y `b` of each arm's influence values."""
-    return [(theta @ c, *(sum(cj * v for cj, v in zip(c, arms) if cj) for arms in (a, b))) for c in contrasts]
+    """(point, a, b) per row of `contrasts` from the (R, 3) arm triples
+    `theta` and the cell means `a` and slopes in y `b` of each arm's
+    influence values. Each sample's point is its own dot product."""
+    return [
+        ((theta[:, None, :] @ c)[:, 0], *(sum(cj * v for cj, v in zip(c, arms) if cj) for arms in (a, b)))
+        for c in contrasts
+    ]
 
 
 def _unit_influence(data: ObservationSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -129,9 +138,10 @@ def _unit_influence(data: ObservationSet, a: np.ndarray, b: np.ndarray) -> np.nd
     return a[cell] + b[cell] * (data.y - means[cell])
 
 
-def _reg_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[tuple]:
-    """Regression (point, a, b) per row of `contrasts`: a and b are the
-    means and the slopes in y of the influence values in each cell.
+def _reg_fits(cells: CellBatch, fits: RegressionFit, contrasts: np.ndarray) -> list[tuple]:
+    """Regression (point, a, b) per row of `contrasts`, from the `ols_fits`
+    batch `fits` of the samples: a and b are the means and the slopes in y
+    of the influence values in each cell.
 
     The interacted OLS is one least-squares line per arm in wc = w - w_mean,
     so mu1 = beta0 + beta_t and mu0 = beta0 are the arms' intercepts: each a
@@ -143,31 +153,32 @@ def _reg_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> l
     M-estimator's influence values (Stefanski & Boos 2002) with the
     covariate mean used to center w held fixed. Both arms' scatters are
     solved as one stack. Every sum over the cells is an elementwise
-    product's `.sum()`, so none runs through BLAS.
+    product's `.sum(axis=-1)`, so none runs through BLAS.
     """
-    fit = nuis.regression
-    w, t, _ = cell_rows(data)
-    sizes, sums, means, _ = cell_moments(data)
-    n, p = data.n, data.p
-    wc = [column - center for column, center in zip(w.T, fit.w_mean)]
+    w, t, sizes, means, n = cells.w, cells.t, cells.sizes, cells.means, cells.n[:, None]
+    r, p = sizes.shape[0], w.shape[1]
+    wc = [column - center[:, None] for column, center in zip(w.T, fits.w_mean.T)]
     arms, n_arms, centres, scatters = (t, 1.0 - t), [], [], []
     for arm in arms:
         counts = sizes * arm  # each cell's units in the arm
-        n_arms.append(counts.sum())
-        centres.append([(counts * col).sum() / n_arms[-1] for col in wc])
-        dev = [col - m for col, m in zip(wc, centres[-1])]
-        scatters.append([(counts * dj * dk).sum() for dj in dev for dk in dev])
-    tilts = np.linalg.solve(np.reshape(scatters, (2, p, p)), np.reshape(centres, (2, p, 1)))[..., 0]
+        n_arms.append(counts.sum(axis=-1, keepdims=True))
+        centres += [(counts * col).sum(axis=-1, keepdims=True) / n_arms[-1] for col in wc]
+        dev = [col - m for col, m in zip(wc, centres[len(centres) - p :])]
+        scatters += [(counts * dj * dk).sum(axis=-1, keepdims=True) for dj in dev for dk in dev]
+    centres = np.ascontiguousarray(np.reshape(centres, (2, p, r)).transpose(2, 0, 1))  # (R, 2, p)
+    tilts = np.linalg.solve(np.reshape(scatters, (2, p, p, r)).transpose(3, 0, 1, 2), centres[..., None])
     # omega = n/n_a - n tilt . (wc - m_a), with the arm mean m_a taken out of the sum over columns
     slopes = [
-        arm * (n / n_arm + n * (tilt @ centre) - n * sum(s * col for s, col in zip(tilt, wc)))
-        for arm, n_arm, tilt, centre in zip(arms, n_arms, tilts, np.reshape(centres, (2, p)))
+        arm * (n / n_arms[j] + n * (centres[:, j, None, :] @ tilts[:, j])[:, 0]
+               - n * sum(s[:, None] * col for s, col in zip(tilts[:, j, :, 0].T, wc)))
+        for j, arm in enumerate(arms)
     ]
-    residuals = means - fit.predict(t, w)
-    y_bar = sums.sum() / n
+    residuals = means - outcome_at_cells(fits, w, t)
+    y_bar = cells.sums.sum(axis=-1, keepdims=True) / n
     a = [slope * residuals for slope in slopes]
-    a.append(means - y_bar - sum(beta * col for beta, col in zip(fit.beta_w, wc)))
-    return _per_contrast(np.array([fit.beta0 + fit.beta_t, fit.beta0, y_bar]), a, slopes + [1.0], contrasts)
+    a.append(means - y_bar - sum(beta[:, None] * col for beta, col in zip(fits.beta_w.T, wc)))
+    theta = np.concatenate([fits.beta0 + fits.beta_t, fits.beta0, y_bar], axis=-1)
+    return _per_contrast(theta, a, slopes + [1.0], contrasts)
 
 
 def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: int) -> np.ndarray:
@@ -304,17 +315,17 @@ def _ipw(
     return [(point, se, ci if percentile else None) for point, se, ci in rows], note
 
 
-def _aipw_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[tuple]:
+def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:
     """AIPW (point, a, b) per row of `contrasts`, a and b the means and the
-    slopes in y of the influence values in each cell. The arm triple is the
+    slopes in y of the influence values in each cell, from the (R, k)
+    propensities and outcome predictions at the cells. The arm triple is the
     mean of the augmented terms t/pscore (y - m1) + m1, (1-t)/(1-pscore)
     (y - m0) + m0 and y, whose slopes are t/pscore, (1-t)/(1-pscore) and 1."""
-    t, pscore, m1, m0 = cell_rows(data)[1], nuis.pscore, nuis.m1, nuis.m0
-    sizes, _, means, _ = cell_moments(data)
+    t, sizes, means = cells.t, cells.sizes, cells.means
     b = [t / pscore, (1.0 - t) / (1.0 - pscore), 1.0]
     z = [b[0] * (means - m1) + m1, b[1] * (means - m0) + m0, means]
-    theta = np.array([(sizes * v).sum() for v in z]) / data.n
-    return _per_contrast(theta, [v - mu for v, mu in zip(z, theta)], b, contrasts)
+    theta = np.concatenate([(sizes * v).sum(axis=-1, keepdims=True) for v in z], axis=-1) / cells.n[:, None]
+    return _per_contrast(theta, [v - theta[:, j, None] for j, v in enumerate(z)], b, contrasts)
 
 
 @dataclass(frozen=True)
@@ -327,65 +338,83 @@ class TmleFit:
     influence: np.ndarray
 
 
-def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np.ndarray) -> float:
-    """One-dimensional logistic fluctuation: ys ~ expit(offset + beta * h).
-
-    The units come grouped into cells that share their offset and h: row c
-    holds the sum of ys over its `sizes[c]` units, and their offset and h.
-    Newton iteration with step halving on the quasi-binomial log likelihood,
-    whose sums over the cells are elementwise products' `.sum()`: numpy's
-    pairwise sum, which does not depend on the BLAS thread count.
-    Each coefficient tried is evaluated once: the accepted one's
-    probabilities serve the next Newton step.
+def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """One-dimensional logistic fluctuation ys ~ expit(offset + beta * h) of
+    each of R samples, on their cells: in row r of each (R, k) argument,
+    cell c holds the sum of ys over its `sizes[r, c]` units, and their
+    offset and h. Newton iteration with step halving on the quasi-binomial
+    log likelihood, whose sums over the cells are elementwise products'
+    `.sum(axis=-1)`, which do not depend on the BLAS thread count. The
+    samples iterate together, each on its own arithmetic, and each
+    coefficient tried is evaluated once. Returns the (R, 1) coefficients,
+    NaN where the iteration did not converge (a flat likelihood included).
     """
-    def evaluate(beta: float) -> tuple[np.ndarray, float]:
-        """(probabilities, log likelihood) at beta."""
-        probs = expit(offset + beta * h)
+    def evaluate(parts: list, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, log likelihood) at beta of the samples whose
+        (ys_sums, sizes, offset, h) rows are `parts`."""
+        ys, n_c, off, hh = parts
+        probs = expit(off + beta * hh)
         clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
-        loglik = (ys_sums * np.log(clipped)).sum() + ((sizes - ys_sums) * np.log(1.0 - clipped)).sum()
-        return probs, float(loglik)
+        loglik = (ys * np.log(clipped)).sum(axis=-1, keepdims=True) + (
+            (n_c - ys) * np.log(1.0 - clipped)
+        ).sum(axis=-1, keepdims=True)
+        return probs, loglik
 
-    beta = 0.0
-    probs, current = evaluate(beta)
+    out = np.full((h.shape[0], 1), np.nan)
+    # the samples still iterating: their indices, coefficients, probabilities, log likelihoods and rows
+    active, parts = np.arange(h.shape[0]), [ys_sums, sizes, offset, h]
+    beta = np.zeros((active.size, 1))
+    probs, current = evaluate(parts, beta)
     for _ in range(_TMLE_MAX_ITER):
-        score = float((h * (ys_sums - sizes * probs)).sum())
-        curvature = float((h * h * (sizes * (probs * (1.0 - probs)))).sum())
-        if curvature <= 0.0:
-            break  # flat likelihood: nothing left to update
+        if not active.size:
+            break
+        ys, n_c, _, hh = parts
+        score = (hh * (ys - n_c * probs)).sum(axis=-1, keepdims=True)
+        curvature = (hh * hh * (n_c * (probs * (1.0 - probs)))).sum(axis=-1, keepdims=True)
+        live = ~(curvature[:, 0] <= 0.0)  # a flat likelihood stops the sample unconverged
+        if not live.all():
+            active, beta, probs, current, score, curvature, *parts = (
+                v[live] for v in (active, beta, probs, current, score, curvature, *parts)
+            )
         step = score / curvature
+        cand_probs, cand = evaluate(parts, beta + step)
         for _ in range(40):
-            candidate = evaluate(beta + step)
-            if candidate[1] >= current - 1e-12:
+            worse = ~(cand[:, 0] >= current[:, 0] - 1e-12)
+            if not worse.any():
                 break
-            step /= 2.0
-        else:  # every halving failed: the final step is taken all the same
-            candidate = evaluate(beta + step)
-        beta += step
-        probs, current = candidate
-        if abs(step) < _TMLE_TOL:
-            return beta
-    raise ConvergenceError(
-        f"targeting fluctuation did not converge in {_TMLE_MAX_ITER} iterations"
-    )
+            step[worse] /= 2.0
+            rows = parts if worse.all() else [v[worse] for v in parts]
+            cand_probs[worse], cand[worse] = evaluate(rows, beta[worse] + step[worse])
+        # after 40 halvings the final step is taken all the same
+        beta = beta + step
+        probs, current = cand_probs, cand
+        done = np.abs(step[:, 0]) < _TMLE_TOL
+        out[active[done]] = beta[done]
+        if done.any():
+            active, beta, probs, current, *parts = (v[~done] for v in (active, beta, probs, current, *parts))
+    return out
 
 
-def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> list[tuple]:
-    """Targeted fit per (c1, c0, c_y) row of `contrasts`: its point, the cell
+def _tmle_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:
+    """Targeted fit per (c1, c0, c_y) row of `contrasts`, from the (R, k)
+    propensities and outcome predictions at the cells: its point, the cell
     means and slopes in y of its influence values, and its fluctuation
-    coefficient. All rows share one untargeted start: y scaled to [0, 1] and
-    the logits of the bounded initial fit.
-
-    The offset, the clever covariate and the targeted predictions depend on
-    a unit only through its (t, w), so everything runs on the sample's
-    cells; the fluctuation takes each cell's size and sum of scaled y."""
-    t, pscore, m1, m0 = cell_rows(data)[1], nuis.pscore, nuis.m1, nuis.m0
-    sizes, _, means, _ = cell_moments(data)
-    lo = float(data.y.min())
-    span = float(data.y.max()) - lo
-    if span == 0.0:
-        zeros = np.zeros(t.shape[0])
-        return [(0.0, zeros, zeros, 0.0) for _ in contrasts]
-
+    coefficient (NaN where it did not converge). All rows share one
+    untargeted start: y scaled to [0, 1] and the logits of the bounded
+    initial fit. The offset, the clever covariate and the targeted
+    predictions depend on a unit only through its (t, w), so everything runs
+    on the cells. A constant outcome gives 0 throughout."""
+    flat = cells.y_max == cells.y_min
+    if flat.any():
+        (r, k), rows = cells.sizes.shape, np.flatnonzero(~flat)
+        fits = [(np.zeros(r), np.zeros((r, k)), np.zeros((r, k)), np.zeros(r)) for _ in contrasts]
+        for fit, part in zip(fits, _tmle_fits(cells.take(rows), pscore[rows], m1[rows], m0[rows], contrasts)):
+            for whole, values in zip(fit, part):
+                whole[rows] = values
+        return fits
+    t, sizes, means = cells.t, cells.sizes, cells.means
+    lo = cells.y_min[:, None]
+    span = cells.y_max[:, None] - lo
     ys_sums = sizes * ((means - lo) / span)
     logit_q1 = logit(np.clip((m1 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
     logit_q0 = logit(np.clip((m0 - lo) / span, _TMLE_BOUND, 1.0 - _TMLE_BOUND))
@@ -406,14 +435,32 @@ def _tmle_fits(data: ObservationSet, nuis: Nuisances, contrasts: np.ndarray) -> 
 
         # influence value H (y - Q) + plug-in - point; mean zero once targeted
         plug_in = c1 * y1 + c0 * y0 + c_y * y_obs_pred
-        point = float((sizes * plug_in).sum() / data.n)
-        fits.append((point, h_obs * (means - y_obs_pred) + plug_in - point, h_obs, float(beta)))
+        point = (sizes * plug_in).sum(axis=-1, keepdims=True) / cells.n[:, None]
+        fits.append((point[:, 0], h_obs * (means - y_obs_pred) + plug_in - point, h_obs, beta[:, 0]))
     return fits
 
 
 ESTIMATOR_NAMES = ("reg", "ipw", "aipw", "tmle")
 
 _CELL_FITS = {"reg": _reg_fits, "aipw": _aipw_fits, "tmle": _tmle_fits}
+_NOT_TARGETED = f"targeting fluctuation did not converge in {_TMLE_MAX_ITER} iterations"
+
+
+def _cell_estimates(name: str, cells: CellBatch, contrasts: np.ndarray, nuisances) -> tuple[np.ndarray, ...]:
+    """reg, aipw or tmle on the R samples of `cells`, from their `ols_fits`
+    batch (reg) or their (pscore, m1, m0) at the cells (aipw, tmle): the
+    (R, E) points and SEs, and the (R,) mask of the samples whose tmle
+    fluctuation did not converge. The SE is sqrt(sum_c n_c a_c^2 + b_c^2
+    M2_c) / n, i.e. sqrt(mean(phi^2) / n)."""
+    fits = _CELL_FITS[name](cells, *nuisances, contrasts)
+    shape = (len(fits), cells.n.size)
+    points = np.reshape([fit[0] for fit in fits], shape).T
+    ses = np.reshape([np.sqrt((cells.sizes * a * a + b * b * cells.m2).sum(axis=-1)) for _, a, b, *_ in fits],
+                     shape)
+    failed = np.zeros(shape[1], dtype=bool)
+    if name == "tmle":
+        failed = np.isnan(np.reshape([fit[3] for fit in fits], shape)).any(axis=0)
+    return points, ses.T / cells.n[:, None], failed
 
 
 def check_estimate_args(estimators: Sequence[str], ci_level: float) -> None:
@@ -454,17 +501,22 @@ def estimate_many(
     if nuis.data is not data:
         raise ValidationError("nuisances were built for a different ObservationSet")
     contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
-    sizes, _, _, m2 = cell_moments(data)
+    cells = CellBatch.of(data)
     reports: list[EstimateReport] = []
     for name in estimators:
         note = None
         if name == "ipw":
             rows, note = _ipw(data, nuis, contrasts, boot or BootstrapConfig(), ci_level)
-        else:  # SE sqrt(sum_c n_c a_c^2 + b_c^2 M2_c) / n, i.e. sqrt(mean(phi^2) / n)
-            rows = [
-                (point, np.sqrt((sizes * a * a + b * b * m2).sum()) / data.n, None)
-                for point, a, b, *_ in _CELL_FITS[name](data, nuis, contrasts)
-            ]
+        else:
+            if name == "reg":  # the sample's fit as a batch of one
+                fit = nuis.regression
+                nuisances = [RegressionFit(*(np.reshape(getattr(fit, f.name), (1, -1)) for f in fields(fit)))]
+            else:
+                nuisances = _predictions(nuis)
+            points, ses, failed = _cell_estimates(name, cells, contrasts, nuisances)
+            if failed[0]:
+                raise ConvergenceError(_NOT_TARGETED)
+            rows = [(point, se, None) for point, se in zip(points[0], ses[0])]
         diagnostics = () if name == "reg" else nuis.diagnostics + ((note,) if note else ())
         reports += [
             EstimateReport(
@@ -476,6 +528,59 @@ def estimate_many(
     return reports
 
 
+def _predictions(nuis: Nuisances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The propensity and outcome predictions at the cells of one sample,
+    each as a batch of one."""
+    return nuis.pscore[None], nuis.m1[None], nuis.m0[None]
+
+
+def estimate_cells(cells: CellBatch, estimators: Sequence[str], contrasts: np.ndarray) -> dict:
+    """reg, aipw and tmle on the R samples of `cells`: per estimator, the
+    (R, E) points and SEs per row of `contrasts`, and per sample None or the
+    EstimationError class that stopped it.
+
+    The OLS (`ols_fits`) and, for aipw and tmle, the propensity
+    (`logistic_fits`) are fitted once for the batch. As in `estimate_many`,
+    every estimator fails on a one-arm sample, reg where the OLS fails, aipw
+    and tmle where the propensity and then the OLS fail, and tmle where a
+    fluctuation does not converge. Each other sample is estimated on its own
+    arithmetic, so its numbers equal `estimate_many` on it; an SE that is
+    not finite and >= 0 raises ValidationError, as its report would.
+    """
+    r, e = cells.n.size, len(contrasts)
+    out = {name: (np.full((r, e), np.nan), np.full((r, e), np.nan), [DegenerateArmError] * r)
+           for name in estimators}
+    if np.all(cells.t == cells.t[0]):
+        return out
+    ols_failures, failures, predictions = [None] * r, [None] * r, None
+    if any(name != "reg" for name in estimators):
+        models, failures = logistic_fits(cells)
+    if "reg" in estimators or None in failures:  # some sample reaches the OLS
+        fits, ols_failures = ols_fits(cells)
+    failures = [p or o for p, o in zip(failures, ols_failures)]
+    for name in estimators:
+        points, ses, stops = out[name]
+        stops[:] = ols_failures if name == "reg" else failures
+        rows = np.flatnonzero([stop is None for stop in stops])
+        if not rows.size:
+            continue
+        if name == "reg":
+            nuisances = [RegressionFit(*(getattr(fits, f.name)[rows] for f in fields(fits)))]
+        else:
+            if predictions is None:
+                predictions = [pscore_at_cells(models, cells.w)]
+                predictions += [outcome_at_cells(fits, cells.w, t) for t in (1.0, 0.0)]
+            nuisances = [v[rows] for v in predictions]
+        points[rows], ses[rows], failed = _cell_estimates(name, cells.take(rows), contrasts, nuisances)
+        for i in rows[failed]:
+            stops[i] = ConvergenceError
+        delivered = ses[rows[~failed]]
+        bad = delivered[~(np.isfinite(delivered) & (delivered >= 0.0))]
+        if bad.size:
+            raise ValidationError(f"se must be finite and >= 0, got {bad[0]}")
+    return out
+
+
 def aipw_influence(
     data: ObservationSet,
     estimand: EstimandSpec,
@@ -484,8 +589,9 @@ def aipw_influence(
 ) -> np.ndarray:
     """Estimated efficient influence values at the AIPW solution, one per
     unit (mean zero); the AIPW SE is sqrt(mean(phi**2) / n)."""
-    [(_, a, b)] = _aipw_fits(data, Nuisances(data, outcome, propensity), [estimand.contrast])
-    return _unit_influence(data, a, b)
+    nuis = Nuisances(data, outcome, propensity)
+    [(_, a, b)] = _aipw_fits(CellBatch.of(data), *_predictions(nuis), [estimand.contrast])
+    return _unit_influence(data, a[0], b[0])
 
 
 def tmle_update(
@@ -502,5 +608,8 @@ def tmle_update(
     updated predictions are mapped back to the original scale. Point
     estimates and influence values are invariant to affine rescaling of y.
     """
-    [(point, a, b, beta)] = _tmle_fits(data, Nuisances(data, outcome, propensity), [estimand.contrast])
-    return TmleFit(point, beta, _unit_influence(data, a, b))
+    nuis = Nuisances(data, outcome, propensity)
+    [(point, a, b, beta)] = _tmle_fits(CellBatch.of(data), *_predictions(nuis), [estimand.contrast])
+    if np.isnan(beta[0]):
+        raise ConvergenceError(_NOT_TARGETED)
+    return TmleFit(float(point[0]), float(beta[0]), _unit_influence(data, a[0], b[0]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
@@ -21,7 +22,8 @@ from .core import (
     binarize,
     csv_text,
 )
-from .estimators import BootstrapConfig, Nuisances, check_estimate_args, estimate_many
+from .estimators import BootstrapConfig, check_estimate_args, estimate_cells, estimate_many
+from .nuisance import CellBatch
 
 _QUAD_TARGET = 1e-4     # required absolute accuracy of the truth values
 _TAIL_SDS = 10.0        # integration range; mass beyond is < 1e-20
@@ -188,7 +190,11 @@ def density_curve(spec: DgpSpec, arm: str, w: int, grid: np.ndarray) -> np.ndarr
 
 @dataclass(frozen=True)
 class McRow:
-    """Summary for one (estimator, estimand) cell of a Monte Carlo run."""
+    """Summary for one (estimator, estimand) cell of a Monte Carlo run.
+
+    `failures` names the cause of each failed replicate: (exception class
+    name, count) pairs, sorted by name, whose counts sum to `n_failed`.
+    """
 
     estimator: str
     estimand: EstimandSpec
@@ -197,6 +203,7 @@ class McRow:
     mean_est_se: float
     sim_se: float
     n_failed: int
+    failures: tuple[tuple[str, int], ...] = ()
 
     def to_dict(self) -> dict:
         return {**asdict(self), "estimand": self.estimand.key}
@@ -221,30 +228,43 @@ class McResult:
         return {**asdict(self), "rows": [r.to_dict() for r in self.rows]}
 
 
-def _replicate_worker(task) -> dict:
-    """One Monte Carlo replicate; returns {(estimator, estimand key): (point, se)}.
+def _chunk_worker(task) -> list[dict]:
+    """The Monte Carlo replicates `reps` of one sample size; returns per
+    replicate {(estimator, estimand key): (point, se), or the name of the
+    EstimationError class that stopped the estimator}.
 
-    One Nuisances object serves every estimator and estimand of the
-    replicate, and the IPW bootstrap reuses one set of resamples for all
-    estimands. A failing estimator gives None for its cells and leaves the
-    others untouched. The RNG stream is derived from (seed, n, replicate), so
-    results do not depend on scheduling.
+    Replicate `rep` draws from default_rng([seed, n, rep]), and ipw runs on
+    the sample, its bootstrap continuing that stream. The sample is then
+    kept as its cell moments, and reg, aipw and tmle run once per group of
+    replicates whose cell rows are byte-equal (`estimate_cells`). So a
+    replicate's numbers equal `estimate_many` on its sample, whatever chunk
+    it is in.
     """
-    spec, n, estimators, estimands, boot, seed, rep = task
-    rng = np.random.default_rng([seed, n, rep])
-    data = sample_dgp(spec, n, rng)
-    nuisances = Nuisances(data)
-    # bootstrap indices continue the replicate's stream after the sample
-    boot = None if boot is None else replace(boot, seed=rng)
-    out: dict = {}
-    for est in estimators:
-        try:
-            reports = estimate_many(data, [est], estimands, nuisances, boot)
-        except EstimationError:
-            reports = [None] * len(estimands)
-        for e, r in zip(estimands, reports):
-            out[(est, e.key)] = None if r is None else (r.point, r.se)
-    return out
+    spec, n, estimators, estimands, boot, seed, reps = task
+    batched = [est for est in estimators if est != "ipw"]
+    outcomes: list[dict] = [{} for _ in reps]
+    groups: dict = {}
+    for out, rep in zip(outcomes, reps):
+        rng = np.random.default_rng([seed, n, rep])
+        data = sample_dgp(spec, n, rng)
+        if "ipw" in estimators:  # bootstrap indices continue the replicate's stream after the sample
+            try:
+                reports = estimate_many(data, ["ipw"], estimands, boot=replace(boot, seed=rng))
+                cells = [(r.point, r.se) for r in reports]
+            except EstimationError as err:
+                cells = [type(err).__name__] * len(estimands)
+            out.update(zip([("ipw", e.key) for e in estimands], cells))
+        if batched:
+            one = CellBatch.of(data)
+            groups.setdefault((one.w.tobytes(), one.t.tobytes()), []).append((out, one))
+    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
+    for members in groups.values():
+        results = estimate_cells(CellBatch.stack([one for _, one in members]), batched, contrasts)
+        for est, (points, ses, failures) in results.items():
+            for (out, _), row_points, row_ses, failure in zip(members, points, ses, failures):
+                for e, point, se in zip(estimands, row_points, row_ses):
+                    out[(est, e.key)] = failure.__name__ if failure else (float(point), float(se))
+    return outcomes
 
 
 def run_monte_carlo(
@@ -262,10 +282,12 @@ def run_monte_carlo(
     Per (n, estimator, estimand) cell: mean estimate, bias against the
     quadrature truth, mean estimated SE and the SD of the estimates across
     replicates. Replicates whose estimator fails (degenerate arm, separation)
-    are excluded and counted. `threads` worker processes share the
-    replicates of each sample size, at most one process per replicate.
-    Deterministic for a fixed seed regardless of `threads`. Every argument is
-    checked before any work, the estimator names and bootstrap size included.
+    are excluded and counted by cause. The replicates of each sample size
+    are split into contiguous `_chunk_worker` chunks, eight per worker
+    process when `threads` > 1 (at most one process per replicate).
+    Deterministic for a fixed seed regardless of `threads`. Every argument
+    is checked before any work, the estimator names and bootstrap size
+    included.
     """
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
@@ -282,22 +304,25 @@ def run_monte_carlo(
 
     results = []
     for n in n_list:
+        chunks = 1 if threads == 1 else min(replicates, 8 * threads)  # several per worker, for balance
+        bounds = [replicates * i // chunks for i in range(chunks + 1)]
         tasks = [
-            (spec, int(n), estimators, estimands, boot, int(seed), rep)
-            for rep in range(replicates)
+            (spec, int(n), estimators, estimands, boot, int(seed), range(lo, hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         if threads > 1:
-            chunk = max(1, replicates // (threads * 8))
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(_replicate_worker, tasks, chunksize=chunk))
+                outcomes = [o for chunk in pool.map(_chunk_worker, tasks) for o in chunk]
         else:
-            outcomes = [_replicate_worker(t) for t in tasks]
+            outcomes = _chunk_worker(tasks[0])
 
         rows = []
         for est in estimators:
             for e in estimands:
-                cells = [o[(est, e.key)] for o in outcomes if o.get((est, e.key)) is not None]
+                values = [o[(est, e.key)] for o in outcomes]
+                cells = [v for v in values if not isinstance(v, str)]
                 n_failed = replicates - len(cells)
+                failures = tuple(sorted(Counter(v for v in values if isinstance(v, str)).items()))
                 points = np.array([c[0] for c in cells])
                 ses = np.array([c[1] for c in cells])
                 if len(cells) >= 2:
@@ -310,9 +335,11 @@ def run_monte_carlo(
                         mean_est_se=float(ses.mean()),
                         sim_se=float(points.std(ddof=1)),
                         n_failed=n_failed,
+                        failures=failures,
                     )
                 else:  # every replicate failed for this estimator
-                    row = McRow(est, e, float("nan"), float("nan"), float("nan"), float("nan"), n_failed)
+                    nan = float("nan")
+                    row = McRow(est, e, nan, nan, nan, nan, n_failed, failures)
                 rows.append(row)
         results.append(McResult(n=int(n), replicates=replicates, seed=int(seed), rows=tuple(rows)))
     return results

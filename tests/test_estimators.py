@@ -32,7 +32,7 @@ from bineffect import (
     nuisance,
     tmle_update,
 )
-from bineffect.nuisance import interacted_design, logistic_cells
+from bineffect.nuisance import CellBatch, interacted_design, logistic_cells
 from bineffect.simulation import sample_dgp
 from conftest import make_binary_w_dataset, make_dataset, two_binary_covariates
 
@@ -372,15 +372,16 @@ class TestTmleSharedStart:
         estimands = (BATE, PEB1, PEB0)
         joint = estimate_many(data, ["tmle"], estimands)
         nuis = Nuisances(data)
-        fits = estimators._tmle_fits(data, nuis, np.array([e.contrast for e in estimands]))
+        contrasts = np.array([e.contrast for e in estimands])
+        fits = estimators._tmle_fits(CellBatch.of(data), *estimators._predictions(nuis), contrasts)
         for e, report, (point, a, b, beta) in zip(estimands, joint, fits):
             [single] = estimate_many(data, ["tmle"], [e])
             update = tmle_update(data, e)
             assert report == single
-            assert report.point == update.point == point
+            assert report.point == update.point == point[0]
             assert report.se == pytest.approx(np.sqrt(np.mean(update.influence**2) / data.n), rel=1e-12)
-            assert update.fluctuation == beta
-            assert np.array_equal(update.influence, estimators._unit_influence(data, a, b))
+            assert update.fluctuation == beta[0]
+            assert np.array_equal(update.influence, estimators._unit_influence(data, a[0], b[0]))
 
     def test_start_is_scaled_once_per_call(self, monkeypatch):
         """The untargeted start is scaled once per call, the fluctuation
@@ -810,6 +811,32 @@ class TestEstimateMany:
         with pytest.raises(ValidationError, match="unknown estimator"):
             estimate_many(data, ["reg", "magic"], [BATE])
         assert ols == []
+
+
+def three_binary_covariates(n, seed):
+    """Three binary covariates: 16 (t, w) cells, enough for numpy's pairwise
+    sum over the cells to reorder terms in a non-contiguous reduction."""
+    rng = np.random.default_rng(seed)
+    w = (rng.random((n, 3)) < 0.5).astype(float)
+    t = (rng.random(n) < 1.0 / (1.0 + np.exp(w[:, 2] - w[:, 0]))).astype(float)
+    return ObservationSet(w=w, t=t, y=t + w.sum(axis=1) + rng.normal(size=n))
+
+
+def test_a_batch_of_samples_gives_each_the_numbers_it_gets_alone():
+    """estimate_cells on samples that share their cell rows gives each one
+    exactly what estimate_many gives it alone."""
+    samples = [three_binary_covariates(400, seed) for seed in range(5)]
+    cells = [CellBatch.of(d) for d in samples]
+    assert len({(c.w.tobytes(), c.t.tobytes()) for c in cells}) == 1 and cells[0].t.size == 16
+    estimands = (BATE, PEB1, PEB0)
+    contrasts = np.array([e.contrast for e in estimands])
+    batch = estimators.estimate_cells(CellBatch.stack(cells), ["reg", "aipw", "tmle"], contrasts)
+    for name, (points, ses, failures) in batch.items():
+        assert failures == [None] * len(samples)
+        for data, row_points, row_ses in zip(samples, points, ses):
+            reports = estimate_many(data, [name], estimands)
+            assert list(row_points) == [r.point for r in reports]
+            assert list(row_ses) == [r.se for r in reports]
 
 
 def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95, propensity=None):

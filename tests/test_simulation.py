@@ -1,11 +1,14 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
 from bineffect import (
+    BootstrapConfig,
     EstimandSpec,
+    EstimationError,
     QuadratureError,
     ValidationError,
     estimate_many,
@@ -281,6 +284,87 @@ class TestMonteCarlo:
         threaded = run_monte_carlo(dgp, [60], 4, ["reg", "ipw"], seed=9, threads=2, **kwargs)
         assert serial[0] == again[0]
         assert serial[0] == threaded[0]
+        names, estimands = ["reg", "aipw", "tmle"], (BATE, PEB1, PEB0)
+        serial = run_monte_carlo(dgp, [20, 120], 9, names, seed=9, estimands=estimands, threads=1)
+        threaded = run_monte_carlo(dgp, [20, 120], 9, names, seed=9, estimands=estimands, threads=2)
+        assert serial == threaded
+        assert serial[0].row("reg", BATE).n_failed > 0  # n = 20 has failing replicates
+
+    @pytest.mark.parametrize("n", [120, 20])
+    def test_chunks_give_each_replicate_the_numbers_of_its_sample(self, dgp, n):
+        """A replicate's points, SEs and failures do not depend on the chunk
+        it is batched in, and equal estimate_many on its sample."""
+        reps, seed, estimands = 24, 3, (BATE, PEB1, PEB0)
+        names = ["reg", "aipw", "tmle"]
+
+        def chunk(lo, hi):
+            return simulation._chunk_worker((dgp, n, names, estimands, None, seed, range(lo, hi)))
+
+        whole = chunk(0, reps)
+        assert chunk(0, 7) + chunk(7, reps) == whole
+        assert [o for r in range(reps) for o in chunk(r, r + 1)] == whole
+        for rep, outcome in enumerate(whole):
+            data = sample_dgp(dgp, n, np.random.default_rng([seed, n, rep]))
+            for name in names:
+                try:
+                    expected = [(r.point, r.se) for r in estimate_many(data, [name], estimands)]
+                except EstimationError as err:
+                    expected = [type(err).__name__] * len(estimands)
+                assert [outcome[(name, e.key)] for e in estimands] == expected
+        # at n = 20 some replicates miss a cell and fail, in groups of their own
+        assert (n == 20) == any(isinstance(v, str) for outcome in whole for v in outcome.values())
+
+    def test_failures_match_a_loop_over_the_replicates(self, dgp):
+        """Each cell's failure count and causes, and the means of the
+        delivered replicates, equal a per-replicate estimate_many loop."""
+        n, reps, seed, estimands = 20, 40, 3, (BATE, PEB1, PEB0)
+        names = ["reg", "ipw", "aipw", "tmle"]
+        result = run_monte_carlo(dgp, [n], reps, names, seed, estimands=estimands, boot_replicates=20)[0]
+        loop = {(name, e.key): [] for name in names for e in estimands}
+        for rep in range(reps):
+            rng = np.random.default_rng([seed, n, rep])
+            data = sample_dgp(dgp, n, rng)
+            for name in names:
+                boot = BootstrapConfig(20, seed=rng) if name == "ipw" else None
+                try:
+                    values = [(r.point, r.se) for r in estimate_many(data, [name], estimands, boot=boot)]
+                except EstimationError as err:
+                    values = [type(err).__name__] * len(estimands)
+                for e, value in zip(estimands, values):
+                    loop[(name, e.key)].append(value)
+        causes = set()
+        for name in names:
+            for e in estimands:
+                row, values = result.row(name, e), loop[(name, e.key)]
+                delivered = [v for v in values if not isinstance(v, str)]
+                failures = Counter(v for v in values if isinstance(v, str))
+                assert row.n_failed == reps - len(delivered) > 0
+                assert row.failures == tuple(sorted(failures.items()))
+                assert sum(count for _, count in row.failures) == row.n_failed
+                assert row.mean_estimate == np.mean([v[0] for v in delivered])
+                assert row.mean_est_se == np.mean([v[1] for v in delivered])
+                causes |= set(failures)
+        assert {"SeparationError", "SingularDesignError"} <= causes
+
+    def test_a_sample_too_small_for_the_ols_raises_only_where_the_ols_runs(self, dgp):
+        """At n = 4 every propensity separates or sees one arm, so aipw and
+        tmle fail before their outcome fit, while reg reaches the OLS and
+        raises, as a loop over the replicates would."""
+        kwargs = dict(estimands=(BATE,), boot_replicates=10)
+        [result] = run_monte_carlo(dgp, [4], 6, ["aipw", "tmle"], seed=1, **kwargs)
+        causes = (("DegenerateArmError", 1), ("SeparationError", 5))
+        assert all(row.n_failed == 6 and row.failures == causes for row in result.rows)
+        with pytest.raises(ValidationError, match="need n > 4"):
+            run_monte_carlo(dgp, [4], 6, ["aipw", "reg"], seed=1, **kwargs)
+
+    def test_ipw_cells_do_not_depend_on_the_other_estimators(self, dgp):
+        """ipw fits its own propensity and refits it per resample, whatever
+        else runs; a propensity handed in would not be refitted."""
+        kwargs = dict(estimands=(BATE, PEB1, PEB0), boot_replicates=30)
+        alone = run_monte_carlo(dgp, [20, 150], 12, ["ipw"], seed=5, **kwargs)
+        joint = run_monte_carlo(dgp, [20, 150], 12, ["ipw", "aipw"], seed=5, **kwargs)
+        for a, j in zip(alone, joint):
+            assert a.rows == j.rows[: len(a.rows)]
 
     def test_pool_is_capped_at_the_replicate_count(self, dgp, monkeypatch):
         pools = []
