@@ -145,40 +145,71 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (t, w) rows of a sample, ordered by the last covariate
-    first and by t last, as `np.lexsort((t, *w.T))` orders them.
-
-    Returns the index of one unit per distinct row, each unit's (n,) row
-    index and the number of units per row (as floats). When no two units
-    share a row, each unit is its own row, in sample order: `arange(n)`,
-    `arange(n)` and ones. A covariate column with no repeated value settles
-    that at the cost of one sort. Otherwise each column's values are ranked
-    and the ranks are combined into one integer key per unit, with the 0/1
-    `t` as its lowest digit.
+def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct (t, w) rows of R samples of n units, `t` (R, n) and `w`
+    (R, n, p): sample after sample, each ordered as `np.lexsort((t, *w.T))`
+    orders its rows. Returns the index of one unit per row (of the R * n),
+    each unit's row, each sample's first row (R + 1, the last the number of
+    rows) and the units per row (floats). A sample with no shared row keeps
+    each unit as its own row, in sample order; a covariate column with no
+    repeated value settles that for the block at the cost of one sort.
+    Otherwise each column's values are ranked and the ranks are combined
+    into one integer key per unit, `t` its lowest digit, the sample its
+    highest.
     """
-    n = t.shape[0]
-    key, size = t.astype(np.intp), 2
-    for col in w.T:
+    r, n, p = w.shape
+    total = r * n
+    digits = []
+    for col in w.reshape(total, p).T:
         values = np.sort(col)
-        repeated = values[1:] == values[:-1]
-        if not repeated.any():
-            return np.arange(n), np.arange(n), np.ones(n)
-        values = values[np.concatenate(([True], ~repeated))]
-        key = key + size * np.searchsorted(values, col)
-        size *= values.size
-        if size > n:  # renumber the rows seen so far; keeps the key below n**2
+        distinct = np.concatenate(([True], values[1:] != values[:-1]))
+        if distinct.all():
+            break
+        values = values[distinct]
+        digits.append((np.searchsorted(values, col), values.size))
+    if n < 2 or len(digits) < p:  # no two units of a sample share a row
+        return np.arange(total), np.arange(total), np.arange(r + 1) * n, np.ones(total)
+    key, size = t.ravel().astype(np.intp), 2
+    for rank, count in digits + [(np.repeat(np.arange(r), n), r)]:
+        key = key + size * rank
+        size *= count
+        if size > total:  # renumber the rows seen so far; keeps the key below total**2
             key = np.unique(key, return_inverse=True)[1]
             size = int(key.max()) + 1
     sizes = np.bincount(key, minlength=size)
     present = sizes > 0
-    k = int(np.count_nonzero(present))
-    if k == n:
-        return np.arange(n), np.arange(n), np.ones(n)
-    cell = key if k == size else (np.cumsum(present) - 1)[key]
-    units = np.empty(k, dtype=np.intp)
-    units[cell] = np.arange(n)
-    return units, cell, sizes[present].astype(float)
+    cell = key if present.all() else (np.cumsum(present) - 1)[key]
+    by_sample = cell.reshape(r, n)
+    first = by_sample.min(axis=1)
+    alone = by_sample.max(axis=1) - first == n - 1  # n rows: each unit its own, in sample order
+    by_sample[alone] = first[alone, None] + np.arange(n)
+    units = np.empty(int(np.count_nonzero(present)), dtype=np.intp)
+    units[cell] = np.arange(total)
+    return units, cell, np.append(first, units.size), sizes[present].astype(float)
+
+
+def block_cells(t: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """`_group_rows` of R samples, then the moments of `y` (R, n): per row the
+    sum and the mean of y and the centred second moment sum((y - mean)**2),
+    per sample the covariate mean (R, p) and the minimum and maximum of y.
+    Each sum runs over a row's units in sample order and each mean over one
+    sample, so a sample's values do not depend on the rest of the block.
+    """
+    units, cell, first, sizes = _group_rows(t, w)
+    y = y.ravel()
+    sums = np.bincount(cell, weights=y, minlength=sizes.size)
+    means = sums / sizes
+    dev = y - means[cell]
+    # the corrected two-pass algorithm (Chan, Golub & LeVeque 1983) takes out the means' rounding
+    shift = np.bincount(cell, weights=dev, minlength=sizes.size) / sizes
+    means += shift
+    m2 = np.bincount(cell, weights=np.square(dev, out=dev), minlength=sizes.size) - sizes * shift * shift
+    r, n, p = w.shape
+    unit_level = (np.full((r, p), np.nan), np.full(r, np.nan), np.full(r, np.nan))  # NaN for an empty sample
+    if n:  # each sample's covariate sum / n, the arithmetic of its (n, p) `.mean(axis=0)`
+        y = y.reshape(r, n)
+        unit_level = (np.array([np.add.reduce(sample) for sample in w]) / n, y.min(axis=1), y.max(axis=1))
+    return units, cell, first, sizes, sums, means, m2, *unit_level
 
 
 @dataclass(frozen=True)
@@ -248,25 +279,13 @@ class ObservationSet:
 
     @functools.cached_property
     def _cells(self) -> tuple[np.ndarray, ...]:
-        """The distinct (t, w) rows of this sample by `_group_rows`, computed
-        on first use: their covariates and treatments, each unit's row index,
-        and per row the number of units, the sum and the mean of y over them
-        and their centred second moment sum((y - mean)**2); then the
-        covariate mean and the minimum and maximum of y. Every fit and
-        estimate on the sample depends on a unit only through its row and on
-        y only through these moments and its range."""
-        units, cell, sizes = _group_rows(self.t, self.w)
-        sums = np.bincount(cell, weights=self.y, minlength=sizes.size)
-        means = sums / sizes
-        dev = self.y - means[cell]
-        # the corrected two-pass algorithm (Chan, Golub & LeVeque 1983) takes out the means' rounding
-        shift = np.bincount(cell, weights=dev, minlength=sizes.size) / sizes
-        means += shift
-        m2 = np.bincount(cell, weights=np.square(dev, out=dev), minlength=sizes.size) - sizes * shift * shift
-        unit_level = (np.full(self.p, np.nan), np.nan, np.nan)  # an empty sample has no mean or range
-        if self.n:
-            unit_level = (self.w.mean(axis=0), self.y.min(), self.y.max())
-        return np.take(self.w, units, axis=0), self.t[units], cell, sizes, sums, means, m2, *unit_level
+        """This sample's `block_cells`, computed on first use: the covariates
+        and treatments of its (t, w) rows, each unit's row, the moments of y
+        per row, the covariate mean and the range of y. Every fit and estimate
+        on the sample depends on a unit only through its row and on y only
+        through these moments and its range."""
+        units, cell, _, *moments, w_mean, y_min, y_max = block_cells(self.t[None], self.w[None], self.y[None])
+        return np.take(self.w, units, axis=0), self.t[units], cell, *moments, w_mean[0], y_min[0], y_max[0]
 
     def with_rule(self, rule: BinarizationRule) -> "ObservationSet":
         """Re-derive t from a under `rule`; idempotent for the attached rule."""

@@ -200,8 +200,10 @@ def _bootstrap_many(
     k: int,
     boot: BootstrapConfig,
     ci_level: float,
-) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Resample rows with replacement; returns (ses, percentile cis, redraw note).
+    percentile: bool,
+) -> tuple[np.ndarray, np.ndarray | None, str | None]:
+    """Resample rows with replacement; returns (ses, percentile cis or None
+    unless `percentile`, redraw note).
 
     A block of m resamples is one `rng.integers(0, n, size=(m, n))` draw; it
     gives the same indices, and leaves the generator in the same state, as m
@@ -234,7 +236,7 @@ def _bootstrap_many(
             )
     ses = estimates.std(axis=0, ddof=1)
     alpha = (1.0 - ci_level) / 2.0
-    cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T
+    cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T if percentile else None
     note = None
     if redraws > 0.01 * boot.replicates:
         note = (
@@ -267,7 +269,7 @@ def bootstrap_se(
                 ok[i] = False
         return values, ok
 
-    ses, cis, note = _bootstrap_many(data, statistic, 1, boot, ci_level)
+    ses, cis, note = _bootstrap_many(data, statistic, 1, boot, ci_level, percentile=True)
     if note is not None:
         warnings.warn(note, stacklevel=2)
     return float(ses[0]), (float(cis[0, 0]), float(cis[0, 1]))
@@ -309,10 +311,10 @@ def _ipw(
         y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
         return _ipw_arms(t, y_sums, pscore, n) @ contrasts.T, ok
 
-    ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level)
     percentile = boot.ci_method == "percentile"
-    rows = zip(contrasts @ _ipw_arms(t, y_cells, pscore_cells, n), ses, cis)
-    return [(point, se, ci if percentile else None) for point, se, ci in rows], note
+    ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level, percentile)
+    rows = zip(contrasts @ _ipw_arms(t, y_cells, pscore_cells, n), ses, cis if percentile else [None] * len(ses))
+    return list(rows), note
 
 
 def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:

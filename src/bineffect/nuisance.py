@@ -16,6 +16,7 @@ from .core import (
     SeparationError,
     SingularDesignError,
     ValidationError,
+    block_cells,
 )
 
 _RANK_TOL = 1e-10          # singular values below tol * largest are treated as zero
@@ -394,6 +395,25 @@ class CellBatch:
         w, t, _, *moments, w_mean, y_min, y_max = data._cells
         unit_level = np.array([[y_min], [y_max], [data.n]], dtype=float)
         return cls(w, t, *(v[None] for v in moments), w_mean[None], *unit_level)
+
+    @classmethod
+    def groups(cls, t: np.ndarray, w: np.ndarray, y: np.ndarray) -> dict[bytes, tuple[list[int], CellBatch]]:
+        """R samples, `t` (R, n), `w` (R, n, p) and `y` (R, n), by their cell
+        rows (`block_cells`): per distinct rows, in order of first sample, the
+        sample indices and a batch whose fields are byte-equal to `stack` of
+        `of` of those samples."""
+        _, n, p = w.shape
+        units, _, first, *moments, w_mean, y_min, y_max = block_cells(t, w, y)
+        w_rows, t_rows = w.reshape(-1, p)[units], t.ravel()[units]
+        groups: dict = {}
+        for i, (lo, hi) in enumerate(zip(first[:-1], first[1:])):
+            groups.setdefault(w_rows[lo:hi].tobytes() + t_rows[lo:hi].tobytes(), []).append(i)
+        for key, members in groups.items():
+            lo, hi = first[members[0]], first[members[0] + 1]
+            cells = first[members][:, None] + np.arange(hi - lo)
+            per_sample = (w_mean[members], y_min[members], y_max[members], np.full(len(members), float(n)))
+            groups[key] = members, cls(w_rows[lo:hi], t_rows[lo:hi], *(v[cells] for v in moments), *per_sample)
+        return groups
 
     @classmethod
     def stack(cls, batches: Sequence[CellBatch]) -> CellBatch:

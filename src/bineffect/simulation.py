@@ -28,6 +28,7 @@ from .nuisance import CellBatch
 _QUAD_TARGET = 1e-4     # required absolute accuracy of the truth values
 _TAIL_SDS = 10.0        # integration range; mass beyond is < 1e-20
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_BLOCK_UNITS = 2**15    # units a Monte Carlo chunk draws and groups at once; caps its working set
 
 
 def cubic_sine_outcome(a: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -97,11 +98,19 @@ def sample_dgp(spec: DgpSpec, n: int, seed) -> ObservationSet:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w = (rng.random(n) < spec.w_prob).astype(float)
-    a = rng.normal(spec.a_mean_base + spec.a_mean_slope * w, spec.a_sd)
-    y = np.asarray(spec.outcome_fn(a, w), dtype=float) + rng.normal(0.0, spec.noise_sd, n)
-    t = binarize(a, spec.rule)
+    w, a, t, y = _draw(spec, n, rng)
     return ObservationSet(w=w[:, None], t=t, y=y, a=a, rule=spec.rule)
+
+
+def _draw(spec: DgpSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """The (n,) w, a, t and y of n units: the only draws from a generator, so
+    that `sample_dgp` and the Monte Carlo chunks see the same samples. Each
+    normal is loc + sd * z, the formula of `Generator.normal`, bit for bit."""
+    w = (rng.random(n) < spec.w_prob).astype(float)
+    a = spec.a_mean_base + spec.a_mean_slope * w + spec.a_sd * rng.standard_normal(n)
+    noise = 0.0 + spec.noise_sd * rng.standard_normal(n)  # + 0.0 keeps a zero sd's -0.0 draws at +0.0
+    y = np.asarray(spec.outcome_fn(a, w), dtype=float) + noise
+    return w, a, binarize(a, spec.rule), y
 
 
 def truth_oracle(spec: DgpSpec) -> TruthReport:
@@ -233,35 +242,45 @@ def _chunk_worker(task) -> list[dict]:
     replicate {(estimator, estimand key): (point, se), or the name of the
     EstimationError class that stopped the estimator}.
 
-    Replicate `rep` draws from default_rng([seed, n, rep]), and ipw runs on
-    the sample, its bootstrap continuing that stream. The sample is then
-    kept as its cell moments, and reg, aipw and tmle run once per group of
-    replicates whose cell rows are byte-equal (`estimate_cells`). So a
-    replicate's numbers equal `estimate_many` on its sample, whatever chunk
-    it is in.
+    Replicate `rep` draws from default_rng([seed, n, rep]), as `sample_dgp`
+    does, and ipw runs on its sample, its bootstrap continuing that stream.
+    The samples are drawn and grouped into cells in blocks of at most
+    `_BLOCK_UNITS` units (`CellBatch.groups`), and reg, aipw and tmle run
+    once per group of the chunk's replicates whose cell rows are byte-equal
+    (`estimate_cells`). So a replicate's numbers equal `estimate_many` on
+    its sample, whatever chunk or block it is in.
     """
     spec, n, estimators, estimands, boot, seed, reps = task
     batched = [est for est in estimators if est != "ipw"]
     outcomes: list[dict] = [{} for _ in reps]
     groups: dict = {}
-    for out, rep in zip(outcomes, reps):
-        rng = np.random.default_rng([seed, n, rep])
-        data = sample_dgp(spec, n, rng)
-        if "ipw" in estimators:  # bootstrap indices continue the replicate's stream after the sample
-            try:
-                reports = estimate_many(data, ["ipw"], estimands, boot=replace(boot, seed=rng))
-                cells = [(r.point, r.se) for r in reports]
-            except EstimationError as err:
-                cells = [type(err).__name__] * len(estimands)
-            out.update(zip([("ipw", e.key) for e in estimands], cells))
-        if batched:
-            one = CellBatch.of(data)
-            groups.setdefault((one.w.tobytes(), one.t.tobytes()), []).append((out, one))
+    per_block = max(1, _BLOCK_UNITS // n)
+    for lo in range(0, len(reps), per_block):
+        block = reps[lo : lo + per_block]
+        t, w, y = (np.empty((len(block), n)) for _ in range(3))
+        for i, (out, rep) in enumerate(zip(outcomes[lo:], block)):
+            rng = np.random.default_rng([seed, n, rep])
+            w[i], a, t[i], y_rep = _draw(spec, n, rng)
+            if "ipw" in estimators or y_rep.shape != (n,) or not np.isfinite(y_rep).all():
+                data = ObservationSet(w=w[i][:, None], t=t[i], y=y_rep, a=a, rule=spec.rule)  # sample_dgp's checks
+                y_rep = data.y
+            y[i] = y_rep
+            if "ipw" in estimators:  # bootstrap indices continue the replicate's stream after the sample
+                try:
+                    reports = estimate_many(data, ["ipw"], estimands, boot=replace(boot, seed=rng))
+                    cells = [(r.point, r.se) for r in reports]
+                except EstimationError as err:
+                    cells = [type(err).__name__] * len(estimands)
+                out.update(zip([("ipw", e.key) for e in estimands], cells))
+        for key, (members, batch) in (CellBatch.groups(t, w[..., None], y) if batched else {}).items():
+            group = groups.setdefault(key, ([], []))
+            group[0].extend(outcomes[lo + i] for i in members)
+            group[1].append(batch)
     contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
-    for members in groups.values():
-        results = estimate_cells(CellBatch.stack([one for _, one in members]), batched, contrasts)
+    for members, batches in groups.values():
+        results = estimate_cells(CellBatch.stack(batches), batched, contrasts)
         for est, (points, ses, failures) in results.items():
-            for (out, _), row_points, row_ses, failure in zip(members, points, ses, failures):
+            for out, row_points, row_ses, failure in zip(members, points, ses, failures):
                 for e, point, se in zip(estimands, row_points, row_ses):
                     out[(est, e.key)] = failure.__name__ if failure else (float(point), float(se))
     return outcomes

@@ -922,6 +922,14 @@ class TestBatchedBootstrap:
             assert report.ci == pytest.approx(tuple(ci), rel=1e-12)
         assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
 
+    def test_percentiles_are_computed_only_for_percentile_intervals(self, monkeypatch):
+        data = sample_dgp(DgpSpec(), 150, seed=4)
+        quantiles = count_calls(monkeypatch, "quantile", module=estimators.np)
+        estimate_many(data, ["ipw"], [BATE, PEB1], boot=BootstrapConfig(50, seed=0))
+        assert quantiles == []
+        estimate_many(data, ["ipw"], [BATE, PEB1], boot=BootstrapConfig(50, seed=0, ci_method="percentile"))
+        assert len(quantiles) == 1
+
     def test_refit_runs_on_cells_not_units(self, monkeypatch):
         data = sample_dgp(DgpSpec(), 150, seed=4)
         irls = count_calls(monkeypatch, "_irls", module=nuisance)

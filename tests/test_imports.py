@@ -60,6 +60,23 @@ def test_grouping_is_read_only_in_core_and_nuisance(module):
     assert reads == [], f"{module} reads {reads}"
 
 
+def test_one_function_of_simulation_draws_from_a_generator():
+    """`sample_dgp` and the Monte Carlo chunks draw their samples through one
+    function, so the two cannot drift apart."""
+    tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
+
+    def draws(node):
+        return [
+            call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("random", "normal", "standard_normal")
+        ]
+
+    drawing = {node.name: len(draws(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and draws(node)}
+    assert len(drawing) == 1 and sum(drawing.values()) == len(draws(tree)), drawing
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "nuisance.py"))
 def test_interacted_design_is_named_only_in_nuisance(module):
     """The interacted design's column layout stays in `nuisance.py`; other

@@ -1,3 +1,4 @@
+import re
 import warnings
 from collections import Counter
 
@@ -23,6 +24,7 @@ from bineffect.simulation import (
     sample_dgp,
     truth_oracle,
 )
+from bineffect.nuisance import CellBatch
 from conftest import forbid
 
 BATE = EstimandSpec.bate()
@@ -36,6 +38,16 @@ TRUE_BATE = 202.298501
 TRUE_PEB1 = 89.958529
 TRUE_PEB0 = -112.339972
 TRUE_EY = 301.908433
+
+
+def signed_zero_outcome(a, w):
+    """-0.0 at every unit, so y keeps the sign of a zero noise draw."""
+    return -0.0 * a
+
+
+def outcome_nan_in_the_far_tail(a, w):
+    """The default outcome, NaN at a unit with a > 9.5 (about 1 in 160 at w = 1)."""
+    return np.where(a > 9.5, np.nan, a**3 + np.sin(a) + 100.0 * w)
 
 
 def trapezoid_truth(spec):
@@ -129,6 +141,26 @@ class TestSampleDgp:
     def test_rejects_bad_sizes(self, dgp):
         with pytest.raises(ValidationError):
             sample_dgp(dgp, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DgpSpec(), DgpSpec(a_sd=1.7), DgpSpec(noise_sd=0.0, outcome_fn=signed_zero_outcome),
+         DgpSpec(a_mean_slope=4.0), DgpSpec(w_prob=0.05)],
+        ids=["paper", "a_sd", "zero_noise", "slope4", "rare_w"],
+    )
+    @pytest.mark.parametrize("n", [1, 500, 2000, 100_000])
+    def test_draws_equal_generator_normal(self, spec, n):
+        """The normals are drawn as loc + sd * standard_normal, the formula
+        `Generator.normal` evaluates: the same bits, zero noise's +0.0
+        included, and the same final generator state."""
+        rng, ref = np.random.default_rng([8, n]), np.random.default_rng([8, n])
+        data = sample_dgp(spec, n, rng)
+        w = (ref.random(n) < spec.w_prob).astype(float)
+        a = ref.normal(spec.a_mean_base + spec.a_mean_slope * w, spec.a_sd)
+        y = np.asarray(spec.outcome_fn(a, w), dtype=float) + ref.normal(0.0, spec.noise_sd, n)
+        for got, expected in ((data.w[:, 0], w), (data.a, a), (data.y, y)):
+            assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestTruthOracle:
@@ -365,6 +397,63 @@ class TestMonteCarlo:
         joint = run_monte_carlo(dgp, [20, 150], 12, ["ipw", "aipw"], seed=5, **kwargs)
         for a, j in zip(alone, joint):
             assert a.rows == j.rows[: len(a.rows)]
+
+    @pytest.mark.parametrize(
+        "spec, n, reps",
+        [*[(DgpSpec(), n, 24) for n in (1, 2, 3, 5, 20, 150)], (DgpSpec(), 2000, 20),
+         (DgpSpec(w_prob=0.02), 20, 40), (DgpSpec(w_prob=0.98), 20, 40), (DgpSpec(w_prob=0.02), 150, 12),
+         (DgpSpec(a_mean_slope=4.0), 150, 12), (DgpSpec(noise_sd=0.0), 150, 12)],
+        ids=[*(f"n{n}" for n in (1, 2, 3, 5, 20, 150, 2000)), "w_rare20", "w_common20", "w_rare150",
+             "slope4", "no_noise"],
+    )
+    def test_block_cells_equal_each_sample_grouped_alone(self, spec, n, reps, monkeypatch):
+        """Every field of the CellBatch the chunk's block path fits for a
+        replicate is byte-equal to the CellBatch of its sample_dgp sample;
+        n = 2000 spans two blocks."""
+        seen = []
+
+        def capture(cells, names, contrasts):  # tags each replicate with its batch and row
+            seen.append(cells)
+            rows = np.arange(cells.sizes.shape[0])
+            return {"reg": (np.full((rows.size, 1), len(seen) - 1.0), rows[:, None] + 0.0, [None] * rows.size)}
+
+        monkeypatch.setattr(simulation, "estimate_cells", capture)
+        outcomes = simulation._chunk_worker((spec, n, ["reg"], (BATE,), None, 6, range(reps)))
+        for rep, outcome in enumerate(outcomes):
+            batch, row = outcome[("reg", "bate")]
+            got = seen[int(batch)].take([int(row)])
+            expected = CellBatch.of(sample_dgp(spec, n, np.random.default_rng([6, n, rep])))
+            for name in CellBatch.__dataclass_fields__:
+                a, b = getattr(got, name), getattr(expected, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        if n >= 5 and spec.w_prob != 0.5:  # a replicate with one covariate value or one arm
+            assert any(batch.t.size < 4 for batch in seen)
+
+    def test_a_chunk_across_blocks_equals_its_replicates_one_at_a_time(self, dgp):
+        n, names, estimands = 2000, ["reg", "aipw", "tmle"], (BATE, PEB1, PEB0)
+        per_block = simulation._BLOCK_UNITS // n
+        reps = range(per_block - 3, per_block + 4)
+
+        def chunk(reps):
+            return simulation._chunk_worker((dgp, n, names, estimands, None, 2, reps))
+
+        assert chunk(reps) == [o for r in reps for o in chunk(range(r, r + 1))]
+
+    @pytest.mark.parametrize("names", [["reg", "tmle"], ["ipw", "reg"]])
+    def test_a_non_finite_outcome_raises_the_error_of_its_sample(self, names):
+        """The chunk stops at the first replicate whose outcome is not
+        finite, with the ValidationError sample_dgp raises for it."""
+        spec, n, seed = DgpSpec(outcome_fn=outcome_nan_in_the_far_tail), 20, 1
+        for rep in range(100):
+            try:
+                sample_dgp(spec, n, np.random.default_rng([seed, n, rep]))
+            except ValidationError as err:
+                message = str(err)
+                break
+        assert rep > 0 and message.startswith("non-finite value in column 'y'")
+        task = (spec, n, names, (BATE,), BootstrapConfig(10), seed, range(100))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            simulation._chunk_worker(task)
 
     def test_pool_is_capped_at_the_replicate_count(self, dgp, monkeypatch):
         pools = []
