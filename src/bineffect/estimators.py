@@ -31,7 +31,7 @@ from .nuisance import (
     cell_rows,
     fit_logistic,
     fit_ols_interacted,
-    logistic_cells,
+    logistic_design,
     logistic_fits,
     ols_fits,
     outcome_at_cells,
@@ -69,15 +69,12 @@ class BootstrapConfig:
 
 
 class Nuisances:
-    """Nuisance fits for one sample, shared by every estimator and estimand.
-
-    The outcome regression and the propensity are fitted on first use, each
-    at most once, unless a prefit model is injected. The predictions `pscore`,
-    `m1` and `m0` and the positivity diagnostics are computed once; the
-    predictions hold one value per (t, w) cell of `cell_rows(data)`, which a
-    unit reads at its cell index. A fit that raises is not cached, so the
-    next estimator that needs it raises too.
-    """
+    """The outcome regression and the propensity of one sample, each
+    injected prefit or fitted on first use, at most once (a fit that raises
+    is not cached), with their predictions `pscore`, `m1` and `m0` at the
+    (t, w) cells of `cell_rows(data)` and the positivity diagnostics. A unit
+    reads its prediction at its cell index. `estimate_many` reads only the
+    injected models."""
 
     def __init__(
         self,
@@ -86,6 +83,7 @@ class Nuisances:
         propensity: PropensityModel | None = None,
     ) -> None:
         self.data = data
+        self.outcome_injected = outcome is not None
         self.propensity_injected = propensity is not None
         if outcome is not None:
             self.outcome = outcome
@@ -93,13 +91,8 @@ class Nuisances:
             self.propensity = propensity
 
     @cached_property
-    def regression(self) -> RegressionFit:
-        """Interacted OLS fit; `reg` always uses this one."""
-        return fit_ols_interacted(self.data)
-
-    @cached_property
     def outcome(self) -> OutcomeModel:
-        return self.regression
+        return fit_ols_interacted(self.data)
 
     @cached_property
     def propensity(self) -> PropensityModel:
@@ -173,7 +166,8 @@ def _reg_fits(cells: CellBatch, fits: RegressionFit, contrasts: np.ndarray) -> l
                - n * sum(s[:, None] * col for s, col in zip(tilts[:, j, :, 0].T, wc)))
         for j, arm in enumerate(arms)
     ]
-    residuals = means - outcome_at_cells(fits, w, t)
+    [fitted] = outcome_at_cells(fits, w, [t])
+    residuals = means - fitted
     y_bar = cells.sums.sum(axis=-1, keepdims=True) / n
     a = [slope * residuals for slope in slopes]
     a.append(means - y_bar - sum(beta[:, None] * col for beta, col in zip(fits.beta_w.T, wc)))
@@ -181,7 +175,7 @@ def _reg_fits(cells: CellBatch, fits: RegressionFit, contrasts: np.ndarray) -> l
     return _per_contrast(theta, a, slopes + [1.0], contrasts)
 
 
-def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: int) -> np.ndarray:
+def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: float) -> np.ndarray:
     """Horvitz-Thompson arm triple (mu1, mu0, E[Y]) of a sample of n units,
     from the treatment `t` of each cell, the sum of y over the units in that
     cell and the cell's propensity. An (m, k) `y_sums` and `pscore` give one
@@ -195,14 +189,14 @@ def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: int) -> 
 
 
 def _bootstrap_many(
-    data: ObservationSet,
+    n: int,
     statistic: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     k: int,
     boot: BootstrapConfig,
     ci_level: float,
     percentile: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, str | None]:
-    """Resample rows with replacement; returns (ses, percentile cis or None
+    """Resample n rows with replacement; returns (ses, percentile cis or None
     unless `percentile`, redraw note).
 
     A block of m resamples is one `rng.integers(0, n, size=(m, n))` draw; it
@@ -216,7 +210,6 @@ def _bootstrap_many(
     resamples were redrawn.
     """
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
-    n = data.n
     rng = np.random.default_rng(boot.seed)
     block = max(1, _BLOCK_ELEMENTS // n)
     estimates = np.empty((boot.replicates, k))
@@ -269,52 +262,37 @@ def bootstrap_se(
                 ok[i] = False
         return values, ok
 
-    ses, cis, note = _bootstrap_many(data, statistic, 1, boot, ci_level, percentile=True)
+    ses, cis, note = _bootstrap_many(data.n, statistic, 1, boot, ci_level, percentile=True)
     if note is not None:
         warnings.warn(note, stacklevel=2)
     return float(ses[0]), (float(cis[0, 0]), float(cis[0, 1]))
 
 
 def _ipw(
-    data: ObservationSet,
-    nuis: Nuisances,
-    contrasts: np.ndarray,
-    boot: BootstrapConfig,
-    ci_level: float,
-) -> tuple[list[tuple], str | None]:
-    """IPW (point, bootstrap SE, percentile CI or None) per row of
-    `contrasts`, and the bootstrap's redraw note.
-
-    All estimands share one set of resamples. The sample and each resample
-    are seen as their counts and y sums per `logistic_cells` cell; with
-    continuous covariates each unit is its own cell. The propensity is
-    refitted on a whole block of resamples at once, warm-started from the
-    full-sample fit; an injected propensity is read once per cell and not
-    refitted.
-    """
-    n, y = data.n, data.y
-    x, t, cell = logistic_cells(data)
-    k = t.shape[0]
-    y_cells = cell_moments(data)[1]
-    pscore_cells = nuis.pscore
-    if not nuis.propensity_injected:
-        start = np.concatenate([[nuis.propensity.intercept], nuis.propensity.coef])
+    x: np.ndarray, t: np.ndarray, cell: np.ndarray, y: np.ndarray, pscore: np.ndarray,
+    start: np.ndarray | None, contrasts: np.ndarray, boot: BootstrapConfig, ci_level: float,
+) -> tuple[np.ndarray, np.ndarray | None, str | None]:
+    """IPW bootstrap SEs per row of `contrasts`, percentile CIs (None unless
+    asked for) and redraw note of one sample, from its units' cell indices
+    `cell` and outcomes `y` and its cells' logistic design rows `x`,
+    treatments `t` and propensities `pscore`. All estimands share one set of
+    resamples, each seen as its counts and y sums per cell. The propensity is
+    refitted on a whole block of resamples at once from `start`, the
+    full-sample coefficients; with `start` None, `pscore` is held fixed."""
+    n, k = y.size, t.size
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = idx.shape[0]
         offsets = (cell[idx] + k * np.arange(m)[:, None]).ravel()
-        counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
-        if nuis.propensity_injected:
-            pscore, ok = pscore_cells, np.ones(m, dtype=bool)
+        if start is None:
+            probs, ok = pscore, np.ones(m, dtype=bool)
         else:
-            pscore, ok = refit_logistic(x, t, counts, start)
+            counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
+            probs, ok = refit_logistic(x, t, counts, start)
         y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
-        return _ipw_arms(t, y_sums, pscore, n) @ contrasts.T, ok
+        return _ipw_arms(t, y_sums, probs, n) @ contrasts.T, ok
 
-    percentile = boot.ci_method == "percentile"
-    ses, cis, note = _bootstrap_many(data, statistic, len(contrasts), boot, ci_level, percentile)
-    rows = zip(contrasts @ _ipw_arms(t, y_cells, pscore_cells, n), ses, cis if percentile else [None] * len(ses))
-    return list(rows), note
+    return _bootstrap_many(n, statistic, len(contrasts), boot, ci_level, boot.ci_method == "percentile")
 
 
 def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:
@@ -482,105 +460,114 @@ def estimate_many(
     ci_level: float = 0.95,
     seed: int | None = None,
 ) -> list[EstimateReport]:
-    """One report per (estimator, estimand), estimators in the outer order.
+    """One report per (estimator, estimand), estimators in the outer order:
+    `estimate_cells` on the sample as a batch of one, which raises the error
+    that stopped the first failing estimator.
 
-    All estimators draw on one `Nuisances` (fresh for `data` unless given),
-    so each nuisance model is fitted at most once. `boot` (default
+    Each nuisance model is fitted at most once, unless `nuisances` (fresh
+    for `data` unless given) holds an injected one, which enters as its
+    predictions at the cells and is never refitted. `boot` (default
     `BootstrapConfig()`) applies to ipw, whose estimands share one set of
     resamples. `seed` is recorded in every report. The arguments are checked
-    before anything is fitted.
-
-    Every estimand is a contrast of the policy means (mu1, mu0, E[Y]). reg
-    and aipw estimate that triple and its influence values once, and each
-    estimand's point and SE follow from its contrast. tmle scales its initial
-    fit once and targets each estimand separately. Within a (t, w) cell each
-    influence value of reg, aipw and tmle is affine in y, so their points and
-    SEs are computed on the cells, from each cell's size, mean of y and
-    centred second moment of y.
+    before anything is fitted. Every estimand is a contrast of the policy
+    means (mu1, mu0, E[Y]); tmle targets each estimand separately from one
+    initial fit.
     """
     check_estimate_args(estimators, ci_level)
     nuis = nuisances if nuisances is not None else Nuisances(data)
     if nuis.data is not data:
         raise ValidationError("nuisances were built for a different ObservationSet")
+    injected = {}
+    if nuis.propensity_injected:
+        injected["pscore"] = nuis.pscore[None]
+    if nuis.outcome_injected:
+        injected["outcome"] = (nuis.m1[None], nuis.m0[None])
+    cell = cell_rows(data)[2]
     contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
-    cells = CellBatch.of(data)
+    units = [(cell, data.y, boot or BootstrapConfig())]
+    results, pscore = estimate_cells(CellBatch.of(data), estimators, contrasts, units, ci_level, **injected)
     reports: list[EstimateReport] = []
+    positivity = None
     for name in estimators:
-        note = None
-        if name == "ipw":
-            rows, note = _ipw(data, nuis, contrasts, boot or BootstrapConfig(), ci_level)
-        else:
-            if name == "reg":  # the sample's fit as a batch of one
-                fit = nuis.regression
-                nuisances = [RegressionFit(*(np.reshape(getattr(fit, f.name), (1, -1)) for f in fields(fit)))]
-            else:
-                nuisances = _predictions(nuis)
-            points, ses, failed = _cell_estimates(name, cells, contrasts, nuisances)
-            if failed[0]:
-                raise ConvergenceError(_NOT_TARGETED)
-            rows = [(point, se, None) for point, se in zip(points[0], ses[0])]
-        diagnostics = () if name == "reg" else nuis.diagnostics + ((note,) if note else ())
+        points, ses, [stop], [cis], [note] = results[name]
+        if stop is not None:
+            raise stop
+        diagnostics = ()
+        if name != "reg":
+            positivity = tuple(positivity_diagnostic(pscore[0][cell])) if positivity is None else positivity
+            diagnostics = positivity + ((note,) if note else ())
+        rows = zip(estimands, points[0], ses[0], [None] * len(estimands) if cis is None else cis)
         reports += [
-            EstimateReport(
-                e, name, point, se, data.n,
-                ci_level=ci_level, diagnostics=diagnostics, seed=seed, ci=ci,
-            )
-            for e, (point, se, ci) in zip(estimands, rows)
+            EstimateReport(e, name, point, se, data.n, ci_level=ci_level, diagnostics=diagnostics, seed=seed, ci=ci)
+            for e, point, se, ci in rows
         ]
     return reports
 
 
-def _predictions(nuis: Nuisances) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The propensity and outcome predictions at the cells of one sample,
-    each as a batch of one."""
-    return nuis.pscore[None], nuis.m1[None], nuis.m0[None]
+def estimate_cells(
+    cells: CellBatch, estimators: Sequence[str], contrasts: np.ndarray,
+    units: Sequence[tuple[np.ndarray, np.ndarray, BootstrapConfig]] = (), ci_level: float = 0.95,
+    pscore: np.ndarray | None = None, outcome: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[dict, np.ndarray | None]:
+    """Every estimator on the R samples of `cells`: per estimator, the (R, E)
+    points and SEs per row of `contrasts` and, per sample, ipw's percentile
+    intervals, None or the error that stopped it, and ipw's redraw note; and
+    the (R, k) propensities at the cells, None if no estimator read them.
 
-
-def estimate_cells(cells: CellBatch, estimators: Sequence[str], contrasts: np.ndarray) -> dict:
-    """reg, aipw and tmle on the R samples of `cells`: per estimator, the
-    (R, E) points and SEs per row of `contrasts`, and per sample None or the
-    EstimationError class that stopped it.
-
-    The OLS (`ols_fits`) and, for aipw and tmle, the propensity
-    (`logistic_fits`) are fitted once for the batch. As in `estimate_many`,
-    every estimator fails on a one-arm sample, reg where the OLS fails, aipw
-    and tmle where the propensity and then the OLS fail, and tmle where a
-    fluctuation does not converge. Each other sample is estimated on its own
-    arithmetic, so its numbers equal `estimate_many` on it; an SE that is
-    not finite and >= 0 raises ValidationError, as its report would.
+    ipw needs `units`: per sample, its units' cell indices, their y and its
+    BootstrapConfig. Injected (R, k) predictions `pscore` or `outcome` (m1,
+    m0) replace their fit, and an injected propensity is not refitted. Else
+    `logistic_fits` and `ols_fits` each run once, the OLS only if a sample
+    reads it. A sample stops where a fit it reads stops (aipw and tmle: the
+    propensity first), where ipw's bootstrap or tmle's fluctuation fails, or
+    with a ValidationError for an SE that is not finite and >= 0. Each sample
+    runs on its own arithmetic, so its numbers do not depend on the others.
     """
     r, e = cells.n.size, len(contrasts)
-    out = {name: (np.full((r, e), np.nan), np.full((r, e), np.nan), [DegenerateArmError] * r)
-           for name in estimators}
-    if np.all(cells.t == cells.t[0]):
-        return out
-    ols_failures, failures, predictions = [None] * r, [None] * r, None
-    if any(name != "reg" for name in estimators):
-        models, failures = logistic_fits(cells)
-    if "reg" in estimators or None in failures:  # some sample reaches the OLS
-        fits, ols_failures = ols_fits(cells)
-    failures = [p or o for p, o in zip(failures, ols_failures)]
+    p_stops, o_stops, start = [None] * r, None, None
+    if pscore is None and any(name != "reg" for name in estimators):
+        models, p_stops = logistic_fits(cells)
+        start = np.hstack([models.intercept, models.coef])
+    joint = p_stops  # the stops of aipw and tmle before their fluctuation
+    fit_outcome = outcome is None and None in p_stops and any(name in ("aipw", "tmle") for name in estimators)
+    if "reg" in estimators or fit_outcome:
+        fits, o_stops = ols_fits(cells)
+    if fit_outcome:
+        joint = [p or o for p, o in zip(p_stops, o_stops)]
+    out = {}
     for name in estimators:
-        points, ses, stops = out[name]
-        stops[:] = ols_failures if name == "reg" else failures
+        stops = list(o_stops if name == "reg" else p_stops if name == "ipw" else joint)
+        points, ses, cis, notes = np.full((r, e), np.nan), np.full((r, e), np.nan), [None] * r, [None] * r
         rows = np.flatnonzero([stop is None for stop in stops])
-        if not rows.size:
-            continue
-        if name == "reg":
-            nuisances = [RegressionFit(*(getattr(fits, f.name)[rows] for f in fields(fits)))]
-        else:
-            if predictions is None:
-                predictions = [pscore_at_cells(models, cells.w)]
-                predictions += [outcome_at_cells(fits, cells.w, t) for t in (1.0, 0.0)]
-            nuisances = [v[rows] for v in predictions]
-        points[rows], ses[rows], failed = _cell_estimates(name, cells.take(rows), contrasts, nuisances)
-        for i in rows[failed]:
-            stops[i] = ConvergenceError
-        delivered = ses[rows[~failed]]
-        bad = delivered[~(np.isfinite(delivered) & (delivered >= 0.0))]
-        if bad.size:
-            raise ValidationError(f"se must be finite and >= 0, got {bad[0]}")
-    return out
+        if rows.size and name != "reg":  # the predictions at the cells, made on first use
+            pscore = pscore_at_cells(models, cells.w) if pscore is None else pscore
+            if name != "ipw" and outcome is None:
+                outcome = outcome_at_cells(fits, cells.w, (1.0, 0.0))
+        if name == "ipw":
+            x = logistic_design(cells.w)
+            for i in rows:
+                cell, y, boot = units[i]
+                try:
+                    ses[i], cis[i], notes[i] = _ipw(x, cells.t, cell, y, pscore[i],
+                                                    None if start is None else start[i], contrasts, boot, ci_level)
+                except ConvergenceError as err:
+                    stops[i] = err
+                else:
+                    points[i] = _ipw_arms(cells.t, cells.sums[i], pscore[i], cells.n[i]) @ contrasts.T
+        elif rows.size:
+            live = slice(None) if rows.size == r else rows  # views, not copies, when every sample is live
+            if name == "reg":
+                nuisances = [RegressionFit(*(getattr(fits, f.name)[live] for f in fields(fits)))]
+            else:
+                nuisances = [v[live] for v in (pscore, *outcome)]
+            points[live], ses[live], failed = _cell_estimates(name, cells.take(live), contrasts, nuisances)
+            for i in rows[failed]:
+                stops[i] = ConvergenceError(_NOT_TARGETED)
+        good = np.isfinite(ses) & (ses >= 0.0)
+        for i in np.flatnonzero([stop is None for stop in stops] & ~good.all(axis=1)):
+            stops[i] = ValidationError(f"se must be finite and >= 0, got {ses[i][~good[i]][0]}")
+        out[name] = points, ses, stops, cis, notes
+    return out, pscore
 
 
 def aipw_influence(
@@ -592,7 +579,7 @@ def aipw_influence(
     """Estimated efficient influence values at the AIPW solution, one per
     unit (mean zero); the AIPW SE is sqrt(mean(phi**2) / n)."""
     nuis = Nuisances(data, outcome, propensity)
-    [(_, a, b)] = _aipw_fits(CellBatch.of(data), *_predictions(nuis), [estimand.contrast])
+    [(_, a, b)] = _aipw_fits(CellBatch.of(data), nuis.pscore[None], nuis.m1[None], nuis.m0[None], [estimand.contrast])
     return _unit_influence(data, a[0], b[0])
 
 
@@ -611,7 +598,8 @@ def tmle_update(
     estimates and influence values are invariant to affine rescaling of y.
     """
     nuis = Nuisances(data, outcome, propensity)
-    [(point, a, b, beta)] = _tmle_fits(CellBatch.of(data), *_predictions(nuis), [estimand.contrast])
+    [(point, a, b, beta)] = _tmle_fits(CellBatch.of(data), nuis.pscore[None], nuis.m1[None], nuis.m0[None],
+                                       [estimand.contrast])
     if np.isnan(beta[0]):
         raise ConvergenceError(_NOT_TARGETED)
     return TmleFit(float(point[0]), float(beta[0]), _unit_influence(data, a[0], b[0]))

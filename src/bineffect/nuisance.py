@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, fields, replace
 from typing import Protocol, Sequence
 
@@ -12,6 +11,7 @@ from scipy.special import expit
 from .core import (
     ConvergenceError,
     DegenerateArmError,
+    EstimationError,
     ObservationSet,
     SeparationError,
     SingularDesignError,
@@ -30,8 +30,11 @@ def design_labels(p: int) -> list[str]:
     return ["intercept", "t"] + [f"w{j + 1}" for j in range(p)] + [f"t:w{j + 1}" for j in range(p)]
 
 
-def _collinear_columns(x: np.ndarray, labels: list[str]) -> list[str]:
-    """Columns that lie in the span of the others (hence removable)."""
+def _collinear_columns(rows: np.ndarray, sizes: np.ndarray, labels: list[str]) -> list[str]:
+    """Columns of a unit design, each of the cells' design `rows` repeated
+    once per unit of the cell, that lie in the span of the others (hence
+    removable)."""
+    x = np.repeat(rows, sizes.astype(np.intp), axis=0)
     sv = np.linalg.svd(x, compute_uv=False)
     tol = _RANK_TOL * (sv[0] if sv.size else 1.0)
     rank = int(np.sum(sv > tol))
@@ -83,20 +86,10 @@ def interacted_design(t: np.ndarray, w_centered: np.ndarray) -> np.ndarray:
 
 def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
     """Least squares for the fully interacted, covariate-demeaned design:
-    `ols_fits` on the sample's cells. Rank deficiency raises
-    SingularDesignError naming the collinear columns of the unit design, and
-    a single-arm sample raises DegenerateArmError.
-    """
-    t, w = data.t, data.w
-    if np.all(t == t[0] if t.size else True):
-        raise DegenerateArmError(
-            f"cannot fit the outcome regression: every unit has t={t[0]:.0f}"
-            if t.size else "cannot fit the outcome regression: empty sample"
-        )
-    fits, [error] = ols_fits(CellBatch.of(data))
-    if error is not None:
-        cols = _collinear_columns(interacted_design(t, w - fits.w_mean[0]), design_labels(data.p))
-        raise SingularDesignError(f"singular design matrix; collinear columns: {', '.join(cols)}")
+    `ols_fits` on the sample's cells, raising the error that stops it."""
+    fits, [stop] = ols_fits(CellBatch.of(data))
+    if stop is not None:
+        raise stop
     return RegressionFit(
         float(fits.beta0[0, 0]), float(fits.beta_t[0, 0]), fits.beta_w[0].copy(),
         fits.beta_interact[0].copy(), fits.w_mean[0],
@@ -104,11 +97,12 @@ def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
 
 
 def ols_fits(cells: CellBatch) -> tuple[RegressionFit, list]:
-    """The interacted OLS of each sample of `cells` (both arms present): a
-    RegressionFit with the samples on the first axis of its fields (beta0
-    and beta_t (R, 1)), and per sample None or SingularDesignError, the
-    error `fit_ols_interacted` raises for a rank-deficient design. Raises
-    ValidationError for n <= 2 + 2p.
+    """The interacted OLS of each sample of `cells`: a RegressionFit with the
+    samples on the first axis of its fields (beta0 and beta_t (R, 1), NaN
+    where it stops), and per sample None or the error that stops it:
+    DegenerateArmError for a sample with one arm or none, ValidationError
+    for n <= 2 + 2p, and SingularDesignError naming the collinear columns of
+    the unit design for a rank-deficient one.
 
     The units' sum of squares is, per cell, the cell size times the squared
     residual of the cell's mean y plus a constant, so each fit is solved by
@@ -117,26 +111,36 @@ def ols_fits(cells: CellBatch) -> tuple[RegressionFit, list]:
     """
     r, p = cells.sizes.shape[0], cells.w.shape[1]
     d = 2 + 2 * p
-    if np.any(cells.n <= d):
-        raise ValidationError(f"need n > {d} rows to fit {d} coefficients, got n={int(cells.n.min())}")
     root = np.sqrt(cells.sizes)
     x = interacted_design(cells.t, cells.w - cells.w_mean[:, None, :])
     x *= root[..., None]
     y = cells.means * root
-    beta, errors = np.empty((r, d)), []
-    for i in range(r):
-        beta[i], _, rank, _ = np.linalg.lstsq(x[i], y[i], rcond=_RANK_TOL)
-        errors.append(None if rank == d else SingularDesignError)
+    beta, stops, one_arm = np.full((r, d), np.nan), [None] * r, not 0.0 < cells.t.sum() < cells.t.size
+    for i, n in enumerate(cells.n):
+        if one_arm:
+            stops[i] = DegenerateArmError(
+                f"cannot fit the outcome regression: every unit has t={cells.t[0]:.0f}"
+                if cells.t.size else "cannot fit the outcome regression: empty sample"
+            )
+        elif n <= d:
+            stops[i] = ValidationError(f"need n > {d} rows to fit {d} coefficients, got n={int(n)}")
+        else:
+            beta[i], _, rank, _ = np.linalg.lstsq(x[i], y[i], rcond=_RANK_TOL)
+            if rank < d:
+                unscaled = interacted_design(cells.t, cells.w - cells.w_mean[i])
+                cols = _collinear_columns(unscaled, cells.sizes[i], design_labels(p))
+                stops[i] = SingularDesignError(f"singular design matrix; collinear columns: {', '.join(cols)}")
     fits = RegressionFit(beta[:, :1], beta[:, 1:2], beta[:, 2 : 2 + p], beta[:, 2 + p :], cells.w_mean)
-    return fits, errors
+    return fits, stops
 
 
-def outcome_at_cells(fits: RegressionFit, w: np.ndarray, t) -> np.ndarray:
-    """`RegressionFit.predict(t, w)` of each fit of an `ols_fits` batch,
-    (R, k): each fit's products are its own matrix-vector calls, as alone."""
+def outcome_at_cells(fits: RegressionFit, w: np.ndarray, ts: Sequence) -> list[np.ndarray]:
+    """`RegressionFit.predict(t, w)` of each fit of an `ols_fits` batch, (R,
+    k), for each t of `ts`: each fit's products are its own matrix-vector
+    calls, as alone, made once for all of `ts`."""
     wc = w - fits.w_mean[:, None, :]
     linear = [(wc @ beta[..., None])[..., 0] for beta in (fits.beta_w, fits.beta_interact)]
-    return fits.beta0 + t * fits.beta_t + linear[0] + t * linear[1]
+    return [fits.beta0 + t * fits.beta_t + linear[0] + t * linear[1] for t in ts]
 
 
 @dataclass(frozen=True)
@@ -242,13 +246,14 @@ def _irls(
     )
 
 
-def _logistic_design(w: np.ndarray) -> np.ndarray:
+def logistic_design(w: np.ndarray) -> np.ndarray:
+    """The logistic design rows [1, w] of the (k, p) covariate rows `w`."""
     return np.hstack([np.ones((w.shape[0], 1)), w])
 
 
 def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> PropensityModel:
     """Maximum-likelihood logistic regression of t on [1, w] via IRLS:
-    `logistic_fits` on the sample's cells.
+    `logistic_fits` on the sample's cells, raising the error that stops it.
 
     The likelihood is summed over the `logistic_cells` of `data`, each
     weighted by its number of units. Converges when the largest coefficient
@@ -256,52 +261,51 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
     separation raises SeparationError rather than being silently regularized
     away.
     """
-    t = data.t
-    if t.size == 0 or np.all(t == t[0]):
-        raise DegenerateArmError(
-            "cannot fit the propensity model: both treatment arms must be present"
-        )
-    model, [error] = logistic_fits(CellBatch.of(data), start)
-    intercept, coef = float(model.intercept[0, 0]), model.coef[0].copy()
-    if error is None:
-        return PropensityModel(intercept, coef)
-    if error is SeparationError:
-        raise SeparationError(
-            f"logistic coefficients exceeded {_SEPARATION_BOUND:g} in magnitude; "
-            "the treatment arms appear (quasi-)separated"
-            if max(abs(intercept), *np.abs(coef)) > _SEPARATION_BOUND else
-            "logistic fit diverged (singular weighted Hessian at large "
-            "coefficients); the treatment arms appear separated"
-        )
-    labels = ["intercept"] + [f"w{j + 1}" for j in range(data.p)]
-    cols = _collinear_columns(_logistic_design(data.w), labels)
-    raise SingularDesignError(f"singular logistic design; collinear columns: {', '.join(cols)}")
+    model, [stop] = logistic_fits(CellBatch.of(data), start)
+    if stop is not None:
+        raise stop
+    return PropensityModel(float(model.intercept[0, 0]), model.coef[0].copy())
 
 
 def logistic_fits(cells: CellBatch, start: np.ndarray | None = None) -> tuple[PropensityModel, list]:
-    """The logistic fit of each sample of `cells` (both arms present): a
-    PropensityModel with the samples on the first axis of its fields
-    (intercept (R, 1)), and per sample None or the EstimationError class
-    `fit_logistic` raises for it. A fit that does not converge is found by
-    refitting the samples one at a time, as each iterates alone in `_irls`;
-    a lone sample raises its ConvergenceError.
+    """The logistic fit of each sample of `cells`: a PropensityModel with the
+    samples on the first axis of its fields (intercept (R, 1)), and per
+    sample None or the EstimationError that stops it (`_logistic_stop`,
+    DegenerateArmError for one arm or none, or ConvergenceError, found by
+    refitting the samples one at a time, as each iterates alone in `_irls`).
     """
-    r, x = cells.sizes.shape[0], _logistic_design(cells.w)
-    try:
-        beta, ok = _irls(x, cells.t, counts=cells.sizes, start=start)
-    except ConvergenceError:
-        if r == 1:
-            raise
-        beta, errors = np.full((r, x.shape[1]), np.nan), [ConvergenceError] * r
-        for i in range(r):
-            with contextlib.suppress(ConvergenceError):
-                model, (errors[i],) = logistic_fits(cells.take([i]), start)
-                beta[i] = np.hstack([model.intercept[0], model.coef[0]])
-        return PropensityModel(beta[:, :1], beta[:, 1:]), errors
-    separated = np.max(np.abs(beta), axis=1) > _SEPARATION_BOUND / 2
-    errors = [None if good else SeparationError if far else SingularDesignError
-              for good, far in zip(ok, separated)]
-    return PropensityModel(beta[:, :1], beta[:, 1:]), errors
+    r, x = cells.sizes.shape[0], logistic_design(cells.w)
+    if not 0.0 < cells.t.sum() < cells.t.size:  # one arm or none
+        stop = "cannot fit the propensity model: both treatment arms must be present"
+        beta, stops = np.full((r, x.shape[1]), np.nan), [DegenerateArmError(stop) for _ in range(r)]
+    else:
+        try:
+            beta, ok = _irls(x, cells.t, counts=cells.sizes, start=start)
+            stops = [None if good else _logistic_stop(x, sizes, b) for good, sizes, b in zip(ok, cells.sizes, beta)]
+        except ConvergenceError as err:
+            beta, stops = np.full((r, x.shape[1]), np.nan), [err]
+            if r > 1:
+                alone = [logistic_fits(cells.take([i]), start) for i in range(r)]
+                beta = np.vstack([np.hstack([model.intercept[0], model.coef[0]]) for model, _ in alone])
+                stops = [stop for _, [stop] in alone]
+    return PropensityModel(beta[:, :1], beta[:, 1:]), stops
+
+
+def _logistic_stop(x: np.ndarray, sizes: np.ndarray, beta: np.ndarray) -> EstimationError:
+    """The error of a logistic fit that `_irls` flagged at coefficients
+    `beta`, on the cells' design rows `x` with `sizes` units: SeparationError
+    past the separation bound, or at a singular Hessian past half of it, and
+    else SingularDesignError naming the collinear columns of the unit design."""
+    far = np.max(np.abs(beta))
+    if far > _SEPARATION_BOUND:
+        return SeparationError(f"logistic coefficients exceeded {_SEPARATION_BOUND:g} in magnitude; "
+                               "the treatment arms appear (quasi-)separated")
+    if far > _SEPARATION_BOUND / 2:
+        return SeparationError("logistic fit diverged (singular weighted Hessian at large coefficients); "
+                               "the treatment arms appear separated")
+    labels = ["intercept"] + [f"w{j + 1}" for j in range(x.shape[1] - 1)]
+    cols = _collinear_columns(x, sizes, labels)
+    return SingularDesignError(f"singular logistic design; collinear columns: {', '.join(cols)}")
 
 
 def pscore_at_cells(models: PropensityModel, w: np.ndarray) -> np.ndarray:
@@ -324,7 +328,7 @@ def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.nda
     sample and kept on it.
     """
     w, t, cell = cell_rows(data)
-    return _logistic_design(w), t, cell
+    return logistic_design(w), t, cell
 
 
 def cell_rows(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -353,12 +357,13 @@ def refit_logistic(
     `x` (k, d) and `t` (k,) are logistic design rows and treatments, such as
     the `logistic_cells` of a sample. Row b of the (m, k) `counts` holds how
     often each row appears in resample b: the frequency-weight view of the
-    nonparametric bootstrap (Efron & Tibshirani 1993). Every refit starts from `start` (intercept, then coefficients) and
-    all of them run as one batched IRLS. Returns each refit's probabilities
-    for every row, (m, k) and clipped like `predict_proba`, and an (m,) mask
-    of the refits that succeeded; a resample on which `fit_logistic` would
-    raise DegenerateArmError, SeparationError or SingularDesignError is
-    flagged instead. A refit that does not converge raises ConvergenceError.
+    nonparametric bootstrap (Efron & Tibshirani 1993). Every refit starts
+    from `start` (intercept, then coefficients) and all of them run as one
+    batched IRLS. Returns each refit's probabilities for every row, (m, k)
+    and clipped like `predict_proba`, and an (m,) mask of the refits that
+    succeeded; a resample on which `fit_logistic` would raise
+    DegenerateArmError, SeparationError or SingularDesignError is flagged
+    instead. A refit that does not converge raises ConvergenceError.
     """
     treated = counts @ t
     ok = (treated > 0.0) & (treated < counts.sum(axis=1))  # both arms present
@@ -397,13 +402,15 @@ class CellBatch:
         return cls(w, t, *(v[None] for v in moments), w_mean[None], *unit_level)
 
     @classmethod
-    def groups(cls, t: np.ndarray, w: np.ndarray, y: np.ndarray) -> dict[bytes, tuple[list[int], CellBatch]]:
+    def groups(cls, t: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
         """R samples, `t` (R, n), `w` (R, n, p) and `y` (R, n), by their cell
         rows (`block_cells`): per distinct rows, in order of first sample, the
         sample indices and a batch whose fields are byte-equal to `stack` of
-        `of` of those samples."""
-        _, n, p = w.shape
-        units, _, first, *moments, w_mean, y_min, y_max = block_cells(t, w, y)
+        `of` of those samples. Also returns the (R, n) row of each unit in the
+        block and the first row of each sample: unit j of sample i is in cell
+        `rows[i, j] - first[i]` of its batch."""
+        r, n, p = w.shape
+        units, cell, first, *moments, w_mean, y_min, y_max = block_cells(t, w, y)
         w_rows, t_rows = w.reshape(-1, p)[units], t.ravel()[units]
         groups: dict = {}
         for i, (lo, hi) in enumerate(zip(first[:-1], first[1:])):
@@ -413,7 +420,7 @@ class CellBatch:
             cells = first[members][:, None] + np.arange(hi - lo)
             per_sample = (w_mean[members], y_min[members], y_max[members], np.full(len(members), float(n)))
             groups[key] = members, cls(w_rows[lo:hi], t_rows[lo:hi], *(v[cells] for v in moments), *per_sample)
-        return groups
+        return groups, cell.reshape(r, n), first
 
     @classmethod
     def stack(cls, batches: Sequence[CellBatch]) -> CellBatch:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -22,7 +23,7 @@ from .core import (
     binarize,
     csv_text,
 )
-from .estimators import BootstrapConfig, check_estimate_args, estimate_cells, estimate_many
+from .estimators import BootstrapConfig, check_estimate_args, estimate_cells
 from .nuisance import CellBatch
 
 _QUAD_TARGET = 1e-4     # required absolute accuracy of the truth values
@@ -63,7 +64,7 @@ class DgpSpec:
         if self.noise_sd < 0.0:
             raise ValidationError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
-    @property
+    @functools.cached_property
     def rule(self) -> BinarizationRule:
         return BinarizationRule(self.cutoff, Direction.GEQ)
 
@@ -243,46 +244,47 @@ def _chunk_worker(task) -> list[dict]:
     EstimationError class that stopped the estimator}.
 
     Replicate `rep` draws from default_rng([seed, n, rep]), as `sample_dgp`
-    does, and ipw runs on its sample, its bootstrap continuing that stream.
-    The samples are drawn and grouped into cells in blocks of at most
-    `_BLOCK_UNITS` units (`CellBatch.groups`), and reg, aipw and tmle run
-    once per group of the chunk's replicates whose cell rows are byte-equal
-    (`estimate_cells`). So a replicate's numbers equal `estimate_many` on
-    its sample, whatever chunk or block it is in.
+    does, and its ipw bootstrap continues that stream. The samples are drawn
+    and grouped into cells in blocks of at most `_BLOCK_UNITS` units
+    (`CellBatch.groups`), and every estimator runs once per group of
+    replicates whose cell rows are byte-equal (`estimate_cells`): per group
+    of the chunk, or of the block when a bootstrap needs the replicates'
+    units, so that the units held stay within one block. So a replicate's
+    numbers equal `estimate_many` on its sample, whatever chunk or block it
+    is in.
     """
     spec, n, estimators, estimands, boot, seed, reps = task
-    batched = [est for est in estimators if est != "ipw"]
+    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
     outcomes: list[dict] = [{} for _ in reps]
     groups: dict = {}
     per_block = max(1, _BLOCK_UNITS // n)
     for lo in range(0, len(reps), per_block):
-        block = reps[lo : lo + per_block]
-        t, w, y = (np.empty((len(block), n)) for _ in range(3))
-        for i, (out, rep) in enumerate(zip(outcomes[lo:], block)):
-            rng = np.random.default_rng([seed, n, rep])
+        rngs = [np.random.default_rng([seed, n, rep]) for rep in reps[lo : lo + per_block]]
+        t, w, y = (np.empty((len(rngs), n)) for _ in range(3))
+        for i, rng in enumerate(rngs):
             w[i], a, t[i], y_rep = _draw(spec, n, rng)
-            if "ipw" in estimators or y_rep.shape != (n,) or not np.isfinite(y_rep).all():
-                data = ObservationSet(w=w[i][:, None], t=t[i], y=y_rep, a=a, rule=spec.rule)  # sample_dgp's checks
-                y_rep = data.y
+            if y_rep.shape != (n,) or not np.isfinite(y_rep).all():  # sample_dgp's checks
+                y_rep = ObservationSet(w=w[i][:, None], t=t[i], y=y_rep, a=a, rule=spec.rule).y
             y[i] = y_rep
-            if "ipw" in estimators:  # bootstrap indices continue the replicate's stream after the sample
-                try:
-                    reports = estimate_many(data, ["ipw"], estimands, boot=replace(boot, seed=rng))
-                    cells = [(r.point, r.se) for r in reports]
-                except EstimationError as err:
-                    cells = [type(err).__name__] * len(estimands)
-                out.update(zip([("ipw", e.key) for e in estimands], cells))
-        for key, (members, batch) in (CellBatch.groups(t, w[..., None], y) if batched else {}).items():
-            group = groups.setdefault(key, ([], []))
+        block, rows, first = CellBatch.groups(t, w[..., None], y)
+        for key, (members, batch) in block.items():
+            group = groups.setdefault(key, ([], [], []))
             group[0].extend(outcomes[lo + i] for i in members)
             group[1].append(batch)
-    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
-    for members, batches in groups.values():
-        results = estimate_cells(CellBatch.stack(batches), batched, contrasts)
-        for est, (points, ses, failures) in results.items():
-            for out, row_points, row_ses, failure in zip(members, points, ses, failures):
-                for e, point, se in zip(estimands, row_points, row_ses):
-                    out[(est, e.key)] = failure.__name__ if failure else (float(point), float(se))
+            if boot is not None:  # the bootstrap indices continue the replicate's stream after its sample
+                group[2].extend((rows[i] - first[i], y[i], replace(boot, seed=rngs[i])) for i in members)
+        del rows  # frees the block's unit rows before the next block is grouped
+        if boot is None and lo + per_block < len(reps):  # no units held: merge the groups over the blocks
+            continue
+        for members, batches, units in groups.values():
+            results, _ = estimate_cells(CellBatch.stack(batches), estimators, contrasts, units)
+            for est, (points, ses, stops, *_) in results.items():
+                for out, row_points, row_ses, stop in zip(members, points, ses, stops):
+                    if stop is not None and not isinstance(stop, EstimationError):
+                        raise stop
+                    for e, point, se in zip(estimands, row_points, row_ses):
+                        out[(est, e.key)] = type(stop).__name__ if stop else (float(point), float(se))
+        groups.clear()
     return outcomes
 
 

@@ -137,8 +137,8 @@ class TestEstimateCommand:
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was fitted before the arguments were checked")
 
-        monkeypatch.setattr(estimators, "fit_logistic", no_fit)
-        monkeypatch.setattr(estimators, "fit_ols_interacted", no_fit)
+        monkeypatch.setattr(estimators, "logistic_fits", no_fit)
+        monkeypatch.setattr(estimators, "ols_fits", no_fit)
         code = run_cli(
             "estimate", "--input", data_csv, "--cutoff", "6", "--estimator", estimator,
             "--ci-level", "1.5", "--boot-reps", "20",
@@ -165,7 +165,7 @@ class TestEstimateCommand:
 
     def test_missing_output_dir_rejected_before_reading(self, data_csv, tmp_path, capsys, monkeypatch):
         forbid(monkeypatch, cli, "load_csv")
-        forbid(monkeypatch, estimators, "fit_ols_interacted", "fit_logistic")
+        forbid(monkeypatch, estimators, "ols_fits", "logistic_fits")
         code = run_cli(
             "estimate", "--input", data_csv, "--cutoff", "6", "--estimator", "reg,ipw",
             "--output", str(tmp_path / "missing" / "x.json"),

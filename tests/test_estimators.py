@@ -19,17 +19,19 @@ from bineffect import (
     Nuisances,
     ObservationSet,
     PropensityModel,
-    RegressionFit,
     SeparationError,
     SingularDesignError,
     ValidationError,
     aipw_influence,
     bootstrap_se,
+    cli,
     core,
     estimate_many,
     estimators,
     fit_logistic,
+    fit_ols_interacted,
     nuisance,
+    save_csv,
     tmle_update,
 )
 from bineffect.nuisance import CellBatch, interacted_design, logistic_cells
@@ -373,7 +375,7 @@ class TestTmleSharedStart:
         joint = estimate_many(data, ["tmle"], estimands)
         nuis = Nuisances(data)
         contrasts = np.array([e.contrast for e in estimands])
-        fits = estimators._tmle_fits(CellBatch.of(data), *estimators._predictions(nuis), contrasts)
+        fits = estimators._tmle_fits(CellBatch.of(data), nuis.pscore[None], nuis.m1[None], nuis.m0[None], contrasts)
         for e, report, (point, a, b, beta) in zip(estimands, joint, fits):
             [single] = estimate_many(data, ["tmle"], [e])
             update = tmle_update(data, e)
@@ -498,7 +500,7 @@ def extended_reference(data, name, estimands):
     for estimand in estimands:
         c1, c0, c_y = (L(c) for c in estimand.contrast)
         if name == "reg":
-            fit = nuis.regression
+            fit = fit_ols_interacted(data)
             wc = data.w.astype(L) - fit.w_mean.astype(L)
             beta_w, beta_interact = fit.beta_w.astype(L), fit.beta_interact.astype(L)
             fitted = L(fit.beta0) + t * L(fit.beta_t) + wc @ beta_w + t * (wc @ beta_interact)
@@ -726,8 +728,8 @@ class TestEstimateMany:
             for e in estimands
             for report in estimate_many(data, [name], [e], boot=boot, seed=3)
         ]
-        ols = count_calls(monkeypatch, "fit_ols_interacted")
-        logistic = count_calls(monkeypatch, "fit_logistic")
+        ols = count_calls(monkeypatch, "ols_fits")
+        logistic = count_calls(monkeypatch, "logistic_fits")
         irls = count_calls(monkeypatch, "_irls", module=nuisance)
         positivity = count_calls(monkeypatch, "positivity_diagnostic")
         joint = estimate_many(data, ESTIMATOR_NAMES, estimands, boot=boot, seed=3)
@@ -760,17 +762,17 @@ class TestEstimateMany:
         """reg, aipw and tmle evaluate the propensity and the outcome model
         on the 4 (t, w) cell rows of the paper design, never on the units."""
         data = sample_dgp(DgpSpec(), 2000, seed=1)
-        propensity = count_calls(monkeypatch, "predict_proba", module=PropensityModel)
-        outcome = count_calls(monkeypatch, "predict", module=RegressionFit)
+        propensity = count_calls(monkeypatch, "pscore_at_cells")
+        outcome = count_calls(monkeypatch, "outcome_at_cells")
         estimate_many(data, ["reg", "aipw", "tmle"], (BATE, PEB1, PEB0))
         assert propensity and outcome
         assert {np.shape(call[1]) for call in propensity} == {(4, 1)}  # call[0] is the model
-        assert {np.shape(call[2]) for call in outcome} == {(4, 1)}
+        assert {np.shape(call[1]) for call in outcome} == {(4, 1)}
 
     def test_injected_propensity_is_never_refit(self, monkeypatch):
         data = make_binary_w_dataset(n=60, seed=3)
         model = PropensityModel(intercept=0.1, coef=np.array([0.2]))
-        logistic = count_calls(monkeypatch, "fit_logistic")
+        logistic = count_calls(monkeypatch, "logistic_fits")
         irls = count_calls(monkeypatch, "_irls", module=nuisance)
         reports = estimate_many(
             data, ["ipw", "aipw"], [BATE], Nuisances(data, propensity=model),
@@ -805,12 +807,92 @@ class TestEstimateMany:
 
     def test_rejects_bad_arguments_before_fitting(self, monkeypatch):
         data = make_dataset(n=40, seed=1)
-        ols = count_calls(monkeypatch, "fit_ols_interacted")
+        ols = count_calls(monkeypatch, "ols_fits")
         with pytest.raises(ValidationError, match="ci_level"):
             estimate_many(data, ["reg"], [BATE], ci_level=0.0)
         with pytest.raises(ValidationError, match="unknown estimator"):
             estimate_many(data, ["reg", "magic"], [BATE])
         assert ols == []
+
+
+def one_arm_sample():
+    return ObservationSet(w=np.arange(8.0), t=np.ones(8), y=np.arange(8.0))
+
+
+def collinear_sample():
+    """w2 = 2 w1: both the interacted OLS and the logistic design are singular."""
+    rng = np.random.default_rng(4)
+    t = (rng.random(30) < 0.5).astype(float)
+    t[:2] = [0.0, 1.0]
+    w1 = rng.normal(size=30)
+    return ObservationSet(w=np.column_stack([w1, 2.0 * w1]), t=t, y=rng.normal(size=30))
+
+
+def one_minority_unit_per_category():
+    """16 categories of 8 units, each with one unit in the other arm: a
+    resample keeps all 16 about once in 1 500 draws."""
+    w = np.zeros((128, 15))
+    for c in range(1, 16):
+        w[8 * c : 8 * c + 8, c - 1] = 1.0
+    t = np.tile(np.r_[0.0, np.ones(7)], 16)
+    odd = np.arange(128) // 8 % 2 == 1
+    t[odd] = 1.0 - t[odd]
+    return ObservationSet(w=w, t=t, y=np.arange(128.0))
+
+
+SEPARATED = "the treatment arms appear (quasi-)separated"
+FAILURES = {
+    "one_arm_reg": (one_arm_sample, ["reg"], DegenerateArmError,
+                    "cannot fit the outcome regression: every unit has t=1"),
+    "one_arm_propensity": (one_arm_sample, ["aipw", "reg"], DegenerateArmError,
+                           "cannot fit the propensity model: both treatment arms must be present"),
+    "separated": (
+        lambda: ObservationSet(w=[2.5, 1.0, -3.9, 2.7, 1.3, -1.6, 1.7], t=[1, 0, 0, 1, 0, 0, 1], y=np.arange(7.0)),
+        ["ipw"], SeparationError, f"logistic coefficients exceeded 30 in magnitude; {SEPARATED}",
+    ),
+    "diverged": (
+        lambda: ObservationSet(w=[1.8, 4.1, -2.2, -5.0, 0.7, -4.0], t=[1, 1, 0, 0, 1, 0], y=np.arange(6.0)),
+        ["tmle"], SeparationError,
+        "logistic fit diverged (singular weighted Hessian at large coefficients); the treatment arms appear separated",
+    ),
+    "collinear_ols": (collinear_sample, ["reg", "ipw"], SingularDesignError,
+                      "singular design matrix; collinear columns: w1, w2, t:w1, t:w2"),
+    "collinear_logistic": (collinear_sample, ["ipw", "reg"], SingularDesignError,
+                           "singular logistic design; collinear columns: w1, w2"),
+    "n4_propensity_first": (lambda: sample_dgp(DgpSpec(), 4, 0), ["ipw", "reg"], SeparationError,
+                            f"logistic coefficients exceeded 30 in magnitude; {SEPARATED}"),
+    "n4_ols_first": (lambda: sample_dgp(DgpSpec(), 4, 0), ["reg", "ipw"], ValidationError,
+                     "need n > 4 rows to fit 4 coefficients, got n=4"),
+    "bootstrap_gives_up": (one_minority_unit_per_category, ["ipw"], ConvergenceError,
+                           "bootstrap gave up after 1002 redraws of degenerate resamples"),
+    "irls": (
+        lambda: ObservationSet(w=[0.5, 0.8, 2.0, -5.0, -4.3, -4.3], t=[1, 1, 1, 0, 0, 0], y=np.arange(6.0)),
+        ["aipw"], ConvergenceError, "IRLS did not converge in 100 iterations; last step sizes: 1, 1, 1, 1, 1",
+    ),
+    "untargeted_tmle": (
+        lambda: ObservationSet(
+            w=[-1.42, 0.95, 0.66, -1.53, -0.27, -0.2, -1.31, -1.11, -0.87, -1.86, -0.5],
+            t=[0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0], y=[0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0],
+        ),
+        ["tmle"], ConvergenceError, "targeting fluctuation did not converge in 100 iterations",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURES))
+def test_failures_keep_their_class_and_message(case, tmp_path, capsys):
+    """estimate_many raises the first failing estimator's error, class and
+    full message, and `estimate` prints it with its exit code."""
+    make, names, error, message = FAILURES[case]
+    data = make()
+    with pytest.raises(error) as info:
+        estimate_many(data, names, [BATE], boot=BootstrapConfig(2, seed=0))
+    assert type(info.value) is error and str(info.value) == message
+    save_csv(data, tmp_path / "data.csv")
+    code = cli.main(["estimate", "--input", str(tmp_path / "data.csv"), "--estimator", ",".join(names),
+                     "--boot-reps", "2", "--seed", "0"])
+    prefix = "error" if error is ValidationError else "estimation error"
+    assert (code, capsys.readouterr().err) == (1 if error is ValidationError else 2, f"{prefix}: {message}\n")
 
 
 def three_binary_covariates(n, seed):
@@ -830,8 +912,8 @@ def test_a_batch_of_samples_gives_each_the_numbers_it_gets_alone():
     assert len({(c.w.tobytes(), c.t.tobytes()) for c in cells}) == 1 and cells[0].t.size == 16
     estimands = (BATE, PEB1, PEB0)
     contrasts = np.array([e.contrast for e in estimands])
-    batch = estimators.estimate_cells(CellBatch.stack(cells), ["reg", "aipw", "tmle"], contrasts)
-    for name, (points, ses, failures) in batch.items():
+    batch, _ = estimators.estimate_cells(CellBatch.stack(cells), ["reg", "aipw", "tmle"], contrasts)
+    for name, (points, ses, failures, *_) in batch.items():
         assert failures == [None] * len(samples)
         for data, row_points, row_ses in zip(samples, points, ses):
             reports = estimate_many(data, [name], estimands)

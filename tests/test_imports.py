@@ -77,6 +77,20 @@ def test_one_function_of_simulation_draws_from_a_generator():
     assert len(drawing) == 1 and sum(drawing.values()) == len(draws(tree)), drawing
 
 
+def test_the_monte_carlo_engine_calls_only_the_batched_path():
+    """The chunks run every estimator through `estimate_cells`; the
+    one-sample entry point `estimate_many` is its batch of one."""
+    tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
+    names = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "estimate_many")
+        or (isinstance(node, ast.Attribute) and node.attr == "estimate_many")
+        or (isinstance(node, ast.alias) and node.name == "estimate_many")
+    ]
+    assert names == [], f"simulation.py names estimate_many at {names}"
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "nuisance.py"))
 def test_interacted_design_is_named_only_in_nuisance(module):
     """The interacted design's column layout stays in `nuisance.py`; other

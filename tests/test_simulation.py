@@ -1,6 +1,8 @@
+import pickle
 import re
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import integrate, stats
 
 from bineffect import (
     BootstrapConfig,
+    ConvergenceError,
     EstimandSpec,
     EstimationError,
     QuadratureError,
@@ -137,6 +140,13 @@ class TestSampleDgp:
         data = sample_dgp(dgp, 100, seed=3)
         assert data.rule == dgp.rule
         assert np.array_equal(data.t, (data.a >= 6.0).astype(float))
+
+    def test_rule_is_built_once_per_spec(self):
+        spec = DgpSpec(cutoff=5.5)
+        assert spec.rule is spec.rule and spec.rule.cutoff == 5.5
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and copy.rule == spec.rule
+        assert replace(spec, cutoff=6.5).rule.cutoff == 6.5
 
     def test_rejects_bad_sizes(self, dgp):
         with pytest.raises(ValidationError):
@@ -305,7 +315,7 @@ class TestMonteCarlo:
         def no_fit(*args, **kwargs):
             raise AssertionError("propensity fitted for a reg-only run")
 
-        monkeypatch.setattr(estimators, "fit_logistic", no_fit)
+        monkeypatch.setattr(estimators, "logistic_fits", no_fit)
         results = run_monte_carlo(dgp, [60], 2, ["reg"], seed=4, boot_replicates=0)
         assert all(row.n_failed == 0 for row in results[0].rows)
 
@@ -325,21 +335,24 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n", [120, 20])
     def test_chunks_give_each_replicate_the_numbers_of_its_sample(self, dgp, n):
         """A replicate's points, SEs and failures do not depend on the chunk
-        it is batched in, and equal estimate_many on its sample."""
+        it is batched in, and equal estimate_many on its sample, ipw's
+        bootstrap continuing the replicate's generator."""
         reps, seed, estimands = 24, 3, (BATE, PEB1, PEB0)
-        names = ["reg", "aipw", "tmle"]
+        names, boot = ["reg", "ipw", "aipw", "tmle"], BootstrapConfig(30)
 
         def chunk(lo, hi):
-            return simulation._chunk_worker((dgp, n, names, estimands, None, seed, range(lo, hi)))
+            return simulation._chunk_worker((dgp, n, names, estimands, boot, seed, range(lo, hi)))
 
         whole = chunk(0, reps)
         assert chunk(0, 7) + chunk(7, reps) == whole
         assert [o for r in range(reps) for o in chunk(r, r + 1)] == whole
         for rep, outcome in enumerate(whole):
-            data = sample_dgp(dgp, n, np.random.default_rng([seed, n, rep]))
+            rng = np.random.default_rng([seed, n, rep])
+            data = sample_dgp(dgp, n, rng)
             for name in names:
                 try:
-                    expected = [(r.point, r.se) for r in estimate_many(data, [name], estimands)]
+                    reports = estimate_many(data, [name], estimands, boot=BootstrapConfig(30, seed=rng))
+                    expected = [(r.point, r.se) for r in reports]
                 except EstimationError as err:
                     expected = [type(err).__name__] * len(estimands)
                 assert [outcome[(name, e.key)] for e in estimands] == expected
@@ -389,6 +402,46 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="need n > 4"):
             run_monte_carlo(dgp, [4], 6, ["aipw", "reg"], seed=1, **kwargs)
 
+    def test_ipw_alone_fits_no_outcome_regression(self, dgp, monkeypatch):
+        """ipw reads only the propensity, so at n = 4, too small for the
+        OLS, it fails by separation and never asks for more rows."""
+        forbid(monkeypatch, estimators, "ols_fits")
+        kwargs = dict(estimands=(BATE,), boot_replicates=10)
+        small, large = run_monte_carlo(dgp, [4, 150], 6, ["ipw"], seed=1, **kwargs)
+        assert small.rows[0].failures == (("DegenerateArmError", 1), ("SeparationError", 5))
+        assert large.rows[0].n_failed == 0
+        with pytest.raises(EstimationError, match="separated"):
+            estimate_many(sample_dgp(dgp, 4, 0), ["ipw"], [BATE], boot=BootstrapConfig(10))
+
+    def test_only_a_bootstrap_keeps_the_units(self, dgp, monkeypatch):
+        """A chunk hands each replicate's units to estimate_cells only when
+        ipw's bootstrap needs them, and then block by block, so that it holds
+        at most one block's units; otherwise a group spans the blocks."""
+        calls = []
+        original = simulation.estimate_cells
+
+        def spy(cells, names, contrasts, units):
+            calls.append(len(units))
+            return original(cells, names, contrasts, units)
+
+        monkeypatch.setattr(simulation, "estimate_cells", spy)
+        run_monte_carlo(dgp, [2000], 20, ["reg", "aipw", "tmle"], seed=2)
+        assert calls == [0]
+        calls.clear()
+        run_monte_carlo(dgp, [2000], 20, ["reg", "ipw"], seed=2, boot_replicates=10)
+        assert sum(calls) == 20 and max(calls) == simulation._BLOCK_UNITS // 2000
+
+    def test_a_bootstrap_that_fails_stops_only_its_estimator(self, dgp, monkeypatch):
+        """A ConvergenceError in ipw's bootstrap is the replicate's ipw
+        failure, counted by class; reg on the same replicates is delivered."""
+        def no_convergence(*args):
+            raise ConvergenceError("IRLS did not converge in 100 iterations; last step sizes: 1")
+
+        monkeypatch.setattr(estimators, "refit_logistic", no_convergence)
+        [result] = run_monte_carlo(dgp, [150], 4, ["reg", "ipw"], seed=3, boot_replicates=10)
+        assert result.row("ipw", BATE).failures == (("ConvergenceError", 4),)
+        assert result.row("reg", BATE).n_failed == 0
+
     def test_ipw_cells_do_not_depend_on_the_other_estimators(self, dgp):
         """ipw fits its own propensity and refits it per resample, whatever
         else runs; a propensity handed in would not be refitted."""
@@ -412,10 +465,10 @@ class TestMonteCarlo:
         n = 2000 spans two blocks."""
         seen = []
 
-        def capture(cells, names, contrasts):  # tags each replicate with its batch and row
+        def capture(cells, names, contrasts, units):  # tags each replicate with its batch and row
             seen.append(cells)
             rows = np.arange(cells.sizes.shape[0])
-            return {"reg": (np.full((rows.size, 1), len(seen) - 1.0), rows[:, None] + 0.0, [None] * rows.size)}
+            return {"reg": (np.full((rows.size, 1), len(seen) - 1.0), rows[:, None] + 0.0, [None] * rows.size)}, None
 
         monkeypatch.setattr(simulation, "estimate_cells", capture)
         outcomes = simulation._chunk_worker((spec, n, ["reg"], (BATE,), None, 6, range(reps)))
@@ -430,14 +483,15 @@ class TestMonteCarlo:
             assert any(batch.t.size < 4 for batch in seen)
 
     def test_a_chunk_across_blocks_equals_its_replicates_one_at_a_time(self, dgp):
-        n, names, estimands = 2000, ["reg", "aipw", "tmle"], (BATE, PEB1, PEB0)
+        n, estimands = 2000, (BATE, PEB1, PEB0)
         per_block = simulation._BLOCK_UNITS // n
         reps = range(per_block - 3, per_block + 4)
+        for names, boot in ((["reg", "aipw", "tmle"], None), (["reg", "ipw", "aipw", "tmle"], BootstrapConfig(20))):
 
-        def chunk(reps):
-            return simulation._chunk_worker((dgp, n, names, estimands, None, 2, reps))
+            def chunk(reps):
+                return simulation._chunk_worker((dgp, n, names, estimands, boot, 2, reps))
 
-        assert chunk(reps) == [o for r in reps for o in chunk(range(r, r + 1))]
+            assert chunk(reps) == [o for r in reps for o in chunk(range(r, r + 1))]
 
     @pytest.mark.parametrize("names", [["reg", "tmle"], ["ipw", "reg"]])
     def test_a_non_finite_outcome_raises_the_error_of_its_sample(self, names):
