@@ -283,7 +283,9 @@ def _ipw(
 
     def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = idx.shape[0]
-        offsets = (cell[idx] + k * np.arange(m)[:, None]).ravel()
+        offsets = cell[idx]
+        offsets += k * np.arange(m)[:, None]  # in place: no second (m, n) array
+        offsets = offsets.ravel()
         if start is None:
             probs, ok = pscore, np.ones(m, dtype=bool)
         else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, replace
 from typing import Protocol, Sequence
 
@@ -364,15 +365,94 @@ def refit_logistic(
     succeeded; a resample on which `fit_logistic` would raise
     DegenerateArmError, SeparationError or SingularDesignError is flagged
     instead. A refit that does not converge raises ConvergenceError.
+
+    On a saturated design (`saturated_patterns`), the MLE gives each
+    covariate pattern its treated share (McCullagh & Nelder 1989, section
+    4.4). A resample with both arms in every pattern, on which IRLS would
+    converge (`_newton_converges`), gets those shares, from exact integer
+    sums of its counts, and runs no IRLS.
     """
     treated = counts @ t
     ok = (treated > 0.0) & (treated < counts.sum(axis=1))  # both arms present
     beta = np.tile(np.asarray(start, dtype=float), (counts.shape[0], 1))
-    both = np.flatnonzero(ok)
+    newton, patterns = ok, saturated_patterns(x)
+    if patterns is not None:
+        member, rows, inverse = patterns
+        units, cases = counts @ member, counts @ (member * t[:, None])  # per pattern, (m, d): exact integer sums
+        closed = np.flatnonzero(ok & ((cases > 0.0) & (cases < units)).all(axis=1))
+        closed = closed[_newton_converges(rows, inverse, units[closed], cases[closed], start)]
+        newton = ok.copy()
+        newton[closed] = False
+    both = np.flatnonzero(newton)
     if both.size:
         beta[both], ok[both] = _irls(x, t, start=start, counts=counts[both], pooled=True)
     probs = np.clip(expit(beta @ x.T), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    if patterns is not None:  # each cell its pattern's share
+        probs[closed] = np.clip((cases[closed] / units[closed]) @ member.T, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return probs, ok
+
+
+def saturated_patterns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """For k logistic design rows `x` (k, d) that hold exactly d distinct
+    rows forming a nonsingular matrix (a saturated model): the (k, d) 0/1
+    indicator of each row's pattern, the (d, d) matrix of the patterns, in
+    order of first appearance, and its inverse. Else None, at once for k >
+    2d, since a pattern holds at most two cells (t = 0 and 1). Computed once
+    per distinct design."""
+    k, d = x.shape
+    return None if k > 2 * d else _patterns(np.ascontiguousarray(x, dtype=float).tobytes(), d)
+
+
+@functools.lru_cache(maxsize=64)
+def _patterns(rows: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    x = np.frombuffer(rows).reshape(-1, d)
+    same = (x[:, None, :] == x[None, :, :]).all(axis=-1)
+    first = np.flatnonzero(same.argmax(axis=1) == np.arange(x.shape[0]))
+    if first.size != d:
+        return None
+    sv = np.linalg.svd(x[first], compute_uv=False)
+    if not sv[-1] > _RANK_TOL * sv[0]:
+        return None
+    out = same[:, first].astype(float), x[first], np.linalg.inv(x[first])
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+def _newton_converges(
+    rows: np.ndarray, inverse: np.ndarray, units: np.ndarray, cases: np.ndarray, start: np.ndarray
+) -> np.ndarray:
+    """Mask of the refits of a saturated design, with (m, d) `units` and
+    treated `cases` per pattern `rows` (d, d) and both arms in each, on which
+    `_irls` from `start` converges with every iterate inside half the
+    separation bound.
+
+    In the pattern logits eta = rows @ beta the likelihood is a sum over the
+    patterns, and Newton's method is invariant under that invertible map, so
+    each IRLS step moves each pattern's logit by its own scalar Newton step
+    toward its target logit(cases / units). From a logit within 1/2 of
+    its target the steps contract toward it, and from one between 0 and its
+    target they approach it monotonically (the score expit(eta) - share is
+    convex below 0 and concave above: Fourier's condition). Either way the
+    iterates stay within the logit's distance of the target, which bounds
+    the coefficients. Until every pattern of a refit is so placed, its steps
+    are taken here; a refit that leaves the bound first is left to `_irls`.
+    """
+    target = np.log(cases / (units - cases))
+    eta, centre, spread = rows @ start, np.abs(target @ inverse.T), np.abs(inverse).T
+    sure, inside = np.zeros(target.shape[0], dtype=bool), np.ones(target.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a vanishing weight fails the bound
+        for _ in range(_IRLS_MAX_ITER):
+            miss = np.abs(eta - target)
+            placed = (miss <= 0.5) | ((eta * target >= 0.0) & (np.abs(eta) <= np.abs(target)))
+            placed &= centre + miss @ spread <= _SEPARATION_BOUND / 2  # each |coefficient| within reach
+            sure |= inside & placed.all(axis=1)
+            if (sure | ~inside).all():
+                break
+            probs = expit(eta)
+            eta = eta + (cases - units * probs) / (units * probs * (1.0 - probs))
+            inside &= (np.abs(eta @ inverse.T) <= _SEPARATION_BOUND / 2).all(axis=1)
+    return sure
 
 
 @dataclass(frozen=True)

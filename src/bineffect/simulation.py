@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Hashable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
@@ -168,6 +169,13 @@ def truth_oracle(spec: DgpSpec) -> TruthReport:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _truth(spec: DgpSpec) -> TruthReport:
+    """`truth_oracle(spec)`, computed once per spec (which is frozen) for
+    `run_monte_carlo`, whose callers repeat one spec over many calls."""
+    return truth_oracle(spec)
+
+
 DENSITY_ARMS = ("status_quo", "tilde1", "tilde0")
 
 
@@ -320,7 +328,7 @@ def run_monte_carlo(
         raise ValidationError(f"threads must be >= 1, got {threads}")
     check_estimate_args(estimators, 0.95)  # the level estimate_many reports at
     boot = BootstrapConfig(boot_replicates) if "ipw" in estimators else None
-    truth = truth_oracle(spec)
+    truth = _truth(spec) if isinstance(spec.outcome_fn, Hashable) else truth_oracle(spec)
     threads = min(threads, replicates)  # a pool starts all its workers at the first task
 
     results = []

@@ -378,6 +378,17 @@ class TestSimulateCommand:
         assert run_cli(*args, "--output", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_thread_count_does_not_change_the_bytes(self, capsys):
+        """One process or two: each replicate's numbers, ipw's bootstrap
+        refits included, do not depend on the chunk it runs in."""
+        outputs = []
+        for threads in ("1", "2"):
+            assert run_cli("simulate", "--reps", "8", "--n", "20,150", "--boot-reps", "30", "--seed", "4",
+                           "--estimators", "reg,ipw", "--estimands", "bate,peb1,peb0", "--format", "json",
+                           "--threads", threads) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("value", ["abc", "150,,300", "-5", "60,0"])
     def test_bad_n_is_a_validation_error(self, capsys, value):
         assert run_cli("simulate", "--n", value, "--reps", "2", "--threads", "1") == 1

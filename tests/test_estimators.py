@@ -1031,3 +1031,36 @@ class TestBatchedBootstrap:
         data = sample_dgp(DgpSpec(), 150, seed=4)
         with pytest.raises(ConvergenceError, match="did not converge"):
             estimate_many(data, ["ipw"], [BATE], boot=BootstrapConfig(20, seed=0))
+
+    def test_refit_runs_on_cells_not_units_when_not_saturated(self, monkeypatch):
+        """Every resample of a design with 4 covariate patterns and 2
+        coefficients is refitted by IRLS, on its cells."""
+        data = two_binary_covariates(200, seed=1)
+        irls = count_calls(monkeypatch, "_irls", module=nuisance)
+        estimate_many(data, ["ipw"], [BATE, PEB1], boot=BootstrapConfig(200, seed=0))
+        blocks = [kw["counts"].shape for kw in irls if kw.get("start") is not None]
+        assert sum(rows for rows, _ in blocks) >= 200
+        assert all(cols == len(logistic_cells(data)[1]) < data.n for _, cols in blocks)
+
+    def test_resample_that_does_not_converge_raises_when_not_saturated(self, monkeypatch):
+        original = nuisance._irls
+
+        def one_step_refits(*args, **kwargs):
+            if kwargs.get("start") is not None:
+                kwargs["max_iter"] = 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(nuisance, "_irls", one_step_refits)
+        data = two_binary_covariates(200, seed=1)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            estimate_many(data, ["ipw"], [BATE], boot=BootstrapConfig(20, seed=0))
+
+    def test_saturated_refits_with_both_arms_in_every_pattern_run_no_irls(self, monkeypatch):
+        """At n = 2000 every resample of the paper design has both arms in
+        both covariate patterns: each refit is the patterns' treated shares,
+        and only the full-sample fit runs IRLS."""
+        data = sample_dgp(DgpSpec(), 2000, seed=4)
+        irls = count_calls(monkeypatch, "_irls", module=nuisance)
+        [report] = estimate_many(data, ["ipw"], [BATE], boot=BootstrapConfig(200, seed=0))
+        assert [kw.get("start") for kw in irls] == [None]
+        assert np.isfinite(report.se) and report.se > 0.0

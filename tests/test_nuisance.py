@@ -12,7 +12,15 @@ from bineffect import (
     fit_logistic,
     fit_ols_interacted,
 )
-from bineffect.nuisance import _irls, cell_moments, interacted_design, logistic_cells
+from bineffect import nuisance
+from bineffect.nuisance import (
+    _irls,
+    cell_moments,
+    interacted_design,
+    logistic_cells,
+    refit_logistic,
+    saturated_patterns,
+)
 from bineffect.simulation import DgpSpec, sample_dgp
 from conftest import make_dataset, two_binary_covariates
 
@@ -329,6 +337,103 @@ class TestGroupedFit:
         with pytest.raises(error) as info:
             fit_logistic(data)
         assert str(info.value) == message
+
+
+def both_arms(counts, t):
+    treated = counts @ t
+    return (treated > 0.0) & (treated < counts.sum(axis=1))
+
+
+def irls_refit(x, t, counts, start):
+    """Every resample with both arms refitted by one batched IRLS from
+    `start`: the reference for the saturated closed form."""
+    ok = both_arms(counts, t)
+    beta = np.tile(start, (counts.shape[0], 1))
+    both = np.flatnonzero(ok)
+    if both.size:
+        beta[both], ok[both] = _irls(x, t, counts=counts[both], start=start, pooled=True)
+    return np.clip(expit(beta @ x.T), 1e-15, 1.0 - 1e-15), ok
+
+
+def patterned_sample(levels, n, seed):
+    """n units on the covariate rows `levels`, each row with both arms."""
+    rng = np.random.default_rng(seed)
+    levels = np.asarray(levels, dtype=float)
+    w = levels[np.r_[np.repeat(np.arange(len(levels)), 2), rng.integers(0, len(levels), n - 2 * len(levels))]]
+    t = (rng.random(n) < expit(w.sum(axis=1) - 0.5)).astype(float)
+    t[: 2 * len(levels)] = np.tile([0.0, 1.0], len(levels))
+    return ObservationSet(w=w, t=t, y=np.zeros(n))
+
+
+def resample_counts(data, m, seed):
+    """The sample's cell rows, treatments and full-sample coefficients, and
+    the (m, k) cell counts of m bootstrap resamples."""
+    x, t, cell = logistic_cells(data)
+    idx = np.random.default_rng(seed).integers(0, data.n, size=(m, data.n))
+    counts = np.stack([np.bincount(cell[row], minlength=t.size) for row in idx]).astype(float)
+    return x, t, coefficients(fit_logistic(data)), counts
+
+
+def irls_problems(monkeypatch):
+    """Record the number of problems of each `_irls` call."""
+    problems, original = [], nuisance._irls
+
+    def counted(*args, **kwargs):
+        problems.append(kwargs["counts"].shape[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nuisance, "_irls", counted)
+    return problems
+
+
+class TestSaturatedRefit:
+    """On a saturated design the refit of a resample with both arms in every
+    covariate pattern is each pattern's treated share, computed without
+    IRLS; it must agree with IRLS from the full-sample fit."""
+
+    @pytest.mark.parametrize(
+        "levels",
+        [[[0.0], [1.0]], [[0.0], [0.2]], [[1.0], [2.0]], [[-1.0], [0.5]], [[0, 0], [1, 0], [1, 1]], [[]]],
+        ids=["binary", "close_levels", "shifted_levels", "signed_levels", "three_patterns", "intercept_only"],
+    )
+    @pytest.mark.parametrize("n, seed", [(8, 0), (12, 1), (30, 2), (400, 3)])
+    def test_same_mask_and_probabilities_as_irls(self, monkeypatch, levels, n, seed):
+        x, t, start, counts = resample_counts(patterned_sample(levels, n, seed), 300, seed)
+        patterns = saturated_patterns(x)
+        assert patterns is not None
+        member = patterns[0]
+        # a resample with one arm, one with an empty pattern and one with a one-arm pattern
+        one_arm, empty, one_arm_pattern = counts[:3].copy()
+        one_arm[t == 1.0] = 0.0
+        empty[member[:, 0] == 1.0] = 0.0
+        one_arm_pattern[(member[:, 0] == 1.0) & (t == 1.0)] = 0.0
+        counts = np.vstack([counts, one_arm, empty, one_arm_pattern])
+        reference, expected = irls_refit(x, t, counts, start)
+        refits = irls_problems(monkeypatch)
+        probs, ok = refit_logistic(x, t, counts, start)
+        np.testing.assert_array_equal(ok, expected)
+        assert not ok[-3:-1].any()
+        np.testing.assert_allclose(probs[ok], reference[ok], rtol=1e-12)
+        assert sum(refits) < both_arms(counts, t).sum()  # some resamples ran no IRLS
+
+    def test_non_saturated_design_runs_irls_unchanged(self, monkeypatch):
+        x, t, start, counts = resample_counts(two_binary_covariates(200, seed=1), 200, 0)
+        assert saturated_patterns(x) is None
+        reference, expected = irls_refit(x, t, counts, start)
+        refits = irls_problems(monkeypatch)
+        probs, ok = refit_logistic(x, t, counts, start)
+        assert refits == [both_arms(counts, t).sum()]
+        assert ok.tobytes() == expected.tobytes() and probs.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 2.0]], [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
+         [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 2.0, 2.0]],
+         np.hstack([np.ones((5, 1)), np.arange(5.0)[:, None]])],
+        ids=["three_levels", "two_rows_of_three", "one_row_of_two", "collinear_rows", "continuous"],
+    )
+    def test_other_designs_are_not_saturated(self, rows):
+        assert saturated_patterns(np.asarray(rows)) is None
 
 
 class TestPredictOutcome:
