@@ -145,6 +145,27 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+# A column with at most this many distinct values is ranked by comparisons with
+# each value, a wider one by `np.searchsorted`. On a 2^15-unit column in random
+# order (2-core AMD EPYC, numpy 2.4.6) comparisons took 0.012 against 0.11 ms
+# for 2 values, 0.075 against 0.35 ms for 8 and 0.16 against 0.50 ms for 16.
+# On a sorted column `searchsorted` took 0.062 ms for 8 values and 0.079 ms
+# for 16, so past 8 the comparisons would lose on sorted input.
+_RANK_BY_COMPARISON = 8
+
+
+def _rank(col: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`np.searchsorted(values, col)` for a column whose values are all among
+    the sorted distinct `values`: by comparisons with each value when there
+    are at most `_RANK_BY_COMPARISON` of them."""
+    if values.size > _RANK_BY_COMPARISON:
+        return np.searchsorted(values, col)
+    rank = np.zeros(col.size, dtype=np.intp)
+    for value in values[1:]:
+        rank += col >= value
+    return rank
+
+
 def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     """The distinct (t, w) rows of R samples of n units, `t` (R, n) and `w`
     (R, n, p): sample after sample, each ordered as `np.lexsort((t, *w.T))`
@@ -153,9 +174,9 @@ def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
     rows) and the units per row (floats). A sample with no shared row keeps
     each unit as its own row, in sample order; a covariate column with no
     repeated value settles that for the block at the cost of one sort.
-    Otherwise each column's values are ranked and the ranks are combined
-    into one integer key per unit, `t` its lowest digit, the sample its
-    highest.
+    Otherwise each column's values are ranked among its sorted distinct
+    values (`_rank`), and the ranks are added in place into one integer key
+    per unit, `t` its lowest digit, the sample its highest.
     """
     r, n, p = w.shape
     total = r * n
@@ -166,16 +187,18 @@ def _group_rows(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
         if distinct.all():
             break
         values = values[distinct]
-        digits.append((np.searchsorted(values, col), values.size))
+        digits.append((_rank(col, values).reshape(r, n), values.size))
     if n < 2 or len(digits) < p:  # no two units of a sample share a row
         return np.arange(total), np.arange(total), np.arange(r + 1) * n, np.ones(total)
-    key, size = t.ravel().astype(np.intp), 2
-    for rank, count in digits + [(np.repeat(np.arange(r), n), r)]:
-        key = key + size * rank
+    key, size = t.astype(np.intp), 2
+    for rank, count in [*digits, (np.arange(r)[:, None], r)]:
+        rank *= size
+        key += rank
         size *= count
         if size > total:  # renumber the rows seen so far; keeps the key below total**2
-            key = np.unique(key, return_inverse=True)[1]
+            key = np.unique(key, return_inverse=True)[1].reshape(r, n)
             size = int(key.max()) + 1
+    key = key.reshape(total)
     sizes = np.bincount(key, minlength=size)
     present = sizes > 0
     cell = key if present.all() else (np.cumsum(present) - 1)[key]

@@ -44,6 +44,8 @@ class DgpSpec:
 
     w ~ Bernoulli(w_prob); a | w ~ Normal(a_mean_base + a_mean_slope * w,
     a_sd); y = outcome_fn(a, w) + Normal(0, noise_sd); t = 1(a >= cutoff).
+    `outcome_fn` acts unit by unit: it is called on scalars by the truth
+    oracle and on a block of samples' units at once by the draws.
     """
 
     w_prob: float = 0.5
@@ -100,19 +102,42 @@ def sample_dgp(spec: DgpSpec, n: int, seed) -> ObservationSet:
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w, a, t, y = _draw(spec, n, rng)
-    return ObservationSet(w=w[:, None], t=t, y=y, a=a, rule=spec.rule)
+    w, a, t, y = _draw(spec, n, [rng])
+    return ObservationSet(w=w[0], t=t[0], y=y[0], a=a[0], rule=spec.rule)
 
 
-def _draw(spec: DgpSpec, n: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    """The (n,) w, a, t and y of n units: the only draws from a generator, so
-    that `sample_dgp` and the Monte Carlo chunks see the same samples. Each
-    normal is loc + sd * z, the formula of `Generator.normal`, bit for bit."""
-    w = (rng.random(n) < spec.w_prob).astype(float)
-    a = spec.a_mean_base + spec.a_mean_slope * w + spec.a_sd * rng.standard_normal(n)
-    noise = 0.0 + spec.noise_sd * rng.standard_normal(n)  # + 0.0 keeps a zero sd's -0.0 draws at +0.0
-    y = np.asarray(spec.outcome_fn(a, w), dtype=float) + noise
-    return w, a, binarize(a, spec.rule), y
+def _draw(spec: DgpSpec, n: int, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
+    """The w (R, n, 1), a, t and y (R, n) of R samples of n units, sample i
+    drawn from `rngs[i]`: the only draws from a generator, so that
+    `sample_dgp` (R = 1) and the Monte Carlo chunks see the same samples.
+
+    Each generator fills its sample's rows with `random`, then two
+    `standard_normal`s, the calls of one sample drawn alone, so its stream
+    and its final state do not depend on the block. Each normal is
+    loc + sd * z, the formula of `Generator.normal`, bit for bit. The rest
+    runs once on the block's R * n units, `outcome_fn` (which acts unit by
+    unit) included. When the outcome does not hold one finite value per
+    unit, the samples are checked one by one as `sample_dgp` checks its
+    sample, and the first invalid one raises its error.
+    """
+    r, total = len(rngs), len(rngs) * n
+    w, a, noise = np.empty((3, r, n))
+    for i, rng in enumerate(rngs):
+        rng.random(out=w[i])
+        rng.standard_normal(out=a[i])
+        rng.standard_normal(out=noise[i])
+    np.less(w, spec.w_prob, out=w)
+    a *= spec.a_sd
+    a += spec.a_mean_base + spec.a_mean_slope * w
+    noise *= spec.noise_sd
+    noise += 0.0  # keeps a zero sd's -0.0 draws at +0.0
+    mean = np.asarray(spec.outcome_fn(a.reshape(total), w.reshape(total)), dtype=float)
+    y = (mean + noise.reshape(total)).reshape(r, n) if mean.shape in ((), (total,)) else np.full((r, n), np.nan)
+    if not (np.isfinite(a).all() and np.isfinite(y).all()):
+        for i in range(r):  # sample_dgp's checks, which also catch an outcome of another shape
+            y_i = np.asarray(spec.outcome_fn(a[i], w[i]), dtype=float) + noise[i]
+            y[i] = ObservationSet(w=w[i], t=binarize(a[i], spec.rule), y=y_i, a=a[i], rule=spec.rule).y
+    return w[..., None], a, binarize(a.reshape(total), spec.rule).reshape(r, n), y
 
 
 def truth_oracle(spec: DgpSpec) -> TruthReport:
@@ -268,13 +293,8 @@ def _chunk_worker(task) -> list[dict]:
     per_block = max(1, _BLOCK_UNITS // n)
     for lo in range(0, len(reps), per_block):
         rngs = [np.random.default_rng([seed, n, rep]) for rep in reps[lo : lo + per_block]]
-        t, w, y = (np.empty((len(rngs), n)) for _ in range(3))
-        for i, rng in enumerate(rngs):
-            w[i], a, t[i], y_rep = _draw(spec, n, rng)
-            if y_rep.shape != (n,) or not np.isfinite(y_rep).all():  # sample_dgp's checks
-                y_rep = ObservationSet(w=w[i][:, None], t=t[i], y=y_rep, a=a, rule=spec.rule).y
-            y[i] = y_rep
-        block, rows, first = CellBatch.groups(t, w[..., None], y)
+        w, _, t, y = _draw(spec, n, rngs)
+        block, rows, first = CellBatch.groups(t, w, y)
         for key, (members, batch) in block.items():
             group = groups.setdefault(key, ([], [], []))
             group[0].extend(outcomes[lo + i] for i in members)

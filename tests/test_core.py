@@ -440,6 +440,52 @@ class TestCsvFastPathMatchesRowLoop:
         assert row_loop_ran is not fast
 
 
+def _column(kind, rng, size):
+    """`size` units of one covariate: `kind` (an int) distinct values,
+    negative ones among them; -0.0 mixed with 0.0; a rounded normal (many
+    values, with ties); or a normal with no ties."""
+    if kind == "signed_zero":
+        return rng.choice([-0.0, 0.0, -2.5, 1.5], size)
+    if kind == "rounded":
+        return np.round(rng.normal(size=size), 1)
+    if kind == "continuous":
+        return rng.normal(size=size)
+    return np.linspace(-3.5, 4.0, kind)[rng.integers(0, kind, size)] if kind > 1 else np.full(size, -1.25)
+
+
+CROSSOVER = core._RANK_BY_COMPARISON
+RANK_COLUMNS = [(1,), (2,), (3,), (CROSSOVER - 1,), (CROSSOVER,), (CROSSOVER + 1,), (50,), ("signed_zero",),
+                ("rounded",), (2, "continuous"), (3, "rounded"), ("signed_zero", CROSSOVER)]
+
+
+class TestBlockRanks:
+    @pytest.mark.parametrize("columns", RANK_COLUMNS, ids=str)
+    def test_ranks_equal_searchsorted(self, columns):
+        rng = np.random.default_rng(7)
+        for kind in columns:
+            col = _column(kind, rng, 3000)
+            values = np.sort(col)
+            values = values[np.r_[True, values[1:] != values[:-1]]]
+            rank = core._rank(col, values)
+            expected = np.searchsorted(values, col)
+            assert (rank.dtype, rank.tobytes()) == (expected.dtype, expected.tobytes())
+
+    @pytest.mark.parametrize("columns", RANK_COLUMNS, ids=str)
+    @pytest.mark.parametrize("r, n", [(1, 40), (6, 40), (5, 3)])
+    def test_block_cells_equal_the_searchsorted_grouping(self, columns, r, n, monkeypatch):
+        """Ranking a few-valued column by comparisons gives the bytes of
+        ranking every column by `np.searchsorted`."""
+        rng = np.random.default_rng([r, n])
+        w = np.stack([_column(kind, rng, r * n) for kind in columns], axis=-1).reshape(r, n, len(columns))
+        t = (rng.random((r, n)) < 0.5).astype(float)
+        y = rng.normal(size=(r, n))
+        got = core.block_cells(t, w, y)
+        monkeypatch.setattr(core, "_RANK_BY_COMPARISON", 0)
+        expected = core.block_cells(t, w, y)
+        for a, b in zip(got, expected):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 class TestPositivity:
     def test_all_half_is_clean(self, dataset):
         model = PropensityModel(intercept=0.0, coef=np.zeros(dataset.p))

@@ -48,6 +48,20 @@ def signed_zero_outcome(a, w):
     return -0.0 * a
 
 
+def constant_outcome(a, w):
+    """A scalar, which broadcasts against the noise."""
+    return 7.5
+
+
+def column_outcome(a, w):
+    """An (n, 1) column, which broadcasts against the (n,) noise to (n, n);
+    a scalar at the truth oracle's scalar a."""
+    return (a + w)[:, None] if np.ndim(a) else a + w
+
+
+COLUMN_OUTCOME_ERROR = "column lengths disagree: t has 50, y has 2500, w has 50 rows"
+
+
 def outcome_nan_in_the_far_tail(a, w):
     """The default outcome, NaN at a unit with a > 9.5 (about 1 in 160 at w = 1)."""
     return np.where(a > 9.5, np.nan, a**3 + np.sin(a) + 100.0 * w)
@@ -171,6 +185,41 @@ class TestSampleDgp:
         for got, expected in ((data.w[:, 0], w), (data.a, a), (data.y, y)):
             assert got.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "spec",
+        [DgpSpec(), DgpSpec(noise_sd=0.0, outcome_fn=signed_zero_outcome), DgpSpec(w_prob=0.02),
+         DgpSpec(w_prob=0.98)],
+        ids=["paper", "zero_noise", "w_rare", "w_common"],
+    )
+    @pytest.mark.parametrize("r, n", [(1, 7), (5, 1), (9, 37), (16, 2000)])
+    def test_a_block_equals_its_samples_drawn_one_at_a_time(self, spec, r, n):
+        """Row i of a block has the bytes of sample i drawn alone from its
+        generator, and each generator is left where a lone draw leaves it:
+        the ipw bootstrap continues from there."""
+        rngs = [np.random.default_rng([4, n, i]) for i in range(r)]
+        w, a, t, y = simulation._draw(spec, n, rngs)
+        assert w.shape == (r, n, 1) and a.shape == t.shape == y.shape == (r, n)
+        for i in range(r):
+            ref = np.random.default_rng([4, n, i])
+            w_i = (ref.random(n) < spec.w_prob).astype(float)
+            a_i = ref.normal(spec.a_mean_base + spec.a_mean_slope * w_i, spec.a_sd)
+            y_i = np.asarray(spec.outcome_fn(a_i, w_i), dtype=float) + ref.normal(0.0, spec.noise_sd, n)
+            t_i = (a_i >= spec.cutoff).astype(float)
+            for got, expected in ((w[i, :, 0], w_i), (a[i], a_i), (t[i], t_i), (y[i], y_i)):
+                assert got.tobytes() == expected.tobytes()
+            assert rngs[i].integers(2**62) == ref.integers(2**62)
+
+    def test_a_scalar_outcome_broadcasts_against_the_noise(self):
+        data = sample_dgp(DgpSpec(outcome_fn=constant_outcome), 50, seed=9)
+        ref = np.random.default_rng(9)
+        ref.random(50)  # w
+        ref.standard_normal(50)  # a
+        assert data.y.tobytes() == (7.5 + ref.normal(0.0, 1.0, 50)).tobytes()
+
+    def test_an_outcome_column_is_rejected(self):
+        with pytest.raises(ValidationError, match=f"^{re.escape(COLUMN_OUTCOME_ERROR)}$"):
+            sample_dgp(DgpSpec(outcome_fn=column_outcome), 50, seed=0)
 
 
 class TestTruthOracle:
@@ -508,6 +557,21 @@ class TestMonteCarlo:
         task = (spec, n, names, (BATE,), BootstrapConfig(10), seed, range(100))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             simulation._chunk_worker(task)
+
+    def test_a_scalar_outcome_gives_each_replicate_the_numbers_of_its_sample(self):
+        spec, n, seed, names = DgpSpec(outcome_fn=constant_outcome), 50, 2, ["reg", "aipw"]
+        outcomes = simulation._chunk_worker((spec, n, names, (BATE, PEB1), None, seed, range(12)))
+        for rep, outcome in enumerate(outcomes):
+            data = sample_dgp(spec, n, np.random.default_rng([seed, n, rep]))
+            for name in names:
+                reports = estimate_many(data, [name], (BATE, PEB1))
+                assert [outcome[(name, r.estimand.key)] for r in reports] == [(r.point, r.se) for r in reports]
+        [result] = run_monte_carlo(spec, [n], 12, names, seed=seed)
+        assert result.row("reg", BATE).n_failed == 0
+
+    def test_an_outcome_column_stops_the_run_with_the_error_of_its_sample(self):
+        with pytest.raises(ValidationError, match=f"^{re.escape(COLUMN_OUTCOME_ERROR)}$"):
+            run_monte_carlo(DgpSpec(outcome_fn=column_outcome), [50], 12, ["reg"], seed=1)
 
     def test_pool_is_capped_at_the_replicate_count(self, dgp, monkeypatch):
         pools = []
