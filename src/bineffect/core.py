@@ -231,7 +231,7 @@ def block_cells(t: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray
     unit_level = (np.full((r, p), np.nan), np.full(r, np.nan), np.full(r, np.nan))  # NaN for an empty sample
     if n:  # each sample's covariate sum / n, the arithmetic of its (n, p) `.mean(axis=0)`
         y = y.reshape(r, n)
-        unit_level = (np.array([np.add.reduce(sample) for sample in w]) / n, y.min(axis=1), y.max(axis=1))
+        unit_level = (np.add.reduce(w, axis=1) / n, y.min(axis=1), y.max(axis=1))
     return units, cell, first, sizes, sums, means, m2, *unit_level
 
 

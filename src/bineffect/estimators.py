@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Literal, Sequence
 
@@ -44,7 +44,13 @@ _TMLE_TOL = 1e-10
 _TMLE_MAX_ITER = 100
 
 _RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
-_BLOCK_ELEMENTS = 2**17  # bootstrap indices per block: caps the (m, n) working set
+_BLOCK_ELEMENTS = 2**17  # resamples x n per pass of a sample, and resamples x k per pooled refit
+# Bootstrap indices drawn and reduced at once. mc_paper batches (2 cores, one BLAS thread, median
+# of 40 batches) in a fresh process: 2^12 7.7 ms, 2^13 7.1, 2^14 6.8, 2^15 8.1 and 2^16 8.9 ms.
+# From 2^15 on, a chunk's int64 arrays pass glibc's 128 KiB mmap threshold and are mapped afresh
+# for each chunk (2 356 page faults per batch at 2^15, none at 2^14); once larger arrays have
+# raised that threshold, as between the benchmark's batches, 2^14 to 2^16 read alike (6.9-7.0 ms).
+_DRAW_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -189,54 +195,88 @@ def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: float) -
 
 
 def _bootstrap_many(
-    n: int,
-    statistic: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    k: int,
-    boot: BootstrapConfig,
+    sizes: Sequence[int],
+    width: int,
+    draw: Callable[[int, np.random.Generator, int], object],
+    statistic: Callable[[list], tuple[np.ndarray, np.ndarray]],
+    boots: Sequence[BootstrapConfig],
+    e: int,
     ci_level: float,
-    percentile: bool,
-) -> tuple[np.ndarray, np.ndarray | None, str | None]:
-    """Resample n rows with replacement; returns (ses, percentile cis or None
-    unless `percentile`, redraw note).
+) -> list:
+    """Bootstraps of R samples, sample i of sizes[i] rows resampled with
+    replacement as `boots[i]` says; returns per sample (ses, percentile cis
+    or None unless its ci_method is percentile, redraw note) or the
+    ConvergenceError that stopped it.
 
-    A block of m resamples is one `rng.integers(0, n, size=(m, n))` draw; it
-    gives the same indices, and leaves the generator in the same state, as m
-    successive size-n draws. `statistic` takes the (m, n) block of index rows
-    and returns their (m, k) estimates and an (m,) mask of the resamples it
-    could evaluate. The others (a degenerate arm, separation, a singular
-    design) are redrawn and counted, so the accepted resamples are the first
-    `replicates` good draws of the stream. A block holds at most
-    `_BLOCK_ELEMENTS` indices. The note is None unless more than 1% of
-    resamples were redrawn.
+    Sample i draws passes of min(need, max(1, `_BLOCK_ELEMENTS` // sizes[i]))
+    resamples from its own generator: `draw(i, rng, m)` takes m successive
+    size-n draws, which give the same indices, and leave the generator in the
+    same state, as one (m, n) draw. The passes of the samples still drawing
+    are pooled, in order, while their resamples times `width` stay within
+    `_BLOCK_ELEMENTS`, and `statistic` takes a pool's list of (i, drawn) and
+    returns its stacked (resamples, e) estimates and a mask of the resamples
+    it could evaluate. The others (a degenerate arm, separation, a singular
+    design) are redrawn and counted, so each sample's accepted resamples are
+    the first `replicates` good draws of its stream. A ConvergenceError of a
+    pool is looked for pass by pass and stops only its sample, as does a
+    redraw count past max(1000, 100 * replicates). The note is None unless
+    more than 1% of resamples were redrawn.
     """
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
-    rng = np.random.default_rng(boot.seed)
-    block = max(1, _BLOCK_ELEMENTS // n)
-    estimates = np.empty((boot.replicates, k))
-    redraws = 0
-    max_redraws = max(1000, 100 * boot.replicates)
-    b = 0
-    while b < boot.replicates:
-        m = min(block, boot.replicates - b)
-        values, ok = statistic(rng.integers(0, n, size=(m, n)))
-        good = int(np.count_nonzero(ok))
-        estimates[b : b + good] = values[ok]
-        b += good
-        redraws += m - good
-        if redraws > max_redraws:
-            raise ConvergenceError(
-                f"bootstrap gave up after {redraws} redraws of degenerate resamples"
-            )
-    ses = estimates.std(axis=0, ddof=1)
+    rngs = [np.random.default_rng(boot.seed) for boot in boots]
+    estimates = [np.empty((boot.replicates, e)) for boot in boots]
+    done, redraws, out = [0] * len(boots), [0] * len(boots), [None] * len(boots)
+    live = list(range(len(boots)))
+    while live:
+        pools, total = [[]], 0
+        for i in live:
+            m = min(max(1, _BLOCK_ELEMENTS // sizes[i]), boots[i].replicates - done[i])
+            if pools[-1] and total + m * width > _BLOCK_ELEMENTS:
+                pools, total = pools + [[]], 0
+            pools[-1].append((i, m))
+            total += m * width
+        for pool in pools:
+            drawn = [(i, draw(i, rngs[i], m)) for i, m in pool]
+            for (i, m), result in zip(pool, _per_pass(statistic, drawn, [m for _, m in pool])):
+                if isinstance(result, ConvergenceError):
+                    out[i] = result
+                    continue
+                values, ok = result
+                good = int(np.count_nonzero(ok))
+                estimates[i][done[i] : done[i] + good] = values[ok]
+                done[i] += good
+                redraws[i] += m - good
+                if redraws[i] > max(1000, 100 * boots[i].replicates):
+                    out[i] = ConvergenceError(f"bootstrap gave up after {redraws[i]} redraws of degenerate resamples")
+        live = [i for i in live if out[i] is None and done[i] < boots[i].replicates]
     alpha = (1.0 - ci_level) / 2.0
-    cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T if percentile else None
-    note = None
-    if redraws > 0.01 * boot.replicates:
-        note = (
-            f"bootstrap redrew {redraws} degenerate resamples "
-            f"({100.0 * redraws / boot.replicates:.1f}% of {boot.replicates})"
-        )
-    return ses, cis, note
+    for i, boot in enumerate(boots):
+        if out[i] is None:
+            cis = np.quantile(estimates[i], [alpha, 1.0 - alpha], axis=0).T if boot.ci_method == "percentile" else None
+            note = None
+            if redraws[i] > 0.01 * boot.replicates:
+                note = (
+                    f"bootstrap redrew {redraws[i]} degenerate resamples "
+                    f"({100.0 * redraws[i] / boot.replicates:.1f}% of {boot.replicates})"
+                )
+            out[i] = estimates[i].std(axis=0, ddof=1), cis, note
+    return out
+
+
+def _per_pass(statistic: Callable, drawn: list, sizes: list[int]) -> list:
+    """`statistic` on a pool of passes, split back into each pass's
+    (values, ok); after a ConvergenceError, each pass alone, so that the
+    error stops only the passes that raise it."""
+    try:
+        values, ok = statistic(drawn)
+    except ConvergenceError as err:
+        if len(drawn) == 1:
+            return [err]
+        return [_per_pass(statistic, [one], [m])[0] for one, m in zip(drawn, sizes)]
+    if len(drawn) == 1:
+        return [(values, ok)]
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(values, cuts), np.split(ok, cuts)))
 
 
 def bootstrap_se(
@@ -252,7 +292,8 @@ def bootstrap_se(
     when more than 1% of resamples had to be redrawn.
     """
 
-    def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def statistic(passes: list) -> tuple[np.ndarray, np.ndarray]:
+        [(_, idx)] = passes
         values = np.empty((idx.shape[0], 1))
         ok = np.ones(idx.shape[0], dtype=bool)
         for i, rows in enumerate(idx):
@@ -262,39 +303,87 @@ def bootstrap_se(
                 ok[i] = False
         return values, ok
 
-    ses, cis, note = _bootstrap_many(data.n, statistic, 1, boot, ci_level, percentile=True)
+    def draw(_, rng: np.random.Generator, m: int) -> np.ndarray:
+        return rng.integers(0, data.n, size=(m, data.n))
+
+    [result] = _bootstrap_many([data.n], data.n, draw, statistic, [replace(boot, ci_method="percentile")], 1,
+                               ci_level)
+    if isinstance(result, ConvergenceError):
+        raise result
+    ses, cis, note = result
     if note is not None:
         warnings.warn(note, stacklevel=2)
     return float(ses[0]), (float(cis[0, 0]), float(cis[0, 1]))
 
 
-def _ipw(
-    x: np.ndarray, t: np.ndarray, cell: np.ndarray, y: np.ndarray, pscore: np.ndarray,
-    start: np.ndarray | None, contrasts: np.ndarray, boot: BootstrapConfig, ci_level: float,
-) -> tuple[np.ndarray, np.ndarray | None, str | None]:
-    """IPW bootstrap SEs per row of `contrasts`, percentile CIs (None unless
-    asked for) and redraw note of one sample, from its units' cell indices
-    `cell` and outcomes `y` and its cells' logistic design rows `x`,
-    treatments `t` and propensities `pscore`. All estimands share one set of
-    resamples, each seen as its counts and y sums per cell. The propensity is
-    refitted on a whole block of resamples at once from `start`, the
-    full-sample coefficients; with `start` None, `pscore` is held fixed."""
-    n, k = y.size, t.size
+def _resample_cells(
+    rng: np.random.Generator, cell: np.ndarray, y: np.ndarray, k: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """m bootstrap resamples of the n units with cell indices `cell` (among
+    k) and outcomes `y`, each as its (m, k) counts and y sums per cell. The
+    indices are m successive size-n draws, drawn in pieces of at most
+    `_DRAW_ELEMENTS` (whole rows when a row fits) and reduced at once, so
+    no (m, n) array is held. Each cell's y sum runs over its draws in order,
+    as one `np.bincount` of the whole (m, n) block would sum it."""
+    n = y.size
+    counts, y_sums = np.zeros(m * k), np.zeros(m * k)
+    rows, width = max(1, _DRAW_ELEMENTS // n), min(n, _DRAW_ELEMENTS)
+    # each draw's resample in a chunk of several rows, as an offset into the chunk's cells
+    shift = np.repeat(k * np.arange(rows), width) if rows > 1 else None
+    for b in range(0, m, rows):
+        r = min(rows, m - b)
+        for j in range(0, n, width):
+            idx = rng.integers(0, n, size=r * min(width, n - j))  # the rows of the chunk, one after another
+            offsets = np.take(cell, idx)
+            if shift is not None:
+                offsets += shift[: idx.size]
+            counts[b * k : (b + r) * k] += np.bincount(offsets, minlength=r * k)
+            np.add.at(y_sums[b * k : (b + r) * k], offsets, np.take(y, idx))  # continues the rows' sums
+    return counts.reshape(m, k), y_sums.reshape(m, k)
 
-    def statistic(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = idx.shape[0]
-        offsets = cell[idx]
-        offsets += k * np.arange(m)[:, None]  # in place: no second (m, n) array
-        offsets = offsets.ravel()
+
+def _ipw(
+    x: np.ndarray, t: np.ndarray, units: Sequence[tuple[np.ndarray, np.ndarray, BootstrapConfig]],
+    pscore: np.ndarray, start: np.ndarray | None, contrasts: np.ndarray, ci_level: float,
+) -> list:
+    """IPW bootstraps of R samples that share their cells' logistic design
+    rows `x` and treatments `t`: per sample, (SEs per row of `contrasts`,
+    percentile CIs or None, redraw note) or the ConvergenceError that stopped
+    it. `units` holds each sample's units' cell indices and outcomes and its
+    BootstrapConfig, `pscore` (R, k) the propensities at the cells. All
+    estimands share one set of resamples, each seen as its counts and y sums
+    per cell. Each pool of passes refits the propensity once
+    (`refit_logistic`), each resample from its sample's full-sample
+    coefficients in `start` (R, d); with `start` None, `pscore` is held
+    fixed. `refit_logistic` runs IRLS once per run of equal start rows, so a
+    pass whose start equals the pass before it is refitted in a call of its
+    own: no sample's refits share an IRLS batch with another's."""
+    k = t.size
+
+    def draw(i: int, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+        return _resample_cells(rng, units[i][0], units[i][1], k, m)
+
+    def statistic(passes: list) -> tuple[np.ndarray, np.ndarray]:
+        same = [j for j in range(1, len(passes))
+                if start is not None and (start[passes[j][0]] == start[passes[j - 1][0]]).all()]
+        if not same:
+            return evaluate(passes)
+        parts = [evaluate(passes[lo:hi]) for lo, hi in zip([0, *same], [*same, len(passes)])]
+        return np.concatenate([v for v, _ in parts]), np.concatenate([ok for _, ok in parts])
+
+    def evaluate(passes: list) -> tuple[np.ndarray, np.ndarray]:
+        samples = [i for i, _ in passes]
+        sizes = [counts.shape[0] for _, (counts, _) in passes]
+        counts, y_sums = passes[0][1] if len(passes) == 1 else (np.concatenate(v) for v in zip(*(d for _, d in passes)))
         if start is None:
-            probs, ok = pscore, np.ones(m, dtype=bool)
+            probs, ok = np.repeat(pscore[samples], sizes, axis=0), np.ones(counts.shape[0], dtype=bool)
         else:
-            counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
-            probs, ok = refit_logistic(x, t, counts, start)
-        y_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
+            probs, ok = refit_logistic(x, t, counts, np.repeat(start[samples], sizes, axis=0))
+        n = np.repeat([float(units[i][1].size) for i in samples], sizes)[:, None]
         return _ipw_arms(t, y_sums, probs, n) @ contrasts.T, ok
 
-    return _bootstrap_many(n, statistic, len(contrasts), boot, ci_level, boot.ci_method == "percentile")
+    sizes = [y.size for _, y, _ in units]
+    return _bootstrap_many(sizes, k, draw, statistic, [boot for *_, boot in units], len(contrasts), ci_level)
 
 
 def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:
@@ -545,17 +634,15 @@ def estimate_cells(
             pscore = pscore_at_cells(models, cells.w) if pscore is None else pscore
             if name != "ipw" and outcome is None:
                 outcome = outcome_at_cells(fits, cells.w, (1.0, 0.0))
-        if name == "ipw":
-            x = logistic_design(cells.w)
-            for i in rows:
-                cell, y, boot = units[i]
-                try:
-                    ses[i], cis[i], notes[i] = _ipw(x, cells.t, cell, y, pscore[i],
-                                                    None if start is None else start[i], contrasts, boot, ci_level)
-                except ConvergenceError as err:
-                    stops[i] = err
+        if name == "ipw" and rows.size:
+            bootstraps = _ipw(logistic_design(cells.w), cells.t, [units[i] for i in rows], pscore[rows],
+                              None if start is None else start[rows], contrasts, ci_level)
+            points[rows] = _ipw_arms(cells.t, cells.sums[rows], pscore[rows], cells.n[rows, None]) @ contrasts.T
+            for i, result in zip(rows, bootstraps):
+                if isinstance(result, ConvergenceError):
+                    stops[i], points[i] = result, np.nan
                 else:
-                    points[i] = _ipw_arms(cells.t, cells.sums[i], pscore[i], cells.n[i]) @ contrasts.T
+                    ses[i], cis[i], notes[i] = result
         elif rows.size:
             live = slice(None) if rows.size == r else rows  # views, not copies, when every sample is live
             if name == "reg":

@@ -358,35 +358,48 @@ def refit_logistic(
     `x` (k, d) and `t` (k,) are logistic design rows and treatments, such as
     the `logistic_cells` of a sample. Row b of the (m, k) `counts` holds how
     often each row appears in resample b: the frequency-weight view of the
-    nonparametric bootstrap (Efron & Tibshirani 1993). Every refit starts
-    from `start` (intercept, then coefficients) and all of them run as one
-    batched IRLS. Returns each refit's probabilities for every row, (m, k)
-    and clipped like `predict_proba`, and an (m,) mask of the refits that
-    succeeded; a resample on which `fit_logistic` would raise
-    DegenerateArmError, SeparationError or SingularDesignError is flagged
-    instead. A refit that does not converge raises ConvergenceError.
+    nonparametric bootstrap (Efron & Tibshirani 1993). `start` (intercept,
+    then coefficients) is one row for every refit, or one row per refit (m,
+    d). Each run of consecutive refits with equal start rows is one batched
+    IRLS from that start, computed as a lone call on the run would compute
+    it, so a run's refits do not depend on the other runs. Returns each
+    refit's probabilities for every row, (m, k) and clipped like
+    `predict_proba`, and an (m,) mask of the refits that succeeded; a
+    resample on which `fit_logistic` would raise DegenerateArmError,
+    SeparationError or SingularDesignError is flagged instead. A refit that
+    does not converge raises ConvergenceError.
 
     On a saturated design (`saturated_patterns`), the MLE gives each
     covariate pattern its treated share (McCullagh & Nelder 1989, section
     4.4). A resample with both arms in every pattern, on which IRLS would
     converge (`_newton_converges`), gets those shares, from exact integer
-    sums of its counts, and runs no IRLS.
+    sums of its counts, and runs no IRLS. That test runs on all runs at
+    once, each refit on its own arithmetic.
     """
+    m = counts.shape[0]
+    starts = np.broadcast_to(np.asarray(start, dtype=float), (m, x.shape[1]))
+    edges = [0, *(np.flatnonzero((starts[1:] != starts[:-1]).any(axis=1)) + 1), m]
     treated = counts @ t
     ok = (treated > 0.0) & (treated < counts.sum(axis=1))  # both arms present
-    beta = np.tile(np.asarray(start, dtype=float), (counts.shape[0], 1))
     newton, patterns = ok, saturated_patterns(x)
     if patterns is not None:
         member, rows, inverse = patterns
         units, cases = counts @ member, counts @ (member * t[:, None])  # per pattern, (m, d): exact integer sums
         closed = np.flatnonzero(ok & ((cases > 0.0) & (cases < units)).all(axis=1))
-        closed = closed[_newton_converges(rows, inverse, units[closed], cases[closed], start)]
+        # each run's start logits, the product of a lone call
+        logits = np.repeat([rows @ starts[lo] for lo in edges[:-1]], np.diff(edges), axis=0)
+        closed = closed[_newton_converges(rows, inverse, units[closed], cases[closed], logits[closed])]
         newton = ok.copy()
         newton[closed] = False
-    both = np.flatnonzero(newton)
-    if both.size:
-        beta[both], ok[both] = _irls(x, t, start=start, counts=counts[both], pooled=True)
-    probs = np.clip(expit(beta @ x.T), _PROB_FLOOR, 1.0 - _PROB_FLOOR)
+    probs, left = np.empty((m, x.shape[0])), newton | ~ok  # left: the refits with no closed form
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if not left[lo:hi].any():
+            continue
+        beta = np.tile(starts[lo], (hi - lo, 1))
+        both = np.flatnonzero(newton[lo:hi])
+        if both.size:
+            beta[both], ok[lo + both] = _irls(x, t, start=starts[lo], counts=counts[lo + both], pooled=True)
+        np.clip(expit(beta @ x.T, out=probs[lo:hi]), _PROB_FLOOR, 1.0 - _PROB_FLOOR, out=probs[lo:hi])
     if patterns is not None:  # each cell its pattern's share
         probs[closed] = np.clip((cases[closed] / units[closed]) @ member.T, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
     return probs, ok
@@ -424,8 +437,8 @@ def _newton_converges(
 ) -> np.ndarray:
     """Mask of the refits of a saturated design, with (m, d) `units` and
     treated `cases` per pattern `rows` (d, d) and both arms in each, on which
-    `_irls` from `start` converges with every iterate inside half the
-    separation bound.
+    `_irls` from start logits `start` (m, d), each refit's `rows @ start`,
+    converges with every iterate inside half the separation bound.
 
     In the pattern logits eta = rows @ beta the likelihood is a sum over the
     patterns, and Newton's method is invariant under that invertible map, so
@@ -437,21 +450,27 @@ def _newton_converges(
     iterates stay within the logit's distance of the target, which bounds
     the coefficients. Until every pattern of a refit is so placed, its steps
     are taken here; a refit that leaves the bound first is left to `_irls`.
+    Each refit's products with the (d, d) maps are its own sums, so its mask
+    does not depend on the other refits.
     """
+    def through(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+        """`values @ matrix.T`, each row a sum of its own products."""
+        return sum(values[:, j, None] * matrix[:, j] for j in range(matrix.shape[1]))
+
     target = np.log(cases / (units - cases))
-    eta, centre, spread = rows @ start, np.abs(target @ inverse.T), np.abs(inverse).T
+    eta, centre, spread = start, np.abs(through(target, inverse)), np.abs(inverse)
     sure, inside = np.zeros(target.shape[0], dtype=bool), np.ones(target.shape[0], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a vanishing weight fails the bound
         for _ in range(_IRLS_MAX_ITER):
             miss = np.abs(eta - target)
             placed = (miss <= 0.5) | ((eta * target >= 0.0) & (np.abs(eta) <= np.abs(target)))
-            placed &= centre + miss @ spread <= _SEPARATION_BOUND / 2  # each |coefficient| within reach
+            placed &= centre + through(miss, spread) <= _SEPARATION_BOUND / 2  # each |coefficient| within reach
             sure |= inside & placed.all(axis=1)
             if (sure | ~inside).all():
                 break
             probs = expit(eta)
             eta = eta + (cases - units * probs) / (units * probs * (1.0 - probs))
-            inside &= (np.abs(eta @ inverse.T) <= _SEPARATION_BOUND / 2).all(axis=1)
+            inside &= (np.abs(through(eta, inverse)) <= _SEPARATION_BOUND / 2).all(axis=1)
     return sure
 
 

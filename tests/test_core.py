@@ -485,6 +485,18 @@ class TestBlockRanks:
         for a, b in zip(got, expected):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("r, n", [(1, 1), (1, 7), (4, 150), (60, 500), (1, 100_000)])
+    def test_covariate_means_are_each_samples_own_sum(self, p, r, n):
+        """The block's covariate means have the bytes of summing each
+        sample's (n, p) covariates alone, over its units in order."""
+        rng = np.random.default_rng([p, r, n])
+        w = rng.normal(size=(r, n, p)) * 10.0 ** rng.integers(-3, 4, size=(r, n, p))
+        t = (rng.random((r, n)) < 0.5).astype(float)
+        w_mean = core.block_cells(t, w, rng.normal(size=(r, n)))[7]
+        expected = np.array([np.add.reduce(sample) for sample in w]) / n
+        assert (w_mean.dtype, w_mean.shape, w_mean.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
 
 class TestPositivity:
     def test_all_half_is_clean(self, dataset):

@@ -1064,3 +1064,146 @@ class TestBatchedBootstrap:
         [report] = estimate_many(data, ["ipw"], [BATE], boot=BootstrapConfig(200, seed=0))
         assert [kw.get("start") for kw in irls] == [None]
         assert np.isfinite(report.se) and report.se > 0.0
+
+
+def sharing_cell_rows(make, count):
+    """The first `count` samples `make(seed)` with a propensity fit whose
+    cell rows equal the first one's, so that they batch as one ipw group."""
+    samples, key = [], None
+    for seed in range(1000):
+        data = make(seed)
+        try:
+            fit_logistic(data)
+        except SeparationError:
+            continue
+        cells = CellBatch.of(data)
+        if key is None:
+            key = (cells.w.tobytes(), cells.t.tobytes())
+        if (cells.w.tobytes(), cells.t.tobytes()) == key:
+            samples.append(data)
+        if len(samples) == count:
+            return samples
+    raise AssertionError("too few samples share their cell rows")
+
+
+def one_minority_unit_per_category_but(minority):
+    """`one_minority_unit_per_category` with `minority` units of the other
+    arm in each category: the same cells, and a resample that keeps every
+    cell is common enough for the bootstrap to finish."""
+    data = one_minority_unit_per_category()
+    t = np.tile(np.r_[np.zeros(minority), np.ones(8 - minority)], 16)
+    odd = np.arange(128) // 8 % 2 == 1
+    t[odd] = 1.0 - t[odd]
+    return ObservationSet(w=data.w, t=t, y=data.y)
+
+
+def group_against_alone(samples, replicates):
+    """ipw's bootstrap of `samples` as one `estimate_cells` group, each
+    from its own generator, against `estimate_many` on each sample alone
+    from a generator with the same seed: the same points, SEs, percentile
+    intervals and redraw note, or the same ConvergenceError, and the same
+    final generator state. Returns each sample's note or error message."""
+    estimands = (BATE, PEB1, PEB0)
+    contrasts = np.array([e.contrast for e in estimands])
+    boots = [BootstrapConfig(replicates, seed=np.random.default_rng([7, i]), ci_method="percentile")
+             for i in range(len(samples))]
+    units = [(logistic_cells(data)[2], data.y, boot) for data, boot in zip(samples, boots)]
+    results, _ = estimators.estimate_cells(CellBatch.stack([CellBatch.of(d) for d in samples]), ["ipw"],
+                                           contrasts, units)
+    points, ses, stops, cis, notes = results["ipw"]
+    outcomes = []
+    for i, data in enumerate(samples):
+        alone = BootstrapConfig(replicates, seed=np.random.default_rng([7, i]), ci_method="percentile")
+        try:
+            reports = estimate_many(data, ["ipw"], estimands, boot=alone)
+        except ConvergenceError as err:
+            assert (type(stops[i]), str(stops[i])) == (ConvergenceError, str(err))
+            outcomes.append(str(err))
+        else:
+            assert stops[i] is None
+            assert list(points[i]) == [r.point for r in reports] and list(ses[i]) == [r.se for r in reports]
+            assert [tuple(ci) for ci in cis[i]] == [r.ci for r in reports]
+            assert [d for d in reports[0].diagnostics if d.startswith("bootstrap")] == [notes[i]] * bool(notes[i])
+            outcomes.append(notes[i])
+        assert boots[i].seed.bit_generator.state == alone.seed.bit_generator.state
+    return outcomes
+
+
+class TestGroupBootstrap:
+    """The ipw bootstraps of a group's samples run as one pass, each sample
+    drawing from its own generator: each gets what it gets alone."""
+
+    def test_paper_design_with_redraws(self, monkeypatch):
+        """n = 20: resamples that lose an arm in a covariate pattern are
+        refitted by IRLS or redrawn. The first sample appears twice, so two
+        neighbouring samples have equal full-sample fits: they refit in
+        separate calls, and no run of equal start rows spans two passes."""
+        refits = count_calls(monkeypatch, "refit_logistic")
+        samples = sharing_cell_rows(lambda seed: sample_dgp(DgpSpec(), 20, seed), 6)
+        outcomes = group_against_alone([samples[0], *samples], 200)
+        assert any(note is not None and note.startswith("bootstrap redrew") for note in outcomes)
+        runs = [np.diff(np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1), True]))
+                for s in (call[3] for call in refits)]
+        assert max(run.max() for run in runs) == 200 and max(len(call[3]) for call in refits) > 200
+
+    def test_a_design_that_is_not_saturated(self, monkeypatch):
+        """Two binary covariates: every resample with both arms is refitted
+        by IRLS, and each `_irls` call refits the resamples of one sample."""
+        irls = count_calls(monkeypatch, "_irls", module=nuisance)
+        samples = sharing_cell_rows(lambda seed: two_binary_covariates(24, seed), 4)
+        outcomes = group_against_alone(samples, 100)
+        starts = [kw["start"].tobytes() for kw in irls if kw.get("start") is not None]
+        assert len(starts) >= len(samples) and len(set(starts)) == len(samples)
+        assert any(outcomes)
+
+    def test_a_sample_that_gives_up_stops_alone(self):
+        samples = [one_minority_unit_per_category_but(3), one_minority_unit_per_category(),
+                   one_minority_unit_per_category_but(2)]
+        outcomes = group_against_alone(samples, 2)
+        assert outcomes[1].startswith("bootstrap gave up after") and outcomes[0] != outcomes[1] != outcomes[2]
+
+    def test_a_refit_that_does_not_converge_stops_only_its_sample(self, monkeypatch):
+        """A ConvergenceError in one sample's refits stops that sample, with
+        the message it raises alone; the others are delivered."""
+        original = estimators.refit_logistic
+        samples = sharing_cell_rows(lambda seed: sample_dgp(DgpSpec(), 150, seed), 3)
+        full = fit_logistic(samples[1])
+        bad_start = np.concatenate([[full.intercept], full.coef]).tobytes()
+
+        def fails_for_one_start(x, t, counts, start):
+            if any(row.tobytes() == bad_start for row in np.atleast_2d(start)):
+                raise ConvergenceError("IRLS did not converge in 100 iterations; last step sizes: 1")
+            return original(x, t, counts, start)
+
+        monkeypatch.setattr(estimators, "refit_logistic", fails_for_one_start)
+        outcomes = group_against_alone(samples, 50)
+        assert outcomes[1] == "IRLS did not converge in 100 iterations; last step sizes: 1"
+        assert outcomes[0] is None and outcomes[2] is None
+
+    @pytest.mark.parametrize("n", [500, 2**17 + 1])
+    def test_no_reduction_sees_more_than_a_draw_chunk(self, monkeypatch, n):
+        data = sample_dgp(DgpSpec(), n, seed=3)
+        logistic_cells(data)  # the sample's grouping, before the count starts
+        counts = count_calls(monkeypatch, "bincount", module=estimators.np)
+        estimate_many(data, ["ipw"], [BATE], boot=BootstrapConfig(3 if n > 500 else 200, seed=0))
+        sizes = [len(call[0]) for call in counts]
+        assert sizes and max(sizes) <= estimators._DRAW_ELEMENTS
+
+    @pytest.mark.parametrize("n, k, m, cap", [(7, 2, 5, 2**14), (500, 4, 200, 2**14), (500, 500, 30, 2**14),
+                                              (300, 4, 9, 64), (1000, 3, 4, 300), (1000, 1000, 2, 333)])
+    def test_draw_chunks_reduce_as_one_block(self, monkeypatch, n, k, m, cap):
+        """Counts and y sums drawn in chunks of at most `cap` indices, rows
+        split when a row does not fit, have the bytes of one (m, n) draw
+        reduced by `np.bincount`, and leave the generator in its state."""
+        monkeypatch.setattr(estimators, "_DRAW_ELEMENTS", cap)
+        rng = np.random.default_rng(11)
+        cell = rng.integers(0, k, n) if k < n else rng.permutation(n)
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        chunked, whole = np.random.default_rng([3, n]), np.random.default_rng([3, n])
+        counts, y_sums = estimators._resample_cells(chunked, cell, y, k, m)
+        idx = whole.integers(0, n, size=(m, n))
+        offsets = (cell[idx] + k * np.arange(m)[:, None]).ravel()
+        expected_counts = np.bincount(offsets, minlength=m * k).reshape(m, k).astype(float)
+        expected_sums = np.bincount(offsets, weights=y[idx].ravel(), minlength=m * k).reshape(m, k)
+        assert counts.tobytes() == expected_counts.tobytes() and y_sums.tobytes() == expected_sums.tobytes()
+        assert chunked.bit_generator.state == whole.bit_generator.state

@@ -4,6 +4,7 @@ from scipy import stats
 from scipy.special import expit
 
 from bineffect import (
+    ConvergenceError,
     DegenerateArmError,
     ObservationSet,
     SeparationError,
@@ -434,6 +435,59 @@ class TestSaturatedRefit:
     )
     def test_other_designs_are_not_saturated(self, rows):
         assert saturated_patterns(np.asarray(rows)) is None
+
+
+def far_levels_sample(treated_low, treated_high):
+    """Six units at w = -3 and six at w = 5, the first `treated_low` and
+    `treated_high` of each untreated: far from 0, so a pattern that loses
+    an arm can drive the weighted Hessian singular before the coefficients
+    reach the separation bound."""
+    w = np.repeat([-3.0, 5.0], 6)[:, None]
+    t = np.r_[np.arange(6) >= treated_low, np.arange(6) >= treated_high].astype(float)
+    return ObservationSet(w=w, t=t, y=np.arange(12.0))
+
+
+def refit_outcome(x, t, counts, start, rows):
+    """The ConvergenceError message of a refit, or the mask and the
+    probabilities of `rows`."""
+    try:
+        probs, ok = refit_logistic(x, t, counts, start)
+    except ConvergenceError as err:
+        return str(err)
+    return ok[rows].tobytes(), probs[rows].tobytes()
+
+
+class TestRunsOfEqualStarts:
+    """Each run of refits that share a start row is one IRLS batch, as a
+    lone call on the run: the refits of one sample do not depend on the
+    resamples of the others."""
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 17, 50])
+    def test_a_refit_is_flagged_or_raises_as_alone(self, block):
+        """The resample with counts [3, 0, 2, 7] on w in {-3, 5} raises
+        ConvergenceError in some blocks of its own sample's resamples and
+        is flagged in others; between other samples' runs it does the same
+        as in its block alone."""
+        data = far_levels_sample(3, 3)
+        x, t, cell = logistic_cells(data)
+        idx = np.random.default_rng(0).integers(0, data.n, size=(block - 1, data.n))
+        own = np.vstack([[3.0, 0.0, 2.0, 7.0], *(np.bincount(cell[row], minlength=4) for row in idx)])
+        start = coefficients(fit_logistic(data))
+        alone = refit_outcome(x, t, own, start, slice(None))
+        # the neighbours: both arms in both patterns, and one pattern with one arm, which IRLS flags
+        neighbours = np.array([[3.0, 3.0, 2.0, 4.0], [1.0, 5.0, 4.0, 2.0], [6.0, 0.0, 1.0, 5.0]])
+        other = coefficients(fit_logistic(far_levels_sample(2, 4)))
+        assert refit_outcome(x, t, neighbours, other, slice(None))[0] == np.array([True, True, False]).tobytes()
+        counts = np.vstack([neighbours, own, neighbours])
+        starts = np.repeat([other, start, other], [3, block, 3], axis=0)
+        assert refit_outcome(x, t, counts, starts, slice(3, 3 + block)) == alone
+        assert isinstance(alone, str) == (block <= 2)  # it raises alone in blocks of 1 and 2
+
+    def test_one_start_row_for_all_equals_a_row_per_refit(self):
+        x, t, start, counts = resample_counts(two_binary_covariates(200, seed=1), 40, 0)
+        probs, ok = refit_logistic(x, t, counts, start)
+        each = refit_logistic(x, t, counts, np.tile(start, (counts.shape[0], 1)))
+        assert ok.tobytes() == each[1].tobytes() and probs.tobytes() == each[0].tobytes()
 
 
 class TestPredictOutcome:
