@@ -44,7 +44,7 @@ _TMLE_TOL = 1e-10
 _TMLE_MAX_ITER = 100
 
 _RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
-_BLOCK_ELEMENTS = 2**17  # resamples x n per pass of a sample, and resamples x k per pooled refit
+_BLOCK_ELEMENTS = 2**17  # resamples x width (units or cells) per pass of a sample, and per pool of passes
 # Bootstrap indices drawn and reduced at once. mc_paper batches (2 cores, one BLAS thread, median
 # of 40 batches) in a fresh process: 2^12 7.7 ms, 2^13 7.1, 2^14 6.8, 2^15 8.1 and 2^16 8.9 ms.
 # From 2^15 on, a chunk's int64 arrays pass glibc's 128 KiB mmap threshold and are mapped afresh
@@ -195,32 +195,32 @@ def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: float) -
 
 
 def _bootstrap_many(
-    sizes: Sequence[int],
     width: int,
     draw: Callable[[int, np.random.Generator, int], object],
-    statistic: Callable[[list], tuple[np.ndarray, np.ndarray]],
+    statistic: Callable[[list], list[tuple]],
     boots: Sequence[BootstrapConfig],
     e: int,
     ci_level: float,
 ) -> list:
-    """Bootstraps of R samples, sample i of sizes[i] rows resampled with
-    replacement as `boots[i]` says; returns per sample (ses, percentile cis
-    or None unless its ci_method is percentile, redraw note) or the
-    ConvergenceError that stopped it.
+    """Bootstraps of R samples, each resampled with replacement as `boots[i]`
+    says; returns per sample (ses, percentile cis or None unless its
+    ci_method is percentile, redraw note) or the ConvergenceError that
+    stopped it.
 
-    Sample i draws passes of min(need, max(1, `_BLOCK_ELEMENTS` // sizes[i]))
-    resamples from its own generator: `draw(i, rng, m)` takes m successive
-    size-n draws, which give the same indices, and leave the generator in the
-    same state, as one (m, n) draw. The passes of the samples still drawing
-    are pooled, in order, while their resamples times `width` stay within
-    `_BLOCK_ELEMENTS`, and `statistic` takes a pool's list of (i, drawn) and
-    returns its stacked (resamples, e) estimates and a mask of the resamples
-    it could evaluate. The others (a degenerate arm, separation, a singular
-    design) are redrawn and counted, so each sample's accepted resamples are
-    the first `replicates` good draws of its stream. A ConvergenceError of a
-    pool is looked for pass by pass and stops only its sample, as does a
-    redraw count past max(1000, 100 * replicates). The note is None unless
-    more than 1% of resamples were redrawn.
+    A resample is seen as `width` values (its units, or its cells' counts),
+    so each pass of a sample takes min(need, max(1, `_BLOCK_ELEMENTS` //
+    width)) resamples from the sample's own generator: `draw(i, rng, m)`
+    takes m successive draws, which give the same indices, and leave the
+    generator in the same state, as m passes of one. The passes of the
+    samples still drawing are pooled, in order, while their resamples times
+    `width` stay within `_BLOCK_ELEMENTS`. `statistic` takes a pool's list
+    of (i, drawn) and returns per pass its (m, e) estimates, a mask of the
+    resamples it could evaluate and None or the ConvergenceError that stops
+    its sample. The others (a degenerate arm, separation, a singular design)
+    are redrawn and counted, so each sample's accepted resamples are the
+    first `replicates` good draws of its stream. A redraw count past
+    max(1000, 100 * replicates) stops its sample too. The note is None
+    unless more than 1% of resamples were redrawn.
     """
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
     rngs = [np.random.default_rng(boot.seed) for boot in boots]
@@ -230,18 +230,17 @@ def _bootstrap_many(
     while live:
         pools, total = [[]], 0
         for i in live:
-            m = min(max(1, _BLOCK_ELEMENTS // sizes[i]), boots[i].replicates - done[i])
+            m = min(max(1, _BLOCK_ELEMENTS // width), boots[i].replicates - done[i])
             if pools[-1] and total + m * width > _BLOCK_ELEMENTS:
                 pools, total = pools + [[]], 0
             pools[-1].append((i, m))
             total += m * width
         for pool in pools:
             drawn = [(i, draw(i, rngs[i], m)) for i, m in pool]
-            for (i, m), result in zip(pool, _per_pass(statistic, drawn, [m for _, m in pool])):
-                if isinstance(result, ConvergenceError):
-                    out[i] = result
+            for (i, m), (values, ok, stop) in zip(pool, statistic(drawn)):
+                if stop is not None:
+                    out[i] = stop
                     continue
-                values, ok = result
                 good = int(np.count_nonzero(ok))
                 estimates[i][done[i] : done[i] + good] = values[ok]
                 done[i] += good
@@ -263,22 +262,6 @@ def _bootstrap_many(
     return out
 
 
-def _per_pass(statistic: Callable, drawn: list, sizes: list[int]) -> list:
-    """`statistic` on a pool of passes, split back into each pass's
-    (values, ok); after a ConvergenceError, each pass alone, so that the
-    error stops only the passes that raise it."""
-    try:
-        values, ok = statistic(drawn)
-    except ConvergenceError as err:
-        if len(drawn) == 1:
-            return [err]
-        return [_per_pass(statistic, [one], [m])[0] for one, m in zip(drawn, sizes)]
-    if len(drawn) == 1:
-        return [(values, ok)]
-    cuts = np.cumsum(sizes)[:-1]
-    return list(zip(np.split(values, cuts), np.split(ok, cuts)))
-
-
 def bootstrap_se(
     data: ObservationSet,
     estimator_fn: Callable[[ObservationSet], float],
@@ -292,7 +275,7 @@ def bootstrap_se(
     when more than 1% of resamples had to be redrawn.
     """
 
-    def statistic(passes: list) -> tuple[np.ndarray, np.ndarray]:
+    def statistic(passes: list) -> list[tuple]:
         [(_, idx)] = passes
         values = np.empty((idx.shape[0], 1))
         ok = np.ones(idx.shape[0], dtype=bool)
@@ -301,13 +284,12 @@ def bootstrap_se(
                 values[i] = estimator_fn(data.subset(rows))
             except _RESAMPLE_ERRORS:
                 ok[i] = False
-        return values, ok
+        return [(values, ok, None)]
 
     def draw(_, rng: np.random.Generator, m: int) -> np.ndarray:
         return rng.integers(0, data.n, size=(m, data.n))
 
-    [result] = _bootstrap_many([data.n], data.n, draw, statistic, [replace(boot, ci_method="percentile")], 1,
-                               ci_level)
+    [result] = _bootstrap_many(data.n, draw, statistic, [replace(boot, ci_method="percentile")], 1, ci_level)
     if isinstance(result, ConvergenceError):
         raise result
     ses, cis, note = result
@@ -352,38 +334,41 @@ def _ipw(
     it. `units` holds each sample's units' cell indices and outcomes and its
     BootstrapConfig, `pscore` (R, k) the propensities at the cells. All
     estimands share one set of resamples, each seen as its counts and y sums
-    per cell. Each pool of passes refits the propensity once
+    per cell, so a pass of a sample takes resamples by its cells, not its
+    units. Each pool of passes refits the propensity once
     (`refit_logistic`), each resample from its sample's full-sample
     coefficients in `start` (R, d); with `start` None, `pscore` is held
-    fixed. `refit_logistic` runs IRLS once per run of equal start rows, so a
-    pass whose start equals the pass before it is refitted in a call of its
-    own: no sample's refits share an IRLS batch with another's."""
+    fixed. Off a saturated design `refit_logistic` runs IRLS once per run of
+    equal start rows, so a pass whose start equals the pass before it is
+    refitted in a call of its own: no sample's refits share an IRLS batch
+    with another's. A refit that does not converge stops its sample, with
+    the error of the first such resample of the pass."""
     k = t.size
 
     def draw(i: int, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
         return _resample_cells(rng, units[i][0], units[i][1], k, m)
 
-    def statistic(passes: list) -> tuple[np.ndarray, np.ndarray]:
+    def statistic(passes: list) -> list[tuple]:
         same = [j for j in range(1, len(passes))
                 if start is not None and (start[passes[j][0]] == start[passes[j - 1][0]]).all()]
-        if not same:
-            return evaluate(passes)
-        parts = [evaluate(passes[lo:hi]) for lo, hi in zip([0, *same], [*same, len(passes)])]
-        return np.concatenate([v for v, _ in parts]), np.concatenate([ok for _, ok in parts])
+        return [one for lo, hi in zip([0, *same], [*same, len(passes)]) for one in evaluate(passes[lo:hi])]
 
-    def evaluate(passes: list) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(passes: list) -> list[tuple]:
         samples = [i for i, _ in passes]
         sizes = [counts.shape[0] for _, (counts, _) in passes]
         counts, y_sums = passes[0][1] if len(passes) == 1 else (np.concatenate(v) for v in zip(*(d for _, d in passes)))
         if start is None:
-            probs, ok = np.repeat(pscore[samples], sizes, axis=0), np.ones(counts.shape[0], dtype=bool)
+            probs, ok, stalled = np.repeat(pscore[samples], sizes, axis=0), np.ones(counts.shape[0], dtype=bool), {}
         else:
-            probs, ok = refit_logistic(x, t, counts, np.repeat(start[samples], sizes, axis=0))
+            probs, ok, stalled = refit_logistic(x, t, counts, np.repeat(start[samples], sizes, axis=0))
         n = np.repeat([float(units[i][1].size) for i in samples], sizes)[:, None]
-        return _ipw_arms(t, y_sums, probs, n) @ contrasts.T, ok
+        values, ends, stops = _ipw_arms(t, y_sums, probs, n) @ contrasts.T, np.cumsum(sizes), [None] * len(passes)
+        for row, err in sorted(stalled.items()):
+            j = int(np.searchsorted(ends, row, side="right"))
+            stops[j] = stops[j] or err
+        return [(values[hi - m : hi], ok[hi - m : hi], stop) for m, hi, stop in zip(sizes, ends, stops)]
 
-    sizes = [y.size for _, y, _ in units]
-    return _bootstrap_many(sizes, k, draw, statistic, [boot for *_, boot in units], len(contrasts), ci_level)
+    return _bootstrap_many(k, draw, statistic, [boot for *_, boot in units], len(contrasts), ci_level)
 
 
 def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass, fields, replace
 from typing import Protocol, Sequence
@@ -183,7 +184,7 @@ def _irls(
     start: np.ndarray | None = None,
     max_iter: int = _IRLS_MAX_ITER,
     pooled: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, ConvergenceError]]:
     """Newton-Raphson logistic MLE of t on x for m frequency-weighted copies
     of one sample.
 
@@ -193,12 +194,13 @@ def _irls(
     Each problem's products are its own matrix calls, as a lone problem's,
     so its iterates do not depend on the others; with `pooled`, the
     Hessians of all moving problems are one (m, n) @ (n, d*d) product,
-    faster for many problems. Returns the (m, d) coefficients and an (m,)
-    mask of the problems that converged. A problem whose coefficients pass
-    the separation bound or whose weighted Hessian is singular is flagged
-    instead; its coefficients are those of the step that flagged it
-    (unchanged by a singular Hessian). A problem still moving after
-    `max_iter` iterations raises ConvergenceError.
+    faster for many problems. Returns the (m, d) coefficients, an (m,) mask
+    of the problems that converged, and the problems still moving after
+    `max_iter` iterations, by index, each with a ConvergenceError naming its
+    own last five step sizes; they keep their last iterate. A problem whose
+    coefficients pass the separation bound or whose weighted Hessian is
+    singular is flagged instead; its coefficients are those of the step
+    that flagged it (unchanged by a singular Hessian).
     """
     m, d = counts.shape[0], x.shape[1]
     beta = np.zeros((m, d)) if start is None else np.tile(np.asarray(start, dtype=float), (m, 1))
@@ -207,7 +209,7 @@ def _irls(
     # row-wise x_i x_i', so the Hessians of k problems are one (k, n) @ (n, d*d) product
     outer = (x[:, :, None] * x[:, None, :]).reshape(-1, d * d) if pooled and m > 1 else None
     t_col = t[:, None]
-    steps = []
+    recent = collections.deque(maxlen=5)  # the moving problems and their step sizes, per iteration
     for _ in range(max_iter):
         if outer is not None and active.size > 1:  # problems in columns: (n, k)
             probs, weights = expit(x @ b.T), c.T
@@ -234,17 +236,18 @@ def _irls(
         if singular is not None:
             failed |= singular
         moving = ~(failed | (size < _IRLS_TOL))  # a NaN step keeps moving, into ConvergenceError
-        steps.append((size, moving))
+        recent.append((active, size))
         if not moving.all():
             beta[active] = b
             ok[active[failed]] = False
             if not moving.any():
-                return beta, ok
+                return beta, ok, {}
             active, b, c = active[moving], b[moving], c[moving]
-    trace = ", ".join(f"{size[moving].max():.3g}" for size, moving in steps[-5:])
-    raise ConvergenceError(
-        f"IRLS did not converge in {max_iter} iterations; last step sizes: {trace}"
-    )
+    beta[active], ok[active], stalled = b, False, {}
+    for i in active:
+        trace = ", ".join(f"{size[ids.searchsorted(i)]:.3g}" for ids, size in recent)
+        stalled[int(i)] = ConvergenceError(f"IRLS did not converge in {max_iter} iterations; last step sizes: {trace}")
+    return beta, ok, stalled
 
 
 def logistic_design(w: np.ndarray) -> np.ndarray:
@@ -272,23 +275,17 @@ def logistic_fits(cells: CellBatch, start: np.ndarray | None = None) -> tuple[Pr
     """The logistic fit of each sample of `cells`: a PropensityModel with the
     samples on the first axis of its fields (intercept (R, 1)), and per
     sample None or the EstimationError that stops it (`_logistic_stop`,
-    DegenerateArmError for one arm or none, or ConvergenceError, found by
-    refitting the samples one at a time, as each iterates alone in `_irls`).
+    DegenerateArmError for one arm or none, or the ConvergenceError that
+    `_irls` reports). Each sample iterates on its own arithmetic, as alone.
     """
     r, x = cells.sizes.shape[0], logistic_design(cells.w)
     if not 0.0 < cells.t.sum() < cells.t.size:  # one arm or none
         stop = "cannot fit the propensity model: both treatment arms must be present"
         beta, stops = np.full((r, x.shape[1]), np.nan), [DegenerateArmError(stop) for _ in range(r)]
     else:
-        try:
-            beta, ok = _irls(x, cells.t, counts=cells.sizes, start=start)
-            stops = [None if good else _logistic_stop(x, sizes, b) for good, sizes, b in zip(ok, cells.sizes, beta)]
-        except ConvergenceError as err:
-            beta, stops = np.full((r, x.shape[1]), np.nan), [err]
-            if r > 1:
-                alone = [logistic_fits(cells.take([i]), start) for i in range(r)]
-                beta = np.vstack([np.hstack([model.intercept[0], model.coef[0]]) for model, _ in alone])
-                stops = [stop for _, [stop] in alone]
+        beta, ok, stalled = _irls(x, cells.t, counts=cells.sizes, start=start)
+        stops = [None if good else stalled.get(i) or _logistic_stop(x, sizes, b)
+                 for i, (good, sizes, b) in enumerate(zip(ok, cells.sizes, beta))]
     return PropensityModel(beta[:, :1], beta[:, 1:]), stops
 
 
@@ -352,7 +349,7 @@ def cell_moments(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def refit_logistic(
     x: np.ndarray, t: np.ndarray, counts: np.ndarray, start: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, ConvergenceError]]:
     """Refit the propensity on m frequency-weighted resamples at once.
 
     `x` (k, d) and `t` (k,) are logistic design rows and treatments, such as
@@ -360,64 +357,59 @@ def refit_logistic(
     often each row appears in resample b: the frequency-weight view of the
     nonparametric bootstrap (Efron & Tibshirani 1993). `start` (intercept,
     then coefficients) is one row for every refit, or one row per refit (m,
-    d). Each run of consecutive refits with equal start rows is one batched
-    IRLS from that start, computed as a lone call on the run would compute
-    it, so a run's refits do not depend on the other runs. Returns each
-    refit's probabilities for every row, (m, k) and clipped like
-    `predict_proba`, and an (m,) mask of the refits that succeeded; a
+    d). Returns each refit's probabilities for every row, (m, k) and clipped
+    like `predict_proba`, an (m,) mask of the refits that succeeded, and the
+    refits that did not converge, by row, each with its ConvergenceError. A
     resample on which `fit_logistic` would raise DegenerateArmError,
-    SeparationError or SingularDesignError is flagged instead. A refit that
-    does not converge raises ConvergenceError.
+    SeparationError or SingularDesignError is flagged instead.
 
-    On a saturated design (`saturated_patterns`), the MLE gives each
-    covariate pattern its treated share (McCullagh & Nelder 1989, section
-    4.4). A resample with both arms in every pattern, on which IRLS would
-    converge (`_newton_converges`), gets those shares, from exact integer
-    sums of its counts, and runs no IRLS. That test runs on all runs at
-    once, each refit on its own arithmetic.
+    On a saturated design (`saturated_patterns`) a resample's MLE exists
+    exactly when every covariate pattern holds both arms (Albert & Anderson
+    1984), and it gives each pattern its treated share (McCullagh & Nelder
+    1989, section 4.4). There each refit is its patterns' shares, from exact
+    integer sums of its counts, and no IRLS runs; a resample without both
+    arms in every pattern is flagged (its probabilities are 0 or 1, clipped,
+    in a pattern with one arm and NaN in an empty one). Elsewhere each run
+    of consecutive refits with equal start rows is one pooled IRLS (`_irls`)
+    from that start, computed as a lone call on the run would compute it,
+    so a run's refits do not depend on the other runs.
     """
-    m = counts.shape[0]
+    m, patterns = counts.shape[0], saturated_patterns(x)
+    if patterns is not None:
+        member, index = patterns
+        units, cases = counts @ member, counts @ (member * t[:, None])  # per pattern, (m, d): exact integer sums
+        with np.errstate(invalid="ignore"):  # 0 / 0 in an empty pattern
+            shares = cases / units
+        ok = ((cases > 0.0) & (cases < units)).all(axis=1)
+        return np.clip(shares[:, index], _PROB_FLOOR, 1.0 - _PROB_FLOOR), ok, {}
     starts = np.broadcast_to(np.asarray(start, dtype=float), (m, x.shape[1]))
     edges = [0, *(np.flatnonzero((starts[1:] != starts[:-1]).any(axis=1)) + 1), m]
     treated = counts @ t
     ok = (treated > 0.0) & (treated < counts.sum(axis=1))  # both arms present
-    newton, patterns = ok, saturated_patterns(x)
-    if patterns is not None:
-        member, rows, inverse = patterns
-        units, cases = counts @ member, counts @ (member * t[:, None])  # per pattern, (m, d): exact integer sums
-        closed = np.flatnonzero(ok & ((cases > 0.0) & (cases < units)).all(axis=1))
-        # each run's start logits, the product of a lone call
-        logits = np.repeat([rows @ starts[lo] for lo in edges[:-1]], np.diff(edges), axis=0)
-        closed = closed[_newton_converges(rows, inverse, units[closed], cases[closed], logits[closed])]
-        newton = ok.copy()
-        newton[closed] = False
-    probs, left = np.empty((m, x.shape[0])), newton | ~ok  # left: the refits with no closed form
+    probs, stalled = np.empty((m, x.shape[0])), {}
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if not left[lo:hi].any():
-            continue
         beta = np.tile(starts[lo], (hi - lo, 1))
-        both = np.flatnonzero(newton[lo:hi])
+        both = np.flatnonzero(ok[lo:hi])
         if both.size:
-            beta[both], ok[lo + both] = _irls(x, t, start=starts[lo], counts=counts[lo + both], pooled=True)
+            beta[both], ok[lo + both], stuck = _irls(x, t, start=starts[lo], counts=counts[lo + both], pooled=True)
+            stalled.update((lo + int(both[j]), err) for j, err in stuck.items())
         np.clip(expit(beta @ x.T, out=probs[lo:hi]), _PROB_FLOOR, 1.0 - _PROB_FLOOR, out=probs[lo:hi])
-    if patterns is not None:  # each cell its pattern's share
-        probs[closed] = np.clip((cases[closed] / units[closed]) @ member.T, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
-    return probs, ok
+    return probs, ok, stalled
 
 
-def saturated_patterns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def saturated_patterns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """For k logistic design rows `x` (k, d) that hold exactly d distinct
     rows forming a nonsingular matrix (a saturated model): the (k, d) 0/1
-    indicator of each row's pattern, the (d, d) matrix of the patterns, in
-    order of first appearance, and its inverse. Else None, at once for k >
-    2d, since a pattern holds at most two cells (t = 0 and 1). Computed once
-    per distinct design."""
+    indicator of each row's pattern, the patterns in order of first
+    appearance, and each row's (k,) pattern index. Else None, at once for
+    k > 2d, since a pattern holds at most two cells (t = 0 and 1). Computed
+    once per distinct design."""
     k, d = x.shape
     return None if k > 2 * d else _patterns(np.ascontiguousarray(x, dtype=float).tobytes(), d)
 
 
 @functools.lru_cache(maxsize=64)
-def _patterns(rows: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _patterns(rows: bytes, d: int) -> tuple[np.ndarray, np.ndarray] | None:
     x = np.frombuffer(rows).reshape(-1, d)
     same = (x[:, None, :] == x[None, :, :]).all(axis=-1)
     first = np.flatnonzero(same.argmax(axis=1) == np.arange(x.shape[0]))
@@ -426,52 +418,11 @@ def _patterns(rows: bytes, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] 
     sv = np.linalg.svd(x[first], compute_uv=False)
     if not sv[-1] > _RANK_TOL * sv[0]:
         return None
-    out = same[:, first].astype(float), x[first], np.linalg.inv(x[first])
+    member = same[:, first]
+    out = member.astype(float), member.argmax(axis=1)
     for v in out:
         v.flags.writeable = False
     return out
-
-
-def _newton_converges(
-    rows: np.ndarray, inverse: np.ndarray, units: np.ndarray, cases: np.ndarray, start: np.ndarray
-) -> np.ndarray:
-    """Mask of the refits of a saturated design, with (m, d) `units` and
-    treated `cases` per pattern `rows` (d, d) and both arms in each, on which
-    `_irls` from start logits `start` (m, d), each refit's `rows @ start`,
-    converges with every iterate inside half the separation bound.
-
-    In the pattern logits eta = rows @ beta the likelihood is a sum over the
-    patterns, and Newton's method is invariant under that invertible map, so
-    each IRLS step moves each pattern's logit by its own scalar Newton step
-    toward its target logit(cases / units). From a logit within 1/2 of
-    its target the steps contract toward it, and from one between 0 and its
-    target they approach it monotonically (the score expit(eta) - share is
-    convex below 0 and concave above: Fourier's condition). Either way the
-    iterates stay within the logit's distance of the target, which bounds
-    the coefficients. Until every pattern of a refit is so placed, its steps
-    are taken here; a refit that leaves the bound first is left to `_irls`.
-    Each refit's products with the (d, d) maps are its own sums, so its mask
-    does not depend on the other refits.
-    """
-    def through(values: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-        """`values @ matrix.T`, each row a sum of its own products."""
-        return sum(values[:, j, None] * matrix[:, j] for j in range(matrix.shape[1]))
-
-    target = np.log(cases / (units - cases))
-    eta, centre, spread = start, np.abs(through(target, inverse)), np.abs(inverse)
-    sure, inside = np.zeros(target.shape[0], dtype=bool), np.ones(target.shape[0], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a vanishing weight fails the bound
-        for _ in range(_IRLS_MAX_ITER):
-            miss = np.abs(eta - target)
-            placed = (miss <= 0.5) | ((eta * target >= 0.0) & (np.abs(eta) <= np.abs(target)))
-            placed &= centre + through(miss, spread) <= _SEPARATION_BOUND / 2  # each |coefficient| within reach
-            sure |= inside & placed.all(axis=1)
-            if (sure | ~inside).all():
-                break
-            probs = expit(eta)
-            eta = eta + (cases - units * probs) / (units * probs * (1.0 - probs))
-            inside &= (np.abs(through(eta, inverse)) <= _SEPARATION_BOUND / 2).all(axis=1)
-    return sure
 
 
 @dataclass(frozen=True)

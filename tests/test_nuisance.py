@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -162,12 +164,28 @@ class TestLogistic:
         np.testing.assert_allclose(model2.coef, model.coef, rtol=1e-9, atol=1e-12)
 
     def test_nonconvergence_reports_step_trace(self, dataset):
-        from bineffect.core import ConvergenceError
-        from bineffect.nuisance import _irls
-
         x = np.hstack([np.ones((dataset.n, 1)), dataset.w])
-        with pytest.raises(ConvergenceError, match="last step sizes"):
-            _irls(x, dataset.t, counts=np.ones((1, dataset.n)), max_iter=1)
+        _, ok, stalled = _irls(x, dataset.t, counts=np.ones((1, dataset.n)), max_iter=1)
+        assert not ok[0] and list(stalled) == [0] and isinstance(stalled[0], ConvergenceError)
+        assert re.fullmatch(r"IRLS did not converge in 1 iterations; last step sizes: [0-9.e+-]+", str(stalled[0]))
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_each_problem_reports_its_own_stop(self, dataset, pooled):
+        """The problems still moving after max_iter are reported one by one,
+        each with the coefficients and the message naming its own last step
+        sizes that it gets alone; the others converge as alone."""
+        x = np.hstack([np.ones((dataset.n, 1)), dataset.w])
+        idx = np.random.default_rng(3).integers(0, dataset.n, size=(3, dataset.n))
+        counts = np.vstack([[np.bincount(row, minlength=dataset.n) for row in idx], np.ones(dataset.n)])
+        reported = []
+        for max_iter in (3, 5, 6, 8):
+            beta, ok, stalled = _irls(x, dataset.t, counts=counts, max_iter=max_iter, pooled=pooled)
+            reported.append(sorted(stalled))
+            for i in range(4):
+                b, good, alone = _irls(x, dataset.t, counts=counts[i : i + 1], max_iter=max_iter)
+                assert ok[i] == good[0] and str(stalled.get(i)) == str(alone.get(0))
+                np.testing.assert_allclose(beta[i], b[0], rtol=1e-12)
+        assert reported == [[0, 1, 2, 3], [0, 2, 3], [2], []]
 
     def test_probabilities_strictly_inside_unit_interval(self, dataset):
         model = fit_logistic(dataset)
@@ -259,7 +277,7 @@ class TestLogisticCells:
 
 def unit_rows_fit(data):
     """The propensity IRLS on the units, one row each: the reference for the grouped fit."""
-    beta, ok = _irls(np.hstack([np.ones((data.n, 1)), data.w]), data.t, np.ones((1, data.n)))
+    beta, ok, _ = _irls(np.hstack([np.ones((data.n, 1)), data.w]), data.t, np.ones((1, data.n)))
     assert ok[0]
     return beta[0]
 
@@ -347,12 +365,13 @@ def both_arms(counts, t):
 
 def irls_refit(x, t, counts, start):
     """Every resample with both arms refitted by one batched IRLS from
-    `start`: the reference for the saturated closed form."""
+    `start`, and the mask of those on which it converges: the reference for
+    the saturated closed form."""
     ok = both_arms(counts, t)
     beta = np.tile(start, (counts.shape[0], 1))
     both = np.flatnonzero(ok)
     if both.size:
-        beta[both], ok[both] = _irls(x, t, counts=counts[both], start=start, pooled=True)
+        beta[both], ok[both], _ = _irls(x, t, counts=counts[both], start=start, pooled=True)
     return np.clip(expit(beta @ x.T), 1e-15, 1.0 - 1e-15), ok
 
 
@@ -387,10 +406,22 @@ def irls_problems(monkeypatch):
     return problems
 
 
+def far_levels_sample(treated_low, treated_high):
+    """Six units at w = -3 and six at w = 5, the first `treated_low` and
+    `treated_high` of each untreated: far from 0, so a pattern that loses
+    an arm can drive the weighted Hessian singular before the coefficients
+    reach the separation bound."""
+    w = np.repeat([-3.0, 5.0], 6)[:, None]
+    t = np.r_[np.arange(6) >= treated_low, np.arange(6) >= treated_high].astype(float)
+    return ObservationSet(w=w, t=t, y=np.arange(12.0))
+
+
 class TestSaturatedRefit:
-    """On a saturated design the refit of a resample with both arms in every
-    covariate pattern is each pattern's treated share, computed without
-    IRLS; it must agree with IRLS from the full-sample fit."""
+    """On a saturated design a resample's MLE exists exactly when every
+    covariate pattern holds both arms, and then it is each pattern's treated
+    share: the refit accepts exactly those resamples, gives them their
+    shares without IRLS, and must agree with IRLS from the full-sample fit
+    wherever that converges."""
 
     @pytest.mark.parametrize(
         "levels",
@@ -409,21 +440,63 @@ class TestSaturatedRefit:
         empty[member[:, 0] == 1.0] = 0.0
         one_arm_pattern[(member[:, 0] == 1.0) & (t == 1.0)] = 0.0
         counts = np.vstack([counts, one_arm, empty, one_arm_pattern])
-        reference, expected = irls_refit(x, t, counts, start)
+        reference, converged = irls_refit(x, t, counts, start)
         refits = irls_problems(monkeypatch)
-        probs, ok = refit_logistic(x, t, counts, start)
-        np.testing.assert_array_equal(ok, expected)
-        assert not ok[-3:-1].any()
-        np.testing.assert_allclose(probs[ok], reference[ok], rtol=1e-12)
-        assert sum(refits) < both_arms(counts, t).sum()  # some resamples ran no IRLS
+        probs, ok, stalled = refit_logistic(x, t, counts, start)
+        units, cases = counts @ member, counts @ (member * t[:, None])
+        np.testing.assert_array_equal(ok, ((cases > 0.0) & (cases < units)).all(axis=1))
+        assert not ok[-3:].any() and not stalled and refits == []
+        both = converged & ok  # IRLS can also stop on a resample whose MLE does not exist
+        assert both.any()
+        np.testing.assert_allclose(probs[both], reference[both], rtol=1e-12)
+
+    def test_a_resample_on_which_irls_overshoots_takes_its_shares(self, monkeypatch):
+        """n = 20 on the paper design: the resample with cell counts [16, 1,
+        2, 1] holds both arms in both patterns, so its MLE exists, but IRLS
+        from the full-sample fit overshoots past the separation bound. The
+        refit accepts it with its patterns' treated shares, 1/17 and 1/3."""
+        data = sample_dgp(DgpSpec(), 20, seed=16)
+        x, t, _ = logistic_cells(data)
+        np.testing.assert_array_equal(x[:, 1], [0.0, 0.0, 1.0, 1.0])
+        np.testing.assert_array_equal(t, [0.0, 1.0, 0.0, 1.0])
+        start, counts = coefficients(fit_logistic(data)), np.array([[16.0, 1.0, 2.0, 1.0]])
+        _, converged, stalled = _irls(x, t, counts=counts, start=start, pooled=True)
+        assert not converged[0] and not stalled  # flagged as separated
+        refits = irls_problems(monkeypatch)
+        probs, ok, stalled = refit_logistic(x, t, counts, start)
+        assert ok[0] and not stalled and refits == []
+        assert probs[0].tobytes() == np.array([1 / 17, 1 / 17, 1 / 3, 1 / 3]).tobytes()
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 17, 50, 300])
+    def test_a_refit_is_flagged_alike_in_every_block(self, monkeypatch, block):
+        """The resample with counts [3, 0, 2, 7] on w in {-3, 5}, whose
+        pattern w = -3 holds one arm, is flagged with the same bytes in
+        every block of its own sample's resamples, and between another
+        sample's refits, with no IRLS. IRLS from the full-sample fit does not
+        converge on it."""
+        data = far_levels_sample(3, 3)
+        x, t, cell = logistic_cells(data)
+        idx = np.random.default_rng(0).integers(0, data.n, size=(block - 1, data.n))
+        own = np.vstack([[3.0, 0.0, 2.0, 7.0], *(np.bincount(cell[row], minlength=4) for row in idx)])
+        start = coefficients(fit_logistic(data))
+        assert list(_irls(x, t, counts=own[:1], start=start, pooled=True)[2]) == [0]
+        neighbours = np.array([[3.0, 3.0, 2.0, 4.0], [1.0, 5.0, 4.0, 2.0], [6.0, 0.0, 1.0, 5.0]])
+        other = coefficients(fit_logistic(far_levels_sample(2, 4)))
+        refits = irls_problems(monkeypatch)
+        expected = np.clip([0.0, 0.0, 7 / 9, 7 / 9], 1e-15, 1.0 - 1e-15).tobytes()
+        for counts, starts, row in [(own, start, 0), (np.vstack([neighbours, own, neighbours]),
+                                                      np.repeat([other, start, other], [3, block, 3], axis=0), 3)]:
+            probs, ok, stalled = refit_logistic(x, t, counts, starts)
+            assert not ok[row] and not stalled and probs[row].tobytes() == expected
+        assert refits == []
 
     def test_non_saturated_design_runs_irls_unchanged(self, monkeypatch):
         x, t, start, counts = resample_counts(two_binary_covariates(200, seed=1), 200, 0)
         assert saturated_patterns(x) is None
         reference, expected = irls_refit(x, t, counts, start)
         refits = irls_problems(monkeypatch)
-        probs, ok = refit_logistic(x, t, counts, start)
-        assert refits == [both_arms(counts, t).sum()]
+        probs, ok, stalled = refit_logistic(x, t, counts, start)
+        assert refits == [both_arms(counts, t).sum()] and not stalled
         assert ok.tobytes() == expected.tobytes() and probs.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize(
@@ -437,57 +510,16 @@ class TestSaturatedRefit:
         assert saturated_patterns(np.asarray(rows)) is None
 
 
-def far_levels_sample(treated_low, treated_high):
-    """Six units at w = -3 and six at w = 5, the first `treated_low` and
-    `treated_high` of each untreated: far from 0, so a pattern that loses
-    an arm can drive the weighted Hessian singular before the coefficients
-    reach the separation bound."""
-    w = np.repeat([-3.0, 5.0], 6)[:, None]
-    t = np.r_[np.arange(6) >= treated_low, np.arange(6) >= treated_high].astype(float)
-    return ObservationSet(w=w, t=t, y=np.arange(12.0))
-
-
-def refit_outcome(x, t, counts, start, rows):
-    """The ConvergenceError message of a refit, or the mask and the
-    probabilities of `rows`."""
-    try:
-        probs, ok = refit_logistic(x, t, counts, start)
-    except ConvergenceError as err:
-        return str(err)
-    return ok[rows].tobytes(), probs[rows].tobytes()
-
-
 class TestRunsOfEqualStarts:
-    """Each run of refits that share a start row is one IRLS batch, as a
-    lone call on the run: the refits of one sample do not depend on the
-    resamples of the others."""
-
-    @pytest.mark.parametrize("block", [1, 2, 5, 17, 50])
-    def test_a_refit_is_flagged_or_raises_as_alone(self, block):
-        """The resample with counts [3, 0, 2, 7] on w in {-3, 5} raises
-        ConvergenceError in some blocks of its own sample's resamples and
-        is flagged in others; between other samples' runs it does the same
-        as in its block alone."""
-        data = far_levels_sample(3, 3)
-        x, t, cell = logistic_cells(data)
-        idx = np.random.default_rng(0).integers(0, data.n, size=(block - 1, data.n))
-        own = np.vstack([[3.0, 0.0, 2.0, 7.0], *(np.bincount(cell[row], minlength=4) for row in idx)])
-        start = coefficients(fit_logistic(data))
-        alone = refit_outcome(x, t, own, start, slice(None))
-        # the neighbours: both arms in both patterns, and one pattern with one arm, which IRLS flags
-        neighbours = np.array([[3.0, 3.0, 2.0, 4.0], [1.0, 5.0, 4.0, 2.0], [6.0, 0.0, 1.0, 5.0]])
-        other = coefficients(fit_logistic(far_levels_sample(2, 4)))
-        assert refit_outcome(x, t, neighbours, other, slice(None))[0] == np.array([True, True, False]).tobytes()
-        counts = np.vstack([neighbours, own, neighbours])
-        starts = np.repeat([other, start, other], [3, block, 3], axis=0)
-        assert refit_outcome(x, t, counts, starts, slice(3, 3 + block)) == alone
-        assert isinstance(alone, str) == (block <= 2)  # it raises alone in blocks of 1 and 2
+    """Off a saturated design, each run of refits that share a start row is
+    one IRLS batch, as a lone call on the run: the refits of one sample do
+    not depend on the resamples of the others."""
 
     def test_one_start_row_for_all_equals_a_row_per_refit(self):
         x, t, start, counts = resample_counts(two_binary_covariates(200, seed=1), 40, 0)
-        probs, ok = refit_logistic(x, t, counts, start)
+        probs, ok, stalled = refit_logistic(x, t, counts, start)
         each = refit_logistic(x, t, counts, np.tile(start, (counts.shape[0], 1)))
-        assert ok.tobytes() == each[1].tobytes() and probs.tobytes() == each[0].tobytes()
+        assert ok.tobytes() == each[1].tobytes() and probs.tobytes() == each[0].tobytes() and stalled == each[2]
 
 
 class TestPredictOutcome:

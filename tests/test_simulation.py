@@ -483,8 +483,12 @@ class TestMonteCarlo:
     def test_a_bootstrap_that_fails_stops_only_its_estimator(self, dgp, monkeypatch):
         """A ConvergenceError in ipw's bootstrap is the replicate's ipw
         failure, counted by class; reg on the same replicates is delivered."""
-        def no_convergence(*args):
-            raise ConvergenceError("IRLS did not converge in 100 iterations; last step sizes: 1")
+        original = estimators.refit_logistic
+
+        def no_convergence(x, t, counts, start):
+            probs, ok, _ = original(x, t, counts, start)
+            stall = ConvergenceError("IRLS did not converge in 100 iterations; last step sizes: 1")
+            return probs, ok, {row: stall for row in range(counts.shape[0])}
 
         monkeypatch.setattr(estimators, "refit_logistic", no_convergence)
         [result] = run_monte_carlo(dgp, [150], 4, ["reg", "ipw"], seed=3, boot_replicates=10)
