@@ -8,8 +8,9 @@ import functools
 import io
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy import special
@@ -236,6 +237,58 @@ def block_cells(t: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[np.ndarray
 
 
 @dataclass(frozen=True)
+class CellBatch:
+    """R samples that share their (t, w) cell rows `w` (k, p) and `t` (k,),
+    each kept as its (R, k) `block_cells` moments of y (`sizes`, `sums`,
+    `means`, `m2`) and the unit-level values the fits read besides them: the
+    covariate mean `w_mean` (R, p), the range of y `y_min` and `y_max` and
+    the size `n` (R,). Summing these from the cells would change their bits.
+    With continuous covariates each unit is its own cell (k = n)."""
+
+    w: np.ndarray
+    t: np.ndarray
+    sizes: np.ndarray
+    sums: np.ndarray
+    means: np.ndarray
+    m2: np.ndarray
+    w_mean: np.ndarray
+    y_min: np.ndarray
+    y_max: np.ndarray
+    n: np.ndarray
+
+    @classmethod
+    def groups(cls, t: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
+        """R samples, `t` (R, n), `w` (R, n, p) and `y` (R, n), by their cell
+        rows (`block_cells`): per distinct rows, in order of first sample, the
+        sample indices and a batch whose fields are byte-equal to `stack` of
+        those samples' `ObservationSet.cells` batches. Also returns the (R, n)
+        row of each unit in the block and the first row of each sample: unit j
+        of sample i is in cell `rows[i, j] - first[i]` of its batch."""
+        r, n, p = w.shape
+        units, cell, first, *moments, w_mean, y_min, y_max = block_cells(t, w, y)
+        w_rows, t_rows = np.take(w.reshape(-1, p), units, axis=0), t.ravel()[units]
+        groups: dict = {}
+        for i, (lo, hi) in enumerate(zip(first[:-1], first[1:])):
+            groups.setdefault(w_rows[lo:hi].tobytes() + t_rows[lo:hi].tobytes(), []).append(i)
+        for key, members in groups.items():
+            lo, hi = first[members[0]], first[members[0] + 1]
+            cells = first[members][:, None] + np.arange(hi - lo)
+            per_sample = (w_mean[members], y_min[members], y_max[members], np.full(len(members), float(n)))
+            groups[key] = members, cls(w_rows[lo:hi], t_rows[lo:hi], *(v[cells] for v in moments), *per_sample)
+        return groups, cell.reshape(r, n), first
+
+    @classmethod
+    def stack(cls, batches: Sequence[CellBatch]) -> CellBatch:
+        """One batch of batches whose cell rows are byte-equal, in order."""
+        per_sample = [f.name for f in fields(cls)][2:]
+        return replace(batches[0], **{f: np.concatenate([getattr(b, f) for b in batches]) for f in per_sample})
+
+    def take(self, rows: np.ndarray) -> CellBatch:
+        """The samples at `rows`, in that order."""
+        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)[2:]})
+
+
+@dataclass(frozen=True)
 class ObservationSet:
     """Immutable sample of (w, optional a, t, y) rows.
 
@@ -301,14 +354,14 @@ class ObservationSet:
         return self.w.shape[1]
 
     @functools.cached_property
-    def _cells(self) -> tuple[np.ndarray, ...]:
-        """This sample's `block_cells`, computed on first use: the covariates
-        and treatments of its (t, w) rows, each unit's row, the moments of y
-        per row, the covariate mean and the range of y. Every fit and estimate
-        on the sample depends on a unit only through its row and on y only
-        through these moments and its range."""
+    def cells(self) -> tuple[CellBatch, np.ndarray]:
+        """This sample's `block_cells`, computed on first use: the sample as
+        a `CellBatch` of one and each unit's (n,) cell index. Every fit and
+        estimate on the sample depends on a unit only through its cell and on
+        y only through the cells' moments and its range."""
         units, cell, _, *moments, w_mean, y_min, y_max = block_cells(self.t[None], self.w[None], self.y[None])
-        return np.take(self.w, units, axis=0), self.t[units], cell, *moments, w_mean[0], y_min[0], y_max[0]
+        w, t = np.take(self.w, units, axis=0), self.t[units]
+        return CellBatch(w, t, *(v[None] for v in moments), w_mean, y_min, y_max, np.array([float(self.n)])), cell
 
     def with_rule(self, rule: BinarizationRule) -> "ObservationSet":
         """Re-derive t from a under `rule`; idempotent for the attached rule."""
@@ -552,8 +605,9 @@ def save_csv(data: ObservationSet, path: str | Path) -> None:
 def positivity_diagnostic(pscore: np.ndarray, eps: float = 0.01) -> list[str]:
     """Summarise the units whose estimated propensity is within `eps` of 0 or 1.
 
-    `pscore` holds one fitted propensity per unit, as `Nuisances(data).pscore`
-    does. A unit is flagged when its propensity is strictly below `eps` or
+    `pscore` holds one fitted propensity per unit, such as
+    `Nuisances(data).pscore[data.cells[1]]` (`Nuisances.pscore` holds one per
+    cell). A unit is flagged when its propensity is strictly below `eps` or
     strictly above 1 - eps. Returns [] when no unit is flagged, otherwise one
     warning string with the band, the number flagged of n, the count on each
     side, and the minimum and maximum propensity over all units; it never

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from .core import (
+    CellBatch,
     ConvergenceError,
     DegenerateArmError,
     EstimandSpec,
@@ -23,12 +24,9 @@ from .core import (
     z_quantile,
 )
 from .nuisance import (
-    CellBatch,
     OutcomeModel,
     PropensityModel,
     RegressionFit,
-    cell_moments,
-    cell_rows,
     fit_logistic,
     fit_ols_interacted,
     logistic_design,
@@ -78,9 +76,8 @@ class Nuisances:
     """The outcome regression and the propensity of one sample, each
     injected prefit or fitted on first use, at most once (a fit that raises
     is not cached), with their predictions `pscore`, `m1` and `m0` at the
-    (t, w) cells of `cell_rows(data)` and the positivity diagnostics. A unit
-    reads its prediction at its cell index. `estimate_many` reads only the
-    injected models."""
+    (t, w) cells of `data.cells`. A unit reads its prediction at its cell
+    index, `data.cells[1]`. `estimate_many` reads only the injected models."""
 
     def __init__(
         self,
@@ -106,19 +103,15 @@ class Nuisances:
 
     @cached_property
     def pscore(self) -> np.ndarray:
-        return np.asarray(self.propensity.predict_proba(cell_rows(self.data)[0]), dtype=float)
+        return np.asarray(self.propensity.predict_proba(self.data.cells[0].w), dtype=float)
 
     @cached_property
     def m1(self) -> np.ndarray:
-        return np.asarray(self.outcome.predict(1.0, cell_rows(self.data)[0]), dtype=float)
+        return np.asarray(self.outcome.predict(1.0, self.data.cells[0].w), dtype=float)
 
     @cached_property
     def m0(self) -> np.ndarray:
-        return np.asarray(self.outcome.predict(0.0, cell_rows(self.data)[0]), dtype=float)
-
-    @cached_property
-    def diagnostics(self) -> tuple[str, ...]:
-        return tuple(positivity_diagnostic(self.pscore[cell_rows(self.data)[2]]))
+        return np.asarray(self.outcome.predict(0.0, self.data.cells[0].w), dtype=float)
 
 
 def _per_contrast(theta: np.ndarray, a: list, b: list, contrasts: np.ndarray) -> list[tuple]:
@@ -133,8 +126,8 @@ def _per_contrast(theta: np.ndarray, a: list, b: list, contrasts: np.ndarray) ->
 
 def _unit_influence(data: ObservationSet, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-unit influence values a_c + b_c (y_i - ybar_c), c the unit's cell."""
-    cell, means = cell_rows(data)[2], cell_moments(data)[2]
-    return a[cell] + b[cell] * (data.y - means[cell])
+    cells, cell = data.cells
+    return a[cell] + b[cell] * (data.y - cells.means[0][cell])
 
 
 def _reg_fits(cells: CellBatch, fits: RegressionFit, contrasts: np.ndarray) -> list[tuple]:
@@ -558,10 +551,10 @@ def estimate_many(
         injected["pscore"] = nuis.pscore[None]
     if nuis.outcome_injected:
         injected["outcome"] = (nuis.m1[None], nuis.m0[None])
-    cell = cell_rows(data)[2]
+    cells, cell = data.cells
     contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
     units = [(cell, data.y, boot or BootstrapConfig())]
-    results, pscore = estimate_cells(CellBatch.of(data), estimators, contrasts, units, ci_level, **injected)
+    results, pscore = estimate_cells(cells, estimators, contrasts, units, ci_level, **injected)
     reports: list[EstimateReport] = []
     positivity = None
     for name in estimators:
@@ -653,7 +646,7 @@ def aipw_influence(
     """Estimated efficient influence values at the AIPW solution, one per
     unit (mean zero); the AIPW SE is sqrt(mean(phi**2) / n)."""
     nuis = Nuisances(data, outcome, propensity)
-    [(_, a, b)] = _aipw_fits(CellBatch.of(data), nuis.pscore[None], nuis.m1[None], nuis.m0[None], [estimand.contrast])
+    [(_, a, b)] = _aipw_fits(data.cells[0], nuis.pscore[None], nuis.m1[None], nuis.m0[None], [estimand.contrast])
     return _unit_influence(data, a[0], b[0])
 
 
@@ -672,7 +665,7 @@ def tmle_update(
     estimates and influence values are invariant to affine rescaling of y.
     """
     nuis = Nuisances(data, outcome, propensity)
-    [(point, a, b, beta)] = _tmle_fits(CellBatch.of(data), nuis.pscore[None], nuis.m1[None], nuis.m0[None],
+    [(point, a, b, beta)] = _tmle_fits(data.cells[0], nuis.pscore[None], nuis.m1[None], nuis.m0[None],
                                        [estimand.contrast])
     if np.isnan(beta[0]):
         raise ConvergenceError(_NOT_TARGETED)

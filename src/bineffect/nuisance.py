@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import collections
 import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 from .core import (
+    CellBatch,
     ConvergenceError,
     DegenerateArmError,
     EstimationError,
@@ -18,7 +19,6 @@ from .core import (
     SeparationError,
     SingularDesignError,
     ValidationError,
-    block_cells,
 )
 
 _RANK_TOL = 1e-10          # singular values below tol * largest are treated as zero
@@ -89,7 +89,7 @@ def interacted_design(t: np.ndarray, w_centered: np.ndarray) -> np.ndarray:
 def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
     """Least squares for the fully interacted, covariate-demeaned design:
     `ols_fits` on the sample's cells, raising the error that stops it."""
-    fits, [stop] = ols_fits(CellBatch.of(data))
+    fits, [stop] = ols_fits(data.cells[0])
     if stop is not None:
         raise stop
     return RegressionFit(
@@ -259,13 +259,14 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
     """Maximum-likelihood logistic regression of t on [1, w] via IRLS:
     `logistic_fits` on the sample's cells, raising the error that stops it.
 
-    The likelihood is summed over the `logistic_cells` of `data`, each
-    weighted by its number of units. Converges when the largest coefficient
+    The likelihood is summed over the (t, w) cells of `data.cells`, each
+    weighted by its number of units (the grouped-binomial form, McCullagh &
+    Nelder 1989, section 4.4). Converges when the largest coefficient
     change drops below 1e-10 (at most 100 iterations). No ridge is applied:
     separation raises SeparationError rather than being silently regularized
     away.
     """
-    model, [stop] = logistic_fits(CellBatch.of(data), start)
+    model, [stop] = logistic_fits(data.cells[0], start)
     if stop is not None:
         raise stop
     return PropensityModel(float(model.intercept[0, 0]), model.coef[0].copy())
@@ -313,55 +314,22 @@ def pscore_at_cells(models: PropensityModel, w: np.ndarray) -> np.ndarray:
     return np.clip(probs, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
-def logistic_cells(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct (logistic design row, t) pairs of `data`: the cells of the
-    grouped-binomial form of the propensity likelihood (McCullagh & Nelder
-    1989, section 4.4).
-
-    Returns the (k, d) cell design rows, their (k,) treatments and each
-    unit's (n,) cell index. A frequency-weighted likelihood or sum over the
-    units depends on the weights only through their totals per cell. When no
-    two units share a cell, as with continuous covariates, each unit is its
-    own cell, in sample order (k = n). The grouping is computed once per
-    sample and kept on it.
-    """
-    w, t, cell = cell_rows(data)
-    return logistic_design(w), t, cell
-
-
-def cell_rows(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (k, p) covariates and (k,) treatments of the `logistic_cells`
-    cells, read at one unit of each, and each unit's (n,) cell index."""
-    return data._cells[:3]
-
-
-def cell_moments(data: ObservationSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per `logistic_cells` cell: the number of units, the sum and the mean
-    of y over them, and their centred second moment sum((y - mean)**2).
-
-    Every estimate and SE of reg, aipw and tmle depends on y only through
-    these (Wong et al. 2021, arXiv:2102.11297). They are computed once per
-    sample and kept on it. With continuous covariates each unit is its own
-    cell, with count 1, sum and mean y and second moment 0.
-    """
-    return data._cells[3:7]
-
-
 def refit_logistic(
     x: np.ndarray, t: np.ndarray, counts: np.ndarray, start: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[int, ConvergenceError]]:
     """Refit the propensity on m frequency-weighted resamples at once.
 
     `x` (k, d) and `t` (k,) are logistic design rows and treatments, such as
-    the `logistic_cells` of a sample. Row b of the (m, k) `counts` holds how
-    often each row appears in resample b: the frequency-weight view of the
-    nonparametric bootstrap (Efron & Tibshirani 1993). `start` (intercept,
-    then coefficients) is one row for every refit, or one row per refit (m,
-    d). Returns each refit's probabilities for every row, (m, k) and clipped
-    like `predict_proba`, an (m,) mask of the refits that succeeded, and the
-    refits that did not converge, by row, each with its ConvergenceError. A
-    resample on which `fit_logistic` would raise DegenerateArmError,
-    SeparationError or SingularDesignError is flagged instead.
+    `logistic_design(cells.w)` and `cells.t` of a sample's `data.cells[0]`.
+    Row b of the (m, k) `counts` holds how often each row appears in
+    resample b: the frequency-weight view of the nonparametric bootstrap
+    (Efron & Tibshirani 1993). `start` (intercept, then coefficients) is one
+    row for every refit, or one row per refit (m, d). Returns each refit's
+    probabilities for every row, (m, k) and clipped like `predict_proba`, an
+    (m,) mask of the refits that succeeded, and the refits that did not
+    converge, by row, each with its ConvergenceError. A resample on which
+    `fit_logistic` would raise DegenerateArmError, SeparationError or
+    SingularDesignError is flagged instead.
 
     On a saturated design (`saturated_patterns`) a resample's MLE exists
     exactly when every covariate pattern holds both arms (Albert & Anderson
@@ -423,61 +391,3 @@ def _patterns(rows: bytes, d: int) -> tuple[np.ndarray, np.ndarray] | None:
     for v in out:
         v.flags.writeable = False
     return out
-
-
-@dataclass(frozen=True)
-class CellBatch:
-    """R samples that share their (t, w) cell rows `w` (k, p) and `t` (k,),
-    each kept as its (R, k) `cell_moments` and the unit-level values the
-    fits read besides them: the covariate mean `w_mean` (R, p), the range of
-    y `y_min` and `y_max` and the size `n` (R,). Summing these from the
-    cells would change their bits."""
-
-    w: np.ndarray
-    t: np.ndarray
-    sizes: np.ndarray
-    sums: np.ndarray
-    means: np.ndarray
-    m2: np.ndarray
-    w_mean: np.ndarray
-    y_min: np.ndarray
-    y_max: np.ndarray
-    n: np.ndarray
-
-    @classmethod
-    def of(cls, data: ObservationSet) -> CellBatch:
-        """One sample as a batch of one."""
-        w, t, _, *moments, w_mean, y_min, y_max = data._cells
-        unit_level = np.array([[y_min], [y_max], [data.n]], dtype=float)
-        return cls(w, t, *(v[None] for v in moments), w_mean[None], *unit_level)
-
-    @classmethod
-    def groups(cls, t: np.ndarray, w: np.ndarray, y: np.ndarray) -> tuple[dict, np.ndarray, np.ndarray]:
-        """R samples, `t` (R, n), `w` (R, n, p) and `y` (R, n), by their cell
-        rows (`block_cells`): per distinct rows, in order of first sample, the
-        sample indices and a batch whose fields are byte-equal to `stack` of
-        `of` of those samples. Also returns the (R, n) row of each unit in the
-        block and the first row of each sample: unit j of sample i is in cell
-        `rows[i, j] - first[i]` of its batch."""
-        r, n, p = w.shape
-        units, cell, first, *moments, w_mean, y_min, y_max = block_cells(t, w, y)
-        w_rows, t_rows = w.reshape(-1, p)[units], t.ravel()[units]
-        groups: dict = {}
-        for i, (lo, hi) in enumerate(zip(first[:-1], first[1:])):
-            groups.setdefault(w_rows[lo:hi].tobytes() + t_rows[lo:hi].tobytes(), []).append(i)
-        for key, members in groups.items():
-            lo, hi = first[members[0]], first[members[0] + 1]
-            cells = first[members][:, None] + np.arange(hi - lo)
-            per_sample = (w_mean[members], y_min[members], y_max[members], np.full(len(members), float(n)))
-            groups[key] = members, cls(w_rows[lo:hi], t_rows[lo:hi], *(v[cells] for v in moments), *per_sample)
-        return groups, cell.reshape(r, n), first
-
-    @classmethod
-    def stack(cls, batches: Sequence[CellBatch]) -> CellBatch:
-        """One batch of batches whose cell rows are byte-equal, in order."""
-        per_sample = [f.name for f in fields(cls)][2:]
-        return replace(batches[0], **{f: np.concatenate([getattr(b, f) for b in batches]) for f in per_sample})
-
-    def take(self, rows: np.ndarray) -> CellBatch:
-        """The samples at `rows`, in that order."""
-        return replace(self, **{f.name: getattr(self, f.name)[rows] for f in fields(self)[2:]})

@@ -15,6 +15,7 @@ from scipy import special
 
 from .core import (
     BinarizationRule,
+    CellBatch,
     Direction,
     EstimandSpec,
     EstimationError,
@@ -25,7 +26,6 @@ from .core import (
     csv_text,
 )
 from .estimators import BootstrapConfig, check_estimate_args, estimate_cells
-from .nuisance import CellBatch
 
 _QUAD_TARGET = 1e-4     # required absolute accuracy of the truth values
 _TAIL_SDS = 10.0        # integration range; mass beyond is < 1e-20
@@ -322,7 +322,7 @@ def run_monte_carlo(
     replicates: int,
     estimators: Sequence[str],
     seed: int,
-    estimands: Sequence[EstimandSpec] = (EstimandSpec.bate(), EstimandSpec.peb(1)),
+    estimands: Sequence[EstimandSpec] = (EstimandSpec("bate"), EstimandSpec("peb1")),
     boot_replicates: int = 200,
     threads: int = 1,
 ) -> list[McResult]:
@@ -416,7 +416,7 @@ def mc_table(
 def mc_results_to_csv(
     results: Sequence[McResult],
     estimators: Sequence[str],
-    estimands: Sequence[EstimandSpec] = (EstimandSpec.bate(), EstimandSpec.peb(1)),
+    estimands: Sequence[EstimandSpec] = (EstimandSpec("bate"), EstimandSpec("peb1")),
 ) -> str:
     """`mc_table` as CSV text, floats at full precision."""
     return csv_text(*mc_table(results, estimators, estimands))

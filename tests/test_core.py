@@ -4,6 +4,7 @@ import re
 import tempfile
 import threading
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -496,6 +497,34 @@ class TestBlockRanks:
         w_mean = core.block_cells(t, w, rng.normal(size=(r, n)))[7]
         expected = np.array([np.add.reduce(sample) for sample in w]) / n
         assert (w_mean.dtype, w_mean.shape, w_mean.tobytes()) == (expected.dtype, expected.shape, expected.tobytes())
+
+
+def _lone_sample(n, w):
+    rng = np.random.default_rng(n)
+    return ObservationSet(w=w, t=(rng.random(n) < 0.5).astype(float), y=rng.normal(size=n))
+
+
+LONE_SAMPLES = {
+    "continuous_p3": lambda: _lone_sample(300, np.random.default_rng(1).normal(size=(300, 3))),
+    "rounded_p2": lambda: _lone_sample(300, np.round(np.random.default_rng(2).normal(size=(300, 2)), 1)),
+    "f_ordered": lambda: _lone_sample(300, np.asfortranarray(np.random.default_rng(3).normal(size=(300, 3)))),
+    "n0": lambda: _lone_sample(0, np.empty((0, 2))),
+    "n1": lambda: _lone_sample(1, np.array([[0.5, -1.0]])),
+}
+
+
+@pytest.mark.parametrize("make", LONE_SAMPLES.values(), ids=LONE_SAMPLES.keys())
+def test_a_lone_sample_groups_into_its_own_cells(make):
+    """`CellBatch.groups` of one sample gives one batch, and each unit's
+    cell, with the dtype, shape and bytes of `ObservationSet.cells`."""
+    data = make()
+    groups, rows, first = core.CellBatch.groups(data.t[None], data.w[None], data.y[None])
+    [(members, batch)] = groups.values()
+    cells, cell = data.cells
+    assert members == [0]
+    pairs = [(getattr(batch, f.name), getattr(cells, f.name)) for f in fields(core.CellBatch)]
+    for a, b in [*pairs, (rows[0] - first[0], cell)]:
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 class TestPositivity:

@@ -34,7 +34,7 @@ from bineffect import (
     save_csv,
     tmle_update,
 )
-from bineffect.nuisance import CellBatch, interacted_design, logistic_cells
+from bineffect.nuisance import CellBatch, interacted_design
 from bineffect.simulation import sample_dgp
 from conftest import make_binary_w_dataset, make_dataset, two_binary_covariates
 
@@ -400,7 +400,7 @@ class TestTmleSharedStart:
         joint = estimate_many(data, ["tmle"], estimands)
         nuis = Nuisances(data)
         contrasts = np.array([e.contrast for e in estimands])
-        fits = estimators._tmle_fits(CellBatch.of(data), nuis.pscore[None], nuis.m1[None], nuis.m0[None], contrasts)
+        fits = estimators._tmle_fits(data.cells[0], nuis.pscore[None], nuis.m1[None], nuis.m0[None], contrasts)
         for e, report, (point, a, b, beta) in zip(estimands, joint, fits):
             [single] = estimate_many(data, ["tmle"], [e])
             update = tmle_update(data, e)
@@ -443,7 +443,7 @@ def unit_tmle(data, estimand):
     with halving, written out from the estimator's definition, with every
     sum over the units an elementwise product's `.sum()` as in the estimator."""
     nuis = Nuisances(data)
-    cell = logistic_cells(data)[2]
+    cell = data.cells[1]
     pscore, m1, m0 = nuis.pscore[cell], nuis.m1[cell], nuis.m0[cell]  # one value per unit
     t, y = data.t, data.y
     lo = float(y.min())
@@ -496,7 +496,7 @@ class TestTmleOnCells:
     @pytest.mark.parametrize("estimand", [BATE, PEB1, PEB0], ids=lambda e: e.key)
     def test_matches_the_units_on_discrete_designs(self, make, estimand):
         data = make()
-        assert len(logistic_cells(data)[1]) < data.n
+        assert data.cells[0].t.size < data.n
         fit = tmle_update(data, estimand)
         beta, point = unit_tmle(data, estimand)
         assert fit.fluctuation == pytest.approx(beta, abs=1e-10)
@@ -518,7 +518,7 @@ def extended_reference(data, name, estimands):
     point and sum of squares is then one sum over the n units."""
     L = np.longdouble
     nuis = Nuisances(data)
-    cell = logistic_cells(data)[2]
+    cell = data.cells[1]
     n, t, y = data.n, data.t.astype(L), data.y.astype(L)
     e, m1, m0 = (v[cell].astype(L) for v in (nuis.pscore, nuis.m1, nuis.m0))
     out = []
@@ -774,15 +774,6 @@ class TestEstimateMany:
         shapes = [kw["counts"].shape for kw in irls]
         assert shapes == [(1, data.n), (boot.replicates, data.n)]
 
-    def test_diagnostics_read_the_cached_pscore(self, monkeypatch):
-        data = make_dataset(n=90, p=2, seed=8)
-        predictions = count_calls(monkeypatch, "predict_proba", module=PropensityModel)
-        nuis = Nuisances(data)
-        nuis.pscore
-        alone = len(predictions)
-        nuis.diagnostics
-        assert len(predictions) == alone == 1
-
     def test_predictions_run_on_the_cell_rows(self, monkeypatch):
         """reg, aipw and tmle evaluate the propensity and the outcome model
         on the 4 (t, w) cell rows of the paper design, never on the units."""
@@ -933,7 +924,7 @@ def test_a_batch_of_samples_gives_each_the_numbers_it_gets_alone():
     """estimate_cells on samples that share their cell rows gives each one
     exactly what estimate_many gives it alone."""
     samples = [three_binary_covariates(400, seed) for seed in range(5)]
-    cells = [CellBatch.of(d) for d in samples]
+    cells = [d.cells[0] for d in samples]
     assert len({(c.w.tobytes(), c.t.tobytes()) for c in cells}) == 1 and cells[0].t.size == 16
     estimands = (BATE, PEB1, PEB0)
     contrasts = np.array([e.contrast for e in estimands])
@@ -1045,7 +1036,7 @@ class TestBatchedBootstrap:
         estimate_many(data, ["ipw"], [BATE, PEB1], boot=BootstrapConfig(200, seed=0))
         blocks = [kw["counts"].shape for kw in irls if kw.get("start") is not None]
         assert sum(rows for rows, _ in blocks) >= 200
-        assert all(cols == len(logistic_cells(data)[1]) < data.n for _, cols in blocks)
+        assert all(cols == data.cells[0].t.size < data.n for _, cols in blocks)
 
     def test_resample_that_does_not_converge_raises_when_not_saturated(self, monkeypatch):
         original = nuisance._irls
@@ -1081,7 +1072,7 @@ def sharing_cell_rows(make, count):
             fit_logistic(data)
         except SeparationError:
             continue
-        cells = CellBatch.of(data)
+        cells = data.cells[0]
         if key is None:
             key = (cells.w.tobytes(), cells.t.tobytes())
         if (cells.w.tobytes(), cells.t.tobytes()) == key:
@@ -1112,8 +1103,8 @@ def group_against_alone(samples, replicates):
     contrasts = np.array([e.contrast for e in estimands])
     boots = [BootstrapConfig(replicates, seed=np.random.default_rng([7, i]), ci_method="percentile")
              for i in range(len(samples))]
-    units = [(logistic_cells(data)[2], data.y, boot) for data, boot in zip(samples, boots)]
-    results, _ = estimators.estimate_cells(CellBatch.stack([CellBatch.of(d) for d in samples]), ["ipw"],
+    units = [(data.cells[1], data.y, boot) for data, boot in zip(samples, boots)]
+    results, _ = estimators.estimate_cells(CellBatch.stack([d.cells[0] for d in samples]), ["ipw"],
                                            contrasts, units)
     points, ses, stops, cis, notes = results["ipw"]
     outcomes = []
@@ -1198,7 +1189,7 @@ class TestGroupBootstrap:
     @pytest.mark.parametrize("n", [500, 2**17 + 1])
     def test_no_reduction_sees_more_than_a_draw_chunk(self, monkeypatch, n):
         data = sample_dgp(DgpSpec(), n, seed=3)
-        logistic_cells(data)  # the sample's grouping, before the count starts
+        data.cells  # the sample's grouping, before the count starts
         counts = count_calls(monkeypatch, "bincount", module=estimators.np)
         estimate_many(data, ["ipw"], [BATE], boot=BootstrapConfig(3 if n > 500 else 200, seed=0))
         sizes = [len(call[0]) for call in counts]

@@ -43,21 +43,28 @@ def test_estimand_kind_is_mapped_only_in_core(module):
     assert reads == [], f"{module} reads {reads}"
 
 
-@pytest.mark.parametrize(
-    "module",
-    sorted(p.name for p in PACKAGE.glob("*.py") if p.name not in ("core.py", "nuisance.py")),
-)
-def test_grouping_is_read_only_in_core_and_nuisance(module):
-    """Other modules see a sample's (t, w) cells only through
-    `nuisance.logistic_cells` and `nuisance.cell_moments`, so the format of the
-    cached grouping stays behind those two modules."""
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "core.py"))
+def test_cells_are_built_only_in_core(module):
+    """A sample's (t, w) cells are grouped (`block_cells`) and put in a
+    `CellBatch` only in `core.py`; other modules read them through
+    `ObservationSet.cells` and `CellBatch.groups`, so the two constructors
+    stay side by side."""
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
-    reads = [
-        f"line {node.lineno}: ._cells"
+    names = [
+        f"line {node.lineno}"
         for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "_cells"
+        if (isinstance(node, ast.Name) and node.id == "block_cells")
+        or (isinstance(node, ast.Attribute) and node.attr == "block_cells")
+        or (isinstance(node, ast.alias) and node.name == "block_cells")
     ]
-    assert reads == [], f"{module} reads {reads}"
+    built = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ((isinstance(node.func, ast.Name) and node.func.id == "CellBatch")
+             or (isinstance(node.func, ast.Attribute) and node.func.attr == "CellBatch"))
+    ]
+    assert names == [] and built == [], f"{module} names block_cells at {names}, builds a CellBatch at {built}"
 
 
 def test_one_function_of_simulation_draws_from_a_generator():

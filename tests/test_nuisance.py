@@ -18,9 +18,8 @@ from bineffect import (
 from bineffect import nuisance
 from bineffect.nuisance import (
     _irls,
-    cell_moments,
     interacted_design,
-    logistic_cells,
+    logistic_design,
     refit_logistic,
     saturated_patterns,
 )
@@ -193,16 +192,22 @@ class TestLogistic:
         assert np.all(probs > 0.0) and np.all(probs < 1.0)
 
 
+def cell_design(data):
+    """The logistic design rows and treatments of the sample's cells, and each unit's cell."""
+    cells, cell = data.cells
+    return logistic_design(cells.w), cells.t, cell
+
+
 class TestLogisticCells:
     def test_binary_covariate_gives_at_most_four_cells(self):
         data = sample_dgp(DgpSpec(), 150, seed=4)
-        x, t, cell = logistic_cells(data)
+        x, t, cell = cell_design(data)
         assert len(t) <= 4
         np.testing.assert_array_equal(x[cell], np.hstack([np.ones((data.n, 1)), data.w]))
         np.testing.assert_array_equal(t[cell], data.t)
 
     def test_no_shared_cell_keeps_the_units(self, dataset):
-        x, t, cell = logistic_cells(dataset)
+        x, t, cell = cell_design(dataset)
         np.testing.assert_array_equal(cell, np.arange(dataset.n))
         np.testing.assert_array_equal(x, np.hstack([np.ones((dataset.n, 1)), dataset.w]))
         np.testing.assert_array_equal(t, dataset.t)
@@ -210,7 +215,7 @@ class TestLogisticCells:
     def test_one_repeated_unit_is_grouped(self, dataset):
         rows = np.r_[np.arange(dataset.n), 0]
         data = dataset.subset(rows)
-        x, t, cell = logistic_cells(data)
+        x, t, cell = cell_design(data)
         assert len(t) == data.n - 1 and cell[0] == cell[-1]
         np.testing.assert_array_equal(x[cell], np.hstack([np.ones((data.n, 1)), data.w]))
         np.testing.assert_array_equal(t[cell], data.t)
@@ -219,7 +224,7 @@ class TestLogisticCells:
         rng = np.random.default_rng(2)
         w = np.column_stack([(rng.random(50) < 0.5), rng.normal(size=50)])
         data = ObservationSet(w=w, t=(rng.random(50) < 0.5), y=np.zeros(50))
-        np.testing.assert_array_equal(logistic_cells(data)[2], np.arange(50))
+        np.testing.assert_array_equal(data.cells[1], np.arange(50))
 
     def test_rows_distinct_only_jointly_give_the_identity_cells(self):
         rng = np.random.default_rng(0)
@@ -228,21 +233,22 @@ class TestLogisticCells:
             assert np.unique(col).size < 200
         assert np.unique(w, axis=0).shape[0] == 200  # ... but no two rows are equal
         data = ObservationSet(w=w, t=(rng.random(200) < 0.5), y=np.zeros(200))
-        x, t, cell = logistic_cells(data)
+        x, t, cell = cell_design(data)
         np.testing.assert_array_equal(cell, np.arange(200))
         np.testing.assert_array_equal(x, np.hstack([np.ones((200, 1)), w]))
 
     def test_t_splits_a_shared_covariate_pattern(self):
         data = ObservationSet(w=np.array([[1.0, 2.0]] * 3), t=[1.0, 0.0, 1.0], y=np.zeros(3))
-        x, t, cell = logistic_cells(data)
+        x, t, cell = cell_design(data)
         np.testing.assert_array_equal(x, [[1.0, 1.0, 2.0], [1.0, 1.0, 2.0]])
         np.testing.assert_array_equal(t, [0.0, 1.0])
         np.testing.assert_array_equal(cell, [1, 0, 1])
 
     def test_cell_sums_total_each_cell(self):
         data = sample_dgp(DgpSpec(), 150, seed=4)
-        x, t, cell = logistic_cells(data)
-        sizes, sums, means, m2 = cell_moments(data)
+        x, t, cell = cell_design(data)
+        cells = data.cells[0]
+        sizes, sums, means, m2 = cells.sizes[0], cells.sums[0], cells.means[0], cells.m2[0]
         groups = [data.y[cell == c] for c in range(len(t))]
         np.testing.assert_array_equal(sizes, np.bincount(cell))
         np.testing.assert_allclose(sums, [g.sum() for g in groups], rtol=1e-12)
@@ -250,7 +256,8 @@ class TestLogisticCells:
         np.testing.assert_allclose(m2, [((g - g.mean()) ** 2).sum() for g in groups], rtol=1e-10)
 
     def test_cell_sums_of_distinct_rows_are_the_units(self, dataset):
-        sizes, sums, means, m2 = cell_moments(dataset)
+        cells = dataset.cells[0]
+        sizes, sums, means, m2 = cells.sizes[0], cells.sums[0], cells.means[0], cells.m2[0]
         np.testing.assert_array_equal(sizes, np.ones(dataset.n))
         assert sums.tobytes() == means.tobytes() == dataset.y.tobytes()
         assert not m2.any()
@@ -269,7 +276,7 @@ class TestLogisticCells:
         first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
         expected = np.empty(n, dtype=np.intp)
         expected[order] = np.cumsum(first) - 1
-        x, t_cells, cell = logistic_cells(data)
+        x, t_cells, cell = cell_design(data)
         np.testing.assert_array_equal(cell, expected)
         np.testing.assert_array_equal(x[:, 1:], keys[first][:, 1:])
         np.testing.assert_array_equal(t_cells, keys[first][:, 0])
@@ -307,7 +314,7 @@ class TestGroupedFit:
     )
     def test_matches_the_unit_rows(self, make):
         data = make()
-        assert len(logistic_cells(data)[1]) < data.n
+        assert data.cells[0].t.size < data.n
         np.testing.assert_allclose(coefficients(fit_logistic(data)), unit_rows_fit(data), rtol=1e-12)
 
     @pytest.mark.parametrize("n, p, seed", [(90, 2, 8), (2000, 3, 1), (30, 1, 12)])
@@ -352,7 +359,7 @@ class TestGroupedFit:
         wb[:2] = [0.0, 1.0]
         r = rng.random(60)
         data = ObservationSet(w=np.column_stack(columns(wb, r)), t=treat(wb, r), y=np.zeros(60))
-        assert len(logistic_cells(data)[1]) < data.n
+        assert data.cells[0].t.size < data.n
         with pytest.raises(error) as info:
             fit_logistic(data)
         assert str(info.value) == message
@@ -388,7 +395,7 @@ def patterned_sample(levels, n, seed):
 def resample_counts(data, m, seed):
     """The sample's cell rows, treatments and full-sample coefficients, and
     the (m, k) cell counts of m bootstrap resamples."""
-    x, t, cell = logistic_cells(data)
+    x, t, cell = cell_design(data)
     idx = np.random.default_rng(seed).integers(0, data.n, size=(m, data.n))
     counts = np.stack([np.bincount(cell[row], minlength=t.size) for row in idx]).astype(float)
     return x, t, coefficients(fit_logistic(data)), counts
@@ -456,7 +463,7 @@ class TestSaturatedRefit:
         from the full-sample fit overshoots past the separation bound. The
         refit accepts it with its patterns' treated shares, 1/17 and 1/3."""
         data = sample_dgp(DgpSpec(), 20, seed=16)
-        x, t, _ = logistic_cells(data)
+        x, t, _ = cell_design(data)
         np.testing.assert_array_equal(x[:, 1], [0.0, 0.0, 1.0, 1.0])
         np.testing.assert_array_equal(t, [0.0, 1.0, 0.0, 1.0])
         start, counts = coefficients(fit_logistic(data)), np.array([[16.0, 1.0, 2.0, 1.0]])
@@ -475,7 +482,7 @@ class TestSaturatedRefit:
         sample's refits, with no IRLS. IRLS from the full-sample fit does not
         converge on it."""
         data = far_levels_sample(3, 3)
-        x, t, cell = logistic_cells(data)
+        x, t, cell = cell_design(data)
         idx = np.random.default_rng(0).integers(0, data.n, size=(block - 1, data.n))
         own = np.vstack([[3.0, 0.0, 2.0, 7.0], *(np.bincount(cell[row], minlength=4) for row in idx)])
         start = coefficients(fit_logistic(data))

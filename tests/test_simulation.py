@@ -528,7 +528,7 @@ class TestMonteCarlo:
         for rep, outcome in enumerate(outcomes):
             batch, row = outcome[("reg", "bate")]
             got = seen[int(batch)].take([int(row)])
-            expected = CellBatch.of(sample_dgp(spec, n, np.random.default_rng([6, n, rep])))
+            expected = sample_dgp(spec, n, np.random.default_rng([6, n, rep])).cells[0]
             for name in CellBatch.__dataclass_fields__:
                 a, b = getattr(got, name), getattr(expected, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
