@@ -52,6 +52,12 @@ def z_quantile(ci_level: float) -> float:
     return float(special.ndtri(0.5 + ci_level / 2.0))
 
 
+def check_integer(name: str, value) -> None:
+    """Raise ValidationError unless `value` is an int or a numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 class Direction(enum.Enum):
     """Which side of the cutoff maps to the treated arm."""
 

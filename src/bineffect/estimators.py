@@ -20,6 +20,7 @@ from .core import (
     SeparationError,
     SingularDesignError,
     ValidationError,
+    check_integer,
     positivity_diagnostic,
     z_quantile,
 )
@@ -42,7 +43,7 @@ _TMLE_TOL = 1e-10
 _TMLE_MAX_ITER = 100
 
 _RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
-_BLOCK_ELEMENTS = 2**17  # resamples x width (units or cells) per pass of a sample, and per pool of passes
+_BLOCK_ELEMENTS = 2**17  # resamples x width (units or cells) per pass of a sample
 # Bootstrap indices drawn and reduced at once. mc_paper batches (2 cores, one BLAS thread, median
 # of 40 batches) in a fresh process: 2^12 7.7 ms, 2^13 7.1, 2^14 6.8, 2^15 8.1 and 2^16 8.9 ms.
 # From 2^15 on, a chunk's int64 arrays pass glibc's 128 KiB mmap threshold and are mapped afresh
@@ -64,6 +65,7 @@ class BootstrapConfig:
     ci_method: Literal["normal", "percentile"] = "normal"
 
     def __post_init__(self) -> None:
+        check_integer("bootstrap replicates", self.replicates)
         if self.replicates < 2:
             raise ValidationError(f"bootstrap needs at least 2 replicates, got {self.replicates}")
         if self.ci_method not in ("normal", "percentile"):
@@ -189,69 +191,49 @@ def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: float) -
 
 def _bootstrap_many(
     width: int,
-    draw: Callable[[int, np.random.Generator, int], object],
-    statistic: Callable[[list], list[tuple]],
+    statistic: Callable[[int, np.random.Generator, int], tuple],
     boots: Sequence[BootstrapConfig],
     e: int,
     ci_level: float,
 ) -> list:
-    """Bootstraps of R samples, each resampled with replacement as `boots[i]`
-    says; returns per sample (ses, percentile cis or None unless its
-    ci_method is percentile, redraw note) or the ConvergenceError that
-    stopped it.
+    """Bootstraps of R samples, one after another, each resampled with
+    replacement as `boots[i]` says; returns per sample (ses, percentile cis
+    or None unless its ci_method is percentile, redraw note) or the
+    ConvergenceError that stopped it.
 
     A resample is seen as `width` values (its units, or its cells' counts),
-    so each pass of a sample takes min(need, max(1, `_BLOCK_ELEMENTS` //
-    width)) resamples from the sample's own generator: `draw(i, rng, m)`
-    takes m successive draws, which give the same indices, and leave the
-    generator in the same state, as m passes of one. The passes of the
-    samples still drawing are pooled, in order, while their resamples times
-    `width` stay within `_BLOCK_ELEMENTS`. `statistic` takes a pool's list
-    of (i, drawn) and returns per pass its (m, e) estimates, a mask of the
-    resamples it could evaluate and None or the ConvergenceError that stops
-    its sample. The others (a degenerate arm, separation, a singular design)
-    are redrawn and counted, so each sample's accepted resamples are the
-    first `replicates` good draws of its stream. A redraw count past
-    max(1000, 100 * replicates) stops its sample too. The note is None
-    unless more than 1% of resamples were redrawn.
+    so each pass of a sample takes m = min(need, max(1, `_BLOCK_ELEMENTS` //
+    width)) resamples from the sample's own generator. `statistic(i, rng,
+    m)` takes m successive draws for sample i, which give the same indices,
+    and leave the generator in the same state, as m passes of one, and
+    returns their (m, e) estimates, a mask of the resamples it could
+    evaluate and None or the ConvergenceError that stops the sample. The
+    others (a degenerate arm, separation, a singular design) are redrawn
+    and counted, so each sample's accepted resamples are the first
+    `replicates` good draws of its stream. A redraw count past max(1000,
+    100 * replicates) stops its sample too. The note is None unless more
+    than 1% of resamples were redrawn.
     """
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
-    rngs = [np.random.default_rng(boot.seed) for boot in boots]
-    estimates = [np.empty((boot.replicates, e)) for boot in boots]
-    done, redraws, out = [0] * len(boots), [0] * len(boots), [None] * len(boots)
-    live = list(range(len(boots)))
-    while live:
-        pools, total = [[]], 0
-        for i in live:
-            m = min(max(1, _BLOCK_ELEMENTS // width), boots[i].replicates - done[i])
-            if pools[-1] and total + m * width > _BLOCK_ELEMENTS:
-                pools, total = pools + [[]], 0
-            pools[-1].append((i, m))
-            total += m * width
-        for pool in pools:
-            drawn = [(i, draw(i, rngs[i], m)) for i, m in pool]
-            for (i, m), (values, ok, stop) in zip(pool, statistic(drawn)):
-                if stop is not None:
-                    out[i] = stop
-                    continue
-                good = int(np.count_nonzero(ok))
-                estimates[i][done[i] : done[i] + good] = values[ok]
-                done[i] += good
-                redraws[i] += m - good
-                if redraws[i] > max(1000, 100 * boots[i].replicates):
-                    out[i] = ConvergenceError(f"bootstrap gave up after {redraws[i]} redraws of degenerate resamples")
-        live = [i for i in live if out[i] is None and done[i] < boots[i].replicates]
-    alpha = (1.0 - ci_level) / 2.0
+    alpha, out = (1.0 - ci_level) / 2.0, []
     for i, boot in enumerate(boots):
-        if out[i] is None:
-            cis = np.quantile(estimates[i], [alpha, 1.0 - alpha], axis=0).T if boot.ci_method == "percentile" else None
-            note = None
-            if redraws[i] > 0.01 * boot.replicates:
-                note = (
-                    f"bootstrap redrew {redraws[i]} degenerate resamples "
-                    f"({100.0 * redraws[i] / boot.replicates:.1f}% of {boot.replicates})"
-                )
-            out[i] = estimates[i].std(axis=0, ddof=1), cis, note
+        rng, estimates = np.random.default_rng(boot.seed), np.empty((boot.replicates, e))
+        done, redraws, stop = 0, 0, None
+        while stop is None and done < boot.replicates:
+            m = min(max(1, _BLOCK_ELEMENTS // width), boot.replicates - done)
+            values, ok, stop = statistic(i, rng, m)
+            good = int(np.count_nonzero(ok))
+            estimates[done : done + good] = values[ok]
+            done, redraws = done + good, redraws + m - good
+            if stop is None and redraws > max(1000, 100 * boot.replicates):
+                stop = ConvergenceError(f"bootstrap gave up after {redraws} redraws of degenerate resamples")
+        if stop is not None:
+            out.append(stop)
+            continue
+        cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T if boot.ci_method == "percentile" else None
+        share = f"({100.0 * redraws / boot.replicates:.1f}% of {boot.replicates})"
+        note = f"bootstrap redrew {redraws} degenerate resamples {share}" if redraws > 0.01 * boot.replicates else None
+        out.append((estimates.std(axis=0, ddof=1), cis, note))
     return out
 
 
@@ -265,24 +247,22 @@ def bootstrap_se(
 
     `estimator_fn` maps an ObservationSet to a float and is re-run (all
     nuisances refit) on each resample. Deterministic for a fixed seed. Warns
-    when more than 1% of resamples had to be redrawn.
+    when more than 1% of resamples had to be redrawn. An empty sample raises
+    ValidationError before any draw.
     """
+    if data.n == 0:
+        raise ValidationError("cannot bootstrap an empty sample")
 
-    def statistic(passes: list) -> list[tuple]:
-        [(_, idx)] = passes
-        values = np.empty((idx.shape[0], 1))
-        ok = np.ones(idx.shape[0], dtype=bool)
-        for i, rows in enumerate(idx):
+    def statistic(_, rng: np.random.Generator, m: int) -> tuple:
+        values, ok = np.empty((m, 1)), np.ones(m, dtype=bool)
+        for j, rows in enumerate(rng.integers(0, data.n, size=(m, data.n))):
             try:
-                values[i] = estimator_fn(data.subset(rows))
+                values[j] = estimator_fn(data.subset(rows))
             except _RESAMPLE_ERRORS:
-                ok[i] = False
-        return [(values, ok, None)]
+                ok[j] = False
+        return values, ok, None
 
-    def draw(_, rng: np.random.Generator, m: int) -> np.ndarray:
-        return rng.integers(0, data.n, size=(m, data.n))
-
-    [result] = _bootstrap_many(data.n, draw, statistic, [replace(boot, ci_method="percentile")], 1, ci_level)
+    [result] = _bootstrap_many(data.n, statistic, [replace(boot, ci_method="percentile")], 1, ci_level)
     if isinstance(result, ConvergenceError):
         raise result
     ses, cis, note = result
@@ -328,40 +308,22 @@ def _ipw(
     BootstrapConfig, `pscore` (R, k) the propensities at the cells. All
     estimands share one set of resamples, each seen as its counts and y sums
     per cell, so a pass of a sample takes resamples by its cells, not its
-    units. Each pool of passes refits the propensity once
-    (`refit_logistic`), each resample from its sample's full-sample
-    coefficients in `start` (R, d); with `start` None, `pscore` is held
-    fixed. Off a saturated design `refit_logistic` runs IRLS once per run of
-    equal start rows, so a pass whose start equals the pass before it is
-    refitted in a call of its own: no sample's refits share an IRLS batch
-    with another's. A refit that does not converge stops its sample, with
-    the error of the first such resample of the pass."""
+    units. Each pass refits the propensity once (`refit_logistic`), from its
+    sample's full-sample coefficients in `start` (R, d); with `start` None,
+    `pscore` is held fixed. A refit that does not converge stops its sample,
+    with the error of the first such resample of the pass."""
     k = t.size
 
-    def draw(i: int, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
-        return _resample_cells(rng, units[i][0], units[i][1], k, m)
-
-    def statistic(passes: list) -> list[tuple]:
-        same = [j for j in range(1, len(passes))
-                if start is not None and (start[passes[j][0]] == start[passes[j - 1][0]]).all()]
-        return [one for lo, hi in zip([0, *same], [*same, len(passes)]) for one in evaluate(passes[lo:hi])]
-
-    def evaluate(passes: list) -> list[tuple]:
-        samples = [i for i, _ in passes]
-        sizes = [counts.shape[0] for _, (counts, _) in passes]
-        counts, y_sums = passes[0][1] if len(passes) == 1 else (np.concatenate(v) for v in zip(*(d for _, d in passes)))
+    def statistic(i: int, rng: np.random.Generator, m: int) -> tuple:
+        cell, y, _ = units[i]
+        counts, y_sums = _resample_cells(rng, cell, y, k, m)
         if start is None:
-            probs, ok, stalled = np.repeat(pscore[samples], sizes, axis=0), np.ones(counts.shape[0], dtype=bool), {}
+            probs, ok, stalled = np.broadcast_to(pscore[i], counts.shape), np.ones(m, dtype=bool), {}
         else:
-            probs, ok, stalled = refit_logistic(x, t, counts, np.repeat(start[samples], sizes, axis=0))
-        n = np.repeat([float(units[i][1].size) for i in samples], sizes)[:, None]
-        values, ends, stops = _ipw_arms(t, y_sums, probs, n) @ contrasts.T, np.cumsum(sizes), [None] * len(passes)
-        for row, err in sorted(stalled.items()):
-            j = int(np.searchsorted(ends, row, side="right"))
-            stops[j] = stops[j] or err
-        return [(values[hi - m : hi], ok[hi - m : hi], stop) for m, hi, stop in zip(sizes, ends, stops)]
+            probs, ok, stalled = refit_logistic(x, t, counts, start[i])
+        return _ipw_arms(t, y_sums, probs, float(y.size)) @ contrasts.T, ok, stalled[min(stalled)] if stalled else None
 
-    return _bootstrap_many(k, draw, statistic, [boot for *_, boot in units], len(contrasts), ci_level)
+    return _bootstrap_many(k, statistic, [boot for *_, boot in units], len(contrasts), ci_level)
 
 
 def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:

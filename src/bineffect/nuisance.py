@@ -323,8 +323,8 @@ def refit_logistic(
     `logistic_design(cells.w)` and `cells.t` of a sample's `data.cells[0]`.
     Row b of the (m, k) `counts` holds how often each row appears in
     resample b: the frequency-weight view of the nonparametric bootstrap
-    (Efron & Tibshirani 1993). `start` (intercept, then coefficients) is one
-    row for every refit, or one row per refit (m, d). Returns each refit's
+    (Efron & Tibshirani 1993). `start` (d,) is the intercept, then the
+    coefficients, that every refit starts from. Returns each refit's
     probabilities for every row, (m, k) and clipped like `predict_proba`, an
     (m,) mask of the refits that succeeded, and the refits that did not
     converge, by row, each with its ConvergenceError. A resample on which
@@ -337,10 +337,8 @@ def refit_logistic(
     1989, section 4.4). There each refit is its patterns' shares, from exact
     integer sums of its counts, and no IRLS runs; a resample without both
     arms in every pattern is flagged (its probabilities are 0 or 1, clipped,
-    in a pattern with one arm and NaN in an empty one). Elsewhere each run
-    of consecutive refits with equal start rows is one pooled IRLS (`_irls`)
-    from that start, computed as a lone call on the run would compute it,
-    so a run's refits do not depend on the other runs.
+    in a pattern with one arm and NaN in an empty one). Elsewhere the
+    resamples with both arms are one pooled IRLS (`_irls`) from `start`.
     """
     m, patterns = counts.shape[0], saturated_patterns(x)
     if patterns is not None:
@@ -350,19 +348,13 @@ def refit_logistic(
             shares = cases / units
         ok = ((cases > 0.0) & (cases < units)).all(axis=1)
         return np.clip(shares[:, index], _PROB_FLOOR, 1.0 - _PROB_FLOOR), ok, {}
-    starts = np.broadcast_to(np.asarray(start, dtype=float), (m, x.shape[1]))
-    edges = [0, *(np.flatnonzero((starts[1:] != starts[:-1]).any(axis=1)) + 1), m]
     treated = counts @ t
     ok = (treated > 0.0) & (treated < counts.sum(axis=1))  # both arms present
-    probs, stalled = np.empty((m, x.shape[0])), {}
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        beta = np.tile(starts[lo], (hi - lo, 1))
-        both = np.flatnonzero(ok[lo:hi])
-        if both.size:
-            beta[both], ok[lo + both], stuck = _irls(x, t, start=starts[lo], counts=counts[lo + both], pooled=True)
-            stalled.update((lo + int(both[j]), err) for j, err in stuck.items())
-        np.clip(expit(beta @ x.T, out=probs[lo:hi]), _PROB_FLOOR, 1.0 - _PROB_FLOOR, out=probs[lo:hi])
-    return probs, ok, stalled
+    beta, both, stalled = np.tile(np.asarray(start, dtype=float), (m, 1)), np.flatnonzero(ok), {}
+    if both.size:
+        beta[both], ok[both], stuck = _irls(x, t, start=start, counts=counts[both], pooled=True)
+        stalled = {int(both[j]): err for j, err in stuck.items()}
+    return np.clip(expit(beta @ x.T), _PROB_FLOOR, 1.0 - _PROB_FLOOR), ok, stalled
 
 
 def saturated_patterns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

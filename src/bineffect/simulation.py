@@ -23,6 +23,7 @@ from .core import (
     QuadratureError,
     ValidationError,
     binarize,
+    check_integer,
     csv_text,
 )
 from .estimators import BootstrapConfig, check_estimate_args, estimate_cells
@@ -338,6 +339,8 @@ def run_monte_carlo(
     is checked before any work, the estimator names and bootstrap size
     included.
     """
+    for name, value in [("replicates", replicates), ("seed", seed), ("threads", threads), *(("n", n) for n in n_list)]:
+        check_integer(name, value)
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
     if seed < 0:

@@ -44,9 +44,9 @@ pytestmark = pytest.mark.acceptance
 
 SEED = 20260809
 SPEC = DgpSpec()
-BATE = EstimandSpec.bate()
-PEB1 = EstimandSpec.peb(1)
-PEB0 = EstimandSpec.peb(0)
+BATE = EstimandSpec("bate")
+PEB1 = EstimandSpec("peb1")
+PEB0 = EstimandSpec("peb0")
 
 # External reference values this suite reproduces. The simulation tables list
 # (mean estimate, mean estimated SE, simulated SE) per sample size.
@@ -131,7 +131,7 @@ def test_criterion_1_truth_oracle_reference_values(oracle):
 
 def _table_errors(mc, estimand_key, estimator):
     rows = []
-    estimand = EstimandSpec.from_key(estimand_key)
+    estimand = EstimandSpec(estimand_key)
     for n, ref_by_est in REFERENCE_TABLE[estimand_key].items():
         ref_mean, ref_est_se, ref_sim_se = ref_by_est[estimator]
         cell = mc[n].row(estimator, estimand)

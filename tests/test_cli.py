@@ -422,7 +422,7 @@ class TestSimulateCommand:
 
     def test_csv_and_text_table_are_one_table(self, dgp, capsys, monkeypatch):
         estimators, keys = ["reg", "aipw"], ["bate", "peb1", "peb0"]
-        estimands = [EstimandSpec.from_key(k) for k in keys]
+        estimands = [EstimandSpec(k) for k in keys]
         results = run_monte_carlo(dgp, [60, 80], 3, estimators, seed=5, estimands=estimands)
         monkeypatch.setattr(cli, "run_monte_carlo", lambda *args, **kwargs: results)
         args = ["simulate", "--estimators", ",".join(estimators), "--estimands", ",".join(keys)]

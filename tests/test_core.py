@@ -577,7 +577,7 @@ class TestReportTypes:
         assert EstimandSpec.from_key("peb1") == EstimandSpec.peb(1)
 
     def test_normal_ci_identity(self):
-        report = EstimateReport(EstimandSpec.bate(), "reg", point=2.0, se=1.5, n=10, ci_level=0.95)
+        report = EstimateReport(EstimandSpec("bate"), "reg", point=2.0, se=1.5, n=10, ci_level=0.95)
         half = z_quantile(0.95) * 1.5
         assert report.ci == (2.0 - half, 2.0 + half)
         assert abs(z_quantile(0.95) - 1.959964) < 1e-6
@@ -589,10 +589,10 @@ class TestReportTypes:
 
     def test_negative_se_rejected(self):
         with pytest.raises(ValidationError):
-            EstimateReport(EstimandSpec.bate(), "reg", 1.0, -0.1, 10)
+            EstimateReport(EstimandSpec("bate"), "reg", 1.0, -0.1, 10)
 
     def test_to_dict_keys(self):
-        d = EstimateReport(EstimandSpec.peb(1), "aipw", 1.0, 0.5, 20, seed=3).to_dict()
+        d = EstimateReport(EstimandSpec("peb1"), "aipw", 1.0, 0.5, 20, seed=3).to_dict()
         assert set(d) == {
             "estimand", "arm", "estimator", "point", "se", "ci", "ci_level", "n", "warnings", "seed",
         }

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -38,9 +39,9 @@ from bineffect.nuisance import CellBatch, interacted_design
 from bineffect.simulation import sample_dgp
 from conftest import make_binary_w_dataset, make_dataset, two_binary_covariates
 
-BATE = EstimandSpec.bate()
-PEB1 = EstimandSpec.peb(1)
-PEB0 = EstimandSpec.peb(0)
+BATE = EstimandSpec("bate")
+PEB1 = EstimandSpec("peb1")
+PEB0 = EstimandSpec("peb0")
 
 
 def ehw_robust_se(data, coef_index):
@@ -645,6 +646,13 @@ class TestBootstrapSe:
             bootstrap_se(data, statistic, BootstrapConfig(replicates=20, seed=0), ci_level=1.5)
         assert calls == []
 
+    def test_empty_sample_rejected_before_resampling(self):
+        rng = np.random.default_rng(0)
+        state, calls = rng.bit_generator.state, []
+        with pytest.raises(ValidationError, match="^cannot bootstrap an empty sample$"):
+            bootstrap_se(ObservationSet(w=np.empty((0, 1)), t=[], y=[]), calls.append, BootstrapConfig(10, rng))
+        assert calls == [] and rng.bit_generator.state == state
+
 
 class TestEstimatorProperties:
     @given(seed=st.integers(0, 2**31), p=st.integers(0, 3))
@@ -1126,21 +1134,24 @@ def group_against_alone(samples, replicates):
 
 
 class TestGroupBootstrap:
-    """The ipw bootstraps of a group's samples run as one pass, each sample
-    drawing from its own generator: each gets what it gets alone."""
+    """The ipw bootstraps of a group's samples run one after another, each
+    sample drawing from its own generator: each gets what it gets alone."""
 
     def test_paper_design_with_redraws(self, monkeypatch):
         """n = 20: resamples that lose an arm in a covariate pattern are
-        redrawn. The first sample appears twice, so two
-        neighbouring samples have equal full-sample fits: they refit in
-        separate calls, and no run of equal start rows spans two passes."""
+        redrawn. The first sample appears twice. Every refit gets one start
+        row, its sample's full-sample fit, and at most one pass of that
+        sample, and each sample's passes run before the next sample's."""
         refits = count_calls(monkeypatch, "refit_logistic")
         samples = sharing_cell_rows(lambda seed: sample_dgp(DgpSpec(), 20, seed), 6)
-        outcomes = group_against_alone([samples[0], *samples], 200)
+        group = [samples[0], *samples]
+        outcomes = group_against_alone(group, 200)
         assert any(note is not None and note.startswith("bootstrap redrew") for note in outcomes)
-        runs = [np.diff(np.flatnonzero(np.r_[True, (s[1:] != s[:-1]).any(axis=1), True]))
-                for s in (call[3] for call in refits)]
-        assert max(run.max() for run in runs) == 200 and max(len(call[3]) for call in refits) > 200
+        assert all(call[3].shape == (2,) and call[2].shape[0] <= 200 for call in refits)
+        fits = [np.r_[model.intercept, model.coef].tobytes() for model in map(fit_logistic, group)]
+        fits = [fit for fit, _ in itertools.groupby(fits)]
+        starts = [start for start, _ in itertools.groupby(call[3].tobytes() for call in refits)]
+        assert starts == fits * 2  # the group's refits, then each sample's alone
 
     def test_a_design_that_is_not_saturated(self, monkeypatch):
         """Two binary covariates: every resample with both arms is refitted
@@ -1168,8 +1179,8 @@ class TestGroupBootstrap:
 
         def stalls_for_one_start(x, t, counts, start):
             probs, ok, stalled = original(x, t, counts, start)
-            for row in np.flatnonzero([row.tobytes() == bad_start for row in np.atleast_2d(start)]):
-                stalled[int(row)] = ConvergenceError("IRLS did not converge in 100 iterations; last step sizes: 1")
+            if start.tobytes() == bad_start:
+                stalled[0] = ConvergenceError("IRLS did not converge in 100 iterations; last step sizes: 1")
             return probs, ok, stalled
 
         monkeypatch.setattr(estimators, "refit_logistic", stalls_for_one_start)

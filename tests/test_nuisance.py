@@ -478,8 +478,8 @@ class TestSaturatedRefit:
     def test_a_refit_is_flagged_alike_in_every_block(self, monkeypatch, block):
         """The resample with counts [3, 0, 2, 7] on w in {-3, 5}, whose
         pattern w = -3 holds one arm, is flagged with the same bytes in
-        every block of its own sample's resamples, and between another
-        sample's refits, with no IRLS. IRLS from the full-sample fit does not
+        every block of its own sample's resamples, and between other
+        resamples, with no IRLS. IRLS from the full-sample fit does not
         converge on it."""
         data = far_levels_sample(3, 3)
         x, t, cell = cell_design(data)
@@ -488,12 +488,10 @@ class TestSaturatedRefit:
         start = coefficients(fit_logistic(data))
         assert list(_irls(x, t, counts=own[:1], start=start, pooled=True)[2]) == [0]
         neighbours = np.array([[3.0, 3.0, 2.0, 4.0], [1.0, 5.0, 4.0, 2.0], [6.0, 0.0, 1.0, 5.0]])
-        other = coefficients(fit_logistic(far_levels_sample(2, 4)))
         refits = irls_problems(monkeypatch)
         expected = np.clip([0.0, 0.0, 7 / 9, 7 / 9], 1e-15, 1.0 - 1e-15).tobytes()
-        for counts, starts, row in [(own, start, 0), (np.vstack([neighbours, own, neighbours]),
-                                                      np.repeat([other, start, other], [3, block, 3], axis=0), 3)]:
-            probs, ok, stalled = refit_logistic(x, t, counts, starts)
+        for counts, row in [(own, 0), (np.vstack([neighbours, own, neighbours]), 3)]:
+            probs, ok, stalled = refit_logistic(x, t, counts, start)
             assert not ok[row] and not stalled and probs[row].tobytes() == expected
         assert refits == []
 
@@ -515,18 +513,6 @@ class TestSaturatedRefit:
     )
     def test_other_designs_are_not_saturated(self, rows):
         assert saturated_patterns(np.asarray(rows)) is None
-
-
-class TestRunsOfEqualStarts:
-    """Off a saturated design, each run of refits that share a start row is
-    one IRLS batch, as a lone call on the run: the refits of one sample do
-    not depend on the resamples of the others."""
-
-    def test_one_start_row_for_all_equals_a_row_per_refit(self):
-        x, t, start, counts = resample_counts(two_binary_covariates(200, seed=1), 40, 0)
-        probs, ok, stalled = refit_logistic(x, t, counts, start)
-        each = refit_logistic(x, t, counts, np.tile(start, (counts.shape[0], 1)))
-        assert ok.tobytes() == each[1].tobytes() and probs.tobytes() == each[0].tobytes() and stalled == each[2]
 
 
 class TestPredictOutcome:

@@ -30,9 +30,9 @@ from bineffect.simulation import (
 from bineffect.nuisance import CellBatch
 from conftest import forbid
 
-BATE = EstimandSpec.bate()
-PEB1 = EstimandSpec.peb(1)
-PEB0 = EstimandSpec.peb(0)
+BATE = EstimandSpec("bate")
+PEB1 = EstimandSpec("peb1")
+PEB0 = EstimandSpec("peb0")
 
 # Values computed independently: closed-form truncated-normal moments for the
 # polynomial part (E[Z^3 1(Z>c)] = (c^2+2) phi(c) etc.) plus quadrature for
@@ -636,6 +636,25 @@ class TestMonteCarlo:
     def test_negative_seed_or_size_rejected(self, dgp, n_list, seed):
         with pytest.raises(ValidationError):
             run_monte_carlo(dgp, n_list, 2, ["reg"], seed=seed)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [(dict(boot_replicates=2.5), "bootstrap replicates"), (dict(replicates=2.5), "replicates"),
+         (dict(threads=1.5), "threads"), (dict(n_list=[50, 150.7]), "n"), (dict(seed=1.5), "seed"),
+         (dict(replicates=True), "replicates")],
+        ids=["boot_replicates", "replicates", "threads", "n", "seed", "bool"],
+    )
+    def test_a_count_that_is_not_an_integer_is_rejected_before_any_replicate(self, dgp, monkeypatch, kwargs, name):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
+        args = {"n_list": [50], "replicates": 2, "estimators": ["ipw"], "seed": 0, "threads": 2, **kwargs}
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer, got "):
+            run_monte_carlo(dgp, **args)
+
+    def test_numpy_integer_counts_are_accepted(self, dgp):
+        i = np.int64
+        assert BootstrapConfig(i(20)).replicates == 20
+        numpy = run_monte_carlo(dgp, [i(60)], i(2), ["reg", "ipw"], seed=i(1), boot_replicates=i(10), threads=i(1))
+        assert numpy == run_monte_carlo(dgp, [60], 2, ["reg", "ipw"], seed=1, boot_replicates=10)
 
 
 class TestLargeSampleConsistency:
