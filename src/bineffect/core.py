@@ -58,6 +58,15 @@ def check_integer(name: str, value) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def seeded_rng(name: str, seed) -> np.random.Generator:
+    """`seed` if it is a Generator, else np.random.default_rng(seed), whose errors raise ValidationError."""
+    try:
+        return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        kind = "non-negative" if isinstance(exc, ValueError) else "an integer or a sequence of integers"
+        raise ValidationError(f"{name} must be {kind}, got {seed}") from None
+
+
 class Direction(enum.Enum):
     """Which side of the cutoff maps to the treated arm."""
 

@@ -22,6 +22,7 @@ from .core import (
     ValidationError,
     check_integer,
     positivity_diagnostic,
+    seeded_rng,
     z_quantile,
 )
 from .nuisance import (
@@ -70,8 +71,7 @@ class BootstrapConfig:
             raise ValidationError(f"bootstrap needs at least 2 replicates, got {self.replicates}")
         if self.ci_method not in ("normal", "percentile"):
             raise ValidationError(f"ci_method must be 'normal' or 'percentile', got {self.ci_method!r}")
-        if isinstance(self.seed, (int, np.integer)) and self.seed < 0:
-            raise ValidationError(f"bootstrap seed must be non-negative, got {self.seed}")
+        seeded_rng("bootstrap seed", self.seed)
 
 
 class Nuisances:
@@ -217,7 +217,7 @@ def _bootstrap_many(
     z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
     alpha, out = (1.0 - ci_level) / 2.0, []
     for i, boot in enumerate(boots):
-        rng, estimates = np.random.default_rng(boot.seed), np.empty((boot.replicates, e))
+        rng, estimates = seeded_rng("bootstrap seed", boot.seed), np.empty((boot.replicates, e))
         done, redraws, stop = 0, 0, None
         while stop is None and done < boot.replicates:
             m = min(max(1, _BLOCK_ELEMENTS // width), boot.replicates - done)
@@ -356,54 +356,39 @@ def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np
     offset and h. Newton iteration with step halving on the quasi-binomial
     log likelihood, whose sums over the cells are elementwise products'
     `.sum(axis=-1)`, which do not depend on the BLAS thread count. The
-    samples iterate together, each on its own arithmetic, and each
-    coefficient tried is evaluated once. Returns the (R, 1) coefficients,
-    NaN where the iteration did not converge (a flat likelihood included).
-    """
-    def evaluate(parts: list, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(probabilities, log likelihood) at beta of the samples whose
-        (ys_sums, sizes, offset, h) rows are `parts`."""
-        ys, n_c, off, hh = parts
-        probs = expit(off + beta * hh)
+    samples iterate together on whole arrays, each on its own arithmetic: a
+    sample that converges or finds its likelihood flat leaves `live` and
+    takes zero steps from then on. Each coefficient tried is evaluated once
+    only for a lone sample. Returns the (R, 1) coefficients, NaN where the
+    iteration did not converge (a flat likelihood included)."""
+    def evaluate(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(probabilities, log likelihood) of every sample at its coefficient in `beta`."""
+        probs = expit(offset + beta * h)
         clipped = np.clip(probs, 1e-12, 1.0 - 1e-12)
-        loglik = (ys * np.log(clipped)).sum(axis=-1, keepdims=True) + (
-            (n_c - ys) * np.log(1.0 - clipped)
-        ).sum(axis=-1, keepdims=True)
-        return probs, loglik
+        return probs, (ys_sums * np.log(clipped)).sum(axis=-1, keepdims=True) + (
+            (sizes - ys_sums) * np.log(1.0 - clipped)).sum(axis=-1, keepdims=True)
 
-    out = np.full((h.shape[0], 1), np.nan)
-    # the samples still iterating: their indices, coefficients, probabilities, log likelihoods and rows
-    active, parts = np.arange(h.shape[0]), [ys_sums, sizes, offset, h]
-    beta = np.zeros((active.size, 1))
-    probs, current = evaluate(parts, beta)
+    beta, live = np.zeros((h.shape[0], 1)), np.ones((h.shape[0], 1), dtype=bool)
+    probs, current = evaluate(beta)
     for _ in range(_TMLE_MAX_ITER):
-        if not active.size:
-            break
-        ys, n_c, _, hh = parts
-        score = (hh * (ys - n_c * probs)).sum(axis=-1, keepdims=True)
-        curvature = (hh * hh * (n_c * (probs * (1.0 - probs)))).sum(axis=-1, keepdims=True)
-        live = ~(curvature[:, 0] <= 0.0)  # a flat likelihood stops the sample unconverged
-        if not live.all():
-            active, beta, probs, current, score, curvature, *parts = (
-                v[live] for v in (active, beta, probs, current, score, curvature, *parts)
-            )
-        step = score / curvature
-        cand_probs, cand = evaluate(parts, beta + step)
+        score = (h * (ys_sums - sizes * probs)).sum(axis=-1, keepdims=True)
+        curvature = (h * h * (sizes * (probs * (1.0 - probs)))).sum(axis=-1, keepdims=True)
+        flat = live & (curvature <= 0.0)  # a flat likelihood stops the sample unconverged
+        beta[flat], live[flat] = np.nan, False
+        step = np.divide(score, curvature, out=np.zeros_like(score), where=live)
+        cand_probs, cand = evaluate(beta + step)
         for _ in range(40):
-            worse = ~(cand[:, 0] >= current[:, 0] - 1e-12)
+            worse = live & ~(cand >= current - 1e-12)
             if not worse.any():
                 break
             step[worse] /= 2.0
-            rows = parts if worse.all() else [v[worse] for v in parts]
-            cand_probs[worse], cand[worse] = evaluate(rows, beta[worse] + step[worse])
+            cand_probs, cand = evaluate(beta + step)
         # after 40 halvings the final step is taken all the same
-        beta = beta + step
-        probs, current = cand_probs, cand
-        done = np.abs(step[:, 0]) < _TMLE_TOL
-        out[active[done]] = beta[done]
-        if done.any():
-            active, beta, probs, current, *parts = (v[~done] for v in (active, beta, probs, current, *parts))
-    return out
+        beta, probs, current = beta + step, cand_probs, cand
+        live &= ~(np.abs(step) < _TMLE_TOL)  # a converged sample keeps its coefficient
+        if not live.any():
+            break
+    return np.where(live, np.nan, beta)
 
 
 def _tmle_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:

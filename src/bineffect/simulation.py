@@ -25,6 +25,7 @@ from .core import (
     binarize,
     check_integer,
     csv_text,
+    seeded_rng,
 )
 from .estimators import BootstrapConfig, check_estimate_args, estimate_cells
 
@@ -100,10 +101,10 @@ class TruthReport:
 def sample_dgp(spec: DgpSpec, n: int, seed) -> ObservationSet:
     """Draw n i.i.d. units; `seed` is anything np.random.default_rng accepts,
     or an existing Generator."""
+    check_integer("n", n)
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    w, a, t, y = _draw(spec, n, [rng])
+    w, a, t, y = _draw(spec, n, [seeded_rng("seed", seed)])
     return ObservationSet(w=w[0], t=t[0], y=y[0], a=a[0], rule=spec.rule)
 
 
@@ -343,8 +344,7 @@ def run_monte_carlo(
         check_integer(name, value)
     if replicates < 2:
         raise ValidationError(f"replicates must be >= 2, got {replicates}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
+    seeded_rng("seed", seed)
     if any(n < 1 for n in n_list):
         raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
     if threads < 1:

@@ -568,6 +568,15 @@ def test_z_quantile_matches_scipy_stats():
     assert np.array_equal([z_quantile(float(level)) for level in levels], expected)
 
 
+@pytest.mark.parametrize("seed", [3, [3, 4], np.random.SeedSequence(3)], ids=["int", "sequence", "seed_sequence"])
+def test_seeded_rng_builds_default_rng_and_passes_a_generator_through(seed, monkeypatch):
+    drawn = core.seeded_rng("seed", seed).integers(2**62, size=4)
+    assert np.array_equal(drawn, np.random.default_rng(seed).integers(2**62, size=4))
+    rng = np.random.default_rng(seed)
+    forbid(monkeypatch, np.random, "default_rng")  # a Generator costs only an isinstance check
+    assert core.seeded_rng("seed", rng) is rng
+
+
 class TestReportTypes:
     def test_estimand_validation(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -634,6 +635,29 @@ class TestBootstrapSe:
             BootstrapConfig(replicates=20, seed=-1)
         BootstrapConfig(replicates=20, seed=np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(-1, "non-negative, got -1"), (np.int64(-2), "non-negative, got -2"), ([3, -1], "non-negative, got [3, -1]"),
+         (1.5, "an integer or a sequence of integers, got 1.5"),
+         ([1.5], "an integer or a sequence of integers, got [1.5]")],
+        ids=["negative", "numpy_negative", "negative_in_sequence", "float", "float_in_sequence"],
+    )
+    def test_a_bad_seed_is_a_validation_error(self, seed, message):
+        with pytest.raises(ValidationError, match=f"^bootstrap seed must be {re.escape(message)}$"):
+            BootstrapConfig(replicates=20, seed=seed)
+
+    @pytest.mark.parametrize(
+        "seed", [7, np.uint32(7), [7, 2], np.random.SeedSequence(7)],
+        ids=["int", "numpy_int", "sequence", "seed_sequence"],
+    )
+    def test_a_seed_resamples_as_its_generator_does(self, seed):
+        """The bootstrap draws from default_rng(seed), or from a Generator
+        itself, which it advances."""
+        data, fn = make_dataset(n=50, p=1, seed=2), lambda d: float(d.y.mean())
+        rng = np.random.default_rng(seed)
+        assert bootstrap_se(data, fn, BootstrapConfig(30, seed)) == bootstrap_se(data, fn, BootstrapConfig(30, rng))
+        assert rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+
     def test_bad_level_rejected_before_resampling(self):
         data = make_dataset(n=100, p=1, seed=2)
         calls = []
@@ -943,6 +967,51 @@ def test_a_batch_of_samples_gives_each_the_numbers_it_gets_alone():
             reports = estimate_many(data, [name], estimands)
             assert list(row_points) == [r.point for r in reports]
             assert list(row_ses) == [r.se for r in reports]
+
+
+def fluctuation_batch(seed, r=40, k=7):
+    """(ys_sums, sizes, offset, h) of r samples on k cells, and each row's
+    kind (row % 4): random; flat (h = 0); ys = 0 with h > 0, whose
+    likelihood rises without bound; and an offset far above ys, where the
+    first Newton step may overshoot and be halved."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 30, (r, k)).astype(float)
+    ys, offset, h = sizes * rng.random((r, k)), rng.normal(0.0, 3.0, (r, k)), rng.normal(0.0, 20.0, (r, k))
+    kind = np.arange(r) % 4
+    h[kind == 1] = 0.0
+    ys[kind == 2], h[kind == 2] = 0.0, np.abs(h[kind == 2]) + 1.0
+    ys[kind == 3], offset[kind == 3], h[kind == 3] = 0.2 * sizes[kind == 3], 3.0, rng.uniform(0.5, 2.0, (r // 4, k))
+    return (ys, sizes, offset, h), kind
+
+
+def first_step_overshoots(ys, sizes, offset, h):
+    """Whether the full first Newton step of one sample's fluctuation lowers its log likelihood."""
+    def loglik(beta):
+        probs = np.clip(expit(offset + beta * h), 1e-12, 1.0 - 1e-12)
+        return (ys * np.log(probs) + (sizes - ys) * np.log(1.0 - probs)).sum()
+
+    probs = expit(offset)
+    step = (h * (ys - sizes * probs)).sum() / (h * h * sizes * probs * (1.0 - probs)).sum()
+    return loglik(step) < loglik(0.0) - 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_fluctuated_sample_gets_the_bytes_it_gets_alone(seed, monkeypatch):
+    """`_fluctuate` on a batch gives each row the coefficient that row gets
+    fluctuated alone, byte for byte: flat rows (NaN), rows whose step is
+    halved and rows that do not converge in 100 iterations (NaN) included."""
+    args, kind = fluctuation_batch(seed)
+    batch = estimators._fluctuate(*args)
+    tried = count_calls(monkeypatch, "expit")  # one call per coefficient a lone sample tries
+    for i in range(kind.size):
+        tried.clear()
+        alone = estimators._fluctuate(*(v[i : i + 1] for v in args))
+        assert alone.tobytes() == batch[i].tobytes()
+        if kind[i] == 2:
+            assert len(tried) == estimators._TMLE_MAX_ITER + 1
+    assert np.isnan(batch[kind == 1]).all() and np.isnan(batch[kind == 2]).all()
+    assert np.isfinite(batch[kind == 3]).all()
+    assert any(first_step_overshoots(*(v[i] for v in args)) for i in np.flatnonzero(kind == 3))
 
 
 def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95, propensity=None):

@@ -167,6 +167,18 @@ class TestSampleDgp:
             sample_dgp(dgp, 0, seed=0)
 
     @pytest.mark.parametrize(
+        "n, seed, message",
+        [(150.7, 1, "n must be an integer, got 150.7"), (True, 1, "n must be an integer, got True"),
+         (150, 1.5, "seed must be an integer or a sequence of integers, got 1.5"),
+         (150, "7", "seed must be an integer or a sequence of integers, got 7"),
+         (150, -1, "seed must be non-negative, got -1"), (150, [4, -2], "seed must be non-negative, got [4, -2]")],
+        ids=["float_n", "bool_n", "float_seed", "str_seed", "negative_seed", "negative_in_sequence"],
+    )
+    def test_a_bad_size_or_seed_is_a_validation_error(self, dgp, n, seed, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sample_dgp(dgp, n, seed)
+
+    @pytest.mark.parametrize(
         "spec",
         [DgpSpec(), DgpSpec(a_sd=1.7), DgpSpec(noise_sd=0.0, outcome_fn=signed_zero_outcome),
          DgpSpec(a_mean_slope=4.0), DgpSpec(w_prob=0.05)],
