@@ -31,10 +31,8 @@ from .core import (
 from .estimators import (
     ESTIMATOR_NAMES,
     BootstrapConfig,
-    Nuisances,
     TmleFit,
     aipw_influence,
-    bootstrap_se,
     estimate_many,
     tmle_update,
 )

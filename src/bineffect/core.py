@@ -384,24 +384,6 @@ class ObservationSet:
             raise ValidationError("cannot apply a binarization rule: no continuous treatment stored")
         return ObservationSet(w=self.w, t=binarize(self.a, rule), y=self.y, a=self.a, rule=rule)
 
-    def subset(self, idx: np.ndarray) -> "ObservationSet":
-        """Row-select (used by resampling and permutation checks).
-
-        Skips revalidation: row selection preserves every invariant of an
-        already-validated set.
-        """
-        out = object.__new__(ObservationSet)
-        for name, col in (("w", self.w[idx]), ("t", self.t[idx]), ("y", self.y[idx])):
-            col.flags.writeable = False
-            object.__setattr__(out, name, col)
-        a = None
-        if self.a is not None:
-            a = self.a[idx]
-            a.flags.writeable = False
-        object.__setattr__(out, "a", a)
-        object.__setattr__(out, "rule", self.rule)
-        return out
-
 
 @dataclass(frozen=True)
 class EstimateReport:
@@ -621,12 +603,11 @@ def positivity_diagnostic(pscore: np.ndarray, eps: float = 0.01) -> list[str]:
     """Summarise the units whose estimated propensity is within `eps` of 0 or 1.
 
     `pscore` holds one fitted propensity per unit, such as
-    `Nuisances(data).pscore[data.cells[1]]` (`Nuisances.pscore` holds one per
-    cell). A unit is flagged when its propensity is strictly below `eps` or
-    strictly above 1 - eps. Returns [] when no unit is flagged, otherwise one
-    warning string with the band, the number flagged of n, the count on each
-    side, and the minimum and maximum propensity over all units; it never
-    raises on extreme values. The flagged indices themselves are
+    `fit_logistic(data).predict_proba(data.w)`. A unit is flagged when its
+    propensity is strictly below `eps` or strictly above 1 - eps. Returns []
+    when no unit is flagged, otherwise one warning string with the band, the
+    number flagged of n, the count on each side, and the minimum and maximum
+    propensity over all units; it never raises on extreme values. The flagged indices themselves are
     `np.flatnonzero((pscore < eps) | (pscore > 1 - eps))`.
     """
     if not 0.0 < eps < 0.5:

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from functools import cached_property
-from typing import Callable, Literal, Sequence
+from dataclasses import dataclass, fields
+from typing import Literal, Sequence
 
 import numpy as np
 from scipy.special import expit, logit
@@ -13,12 +11,9 @@ from scipy.special import expit, logit
 from .core import (
     CellBatch,
     ConvergenceError,
-    DegenerateArmError,
     EstimandSpec,
     EstimateReport,
     ObservationSet,
-    SeparationError,
-    SingularDesignError,
     ValidationError,
     check_integer,
     positivity_diagnostic,
@@ -43,8 +38,7 @@ _TMLE_BOUND = 5e-4   # keeps logit of scaled predictions finite
 _TMLE_TOL = 1e-10
 _TMLE_MAX_ITER = 100
 
-_RESAMPLE_ERRORS = (DegenerateArmError, SeparationError, SingularDesignError)
-_BLOCK_ELEMENTS = 2**17  # resamples x width (units or cells) per pass of a sample
+_BLOCK_ELEMENTS = 2**17  # resamples x cells per pass of a sample
 # Bootstrap indices drawn and reduced at once. mc_paper batches (2 cores, one BLAS thread, median
 # of 40 batches) in a fresh process: 2^12 7.7 ms, 2^13 7.1, 2^14 6.8, 2^15 8.1 and 2^16 8.9 ms.
 # From 2^15 on, a chunk's int64 arrays pass glibc's 128 KiB mmap threshold and are mapped afresh
@@ -74,46 +68,21 @@ class BootstrapConfig:
         seeded_rng("bootstrap seed", self.seed)
 
 
-class Nuisances:
-    """The outcome regression and the propensity of one sample, each
-    injected prefit or fitted on first use, at most once (a fit that raises
-    is not cached), with their predictions `pscore`, `m1` and `m0` at the
-    (t, w) cells of `data.cells`. A unit reads its prediction at its cell
-    index, `data.cells[1]`. `estimate_many` reads only the injected models."""
+def _at_cells(data: ObservationSet, predict, *args) -> np.ndarray:
+    """A model's predictions `predict(*args, w)` at the (t, w) cells of
+    `data.cells`, as a (1, k) row; a unit reads its value at its cell index,
+    `data.cells[1]`."""
+    return np.asarray(predict(*args, data.cells[0].w), dtype=float)[None]
 
-    def __init__(
-        self,
-        data: ObservationSet,
-        outcome: OutcomeModel | None = None,
-        propensity: PropensityModel | None = None,
-    ) -> None:
-        self.data = data
-        self.outcome_injected = outcome is not None
-        self.propensity_injected = propensity is not None
-        if outcome is not None:
-            self.outcome = outcome
-        if propensity is not None:
-            self.propensity = propensity
 
-    @cached_property
-    def outcome(self) -> OutcomeModel:
-        return fit_ols_interacted(self.data)
-
-    @cached_property
-    def propensity(self) -> PropensityModel:
-        return fit_logistic(self.data)
-
-    @cached_property
-    def pscore(self) -> np.ndarray:
-        return np.asarray(self.propensity.predict_proba(self.data.cells[0].w), dtype=float)
-
-    @cached_property
-    def m1(self) -> np.ndarray:
-        return np.asarray(self.outcome.predict(1.0, self.data.cells[0].w), dtype=float)
-
-    @cached_property
-    def m0(self) -> np.ndarray:
-        return np.asarray(self.outcome.predict(0.0, self.data.cells[0].w), dtype=float)
+def _nuisances(
+    data: ObservationSet, outcome: OutcomeModel | None, propensity: PropensityModel | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pscore, m1, m0) at the cells of `data`, from the injected models or,
+    where one is None, from its fit on `data`; the propensity comes first."""
+    pscore = _at_cells(data, (fit_logistic(data) if propensity is None else propensity).predict_proba)
+    outcome = fit_ols_interacted(data) if outcome is None else outcome
+    return pscore, _at_cells(data, outcome.predict, 1.0), _at_cells(data, outcome.predict, 0.0)
 
 
 def _per_contrast(theta: np.ndarray, a: list, b: list, contrasts: np.ndarray) -> list[tuple]:
@@ -189,88 +158,6 @@ def _ipw_arms(t: np.ndarray, y_sums: np.ndarray, pscore: np.ndarray, n: float) -
     return np.stack(sums, axis=-1) / n
 
 
-def _bootstrap_many(
-    width: int,
-    statistic: Callable[[int, np.random.Generator, int], tuple],
-    boots: Sequence[BootstrapConfig],
-    e: int,
-    ci_level: float,
-) -> list:
-    """Bootstraps of R samples, one after another, each resampled with
-    replacement as `boots[i]` says; returns per sample (ses, percentile cis
-    or None unless its ci_method is percentile, redraw note) or the
-    ConvergenceError that stopped it.
-
-    A resample is seen as `width` values (its units, or its cells' counts),
-    so each pass of a sample takes m = min(need, max(1, `_BLOCK_ELEMENTS` //
-    width)) resamples from the sample's own generator. `statistic(i, rng,
-    m)` takes m successive draws for sample i, which give the same indices,
-    and leave the generator in the same state, as m passes of one, and
-    returns their (m, e) estimates, a mask of the resamples it could
-    evaluate and None or the ConvergenceError that stops the sample. The
-    others (a degenerate arm, separation, a singular design) are redrawn
-    and counted, so each sample's accepted resamples are the first
-    `replicates` good draws of its stream. A redraw count past max(1000,
-    100 * replicates) stops its sample too. The note is None unless more
-    than 1% of resamples were redrawn.
-    """
-    z_quantile(ci_level)  # raises ValidationError for a level outside (0, 1)
-    alpha, out = (1.0 - ci_level) / 2.0, []
-    for i, boot in enumerate(boots):
-        rng, estimates = seeded_rng("bootstrap seed", boot.seed), np.empty((boot.replicates, e))
-        done, redraws, stop = 0, 0, None
-        while stop is None and done < boot.replicates:
-            m = min(max(1, _BLOCK_ELEMENTS // width), boot.replicates - done)
-            values, ok, stop = statistic(i, rng, m)
-            good = int(np.count_nonzero(ok))
-            estimates[done : done + good] = values[ok]
-            done, redraws = done + good, redraws + m - good
-            if stop is None and redraws > max(1000, 100 * boot.replicates):
-                stop = ConvergenceError(f"bootstrap gave up after {redraws} redraws of degenerate resamples")
-        if stop is not None:
-            out.append(stop)
-            continue
-        cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T if boot.ci_method == "percentile" else None
-        share = f"({100.0 * redraws / boot.replicates:.1f}% of {boot.replicates})"
-        note = f"bootstrap redrew {redraws} degenerate resamples {share}" if redraws > 0.01 * boot.replicates else None
-        out.append((estimates.std(axis=0, ddof=1), cis, note))
-    return out
-
-
-def bootstrap_se(
-    data: ObservationSet,
-    estimator_fn: Callable[[ObservationSet], float],
-    boot: BootstrapConfig,
-    ci_level: float = 0.95,
-) -> tuple[float, tuple[float, float]]:
-    """Nonparametric bootstrap SE and percentile CI of a scalar estimator.
-
-    `estimator_fn` maps an ObservationSet to a float and is re-run (all
-    nuisances refit) on each resample. Deterministic for a fixed seed. Warns
-    when more than 1% of resamples had to be redrawn. An empty sample raises
-    ValidationError before any draw.
-    """
-    if data.n == 0:
-        raise ValidationError("cannot bootstrap an empty sample")
-
-    def statistic(_, rng: np.random.Generator, m: int) -> tuple:
-        values, ok = np.empty((m, 1)), np.ones(m, dtype=bool)
-        for j, rows in enumerate(rng.integers(0, data.n, size=(m, data.n))):
-            try:
-                values[j] = estimator_fn(data.subset(rows))
-            except _RESAMPLE_ERRORS:
-                ok[j] = False
-        return values, ok, None
-
-    [result] = _bootstrap_many(data.n, statistic, [replace(boot, ci_method="percentile")], 1, ci_level)
-    if isinstance(result, ConvergenceError):
-        raise result
-    ses, cis, note = result
-    if note is not None:
-        warnings.warn(note, stacklevel=2)
-    return float(ses[0]), (float(cis[0, 0]), float(cis[0, 1]))
-
-
 def _resample_cells(
     rng: np.random.Generator, cell: np.ndarray, y: np.ndarray, k: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -297,33 +184,57 @@ def _resample_cells(
     return counts.reshape(m, k), y_sums.reshape(m, k)
 
 
-def _ipw(
+def _bootstrap_many(
     x: np.ndarray, t: np.ndarray, units: Sequence[tuple[np.ndarray, np.ndarray, BootstrapConfig]],
     pscore: np.ndarray, start: np.ndarray | None, contrasts: np.ndarray, ci_level: float,
 ) -> list:
     """IPW bootstraps of R samples that share their cells' logistic design
-    rows `x` and treatments `t`: per sample, (SEs per row of `contrasts`,
-    percentile CIs or None, redraw note) or the ConvergenceError that stopped
-    it. `units` holds each sample's units' cell indices and outcomes and its
-    BootstrapConfig, `pscore` (R, k) the propensities at the cells. All
-    estimands share one set of resamples, each seen as its counts and y sums
-    per cell, so a pass of a sample takes resamples by its cells, not its
-    units. Each pass refits the propensity once (`refit_logistic`), from its
-    sample's full-sample coefficients in `start` (R, d); with `start` None,
-    `pscore` is held fixed. A refit that does not converge stops its sample,
-    with the error of the first such resample of the pass."""
-    k = t.size
+    rows `x` and treatments `t`, one sample after another: per sample, (SEs
+    per row of `contrasts`, percentile CIs or None unless its ci_method is
+    percentile, redraw note) or the ConvergenceError that stopped it. `units`
+    holds each sample's units' cell indices and outcomes and its
+    BootstrapConfig, `pscore` (R, k) the propensities at the cells.
 
-    def statistic(i: int, rng: np.random.Generator, m: int) -> tuple:
-        cell, y, _ = units[i]
-        counts, y_sums = _resample_cells(rng, cell, y, k, m)
-        if start is None:
-            probs, ok, stalled = np.broadcast_to(pscore[i], counts.shape), np.ones(m, dtype=bool), {}
-        else:
-            probs, ok, stalled = refit_logistic(x, t, counts, start[i])
-        return _ipw_arms(t, y_sums, probs, float(y.size)) @ contrasts.T, ok, stalled[min(stalled)] if stalled else None
-
-    return _bootstrap_many(k, statistic, [boot for *_, boot in units], len(contrasts), ci_level)
+    All estimands share one set of resamples, each drawn with replacement
+    from the sample's own generator and seen as its counts and y sums per
+    cell (`_resample_cells`). So a pass of a sample takes m = min(need,
+    max(1, `_BLOCK_ELEMENTS` // k)) resamples, which give the same indices,
+    and leave the generator in the same state, as m passes of one. Each pass
+    refits the propensity once (`refit_logistic`), from its sample's
+    full-sample coefficients in `start` (R, d); with `start` None, `pscore`
+    is held fixed. A refit that does not converge stops its sample, with the
+    error of the first such resample of the pass. The resamples it flags (a
+    degenerate arm, separation, a singular design) are redrawn and counted,
+    so each sample's accepted resamples are the first `replicates` good draws
+    of its stream. A redraw count past max(1000, 100 * replicates) stops its
+    sample too. The note is None unless more than 1% of resamples were
+    redrawn.
+    """
+    k, alpha, out = t.size, (1.0 - ci_level) / 2.0, []
+    for i, (cell, y, boot) in enumerate(units):
+        rng, estimates = seeded_rng("bootstrap seed", boot.seed), np.empty((boot.replicates, len(contrasts)))
+        done, redraws, stop = 0, 0, None
+        while stop is None and done < boot.replicates:
+            m = min(max(1, _BLOCK_ELEMENTS // k), boot.replicates - done)
+            counts, y_sums = _resample_cells(rng, cell, y, k, m)
+            if start is None:
+                probs, ok, stalled = np.broadcast_to(pscore[i], counts.shape), np.ones(m, dtype=bool), {}
+            else:
+                probs, ok, stalled = refit_logistic(x, t, counts, start[i])
+            stop = stalled[min(stalled)] if stalled else None
+            good = int(np.count_nonzero(ok))
+            estimates[done : done + good] = (_ipw_arms(t, y_sums, probs, float(y.size)) @ contrasts.T)[ok]
+            done, redraws = done + good, redraws + m - good
+            if stop is None and redraws > max(1000, 100 * boot.replicates):
+                stop = ConvergenceError(f"bootstrap gave up after {redraws} redraws of degenerate resamples")
+        if stop is not None:
+            out.append(stop)
+            continue
+        cis = np.quantile(estimates, [alpha, 1.0 - alpha], axis=0).T if boot.ci_method == "percentile" else None
+        share = f"({100.0 * redraws / boot.replicates:.1f}% of {boot.replicates})"
+        note = f"bootstrap redrew {redraws} degenerate resamples {share}" if redraws > 0.01 * boot.replicates else None
+        out.append((estimates.std(axis=0, ddof=1), cis, note))
+    return out
 
 
 def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndarray, contrasts) -> list:
@@ -460,44 +371,44 @@ def _cell_estimates(name: str, cells: CellBatch, contrasts: np.ndarray, nuisance
 
 
 def check_estimate_args(estimators: Sequence[str], ci_level: float) -> None:
-    """Raise ValidationError for an unknown estimator name or a level outside (0, 1)."""
+    """Raise ValidationError for an unknown or repeated estimator name or a level outside (0, 1)."""
     z_quantile(ci_level)
-    for name in estimators:
+    for i, name in enumerate(estimators):
         if name not in ESTIMATOR_NAMES:
             raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+        if name in estimators[:i]:
+            raise ValidationError(f"estimator {name!r} is named more than once")
 
 
 def estimate_many(
     data: ObservationSet,
     estimators: Sequence[str],
     estimands: Sequence[EstimandSpec],
-    nuisances: Nuisances | None = None,
     boot: BootstrapConfig | None = None,
     ci_level: float = 0.95,
     seed: int | None = None,
+    *,
+    outcome: OutcomeModel | None = None,
+    propensity: PropensityModel | None = None,
 ) -> list[EstimateReport]:
     """One report per (estimator, estimand), estimators in the outer order:
     `estimate_cells` on the sample as a batch of one, which raises the error
     that stopped the first failing estimator.
 
-    Each nuisance model is fitted at most once, unless `nuisances` (fresh
-    for `data` unless given) holds an injected one, which enters as its
-    predictions at the cells and is never refitted. `boot` (default
-    `BootstrapConfig()`) applies to ipw, whose estimands share one set of
-    resamples. `seed` is recorded in every report. The arguments are checked
-    before anything is fitted. Every estimand is a contrast of the policy
+    Each nuisance model is fitted at most once. A prefit `outcome` or
+    `propensity` enters as its predictions at the cells instead and is never
+    refitted. `boot` (default `BootstrapConfig()`) applies to ipw, whose
+    estimands share one set of resamples. `seed` is recorded in every report.
+    The arguments are checked before anything is fitted or drawn. Every estimand is a contrast of the policy
     means (mu1, mu0, E[Y]); tmle targets each estimand separately from one
     initial fit.
     """
     check_estimate_args(estimators, ci_level)
-    nuis = nuisances if nuisances is not None else Nuisances(data)
-    if nuis.data is not data:
-        raise ValidationError("nuisances were built for a different ObservationSet")
     injected = {}
-    if nuis.propensity_injected:
-        injected["pscore"] = nuis.pscore[None]
-    if nuis.outcome_injected:
-        injected["outcome"] = (nuis.m1[None], nuis.m0[None])
+    if propensity is not None:
+        injected["pscore"] = _at_cells(data, propensity.predict_proba)
+    if outcome is not None:
+        injected["outcome"] = (_at_cells(data, outcome.predict, 1.0), _at_cells(data, outcome.predict, 0.0))
     cells, cell = data.cells
     contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
     units = [(cell, data.y, boot or BootstrapConfig())]
@@ -560,8 +471,8 @@ def estimate_cells(
             if name != "ipw" and outcome is None:
                 outcome = outcome_at_cells(fits, cells.w, (1.0, 0.0))
         if name == "ipw" and rows.size:
-            bootstraps = _ipw(logistic_design(cells.w), cells.t, [units[i] for i in rows], pscore[rows],
-                              None if start is None else start[rows], contrasts, ci_level)
+            bootstraps = _bootstrap_many(logistic_design(cells.w), cells.t, [units[i] for i in rows], pscore[rows],
+                                         None if start is None else start[rows], contrasts, ci_level)
             points[rows] = _ipw_arms(cells.t, cells.sums[rows], pscore[rows], cells.n[rows, None]) @ contrasts.T
             for i, result in zip(rows, bootstraps):
                 if isinstance(result, ConvergenceError):
@@ -592,8 +503,7 @@ def aipw_influence(
 ) -> np.ndarray:
     """Estimated efficient influence values at the AIPW solution, one per
     unit (mean zero); the AIPW SE is sqrt(mean(phi**2) / n)."""
-    nuis = Nuisances(data, outcome, propensity)
-    [(_, a, b)] = _aipw_fits(data.cells[0], nuis.pscore[None], nuis.m1[None], nuis.m0[None], [estimand.contrast])
+    [(_, a, b)] = _aipw_fits(data.cells[0], *_nuisances(data, outcome, propensity), [estimand.contrast])
     return _unit_influence(data, a[0], b[0])
 
 
@@ -611,9 +521,7 @@ def tmle_update(
     updated predictions are mapped back to the original scale. Point
     estimates and influence values are invariant to affine rescaling of y.
     """
-    nuis = Nuisances(data, outcome, propensity)
-    [(point, a, b, beta)] = _tmle_fits(data.cells[0], nuis.pscore[None], nuis.m1[None], nuis.m0[None],
-                                       [estimand.contrast])
+    [(point, a, b, beta)] = _tmle_fits(data.cells[0], *_nuisances(data, outcome, propensity), [estimand.contrast])
     if np.isnan(beta[0]):
         raise ConvergenceError(_NOT_TARGETED)
     return TmleFit(float(point[0]), float(beta[0]), _unit_influence(data, a[0], b[0]))

@@ -255,7 +255,7 @@ def logistic_design(w: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((w.shape[0], 1)), w])
 
 
-def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> PropensityModel:
+def fit_logistic(data: ObservationSet) -> PropensityModel:
     """Maximum-likelihood logistic regression of t on [1, w] via IRLS:
     `logistic_fits` on the sample's cells, raising the error that stops it.
 
@@ -266,7 +266,7 @@ def fit_logistic(data: ObservationSet, start: np.ndarray | None = None) -> Prope
     separation raises SeparationError rather than being silently regularized
     away.
     """
-    model, [stop] = logistic_fits(data.cells[0], start)
+    model, [stop] = logistic_fits(data.cells[0])
     if stop is not None:
         raise stop
     return PropensityModel(float(model.intercept[0, 0]), model.coef[0].copy())
@@ -277,7 +277,8 @@ def logistic_fits(cells: CellBatch, start: np.ndarray | None = None) -> tuple[Pr
     samples on the first axis of its fields (intercept (R, 1)), and per
     sample None or the EstimationError that stops it (`_logistic_stop`,
     DegenerateArmError for one arm or none, or the ConvergenceError that
-    `_irls` reports). Each sample iterates on its own arithmetic, as alone.
+    `_irls` reports). Each sample iterates on its own arithmetic, as alone,
+    from the (d,) coefficients `start` if given, else from zeros.
     """
     r, x = cells.sizes.shape[0], logistic_design(cells.w)
     if not 0.0 < cells.t.sum() < cells.t.size:  # one arm or none

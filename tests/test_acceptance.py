@@ -19,11 +19,9 @@ from bineffect import (
     Direction,
     ESTIMATOR_NAMES,
     EstimandSpec,
-    Nuisances,
     ObservationSet,
     PropensityModel,
     aipw_influence,
-    bootstrap_se,
     estimate_many,
     fit_logistic,
     fit_ols_interacted,
@@ -195,8 +193,7 @@ def test_criterion_4_double_robustness(oracle):
             ("mis_outcome", wrong_outcome, good_prop),
             ("mis_prop", good_outcome, flat_prop),
         ):
-            nuisances = Nuisances(data, outcome=outcome, propensity=propensity)
-            for report in estimate_many(data, ["aipw", "tmle"], [BATE], nuisances):
+            for report in estimate_many(data, ["aipw", "tmle"], [BATE], outcome=outcome, propensity=propensity):
                 sums[f"{report.estimator}_{case}"] += report.point
     biases = {key: total / reps - oracle.psi_bate for key, total in sums.items()}
     ok = all(abs(b) < 0.5 for b in biases.values())
@@ -216,9 +213,7 @@ def test_criterion_5_coverage(oracle):
         data = sample_dgp(SPEC, n, seed=[SEED, 5, rep])
         outcome = fit_ols_interacted(data)
         propensity = fit_logistic(data)
-        reg, aipw = estimate_many(
-            data, ["reg", "aipw"], [BATE], Nuisances(data, outcome=outcome, propensity=propensity)
-        )
+        reg, aipw = estimate_many(data, ["reg", "aipw"], [BATE], outcome=outcome, propensity=propensity)
         hits["reg"] += reg.ci[0] <= truth <= reg.ci[1]
         hits["aipw"] += aipw.ci[0] <= truth <= aipw.ci[1]
     rates = {key: count / reps for key, count in hits.items()}
@@ -297,7 +292,7 @@ def test_criterion_8_invariant_suite():
     # permutation invariance of point estimates
     small = sample_dgp(SPEC, 200, seed=[SEED, 8, 1])
     perm = np.random.default_rng(0).permutation(small.n)
-    shuffled = small.subset(perm)
+    shuffled = ObservationSet(w=small.w[perm], t=small.t[perm], y=small.y[perm])
     names = ["reg", "aipw", "tmle"]
     for ra, rb in zip(estimate_many(small, names, [BATE]), estimate_many(shuffled, names, [BATE])):
         a, b = ra.point, rb.point
@@ -307,9 +302,9 @@ def test_criterion_8_invariant_suite():
     # seed determinism of sampling and the bootstrap
     if not np.array_equal(sample_dgp(SPEC, 100, seed=5).y, sample_dgp(SPEC, 100, seed=5).y):
         problems.append("sample_dgp not seed deterministic")
-    cfg = BootstrapConfig(replicates=60, seed=17)
-    fn = lambda d: float(d.y.mean())
-    if bootstrap_se(small, fn, cfg) != bootstrap_se(small, fn, cfg):
+    cfg = BootstrapConfig(replicates=60, seed=17, ci_method="percentile")
+    runs = [[(r.se, r.ci) for r in estimate_many(small, ["ipw"], [BATE], cfg)] for _ in range(2)]
+    if runs[0] != runs[1]:
         problems.append("bootstrap not seed deterministic")
 
     _check(

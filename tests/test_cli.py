@@ -179,6 +179,7 @@ class TestEstimateCommand:
             (["--estimator", "reg", "--ci-level", "1.5"], "ci_level"),
             (["--estimator", "ipw", "--boot-reps", "1"], "at least 2 replicates"),
             (["--estimand", "bate", "--arm", "0"], "--arm applies only to --estimand peb"),
+            (["--estimator", "ipw,ipw"], "estimator 'ipw' is named more than once"),
         ],
     )
     def test_arguments_rejected_before_reading(self, data_csv, capsys, monkeypatch, flags, message):
@@ -399,6 +400,12 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--reps", "2", "--seed", "-1", "--threads", "1") == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed" in err
+
+    def test_a_repeated_estimator_is_a_validation_error(self, capsys, monkeypatch):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp")
+        assert run_cli("simulate", "--reps", "2", "--n", "60", "--estimators", "reg,ipw,reg", "--threads", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "estimator 'reg' is named more than once" in err
 
     def test_missing_output_dir_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         forbid(monkeypatch, cli, "run_monte_carlo")

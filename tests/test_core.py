@@ -20,12 +20,12 @@ from bineffect import (
     Direction,
     EstimandSpec,
     EstimateReport,
-    Nuisances,
     ObservationSet,
     PropensityModel,
     ValidationError,
     binarize,
     core,
+    fit_logistic,
     load_csv,
     positivity_diagnostic,
     save_csv,
@@ -104,11 +104,6 @@ class TestObservationSet:
             w=np.zeros((200, 1)), t=binarize(a, GEQ6), y=np.zeros(200), a=a, rule=GEQ6
         )
         assert data.t.mean() == np.mean(a >= 6.0)
-
-    def test_subset_preserves_fields(self, dataset):
-        sub = dataset.subset(np.array([3, 1, 1]))
-        assert sub.n == 3
-        assert sub.y[1] == sub.y[2] == dataset.y[1]
 
 
 class TestCsv:
@@ -559,7 +554,9 @@ class TestPositivity:
     def test_dgp_fit_is_clean_at_default_eps(self, dgp):
         data = sample_dgp(dgp, 500, seed=11)
         # population propensities are 1 - Phi(1) and Phi(1), far from 0/1
-        assert positivity_diagnostic(Nuisances(data).pscore, eps=0.01) == []
+        pscore = fit_logistic(data).predict_proba(data.w)
+        assert pscore.shape == (500,)
+        assert positivity_diagnostic(pscore, eps=0.01) == []
 
 
 def test_z_quantile_matches_scipy_stats():

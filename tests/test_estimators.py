@@ -18,14 +18,12 @@ from bineffect import (
     DgpSpec,
     Direction,
     EstimandSpec,
-    Nuisances,
     ObservationSet,
     PropensityModel,
     SeparationError,
     SingularDesignError,
     ValidationError,
     aipw_influence,
-    bootstrap_se,
     cli,
     core,
     estimate_many,
@@ -126,6 +124,14 @@ def stratified_plug_in_bate(data):
     return total
 
 
+def cell_nuisances(data):
+    """(pscore, m1, m0) of the fitted propensity and outcome model at the
+    (t, w) cells of `data.cells`, each a (1, k) row."""
+    propensity, outcome = fit_logistic(data), fit_ols_interacted(data)
+    w = data.cells[0].w
+    return propensity.predict_proba(w)[None], outcome.predict(1.0, w)[None], outcome.predict(0.0, w)[None]
+
+
 class TestRegression:
     def test_no_covariates_difference_of_means(self):
         t = np.array([1.0] * 5 + [0.0] * 5)
@@ -152,7 +158,8 @@ class TestSandwich:
         assert report.se == pytest.approx(ehw_robust_se(data, 1), rel=1e-8)
 
     def test_row_duplication_scaling(self, dataset):
-        doubled = dataset.subset(np.concatenate([np.arange(dataset.n)] * 2))
+        idx = np.concatenate([np.arange(dataset.n)] * 2)
+        doubled = ObservationSet(w=dataset.w[idx], t=dataset.t[idx], y=dataset.y[idx])
         once = estimate_many(dataset, ["reg"], [BATE, PEB1])
         twice = estimate_many(doubled, ["reg"], [BATE, PEB1])
         for r1, r2 in zip(once, twice):
@@ -194,22 +201,19 @@ class TestSandwich:
     def test_peb_se_close_to_bootstrap(self):
         data = make_dataset(n=300, p=1, seed=21)
         [report] = estimate_many(data, ["reg"], [PEB1])
-        boot_se, _ = bootstrap_se(
-            data,
-            lambda d: estimate_many(d, ["reg"], [PEB1])[0].point,
-            BootstrapConfig(replicates=500, seed=77),
-        )
-        assert report.se == pytest.approx(boot_se, rel=0.15)
+        rng, points = np.random.default_rng(77), []
+        for _ in range(500):
+            idx = rng.integers(0, data.n, size=data.n)
+            resample = ObservationSet(w=data.w[idx], t=data.t[idx], y=data.y[idx])
+            points.append(estimate_many(resample, ["reg"], [PEB1])[0].point)
+        assert report.se == pytest.approx(np.std(points, ddof=1), rel=0.15)
 
 
 class TestIpw:
     def test_hand_computed_horvitz_thompson(self):
         data = ObservationSet(w=np.zeros((2, 1)), t=[1.0, 0.0], y=[3.0, 1.0])
         model = PropensityModel(intercept=0.0, coef=np.zeros(1))
-        [report] = estimate_many(
-            data, ["ipw"], [BATE], Nuisances(data, propensity=model),
-            BootstrapConfig(replicates=30, seed=1),
-        )
+        [report] = estimate_many(data, ["ipw"], [BATE], BootstrapConfig(replicates=30, seed=1), propensity=model)
         assert report.point == pytest.approx(2.0, abs=1e-12)
         assert report.se >= 0.0
 
@@ -228,9 +232,7 @@ class TestIpw:
         data = make()
         model = PropensityModel(intercept=0.3, coef=np.full(data.p, -0.4)) if injected else None
         estimands = (BATE, PEB1, PEB0)
-        reports = estimate_many(
-            data, ["ipw"], estimands, Nuisances(data, propensity=model), BootstrapConfig(20, seed=0)
-        )
+        reports = estimate_many(data, ["ipw"], estimands, BootstrapConfig(20, seed=0), propensity=model)
         e = (model or fit_logistic(data)).predict_proba(data.w)
         t, y = data.t, data.y
         arms = [math.fsum(v) / data.n for v in (t * y / e, (1 - t) * y / (1 - e), y)]
@@ -400,9 +402,8 @@ class TestTmleSharedStart:
         data = TMLE_DESIGNS[design]()
         estimands = (BATE, PEB1, PEB0)
         joint = estimate_many(data, ["tmle"], estimands)
-        nuis = Nuisances(data)
         contrasts = np.array([e.contrast for e in estimands])
-        fits = estimators._tmle_fits(data.cells[0], nuis.pscore[None], nuis.m1[None], nuis.m0[None], contrasts)
+        fits = estimators._tmle_fits(data.cells[0], *cell_nuisances(data), contrasts)
         for e, report, (point, a, b, beta) in zip(estimands, joint, fits):
             [single] = estimate_many(data, ["tmle"], [e])
             update = tmle_update(data, e)
@@ -444,9 +445,8 @@ def unit_tmle(data, estimand):
     one row each: the reference for the fluctuation on cells. Newton steps
     with halving, written out from the estimator's definition, with every
     sum over the units an elementwise product's `.sum()` as in the estimator."""
-    nuis = Nuisances(data)
     cell = data.cells[1]
-    pscore, m1, m0 = nuis.pscore[cell], nuis.m1[cell], nuis.m0[cell]  # one value per unit
+    pscore, m1, m0 = (v[0, cell] for v in cell_nuisances(data))  # one value per unit
     t, y = data.t, data.y
     lo = float(y.min())
     span = float(y.max()) - lo
@@ -519,10 +519,9 @@ def extended_reference(data, name, estimands):
     predictions read at each unit's cell, and tmle's fluctuation); every
     point and sum of squares is then one sum over the n units."""
     L = np.longdouble
-    nuis = Nuisances(data)
     cell = data.cells[1]
     n, t, y = data.n, data.t.astype(L), data.y.astype(L)
-    e, m1, m0 = (v[cell].astype(L) for v in (nuis.pscore, nuis.m1, nuis.m0))
+    e, m1, m0 = (v[0, cell].astype(L) for v in cell_nuisances(data))
     out = []
     for estimand in estimands:
         c1, c0, c_y = (L(c) for c in estimand.contrast)
@@ -601,35 +600,7 @@ class TestCellSumsAgainstExtendedPrecision:
         assert max(se for _, se in errors) <= 1e-9, errors
 
 
-class TestBootstrapSe:
-    def test_matches_analytic_se_for_sample_mean(self):
-        rng = np.random.default_rng(15)
-        y = rng.normal(5.0, 2.0, size=200)
-        data = ObservationSet(w=np.empty((200, 0)), t=[0.0, 1.0] * 100, y=y)
-        se, _ = bootstrap_se(
-            data, lambda d: float(d.y.mean()), BootstrapConfig(replicates=800, seed=4)
-        )
-        assert se == pytest.approx(y.std(ddof=1) / np.sqrt(200), rel=0.10)
-
-    def test_bitwise_determinism(self):
-        data = make_dataset(n=50, p=1, seed=2)
-        cfg = BootstrapConfig(replicates=100, seed=99)
-        fn = lambda d: estimate_many(d, ["reg"], [BATE])[0].point
-        assert bootstrap_se(data, fn, cfg) == bootstrap_se(data, fn, cfg)
-
-    def test_degenerate_resamples_redrawn(self):
-        # tiny sample: resamples frequently contain one arm only
-        data = ObservationSet(w=np.zeros((4, 1)), t=[1.0, 0.0, 1.0, 0.0], y=[3.0, 1.0, 2.5, 0.5])
-        with pytest.warns(UserWarning, match="redrew"):
-            se, ci = bootstrap_se(
-                data,
-                lambda d: estimate_many(
-                    ObservationSet(w=np.empty((d.n, 0)), t=d.t, y=d.y), ["reg"], [BATE]
-                )[0].point,
-                BootstrapConfig(replicates=25, seed=0),
-            )
-        assert np.isfinite(se) and ci[0] <= ci[1]
-
+class TestBootstrapConfig:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             BootstrapConfig(replicates=20, seed=-1)
@@ -651,31 +622,31 @@ class TestBootstrapSe:
         ids=["int", "numpy_int", "sequence", "seed_sequence"],
     )
     def test_a_seed_resamples_as_its_generator_does(self, seed):
-        """The bootstrap draws from default_rng(seed), or from a Generator
+        """ipw's bootstrap draws from default_rng(seed), or from a Generator
         itself, which it advances."""
-        data, fn = make_dataset(n=50, p=1, seed=2), lambda d: float(d.y.mean())
+        data = make_dataset(n=50, p=1, seed=2)
         rng = np.random.default_rng(seed)
-        assert bootstrap_se(data, fn, BootstrapConfig(30, seed)) == bootstrap_se(data, fn, BootstrapConfig(30, rng))
+        by_seed, by_rng = (
+            estimate_many(data, ["ipw"], [BATE, PEB1], BootstrapConfig(30, s, ci_method="percentile"))
+            for s in (seed, rng)
+        )
+        assert by_seed == by_rng
         assert rng.bit_generator.state != np.random.default_rng(seed).bit_generator.state
 
     def test_bad_level_rejected_before_resampling(self):
         data = make_dataset(n=100, p=1, seed=2)
-        calls = []
-
-        def statistic(d):
-            calls.append(d.n)
-            return float(d.y.mean())
-
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValidationError, match="ci_level"):
-            bootstrap_se(data, statistic, BootstrapConfig(replicates=20, seed=0), ci_level=1.5)
-        assert calls == []
+            estimate_many(data, ["ipw"], [BATE], BootstrapConfig(replicates=20, seed=rng), ci_level=1.5)
+        assert rng.bit_generator.state == state
 
     def test_empty_sample_rejected_before_resampling(self):
         rng = np.random.default_rng(0)
-        state, calls = rng.bit_generator.state, []
-        with pytest.raises(ValidationError, match="^cannot bootstrap an empty sample$"):
-            bootstrap_se(ObservationSet(w=np.empty((0, 1)), t=[], y=[]), calls.append, BootstrapConfig(10, rng))
-        assert calls == [] and rng.bit_generator.state == state
+        state = rng.bit_generator.state
+        with pytest.raises(DegenerateArmError, match="both treatment arms must be present"):
+            estimate_many(ObservationSet(w=np.empty((0, 1)), t=[], y=[]), ["ipw"], [BATE], BootstrapConfig(10, rng))
+        assert rng.bit_generator.state == state
 
 
 class TestEstimatorProperties:
@@ -711,7 +682,7 @@ class TestCrossEstimatorEquivalences:
 
     def test_permutation_invariance(self, dataset):
         perm = np.random.default_rng(33).permutation(dataset.n)
-        shuffled = dataset.subset(perm)
+        shuffled = ObservationSet(w=dataset.w[perm], t=dataset.t[perm], y=dataset.y[perm])
         boot = BootstrapConfig(replicates=10, seed=0)
         moved = estimate_many(shuffled, ESTIMATOR_NAMES, [BATE], boot=boot)
         for m, base in zip(moved, estimate_many(dataset, ESTIMATOR_NAMES, [BATE], boot=boot)):
@@ -822,19 +793,10 @@ class TestEstimateMany:
         model = PropensityModel(intercept=0.1, coef=np.array([0.2]))
         logistic = count_calls(monkeypatch, "logistic_fits")
         irls = count_calls(monkeypatch, "_irls", module=nuisance)
-        reports = estimate_many(
-            data, ["ipw", "aipw"], [BATE], Nuisances(data, propensity=model),
-            boot=BootstrapConfig(replicates=10, seed=0),
-        )
+        reports = estimate_many(data, ["ipw", "aipw"], [BATE], BootstrapConfig(replicates=10, seed=0), propensity=model)
         assert [r.estimator for r in reports] == ["ipw", "aipw"]
         assert logistic == []
         assert irls == []
-
-    def test_nuisances_must_belong_to_the_sample(self):
-        data = make_dataset(n=40, seed=1)
-        other = make_dataset(n=40, seed=2)
-        with pytest.raises(ValidationError, match="different"):
-            estimate_many(data, ["reg"], [BATE], Nuisances(other))
 
     def test_estimates_do_not_depend_on_the_layout_of_w(self):
         """An F-ordered covariate matrix gives the same bytes as a C-ordered one."""
@@ -861,6 +823,50 @@ class TestEstimateMany:
         with pytest.raises(ValidationError, match="unknown estimator"):
             estimate_many(data, ["reg", "magic"], [BATE])
         assert ols == []
+
+    @pytest.mark.parametrize("names", [["ipw", "ipw"], ["reg", "ipw", "aipw", "reg"]], ids=["ipw_twice", "reg_twice"])
+    def test_a_repeated_estimator_is_rejected_before_any_fit_or_draw(self, monkeypatch, names):
+        data = make_dataset(n=40, seed=1)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        fits = [count_calls(monkeypatch, name) for name in ("ols_fits", "logistic_fits", "_resample_cells")]
+        repeated = names[-1]
+        with pytest.raises(ValidationError, match=f"^estimator '{repeated}' is named more than once$"):
+            estimate_many(data, names, [BATE], BootstrapConfig(20, seed=rng))
+        assert fits == [[], [], []]
+        assert rng.bit_generator.state == state
+
+
+INJECTED_DESIGNS = {
+    "paper": lambda: sample_dgp(DgpSpec(), 500, seed=3),
+    "normal_p3": lambda: three_normal_covariates(300, seed=6),
+}
+
+
+class TestInjectedModels:
+    """A prefit outcome model, propensity or both give `aipw_influence` and
+    `tmle_update` the numbers `estimate_many` reports with the same models."""
+
+    @pytest.mark.parametrize("case", ["outcome", "propensity", "both"])
+    @pytest.mark.parametrize("design", list(INJECTED_DESIGNS))
+    def test_entry_points_agree_on_injected_models(self, design, case):
+        data = INJECTED_DESIGNS[design]()
+        other = ObservationSet(w=data.w[::-1], t=data.t, y=data.y)  # the covariates of other units
+        models = {
+            "outcome": fit_ols_interacted(other) if case in ("outcome", "both") else None,
+            "propensity": fit_logistic(other) if case in ("propensity", "both") else None,
+        }
+        estimands = (BATE, PEB1, PEB0)
+        aipw = estimate_many(data, ["aipw"], estimands, **models)
+        tmle = estimate_many(data, ["tmle"], estimands, **models)
+        fitted = estimate_many(data, ["tmle"], estimands)
+        for e, aipw_report, tmle_report, fitted_report in zip(estimands, aipw, tmle, fitted):
+            phi = aipw_influence(data, e, **models)
+            assert aipw_report.se == pytest.approx(np.sqrt(np.mean(phi**2) / data.n), rel=1e-12)
+            update = tmle_update(data, e, **models)
+            assert tmle_report.point == pytest.approx(update.point, rel=1e-12)
+            assert tmle_report.se == pytest.approx(np.sqrt(np.mean(update.influence**2) / data.n), rel=1e-12)
+            assert tmle_report != fitted_report  # the injected models were used
 
 
 def one_arm_sample():
@@ -1015,7 +1021,7 @@ def test_each_fluctuated_sample_gets_the_bytes_it_gets_alone(seed, monkeypatch):
 
 
 def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95, propensity=None):
-    """The bootstrap as a loop over resamples: subset the rows, refit the
+    """The bootstrap as a loop over resamples: select the rows, refit the
     propensity warm-started from the full-sample fit, and redraw a resample
     whose refit fails. A fixed `propensity` is evaluated on each resample
     instead, without a refit. Returns (ses, percentile cis, redraw count)."""
@@ -1024,9 +1030,15 @@ def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95, prop
         start = np.concatenate([[full.intercept], full.coef])
     estimates, redraws = [], 0
     while len(estimates) < replicates:
-        d = data.subset(rng.integers(0, data.n, size=data.n))
+        idx = rng.integers(0, data.n, size=data.n)
+        d = ObservationSet(w=data.w[idx], t=data.t[idx], y=data.y[idx])
         try:
-            model = fit_logistic(d, start=start) if propensity is None else propensity
+            model = propensity
+            if propensity is None:
+                fits, [stop] = nuisance.logistic_fits(d.cells[0], start)
+                if stop is not None:
+                    raise stop
+                model = PropensityModel(float(fits.intercept[0, 0]), fits.coef[0])
             pscore = model.predict_proba(d.w)
         except (DegenerateArmError, SeparationError, SingularDesignError):
             redraws += 1
@@ -1090,7 +1102,7 @@ class TestBatchedBootstrap:
         loop_rng, batch_rng = np.random.default_rng(17), np.random.default_rng(17)
         ses, cis, redraws = per_resample_bootstrap(data, contrasts, 200, loop_rng, propensity=model)
         boot = BootstrapConfig(200, seed=batch_rng, ci_method="percentile")
-        reports = estimate_many(data, ["ipw"], estimands, Nuisances(data, propensity=model), boot)
+        reports = estimate_many(data, ["ipw"], estimands, boot, propensity=model)
         assert redraws == 0
         for report, se, ci in zip(reports, ses, cis):
             assert report.se == pytest.approx(se, rel=1e-12)

@@ -84,6 +84,22 @@ def test_one_function_of_simulation_draws_from_a_generator():
     assert len(drawing) == 1 and sum(drawing.values()) == len(draws(tree)), drawing
 
 
+def test_one_function_of_estimators_draws_resamples():
+    """Every bootstrap resample is drawn in `_resample_cells`, so there is
+    one bootstrap: ipw's, through `estimate_cells`."""
+    tree = ast.parse((PACKAGE / "estimators.py").read_text(encoding="utf-8"))
+
+    def draws(node):
+        return [
+            call for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "integers"
+        ]
+
+    drawing = {node.name: len(draws(node)) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and draws(node)}
+    assert list(drawing) == ["_resample_cells"] and sum(drawing.values()) == len(draws(tree)), drawing
+
+
 def test_the_monte_carlo_engine_calls_only_the_batched_path():
     """The chunks run every estimator through `estimate_cells`; the
     one-sample entry point `estimate_many` is its batch of one."""

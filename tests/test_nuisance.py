@@ -98,7 +98,7 @@ class TestOlsInteracted:
     def test_permutation_invariance(self, dataset):
         fit = fit_ols_interacted(dataset)
         perm = np.random.default_rng(9).permutation(dataset.n)
-        fit2 = fit_ols_interacted(dataset.subset(perm))
+        fit2 = fit_ols_interacted(ObservationSet(w=dataset.w[perm], t=dataset.t[perm], y=dataset.y[perm]))
         assert fit2.beta_t == pytest.approx(fit.beta_t, rel=1e-9)
         np.testing.assert_allclose(fit2.beta_w, fit.beta_w, rtol=1e-9, atol=1e-12)
 
@@ -158,7 +158,7 @@ class TestLogistic:
     def test_permutation_invariance(self, dataset):
         model = fit_logistic(dataset)
         perm = np.random.default_rng(10).permutation(dataset.n)
-        model2 = fit_logistic(dataset.subset(perm))
+        model2 = fit_logistic(ObservationSet(w=dataset.w[perm], t=dataset.t[perm], y=dataset.y[perm]))
         assert model2.intercept == pytest.approx(model.intercept, rel=1e-9, abs=1e-12)
         np.testing.assert_allclose(model2.coef, model.coef, rtol=1e-9, atol=1e-12)
 
@@ -214,7 +214,7 @@ class TestLogisticCells:
 
     def test_one_repeated_unit_is_grouped(self, dataset):
         rows = np.r_[np.arange(dataset.n), 0]
-        data = dataset.subset(rows)
+        data = ObservationSet(w=dataset.w[rows], t=dataset.t[rows], y=dataset.y[rows])
         x, t, cell = cell_design(data)
         assert len(t) == data.n - 1 and cell[0] == cell[-1]
         np.testing.assert_array_equal(x[cell], np.hstack([np.ones((data.n, 1)), data.w]))

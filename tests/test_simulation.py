@@ -637,6 +637,11 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="unknown estimator 'magic'"):
             run_monte_carlo(dgp, [50], 2, ["reg", "magic"], seed=0, threads=2)
 
+    def test_repeated_estimator_rejected(self, dgp, monkeypatch):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
+        with pytest.raises(ValidationError, match="^estimator 'ipw' is named more than once$"):
+            run_monte_carlo(dgp, [50], 2, ["ipw", "reg", "ipw"], seed=0, threads=2)
+
     def test_bootstrap_size_rejected_before_any_replicate(self, dgp, monkeypatch):
         forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
         with pytest.raises(ValidationError, match="at least 2 replicates"):
