@@ -105,8 +105,8 @@ def cmd_estimate(args: argparse.Namespace) -> str:
     boot = None
     if "ipw" in estimators:
         boot = BootstrapConfig(replicates=args.boot_reps, seed=seed, ci_method=args.boot_ci)
-    check_estimate_args(estimators, args.ci_level)  # every argument is checked before the file is read
     estimand = EstimandSpec("bate" if args.estimand == "bate" else f"peb{args.arm}")
+    check_estimate_args(estimators, [estimand], args.ci_level)  # every argument is checked before the file is read
     data = load_csv(args.input, rule)
     reports = estimate_many(data, estimators, [estimand], boot=boot, ci_level=args.ci_level, seed=seed)
 

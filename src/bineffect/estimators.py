@@ -101,43 +101,19 @@ def _unit_influence(data: ObservationSet, a: np.ndarray, b: np.ndarray) -> np.nd
     return a[cell] + b[cell] * (data.y - cells.means[0][cell])
 
 
-def _reg_fits(cells: CellBatch, fits: RegressionFit, contrasts: np.ndarray) -> list[tuple]:
+def _reg_fits(cells: CellBatch, fits: RegressionFit, implied: np.ndarray, contrasts: np.ndarray) -> list[tuple]:
     """Regression (point, a, b) per row of `contrasts`, from the `ols_fits`
-    batch `fits` of the samples: a and b are the means and the slopes in y
-    of the influence values in each cell.
-
-    The interacted OLS is one least-squares line per arm in wc = w - w_mean,
-    so mu1 = beta0 + beta_t and mu0 = beta0 are the arms' intercepts: each a
-    sum of its arm's outcomes times implied weights fixed by the covariates
-    (Chattopadhyay & Zubizarreta 2023). Arm a's influence values
-    are 1(t_i = a) omega_i r_i, with omega_i = n/n_a - n m_a' S_a^-1 (wc_i -
-    m_a) for the arm's mean m_a and scatter S_a of wc. E[Y] is ybar, with
-    influence values y_i - ybar - wc_i . beta_w. These are the stacked
-    M-estimator's influence values (Stefanski & Boos 2002) with the
-    covariate mean used to center w held fixed. Both arms' scatters are
-    solved as one stack. Every sum over the cells is an elementwise
-    product's `.sum(axis=-1)`, so none runs through BLAS.
+    batch of the samples, `fits` and the cells' implied weights `implied`: a
+    and b are the means and the slopes in y of the influence values in each
+    cell. Arm a's intercept (mu1 = beta0 + beta_t, mu0 = beta0) has influence
+    values 1(t_i = a) omega_c r_i, and E[Y] = ybar has y_i - ybar - wc_i .
+    beta_w: the stacked M-estimator's influence values (Stefanski & Boos
+    2002) with the covariate mean used to center w held fixed.
     """
-    w, t, sizes, means, n = cells.w, cells.t, cells.sizes, cells.means, cells.n[:, None]
-    r, p = sizes.shape[0], w.shape[1]
+    w, t, means, n = cells.w, cells.t, cells.means, cells.n[:, None]
     wc = [column - center[:, None] for column, center in zip(w.T, fits.w_mean.T)]
-    arms, n_arms, centres, scatters = (t, 1.0 - t), [], [], []
-    for arm in arms:
-        counts = sizes * arm  # each cell's units in the arm
-        n_arms.append(counts.sum(axis=-1, keepdims=True))
-        centres += [(counts * col).sum(axis=-1, keepdims=True) / n_arms[-1] for col in wc]
-        dev = [col - m for col, m in zip(wc, centres[len(centres) - p :])]
-        scatters += [(counts * dj * dk).sum(axis=-1, keepdims=True) for dj in dev for dk in dev]
-    centres = np.ascontiguousarray(np.reshape(centres, (2, p, r)).transpose(2, 0, 1))  # (R, 2, p)
-    tilts = np.linalg.solve(np.reshape(scatters, (2, p, p, r)).transpose(3, 0, 1, 2), centres[..., None])
-    # omega = n/n_a - n tilt . (wc - m_a), with the arm mean m_a taken out of the sum over columns
-    slopes = [
-        arm * (n / n_arms[j] + n * (centres[:, j, None, :] @ tilts[:, j])[:, 0]
-               - n * sum(s[:, None] * col for s, col in zip(tilts[:, j, :, 0].T, wc)))
-        for j, arm in enumerate(arms)
-    ]
-    [fitted] = outcome_at_cells(fits, w, [t])
-    residuals = means - fitted
+    slopes = [t * implied, (1.0 - t) * implied]
+    residuals = means - outcome_at_cells(fits, w, [t])[0]
     y_bar = cells.sums.sum(axis=-1, keepdims=True) / n
     a = [slope * residuals for slope in slopes]
     a.append(means - y_bar - sum(beta[:, None] * col for beta, col in zip(fits.beta_w.T, wc)))
@@ -264,14 +240,16 @@ def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np
     """One-dimensional logistic fluctuation ys ~ expit(offset + beta * h) of
     each of R samples, on their cells: in row r of each (R, k) argument,
     cell c holds the sum of ys over its `sizes[r, c]` units, and their
-    offset and h. Newton iteration with step halving on the quasi-binomial
-    log likelihood, whose sums over the cells are elementwise products'
-    `.sum(axis=-1)`, which do not depend on the BLAS thread count. The
-    samples iterate together on whole arrays, each on its own arithmetic: a
-    sample that converges or finds its likelihood flat leaves `live` and
-    takes zero steps from then on. Each coefficient tried is evaluated once
-    only for a lone sample. Returns the (R, 1) coefficients, NaN where the
-    iteration did not converge (a flat likelihood included)."""
+    offset and h. Newton iteration on the quasi-binomial log likelihood,
+    whose sums over the cells are elementwise products' `.sum(axis=-1)`,
+    which do not depend on the BLAS thread count, halving a step while it
+    lowers the likelihood by more than 1e-12 of its magnitude (at least
+    1e-12), well above its rounding at any n. The samples iterate together
+    on whole arrays, each on its own arithmetic: a sample that converges or
+    finds its likelihood flat leaves `live` and takes zero steps from then
+    on. Each coefficient tried is evaluated once only for a lone sample.
+    Returns the (R, 1) coefficients, NaN where the iteration did not
+    converge (a flat likelihood included)."""
     def evaluate(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(probabilities, log likelihood) of every sample at its coefficient in `beta`."""
         probs = expit(offset + beta * h)
@@ -288,8 +266,9 @@ def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np
         beta[flat], live[flat] = np.nan, False
         step = np.divide(score, curvature, out=np.zeros_like(score), where=live)
         cand_probs, cand = evaluate(beta + step)
+        floor = current - 1e-12 * np.maximum(1.0, np.abs(current))  # rounding of the sums is not a loss
         for _ in range(40):
-            worse = live & ~(cand >= current - 1e-12)
+            worse = live & ~(cand >= floor)
             if not worse.any():
                 break
             step[worse] /= 2.0
@@ -370,14 +349,18 @@ def _cell_estimates(name: str, cells: CellBatch, contrasts: np.ndarray, nuisance
     return points, ses.T / cells.n[:, None], failed
 
 
-def check_estimate_args(estimators: Sequence[str], ci_level: float) -> None:
-    """Raise ValidationError for an unknown or repeated estimator name or a level outside (0, 1)."""
+def check_estimate_args(estimators: Sequence[str], estimands: Sequence[EstimandSpec], ci_level: float) -> None:
+    """Raise ValidationError for an unknown or repeated estimator name, a
+    repeated estimand or a level outside (0, 1)."""
     z_quantile(ci_level)
     for i, name in enumerate(estimators):
         if name not in ESTIMATOR_NAMES:
             raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
         if name in estimators[:i]:
             raise ValidationError(f"estimator {name!r} is named more than once")
+    for i, estimand in enumerate(estimands):
+        if estimand in estimands[:i]:
+            raise ValidationError(f"estimand {estimand.key!r} is named more than once")
 
 
 def estimate_many(
@@ -403,7 +386,7 @@ def estimate_many(
     means (mu1, mu0, E[Y]); tmle targets each estimand separately from one
     initial fit.
     """
-    check_estimate_args(estimators, ci_level)
+    check_estimate_args(estimators, estimands, ci_level)
     injected = {}
     if propensity is not None:
         injected["pscore"] = _at_cells(data, propensity.predict_proba)
@@ -458,7 +441,7 @@ def estimate_cells(
     joint = p_stops  # the stops of aipw and tmle before their fluctuation
     fit_outcome = outcome is None and None in p_stops and any(name in ("aipw", "tmle") for name in estimators)
     if "reg" in estimators or fit_outcome:
-        fits, o_stops = ols_fits(cells)
+        fits, o_stops, implied = ols_fits(cells)
     if fit_outcome:
         joint = [p or o for p, o in zip(p_stops, o_stops)]
     out = {}
@@ -482,7 +465,7 @@ def estimate_cells(
         elif rows.size:
             live = slice(None) if rows.size == r else rows  # views, not copies, when every sample is live
             if name == "reg":
-                nuisances = [RegressionFit(*(getattr(fits, f.name)[live] for f in fields(fits)))]
+                nuisances = [RegressionFit(*(getattr(fits, f.name)[live] for f in fields(fits))), implied[live]]
             else:
                 nuisances = [v[live] for v in (pscore, *outcome)]
             points[live], ses[live], failed = _cell_estimates(name, cells.take(live), contrasts, nuisances)

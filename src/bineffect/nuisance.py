@@ -58,9 +58,10 @@ def _rows(w, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """OLS fit of y on [1, t, demeaned w, t x demeaned w], with the
-    demeaning center `w_mean`. The fits of R samples (`ols_fits`) hold the
-    samples on the first axis of each field."""
+    """OLS fit of y on [1, t, wc, t x wc], wc = w - `w_mean`: arm 0's line is
+    beta0 + wc . beta_w, and arm 1's adds beta_t + wc . beta_interact. The
+    fits of R samples (`ols_fits`) hold the samples on the first axis of
+    each field."""
 
     beta0: float
     beta_t: float
@@ -89,7 +90,7 @@ def interacted_design(t: np.ndarray, w_centered: np.ndarray) -> np.ndarray:
 def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
     """Least squares for the fully interacted, covariate-demeaned design:
     `ols_fits` on the sample's cells, raising the error that stops it."""
-    fits, [stop] = ols_fits(data.cells[0])
+    fits, [stop], _ = ols_fits(data.cells[0])
     if stop is not None:
         raise stop
     return RegressionFit(
@@ -98,42 +99,57 @@ def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
     )
 
 
-def ols_fits(cells: CellBatch) -> tuple[RegressionFit, list]:
+def ols_fits(cells: CellBatch) -> tuple[RegressionFit, list, np.ndarray]:
     """The interacted OLS of each sample of `cells`: a RegressionFit with the
-    samples on the first axis of its fields (beta0 and beta_t (R, 1), NaN
-    where it stops), and per sample None or the error that stops it:
-    DegenerateArmError for a sample with one arm or none, ValidationError
-    for n <= 2 + 2p, and SingularDesignError naming the collinear columns of
-    the unit design for a rank-deficient one.
+    samples on the first axis of its fields (beta0 and beta_t (R, 1)), per
+    sample None or the error that stops it (DegenerateArmError for one arm
+    or none, ValidationError for n <= 2 + 2p, SingularDesignError naming the
+    collinear columns of the unit design), and the (R, k) implied weight of
+    each cell. Fits and weights are NaN where a sample stops.
 
-    The units' sum of squares is, per cell, the cell size times the squared
-    residual of the cell's mean y plus a constant, so each fit is solved by
-    SVD (np.linalg.lstsq, one sample at a time) on the cell rows scaled by
-    the square roots of their sizes.
+    The design fits one line per arm, y on [1, wc], whose intercepts are mu1
+    = beta0 + beta_t and mu0 = beta0. Per cell, the units' sum of squares is
+    n_c times the squared residual of ybar_c plus a constant, so arm a's
+    cell rows X_a, scaled by sqrt(n_c), are one np.linalg.svd of the (R,
+    k_a, p + 1) stack: X_a = U S V'. It gives the coefficients V S^-1 U'y,
+    the rank (singular values above 1e-10 of the larger arm's top one) and
+    each cell's implied weight omega_c = n e1' V S^-2 V' [1, wc_c]: the
+    arm's intercept is sum_c n_c omega_c ybar_c / n over its cells
+    (Chattopadhyay & Zubizarreta 2023).
     """
     r, p = cells.sizes.shape[0], cells.w.shape[1]
     d = 2 + 2 * p
-    root = np.sqrt(cells.sizes)
-    x = interacted_design(cells.t, cells.w - cells.w_mean[:, None, :])
-    x *= root[..., None]
-    y = cells.means * root
-    beta, stops, one_arm = np.full((r, d), np.nan), [None] * r, not 0.0 < cells.t.sum() < cells.t.size
-    for i, n in enumerate(cells.n):
-        if one_arm:
-            stops[i] = DegenerateArmError(
-                f"cannot fit the outcome regression: every unit has t={cells.t[0]:.0f}"
-                if cells.t.size else "cannot fit the outcome regression: empty sample"
-            )
-        elif n <= d:
-            stops[i] = ValidationError(f"need n > {d} rows to fit {d} coefficients, got n={int(n)}")
-        else:
-            beta[i], _, rank, _ = np.linalg.lstsq(x[i], y[i], rcond=_RANK_TOL)
-            if rank < d:
+    arm_beta, implied, stops = np.full((2, r, p + 1), np.nan), np.full(cells.sizes.shape, np.nan), [None] * r
+    if not 0.0 < cells.t.sum() < cells.t.size:  # one arm or none
+        stop = (f"cannot fit the outcome regression: every unit has t={cells.t[0]:.0f}"
+                if cells.t.size else "cannot fit the outcome regression: empty sample")
+        stops = [DegenerateArmError(stop) for _ in range(r)]
+    else:
+        x = np.concatenate([np.ones(cells.sizes.shape + (1,)), cells.w - cells.w_mean[:, None, :]], axis=-1)
+        root = np.sqrt(cells.sizes)
+        arms = [np.flatnonzero(cells.t == a) for a in (1.0, 0.0)]
+        svds = [np.linalg.svd(x[:, c] * root[:, c, None], full_matrices=False) for c in arms]
+        tol = _RANK_TOL * np.maximum(*(s[:, 0] for _, s, _ in svds))[:, None]
+        full = np.all([(s.shape[1] == p + 1) & (s > tol).all(axis=1) for _, s, _ in svds], axis=0)
+        for j, (c, (u, s, vt)) in enumerate(zip(arms, svds)):
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > tol)
+            v = np.swapaxes(vt, -1, -2)
+            uy = (np.swapaxes(u, -1, -2) @ (cells.means[:, c] * root[:, c])[..., None])[..., 0]
+            arm_beta[j] = (v @ (inv * uy)[..., None])[..., 0]
+            e1 = v @ (inv * inv * vt[..., 0])[..., None]  # (X_a'X_a)^-1 e1
+            implied[:, c] = cells.n[:, None] * (x[:, c] @ e1)[..., 0]
+        for i, n in enumerate(cells.n):
+            if n <= d:
+                stops[i] = ValidationError(f"need n > {d} rows to fit {d} coefficients, got n={int(n)}")
+            elif not full[i]:
                 unscaled = interacted_design(cells.t, cells.w - cells.w_mean[i])
                 cols = _collinear_columns(unscaled, cells.sizes[i], design_labels(p))
                 stops[i] = SingularDesignError(f"singular design matrix; collinear columns: {', '.join(cols)}")
-    fits = RegressionFit(beta[:, :1], beta[:, 1:2], beta[:, 2 : 2 + p], beta[:, 2 + p :], cells.w_mean)
-    return fits, stops
+        stopped = np.array([stop is not None for stop in stops])
+        arm_beta[:, stopped], implied[stopped] = np.nan, np.nan
+    b1, b0 = arm_beta
+    fits = RegressionFit(b0[:, :1], b1[:, :1] - b0[:, :1], b0[:, 1:], b1[:, 1:] - b0[:, 1:], cells.w_mean)
+    return fits, stops, implied
 
 
 def outcome_at_cells(fits: RegressionFit, w: np.ndarray, ts: Sequence) -> list[np.ndarray]:
@@ -272,20 +288,20 @@ def fit_logistic(data: ObservationSet) -> PropensityModel:
     return PropensityModel(float(model.intercept[0, 0]), model.coef[0].copy())
 
 
-def logistic_fits(cells: CellBatch, start: np.ndarray | None = None) -> tuple[PropensityModel, list]:
+def logistic_fits(cells: CellBatch) -> tuple[PropensityModel, list]:
     """The logistic fit of each sample of `cells`: a PropensityModel with the
     samples on the first axis of its fields (intercept (R, 1)), and per
     sample None or the EstimationError that stops it (`_logistic_stop`,
     DegenerateArmError for one arm or none, or the ConvergenceError that
     `_irls` reports). Each sample iterates on its own arithmetic, as alone,
-    from the (d,) coefficients `start` if given, else from zeros.
+    from zeros.
     """
     r, x = cells.sizes.shape[0], logistic_design(cells.w)
     if not 0.0 < cells.t.sum() < cells.t.size:  # one arm or none
         stop = "cannot fit the propensity model: both treatment arms must be present"
         beta, stops = np.full((r, x.shape[1]), np.nan), [DegenerateArmError(stop) for _ in range(r)]
     else:
-        beta, ok, stalled = _irls(x, cells.t, counts=cells.sizes, start=start)
+        beta, ok, stalled = _irls(x, cells.t, counts=cells.sizes)
         stops = [None if good else stalled.get(i) or _logistic_stop(x, sizes, b)
                  for i, (good, sizes, b) in enumerate(zip(ok, cells.sizes, beta))]
     return PropensityModel(beta[:, :1], beta[:, 1:]), stops

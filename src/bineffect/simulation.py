@@ -349,7 +349,7 @@ def run_monte_carlo(
         raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    check_estimate_args(estimators, 0.95)  # the level estimate_many reports at
+    check_estimate_args(estimators, estimands, 0.95)  # the level estimate_many reports at
     boot = BootstrapConfig(boot_replicates) if "ipw" in estimators else None
     truth = _truth(spec) if isinstance(spec.outcome_fn, Hashable) else truth_oracle(spec)
     threads = min(threads, replicates)  # a pool starts all its workers at the first task

@@ -401,11 +401,16 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--seed" in err
 
-    def test_a_repeated_estimator_is_a_validation_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "flag, names, repeated",
+        [("--estimators", "reg,ipw,reg", "estimator 'reg'"), ("--estimands", "bate,bate", "estimand 'bate'")],
+        ids=["estimators", "estimands"],
+    )
+    def test_a_repeated_estimator_is_a_validation_error(self, capsys, monkeypatch, flag, names, repeated):
         forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp")
-        assert run_cli("simulate", "--reps", "2", "--n", "60", "--estimators", "reg,ipw,reg", "--threads", "1") == 1
+        assert run_cli("simulate", "--reps", "2", "--n", "60", flag, names, "--threads", "1") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "estimator 'reg' is named more than once" in err
+        assert err.startswith("error:") and f"{repeated} is named more than once" in err
 
     def test_missing_output_dir_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch):
         forbid(monkeypatch, cli, "run_monte_carlo")

@@ -824,15 +824,23 @@ class TestEstimateMany:
             estimate_many(data, ["reg", "magic"], [BATE])
         assert ols == []
 
-    @pytest.mark.parametrize("names", [["ipw", "ipw"], ["reg", "ipw", "aipw", "reg"]], ids=["ipw_twice", "reg_twice"])
-    def test_a_repeated_estimator_is_rejected_before_any_fit_or_draw(self, monkeypatch, names):
+    @pytest.mark.parametrize(
+        "names, estimands, repeated",
+        [
+            (["ipw", "ipw"], [BATE], "estimator 'ipw'"),
+            (["reg", "ipw", "aipw", "reg"], [BATE], "estimator 'reg'"),
+            (["ipw"], [BATE, PEB1, BATE], "estimand 'bate'"),
+            (["reg", "tmle"], [PEB0, PEB0], "estimand 'peb0'"),
+        ],
+        ids=["ipw_twice", "reg_twice", "bate_twice", "peb0_twice"],
+    )
+    def test_a_repeated_estimator_is_rejected_before_any_fit_or_draw(self, monkeypatch, names, estimands, repeated):
         data = make_dataset(n=40, seed=1)
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
         fits = [count_calls(monkeypatch, name) for name in ("ols_fits", "logistic_fits", "_resample_cells")]
-        repeated = names[-1]
-        with pytest.raises(ValidationError, match=f"^estimator '{repeated}' is named more than once$"):
-            estimate_many(data, names, [BATE], BootstrapConfig(20, seed=rng))
+        with pytest.raises(ValidationError, match=f"^{repeated} is named more than once$"):
+            estimate_many(data, names, estimands, BootstrapConfig(20, seed=rng))
         assert fits == [[], [], []]
         assert rng.bit_generator.state == state
 
@@ -1020,11 +1028,33 @@ def test_each_fluctuated_sample_gets_the_bytes_it_gets_alone(seed, monkeypatch):
     assert any(first_step_overshoots(*(v[i] for v in args)) for i in np.flatnonzero(kind == 3))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_large_fluctuation_stops_only_once_its_score_equation_is_solved(seed):
+    """Sixteen samples of 50 000 one-unit cells, whose log likelihood (about
+    -3e4) is spaced wider than 1e-12: a late Newton step that raises it by
+    less than that spacing is taken, not halved away, so every row that
+    converges is left with a Newton step below the tolerance."""
+    rng = np.random.default_rng(seed)
+    r, k = 16, 50_000
+    pscore = rng.uniform(0.2, 0.8, (r, k))
+    h = np.where(rng.random((r, k)) < pscore, 1.0 / pscore, 0.0)
+    offset = rng.normal(0.0, 1.0, (r, k))
+    ys, sizes = expit(offset + 0.05 * h + rng.normal(0.0, 0.3, (r, k))), np.ones((r, k))
+    beta = estimators._fluctuate(ys, sizes, offset, h)
+    assert np.isfinite(beta).all()
+    probs = expit(offset + beta * h)
+    score = (h * (ys - sizes * probs)).sum(axis=-1)
+    curvature = (h * h * sizes * probs * (1.0 - probs)).sum(axis=-1)
+    assert np.abs(score / curvature).max() < estimators._TMLE_TOL
+
+
 def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95, propensity=None):
     """The bootstrap as a loop over resamples: select the rows, refit the
-    propensity warm-started from the full-sample fit, and redraw a resample
-    whose refit fails. A fixed `propensity` is evaluated on each resample
-    instead, without a refit. Returns (ses, percentile cis, redraw count)."""
+    propensity by IRLS warm-started from the full-sample fit, and redraw a
+    resample whose refit fails as `fit_logistic` would (one arm, separation
+    or a singular design). A fixed `propensity` is evaluated on each
+    resample instead, without a refit. Returns (ses, percentile cis, redraw
+    count)."""
     if propensity is None:
         full = fit_logistic(data)
         start = np.concatenate([[full.intercept], full.coef])
@@ -1035,10 +1065,14 @@ def per_resample_bootstrap(data, contrasts, replicates, rng, ci_level=0.95, prop
         try:
             model = propensity
             if propensity is None:
-                fits, [stop] = nuisance.logistic_fits(d.cells[0], start)
-                if stop is not None:
-                    raise stop
-                model = PropensityModel(float(fits.intercept[0, 0]), fits.coef[0])
+                cells = d.cells[0]
+                if not 0.0 < cells.t.sum() < cells.t.size:
+                    raise DegenerateArmError("one arm")
+                x = nuisance.logistic_design(cells.w)
+                beta, [ok], stalled = nuisance._irls(x, cells.t, cells.sizes, start)
+                if not ok:
+                    raise stalled.get(0) or nuisance._logistic_stop(x, cells.sizes[0], beta[0])
+                model = PropensityModel(float(beta[0, 0]), beta[0, 1:])
             pscore = model.predict_proba(d.w)
         except (DegenerateArmError, SeparationError, SingularDesignError):
             redraws += 1

@@ -100,6 +100,20 @@ def test_one_function_of_estimators_draws_resamples():
     assert list(drawing) == ["_resample_cells"] and sum(drawing.values()) == len(draws(tree)), drawing
 
 
+def test_estimators_solves_no_linear_system():
+    """The regression's algebra stays in `nuisance`: `ols_fits` returns the
+    implied weights that reg's influence values read, so no function of
+    `estimators.py` reaches for np.linalg."""
+    tree = ast.parse((PACKAGE / "estimators.py").read_text(encoding="utf-8"))
+    named = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "linalg")
+        or (isinstance(node, ast.alias) and "linalg" in node.name.split("."))
+    ]
+    assert named == [], f"estimators.py names linalg at {named}"
+
+
 def test_the_monte_carlo_engine_calls_only_the_batched_path():
     """The chunks run every estimator through `estimate_cells`; the
     one-sample entry point `estimate_many` is its batch of one."""

@@ -6,8 +6,10 @@ from scipy import stats
 from scipy.special import expit
 
 from bineffect import (
+    BinarizationRule,
     ConvergenceError,
     DegenerateArmError,
+    Direction,
     ObservationSet,
     SeparationError,
     SingularDesignError,
@@ -101,6 +103,42 @@ class TestOlsInteracted:
         fit2 = fit_ols_interacted(ObservationSet(w=dataset.w[perm], t=dataset.t[perm], y=dataset.y[perm]))
         assert fit2.beta_t == pytest.approx(fit.beta_t, rel=1e-9)
         np.testing.assert_allclose(fit2.beta_w, fit.beta_w, rtol=1e-9, atol=1e-12)
+
+
+IMPLIED_DESIGNS = {
+    "paper_geq": lambda: sample_dgp(DgpSpec(), 500, seed=3),
+    "paper_lt": lambda: sample_dgp(DgpSpec(), 500, seed=3).with_rule(BinarizationRule(6.0, Direction.LT)),
+    "normal_p3": lambda: make_dataset(n=300, p=3, seed=6),
+}
+
+
+class TestOlsImpliedWeights:
+    @pytest.mark.parametrize("design", sorted(IMPLIED_DESIGNS))
+    def test_each_arm_weights_its_cells_to_its_intercept(self, design):
+        """Per arm, the implied weights of its units average to 1 and weight
+        the outcomes to the arm's intercept (Chattopadhyay & Zubizarreta 2023)."""
+        cells = IMPLIED_DESIGNS[design]().cells[0]
+        fits, [stop], implied = nuisance.ols_fits(cells)
+        assert stop is None
+        n = cells.n[0]
+        for arm, intercept in ((cells.t, fits.beta0 + fits.beta_t), (1.0 - cells.t, fits.beta0)):
+            weighted = cells.sizes * arm * implied
+            assert weighted.sum() / n == pytest.approx(1.0, rel=1e-12)
+            assert (weighted * cells.means).sum() / n == pytest.approx(intercept[0, 0], rel=1e-12)
+
+    def test_a_stack_gives_each_sample_the_bytes_of_its_own_call(self):
+        samples = [sample_dgp(DgpSpec(), 200, seed=seed) for seed in range(5)]
+        samples.append(ObservationSet(w=[[0.0], [0.0], [1.0], [1.0]], t=[0, 1, 0, 1], y=[1.0, 2.0, 3.0, 5.0]))
+        cells = [d.cells[0] for d in samples]
+        assert len({(c.w.tobytes(), c.t.tobytes()) for c in cells}) == 1
+        fits, stops, implied = nuisance.ols_fits(nuisance.CellBatch.stack(cells))
+        assert isinstance(stops[-1], ValidationError) and stops[:-1] == [None] * 5
+        for i, c in enumerate(cells):
+            alone, [stop], weights = nuisance.ols_fits(c)
+            for name in ("beta0", "beta_t", "beta_w", "beta_interact", "w_mean"):
+                assert getattr(alone, name).tobytes() == getattr(fits, name)[i : i + 1].tobytes()
+            assert weights.tobytes() == implied[i : i + 1].tobytes()
+            assert type(stop) is type(stops[i]) and str(stop) == str(stops[i])
 
 
 class TestLogistic:

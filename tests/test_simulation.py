@@ -641,6 +641,9 @@ class TestMonteCarlo:
         forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
         with pytest.raises(ValidationError, match="^estimator 'ipw' is named more than once$"):
             run_monte_carlo(dgp, [50], 2, ["ipw", "reg", "ipw"], seed=0, threads=2)
+        peb1 = EstimandSpec("peb1")
+        with pytest.raises(ValidationError, match="^estimand 'peb1' is named more than once$"):
+            run_monte_carlo(dgp, [50], 2, ["reg"], seed=0, estimands=(peb1, EstimandSpec("bate"), peb1), threads=2)
 
     def test_bootstrap_size_rejected_before_any_replicate(self, dgp, monkeypatch):
         forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
