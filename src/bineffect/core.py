@@ -434,13 +434,14 @@ def load_csv(path: str | Path, rule: BinarizationRule | None = None) -> Observat
     """Read a comma-separated, UTF-8, headered file into an ObservationSet.
 
     `y` is the outcome, `t` and/or `a` the treatment and every other column a
-    covariate, in header order; an `a` without `t` needs `rule` to derive t.
+    covariate, in header order; an `a` without `t` needs `rule` to derive t,
+    and a `rule` needs an `a` to apply to.
     Numbers are parsed as 64-bit floats. A leading byte order mark and blank
     lines are ignored. A record may not have more fields than the header.
     Errors name the offending line of the file (the header is line 1) and
     column, or the path of a directory or of a file that is not UTF-8. The
-    header's own errors (a missing `y` or treatment, a repeated name) are
-    raised before any record is read.
+    header's own errors (a missing `y` or treatment, a repeated name, a
+    `rule` with no `a`) are raised before any record is read.
 
     The numbers of the whole file are read in one `np.loadtxt` pass when the
     header is unquoted, every record holds one float per header field and
@@ -485,6 +486,9 @@ def _column_indices(path: Path, header: list[str], rule: BinarizationRule | None
             f"{path}: continuous treatment column 'a' requires a binarization rule "
             "(--cutoff/--direction)"
         )
+    if a_idx is None and rule is not None:
+        raise ValidationError(f"{path}: a binarization rule (--cutoff/--direction) needs a continuous "
+                              "treatment column 'a', and the header has none")
     w_idx = [j for j in range(len(header)) if j not in (y_idx, t_idx, a_idx)]
     return y_idx, t_idx, a_idx, w_idx
 

@@ -29,8 +29,6 @@ from .nuisance import (
     logistic_design,
     logistic_fits,
     ols_fits,
-    outcome_at_cells,
-    pscore_at_cells,
     refit_logistic,
 )
 
@@ -68,21 +66,22 @@ class BootstrapConfig:
         seeded_rng("bootstrap seed", self.seed)
 
 
-def _at_cells(data: ObservationSet, predict, *args) -> np.ndarray:
-    """A model's predictions `predict(*args, w)` at the (t, w) cells of
-    `data.cells`, as a (1, k) row; a unit reads its value at its cell index,
-    `data.cells[1]`."""
-    return np.asarray(predict(*args, data.cells[0].w), dtype=float)[None]
+def _per_sample(cells: CellBatch, prediction) -> np.ndarray:
+    """A model's `prediction` at the cell rows of `cells` as (R, k): the (k,)
+    prediction of one model serves every sample."""
+    return np.broadcast_to(np.asarray(prediction, dtype=float), cells.sizes.shape)
 
 
 def _nuisances(
     data: ObservationSet, outcome: OutcomeModel | None, propensity: PropensityModel | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pscore, m1, m0) at the cells of `data`, from the injected models or,
-    where one is None, from its fit on `data`; the propensity comes first."""
-    pscore = _at_cells(data, (fit_logistic(data) if propensity is None else propensity).predict_proba)
+) -> list[np.ndarray]:
+    """(pscore, m1, m0) at the cells of `data`, each (1, k), from the
+    injected models or, where one is None, from its fit on `data`; the
+    propensity comes first."""
+    cells = data.cells[0]
+    pscore = (fit_logistic(data) if propensity is None else propensity).predict_proba(cells.w)
     outcome = fit_ols_interacted(data) if outcome is None else outcome
-    return pscore, _at_cells(data, outcome.predict, 1.0), _at_cells(data, outcome.predict, 0.0)
+    return [_per_sample(cells, v) for v in (pscore, outcome.predict(1.0, cells.w), outcome.predict(0.0, cells.w))]
 
 
 def _per_contrast(theta: np.ndarray, a: list, b: list, contrasts: np.ndarray) -> list[tuple]:
@@ -111,9 +110,9 @@ def _reg_fits(cells: CellBatch, fits: RegressionFit, implied: np.ndarray, contra
     2002) with the covariate mean used to center w held fixed.
     """
     w, t, means, n = cells.w, cells.t, cells.means, cells.n[:, None]
-    wc = [column - center[:, None] for column, center in zip(w.T, fits.w_mean.T)]
+    wc = [column - center[:, None] for column, center in zip(w.T, cells.w_mean.T)]
     slopes = [t * implied, (1.0 - t) * implied]
-    residuals = means - outcome_at_cells(fits, w, [t])[0]
+    residuals = means - fits.predict(t, w)
     y_bar = cells.sums.sum(axis=-1, keepdims=True) / n
     a = [slope * residuals for slope in slopes]
     a.append(means - y_bar - sum(beta[:, None] * col for beta, col in zip(fits.beta_w.T, wc)))
@@ -379,23 +378,19 @@ def estimate_many(
     that stopped the first failing estimator.
 
     Each nuisance model is fitted at most once. A prefit `outcome` or
-    `propensity` enters as its predictions at the cells instead and is never
-    refitted. `boot` (default `BootstrapConfig()`) applies to ipw, whose
-    estimands share one set of resamples. `seed` is recorded in every report.
-    The arguments are checked before anything is fitted or drawn. Every estimand is a contrast of the policy
-    means (mu1, mu0, E[Y]); tmle targets each estimand separately from one
-    initial fit.
+    `propensity` is never refitted. `boot` (default `BootstrapConfig()`)
+    applies to ipw, whose estimands share one set of resamples. `seed` is
+    recorded in every report. The arguments and the prefit models are
+    checked before anything is fitted or drawn. Every estimand is a
+    contrast of the policy means (mu1, mu0, E[Y]); tmle targets each
+    estimand separately from one initial fit.
     """
     check_estimate_args(estimators, estimands, ci_level)
-    injected = {}
-    if propensity is not None:
-        injected["pscore"] = _at_cells(data, propensity.predict_proba)
-    if outcome is not None:
-        injected["outcome"] = (_at_cells(data, outcome.predict, 1.0), _at_cells(data, outcome.predict, 0.0))
     cells, cell = data.cells
     contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
     units = [(cell, data.y, boot or BootstrapConfig())]
-    results, pscore = estimate_cells(cells, estimators, contrasts, units, ci_level, **injected)
+    results, pscore = estimate_cells(cells, estimators, contrasts, units, ci_level,
+                                     outcome=outcome, propensity=propensity)
     reports: list[EstimateReport] = []
     positivity = None
     for name in estimators:
@@ -417,16 +412,19 @@ def estimate_many(
 def estimate_cells(
     cells: CellBatch, estimators: Sequence[str], contrasts: np.ndarray,
     units: Sequence[tuple[np.ndarray, np.ndarray, BootstrapConfig]] = (), ci_level: float = 0.95,
-    pscore: np.ndarray | None = None, outcome: tuple[np.ndarray, np.ndarray] | None = None,
+    *, outcome: OutcomeModel | None = None, propensity: PropensityModel | None = None,
 ) -> tuple[dict, np.ndarray | None]:
     """Every estimator on the R samples of `cells`: per estimator, the (R, E)
     points and SEs per row of `contrasts` and, per sample, ipw's percentile
     intervals, None or the error that stopped it, and ipw's redraw note; and
-    the (R, k) propensities at the cells, None if no estimator read them.
+    the (R, k) propensities at the cells, None if no estimator reads them.
 
     ipw needs `units`: per sample, its units' cell indices, their y and its
-    BootstrapConfig. Injected (R, k) predictions `pscore` or `outcome` (m1,
-    m0) replace their fit, and an injected propensity is not refitted. Else
+    BootstrapConfig. A prefit `outcome` or `propensity` model replaces its
+    fit: one model serves every sample, and a model whose fields carry the
+    sample axis serves one sample per row. Both are evaluated at the cell
+    rows first, so a model that does not fit them raises before anything is
+    fitted or drawn, and a prefit propensity is not refitted. Else
     `logistic_fits` and `ols_fits` each run once, the OLS only if a sample
     reads it. A sample stops where a fit it reads stops (aipw and tmle: the
     propensity first), where ipw's bootstrap or tmle's fluctuation fails, or
@@ -434,25 +432,25 @@ def estimate_cells(
     runs on its own arithmetic, so its numbers do not depend on the others.
     """
     r, e = cells.n.size, len(contrasts)
+    pscore = None if propensity is None else _per_sample(cells, propensity.predict_proba(cells.w))
+    arms = None if outcome is None else [_per_sample(cells, outcome.predict(t, cells.w)) for t in (1.0, 0.0)]
     p_stops, o_stops, start = [None] * r, None, None
-    if pscore is None and any(name != "reg" for name in estimators):
-        models, p_stops = logistic_fits(cells)
-        start = np.hstack([models.intercept, models.coef])
+    if propensity is None and any(name != "reg" for name in estimators):
+        propensity, p_stops = logistic_fits(cells)
+        start = np.hstack([propensity.intercept, propensity.coef])
+        pscore = propensity.predict_proba(cells.w)
     joint = p_stops  # the stops of aipw and tmle before their fluctuation
-    fit_outcome = outcome is None and None in p_stops and any(name in ("aipw", "tmle") for name in estimators)
+    fit_outcome = arms is None and None in p_stops and any(name in ("aipw", "tmle") for name in estimators)
     if "reg" in estimators or fit_outcome:
         fits, o_stops, implied = ols_fits(cells)
     if fit_outcome:
         joint = [p or o for p, o in zip(p_stops, o_stops)]
+        arms = [fits.predict(t, cells.w) for t in (1.0, 0.0)]
     out = {}
     for name in estimators:
         stops = list(o_stops if name == "reg" else p_stops if name == "ipw" else joint)
         points, ses, cis, notes = np.full((r, e), np.nan), np.full((r, e), np.nan), [None] * r, [None] * r
         rows = np.flatnonzero([stop is None for stop in stops])
-        if rows.size and name != "reg":  # the predictions at the cells, made on first use
-            pscore = pscore_at_cells(models, cells.w) if pscore is None else pscore
-            if name != "ipw" and outcome is None:
-                outcome = outcome_at_cells(fits, cells.w, (1.0, 0.0))
         if name == "ipw" and rows.size:
             bootstraps = _bootstrap_many(logistic_design(cells.w), cells.t, [units[i] for i in rows], pscore[rows],
                                          None if start is None else start[rows], contrasts, ci_level)
@@ -467,7 +465,7 @@ def estimate_cells(
             if name == "reg":
                 nuisances = [RegressionFit(*(getattr(fits, f.name)[live] for f in fields(fits))), implied[live]]
             else:
-                nuisances = [v[live] for v in (pscore, *outcome)]
+                nuisances = [v[live] for v in (pscore, *arms)]
             points[live], ses[live], failed = _cell_estimates(name, cells.take(live), contrasts, nuisances)
             for i in rows[failed]:
                 stops[i] = ConvergenceError(_NOT_TARGETED)

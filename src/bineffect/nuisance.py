@@ -5,7 +5,7 @@ from __future__ import annotations
 import collections
 import functools
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 from scipy.special import expit
@@ -56,12 +56,19 @@ def _rows(w, p: int) -> np.ndarray:
     return w
 
 
+def _linear(w: np.ndarray, coef) -> np.ndarray:
+    """w . coef per row of `w`, one matrix-vector product per sample of a
+    batch: (n, p) rows and (R, p) coefficients give (R, n)."""
+    return (w @ np.asarray(coef, dtype=float)[..., None])[..., 0]
+
+
 @dataclass(frozen=True)
 class RegressionFit:
     """OLS fit of y on [1, t, wc, t x wc], wc = w - `w_mean`: arm 0's line is
     beta0 + wc . beta_w, and arm 1's adds beta_t + wc . beta_interact. The
     fits of R samples (`ols_fits`) hold the samples on the first axis of
-    each field."""
+    each field: beta0 and beta_t (R, 1), beta_w and beta_interact (R, p),
+    w_mean (R, 1, p)."""
 
     beta0: float
     beta_t: float
@@ -70,9 +77,10 @@ class RegressionFit:
     w_mean: np.ndarray
 
     def predict(self, t, w):
-        """Evaluate m(t, w) for a scalar or length-n t and a (p,) or (n, p) w."""
-        wc = _rows(w, self.w_mean.shape[0]) - self.w_mean
-        return self.beta0 + t * self.beta_t + wc @ self.beta_w + t * (wc @ self.beta_interact)
+        """Evaluate m(t, w) for a scalar or length-n t and a (p,) or (n, p) w:
+        a number, an (n,) array, or (R, n) for the fits of R samples."""
+        wc = _rows(w, np.shape(self.w_mean)[-1]) - self.w_mean
+        return self.beta0 + t * self.beta_t + _linear(wc, self.beta_w) + t * _linear(wc, self.beta_interact)
 
 
 class OutcomeModel(Protocol):
@@ -95,7 +103,7 @@ def fit_ols_interacted(data: ObservationSet) -> RegressionFit:
         raise stop
     return RegressionFit(
         float(fits.beta0[0, 0]), float(fits.beta_t[0, 0]), fits.beta_w[0].copy(),
-        fits.beta_interact[0].copy(), fits.w_mean[0],
+        fits.beta_interact[0].copy(), fits.w_mean[0, 0],
     )
 
 
@@ -148,35 +156,27 @@ def ols_fits(cells: CellBatch) -> tuple[RegressionFit, list, np.ndarray]:
         stopped = np.array([stop is not None for stop in stops])
         arm_beta[:, stopped], implied[stopped] = np.nan, np.nan
     b1, b0 = arm_beta
-    fits = RegressionFit(b0[:, :1], b1[:, :1] - b0[:, :1], b0[:, 1:], b1[:, 1:] - b0[:, 1:], cells.w_mean)
+    fits = RegressionFit(b0[:, :1], b1[:, :1] - b0[:, :1], b0[:, 1:], b1[:, 1:] - b0[:, 1:], cells.w_mean[:, None])
     return fits, stops, implied
-
-
-def outcome_at_cells(fits: RegressionFit, w: np.ndarray, ts: Sequence) -> list[np.ndarray]:
-    """`RegressionFit.predict(t, w)` of each fit of an `ols_fits` batch, (R,
-    k), for each t of `ts`: each fit's products are its own matrix-vector
-    calls, as alone, made once for all of `ts`."""
-    wc = w - fits.w_mean[:, None, :]
-    linear = [(wc @ beta[..., None])[..., 0] for beta in (fits.beta_w, fits.beta_interact)]
-    return [fits.beta0 + t * fits.beta_t + linear[0] + t * linear[1] for t in ts]
 
 
 @dataclass(frozen=True)
 class PropensityModel:
     """Logistic model for Pr(T=1 | W=w). The models of R samples
-    (`logistic_fits`) hold the samples on the first axis of each field."""
+    (`logistic_fits`) hold the samples on the first axis of each field:
+    intercept (R, 1) and coef (R, p)."""
 
     intercept: float
     coef: np.ndarray
 
     @property
     def p(self) -> int:
-        return self.coef.shape[0]
+        return np.shape(self.coef)[-1]
 
     def predict_proba(self, w):
         """Pr(T=1 | w) strictly inside (0, 1): a number for a (p,) w, an (n,)
-        array for an (n, p) w."""
-        probs = expit(self.intercept + _rows(w, self.p) @ self.coef)
+        array for an (n, p) w, or (R, n) for the models of R samples."""
+        probs = expit(self.intercept + _linear(_rows(w, self.p), self.coef))
         return np.clip(probs, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
@@ -322,13 +322,6 @@ def _logistic_stop(x: np.ndarray, sizes: np.ndarray, beta: np.ndarray) -> Estima
     labels = ["intercept"] + [f"w{j + 1}" for j in range(x.shape[1] - 1)]
     cols = _collinear_columns(x, sizes, labels)
     return SingularDesignError(f"singular logistic design; collinear columns: {', '.join(cols)}")
-
-
-def pscore_at_cells(models: PropensityModel, w: np.ndarray) -> np.ndarray:
-    """`PropensityModel.predict_proba(w)` of each model of a `logistic_fits`
-    batch, (R, k): each model's products are its own matrix-vector calls."""
-    probs = expit(models.intercept + (w @ models.coef[..., None])[..., 0])
-    return np.clip(probs, _PROB_FLOOR, 1.0 - _PROB_FLOOR)
 
 
 def refit_logistic(

@@ -56,6 +56,15 @@ class TestEstimateCommand:
         assert code == 1
         assert "--cutoff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cutoff", ["0.5", "100"])
+    def test_cutoff_without_a_continuous_treatment_is_an_error(self, tmp_path, capsys, cutoff):
+        path = tmp_path / "t_only.csv"
+        save_csv(make_dataset(n=200, p=1, seed=3), path)
+        code = run_cli("estimate", "--input", str(path), "--cutoff", cutoff, "--direction", "lt")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "column 'a'" in captured.err
+
     def test_peb_requires_arm(self, data_csv, capsys):
         code = run_cli(
             "estimate", "--input", data_csv, "--cutoff", "6", "--estimand", "peb"

@@ -139,6 +139,16 @@ class TestCsv:
         with pytest.raises(ValidationError, match="binarization rule"):
             load_csv(path)
 
+    @pytest.mark.parametrize("header", ["y,t,w1", '"y","t","w1"'], ids=["table", "row_loop"])
+    def test_a_rule_without_an_a_column_is_rejected(self, tmp_path, header):
+        """A rule has nothing to binarize in a file with `t` and no `a`;
+        both readers reject it from the header."""
+        path = tmp_path / "d.csv"
+        path.write_text(f"{header}\n1.0,0,0.1\n2.0,1,0.2\n")
+        with pytest.raises(ValidationError, match="d.csv: .*column 'a'"):
+            load_csv(path, BinarizationRule(0.5, Direction.LT))
+        assert load_csv(path).t.tolist() == [0.0, 1.0]
+
     def test_utf8_byte_order_mark(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes("\ufeffy,t,w1\n1.0,0,0.1\n2.0,1,0.2\n".encode("utf-8"))

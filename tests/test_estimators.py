@@ -20,6 +20,7 @@ from bineffect import (
     EstimandSpec,
     ObservationSet,
     PropensityModel,
+    RegressionFit,
     SeparationError,
     SingularDesignError,
     ValidationError,
@@ -781,12 +782,12 @@ class TestEstimateMany:
         """reg, aipw and tmle evaluate the propensity and the outcome model
         on the 4 (t, w) cell rows of the paper design, never on the units."""
         data = sample_dgp(DgpSpec(), 2000, seed=1)
-        propensity = count_calls(monkeypatch, "pscore_at_cells")
-        outcome = count_calls(monkeypatch, "outcome_at_cells")
+        propensity = count_calls(monkeypatch, "predict_proba", module=PropensityModel)
+        outcome = count_calls(monkeypatch, "predict", module=RegressionFit)
         estimate_many(data, ["reg", "aipw", "tmle"], (BATE, PEB1, PEB0))
         assert propensity and outcome
         assert {np.shape(call[1]) for call in propensity} == {(4, 1)}  # call[0] is the model
-        assert {np.shape(call[1]) for call in outcome} == {(4, 1)}
+        assert {np.shape(call[2]) for call in outcome} == {(4, 1)}  # call[1] is t
 
     def test_injected_propensity_is_never_refit(self, monkeypatch):
         data = make_binary_w_dataset(n=60, seed=3)
@@ -841,6 +842,24 @@ class TestEstimateMany:
         fits = [count_calls(monkeypatch, name) for name in ("ols_fits", "logistic_fits", "_resample_cells")]
         with pytest.raises(ValidationError, match=f"^{repeated} is named more than once$"):
             estimate_many(data, names, estimands, BootstrapConfig(20, seed=rng))
+        assert fits == [[], [], []]
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize(
+        "injected",
+        [{"outcome": RegressionFit(0.0, 0.0, np.zeros(2), np.zeros(2), np.zeros(2))},
+         {"propensity": PropensityModel(0.0, np.zeros(2))}],
+        ids=["outcome", "propensity"],
+    )
+    def test_injected_models_are_checked_before_any_fit_or_draw(self, monkeypatch, injected):
+        """A model for p = 2 on a p = 1 sample is rejected before ipw, named
+        first, fits or draws anything."""
+        data = make_dataset(n=60, p=1, seed=4)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        fits = [count_calls(monkeypatch, name) for name in ("ols_fits", "logistic_fits", "_resample_cells")]
+        with pytest.raises(ValidationError, match="do not end in p=2 entries"):
+            estimate_many(data, ["ipw", "aipw"], [BATE], boot=BootstrapConfig(10, seed=rng), **injected)
         assert fits == [[], [], []]
         assert rng.bit_generator.state == state
 

@@ -1,6 +1,7 @@
 """Module boundaries inside the package."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import bineffect
+from bineffect import estimators
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bineffect"
 
@@ -141,6 +143,30 @@ def test_interacted_design_is_named_only_in_nuisance(module):
         or (isinstance(node, ast.alias) and node.name == "interacted_design")
     ]
     assert names == [], f"{module} names interacted_design at {names}"
+
+
+def test_fitted_models_are_evaluated_only_by_their_own_methods():
+    """A fitted model, one sample's or a batch's, is evaluated by its
+    `predict_proba` or `predict`: no module defines or names a second
+    evaluator ending in `_at_cells`."""
+    named = [
+        f"{path.name} line {node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if any(isinstance(name, str) and name.endswith("_at_cells")
+               for name in (getattr(node, "name", None), getattr(node, "id", None), getattr(node, "attr", None)))
+    ]
+    assert named == [], f"named at {named}"
+
+
+def test_estimate_cells_takes_models_as_estimate_many_does():
+    """Prefit models enter both entry points as the same keyword-only
+    `outcome=` and `propensity=`."""
+    def keyword_only(function):
+        return [name for name, p in inspect.signature(function).parameters.items() if p.kind is p.KEYWORD_ONLY]
+
+    assert keyword_only(estimators.estimate_cells) == keyword_only(estimators.estimate_many) == [
+        "outcome", "propensity"]
 
 
 def test_every_public_name_resolves():

@@ -141,6 +141,39 @@ class TestOlsImpliedWeights:
             assert type(stop) is type(stops[i]) and str(stop) == str(stops[i])
 
 
+def shared_cell_samples(design):
+    """Samples whose (t, w) cell rows are byte-equal, so they stack: paper
+    draws of one size, or one p = 3 normal design with four outcomes."""
+    if design == "paper":
+        return [sample_dgp(DgpSpec(), 200, seed=seed) for seed in range(4)]
+    base = make_dataset(n=150, p=3, seed=2)
+    return [ObservationSet(w=base.w, t=base.t, y=base.y + np.random.default_rng(s).normal(size=base.n))
+            for s in range(4)]
+
+
+@pytest.mark.parametrize("design", ["paper", "normal_p3"])
+def test_a_batch_model_predicts_each_samples_bytes_alone(design):
+    """The `logistic_fits` and `ols_fits` batches predict, at the cell rows,
+    (R, k) arrays whose row i has the bytes of sample i's `fit_logistic` and
+    `fit_ols_interacted` models alone; a lone model's (p,) row gives a
+    numpy float."""
+    samples = shared_cell_samples(design)
+    cells = nuisance.CellBatch.stack([d.cells[0] for d in samples])
+    (models, p_stops), (fits, o_stops, _) = nuisance.logistic_fits(cells), nuisance.ols_fits(cells)
+    assert p_stops == o_stops == [None] * len(samples)
+    ts = (1.0, 0.0, cells.t)
+    probs, arms = models.predict_proba(cells.w), [fits.predict(t, cells.w) for t in ts]
+    assert {probs.shape, *(arm.shape for arm in arms)} == {cells.sizes.shape}
+    for i, data in enumerate(samples):
+        model, fit = fit_logistic(data), fit_ols_interacted(data)
+        assert probs[i].tobytes() == model.predict_proba(cells.w).tobytes()
+        assert [arm[i].tobytes() for arm in arms] == [fit.predict(t, cells.w).tobytes() for t in ts]
+        row = cells.w[-1]
+        alone = model.predict_proba(row), fit.predict(1.0, row)
+        assert [type(v) for v in alone] == [np.float64, np.float64]
+        assert alone == pytest.approx((probs[i, -1], arms[0][i, -1]), rel=1e-14)
+
+
 class TestLogistic:
     def test_balanced_independent_gives_zero(self):
         data = ObservationSet(w=np.array([0.0, 0.0, 1.0, 1.0]), t=[0, 1, 0, 1], y=np.zeros(4))
