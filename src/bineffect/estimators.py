@@ -68,8 +68,13 @@ class BootstrapConfig:
 
 def _per_sample(cells: CellBatch, prediction) -> np.ndarray:
     """A model's `prediction` at the cell rows of `cells` as (R, k): the (k,)
-    prediction of one model serves every sample."""
-    return np.broadcast_to(np.asarray(prediction, dtype=float), cells.sizes.shape)
+    prediction of one model serves every sample. Raises ValidationError for
+    the models of another number of samples."""
+    prediction = np.asarray(prediction, dtype=float)
+    samples = prediction.shape[0] if prediction.ndim == 2 else 1
+    if samples not in (1, cells.n.size):
+        raise ValidationError(f"a prefit model is a batch of {samples} samples, but the data hold {cells.n.size}")
+    return np.broadcast_to(prediction, cells.sizes.shape)
 
 
 def _nuisances(

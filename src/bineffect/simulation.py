@@ -30,6 +30,9 @@ from .core import (
 from .estimators import BootstrapConfig, check_estimate_args, estimate_cells
 
 _QUAD_TARGET = 1e-4     # required absolute accuracy of the truth values
+_QUAD_GOAL = 1e-10      # integration tolerance relative to max(1, |integral|), capped at _QUAD_TARGET
+_MAX_PANELS = 200       # the most panels an integral is split into, as quad's limit=200
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(15)  # on [-1, 1]
 _TAIL_SDS = 10.0        # integration range; mass beyond is < 1e-20
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK_UNITS = 2**15    # units a Monte Carlo chunk draws and groups at once; caps its working set
@@ -46,8 +49,9 @@ class DgpSpec:
 
     w ~ Bernoulli(w_prob); a | w ~ Normal(a_mean_base + a_mean_slope * w,
     a_sd); y = outcome_fn(a, w) + Normal(0, noise_sd); t = 1(a >= cutoff).
-    `outcome_fn` acts unit by unit: it is called on scalars by the truth
-    oracle and on a block of samples' units at once by the draws.
+    `outcome_fn` acts unit by unit and gives a scalar or one value per
+    unit: it is called on an array of points by the truth oracle and on a
+    block of samples' units at once by the draws.
     """
 
     w_prob: float = 0.5
@@ -142,15 +146,65 @@ def _draw(spec: DgpSpec, n: int, rngs: Sequence[np.random.Generator]) -> tuple[n
     return w[..., None], a, binarize(a.reshape(total), spec.rule).reshape(r, n), y
 
 
+def _normal_density(spec: DgpSpec, w: float, a: np.ndarray) -> np.ndarray:
+    """The N(a_mean(w), a_sd) density at `a`, as scipy.stats.norm.pdf computes it."""
+    z = (a - spec.a_mean(w)) / spec.a_sd
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI / spec.a_sd
+
+
+def _gauss_legendre(f: Callable[[np.ndarray], np.ndarray], left: float, right: float) -> tuple[float, float]:
+    """The integral of `f` over [left, right] and its error estimate, by
+    adaptive 15-point Gauss-Legendre panels; `f` maps an array of points to
+    their values and is called once per round.
+
+    A panel's value is the rule on its two halves and its error estimate
+    is |rule on the panel - rule on the left half - rule on the right half|;
+    the integral and its estimate are the sums over the panels. While the
+    estimate exceeds its goal (`_QUAD_GOAL` times max(1, |integral|), at most
+    `_QUAD_TARGET`), every panel whose estimate exceeds its share of the
+    goal, in proportion to its width, is bisected, and the worst one always
+    is. Raises QuadratureError naming the interval for a non-finite value or
+    estimate, or when the goal would need more than `_MAX_PANELS` panels.
+    """
+    lo = hi = values = errors = np.empty(0)
+    new_lo, new_hi = np.array([left]), np.array([right])
+    while True:
+        mid = 0.5 * (new_lo + new_hi)
+        starts, ends = np.concatenate([new_lo, new_lo, mid]), np.concatenate([new_hi, mid, new_hi])
+        radii = 0.5 * (ends - starts)
+        points = (0.5 * (starts + ends))[:, None] + radii[:, None] * _GAUSS_NODES
+        whole, first, second = (radii * (f(points.ravel()).reshape(points.shape) @ _GAUSS_WEIGHTS)).reshape(3, -1)
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        values = np.concatenate([values, first + second])
+        errors = np.concatenate([errors, np.abs(whole - first - second)])
+        total, total_err = float(values.sum()), float(errors.sum())
+        if not (math.isfinite(total) and math.isfinite(total_err)):
+            raise QuadratureError(f"non-finite integrand or estimate over [{left:g}, {right:g}]")
+        goal = min(_QUAD_TARGET, _QUAD_GOAL * max(1.0, abs(total)))
+        if total_err <= goal:
+            return total, total_err
+        split = errors > goal * (hi - lo) / (right - left)
+        split[errors.argmax()] = True  # progress even when rounding leaves every panel within its share
+        if lo.size + split.sum() > _MAX_PANELS:
+            raise QuadratureError(
+                f"quadrature error estimate {total_err:.3g} over [{left:g}, {right:g}] is above "
+                f"its {goal:.3g} goal at the {_MAX_PANELS}-panel cap"
+            )
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+        lo, hi, values, errors = lo[~split], hi[~split], values[~split], errors[~split]
+
+
 def truth_oracle(spec: DgpSpec) -> TruthReport:
-    """Estimand values by adaptive quadrature over each covariate stratum.
+    """Estimand values by adaptive Gauss-Legendre quadrature over each
+    covariate stratum.
 
     For each w, the conditional mean outcome is integrated against the
     treatment density over the cutoff region (renormalized by the region
-    probability) and over the full line. Target absolute error 1e-4.
+    probability) and over the full line, each piece to an error estimate
+    of at most 1e-4. The reported bound sums the pieces' estimates, each
+    scaled by its stratum's weight over the smaller region probability.
     """
-    from scipy import integrate  # imported here so that `import bineffect` does not load it
-
     e_y = e_mu1 = e_mu0 = 0.0
     err = 0.0
     for w in (0.0, 1.0):
@@ -162,10 +216,14 @@ def truth_oracle(spec: DgpSpec) -> TruthReport:
                 f"positivity fails at w={w:g}: Pr(A >= {spec.cutoff:g} | w) = {pi1:.3g}"
             )
 
-        def integrand(a: float, _w: float = w) -> float:
-            z = (a - m) / sd  # the normal density as scipy.stats.norm.pdf computes it
-            density = math.exp(-z * z / 2.0) / _SQRT_2PI / sd
-            return float(spec.outcome_fn(np.float64(a), np.float64(_w))) * density
+        def integrand(a: np.ndarray, _w: float = w) -> np.ndarray:
+            mean = np.asarray(spec.outcome_fn(a, np.full_like(a, _w)), dtype=float)
+            if mean.shape not in ((), a.shape):
+                raise ValidationError(
+                    f"outcome_fn must give a scalar or one value per point, got shape {mean.shape} "
+                    f"for {a.size} points"
+                )
+            return mean * _normal_density(spec, _w, a)
 
         lo, hi = m - _TAIL_SDS * sd, m + _TAIL_SDS * sd
         pieces = {}
@@ -173,15 +231,7 @@ def truth_oracle(spec: DgpSpec) -> TruthReport:
             "upper": (max(spec.cutoff, lo), hi),
             "lower": (lo, min(spec.cutoff, hi)),
         }.items():
-            if left < right:
-                val, abserr = integrate.quad(integrand, left, right, limit=200)
-            else:
-                val, abserr = 0.0, 0.0
-            if abserr > _QUAD_TARGET:
-                raise QuadratureError(
-                    f"quadrature error {abserr:.3g} over [{left:g}, {right:g}] (w={w:g}) "
-                    f"exceeds the {_QUAD_TARGET:g} target"
-                )
+            val, abserr = _gauss_legendre(integrand, left, right) if left < right else (0.0, 0.0)
             pieces[name] = val
             err += abserr * weight / min(pi1, 1.0 - pi1)
         e_y += weight * (pieces["upper"] + pieces["lower"])
@@ -220,8 +270,7 @@ def density_curve(spec: DgpSpec, arm: str, w: int, grid: np.ndarray) -> np.ndarr
     grid = np.asarray(grid, dtype=float)
     if grid.size and not np.isfinite(grid).all():
         raise ValidationError("grid must be finite")
-    z = (grid - spec.a_mean(w)) / spec.a_sd  # the normal density as scipy.stats.norm.pdf computes it
-    base = np.exp(-z**2 / 2.0) / _SQRT_2PI / spec.a_sd
+    base = _normal_density(spec, w, grid)
     treated_region = binarize(grid, spec.rule).astype(bool)
     pi1 = spec.propensity(w)
     if arm == "status_quo":

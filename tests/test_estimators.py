@@ -863,6 +863,24 @@ class TestEstimateMany:
         assert fits == [[], [], []]
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("model", ["outcome", "propensity"])
+    def test_a_batch_of_another_sample_count_is_rejected_before_any_fit_or_draw(self, monkeypatch, model):
+        """The models of a 2-sample batch, injected into a call on one sample,
+        are rejected by sample count, not by numpy's broadcasting."""
+        data = make_dataset(n=60, p=1, seed=4)
+        pair = CellBatch.stack([data.cells[0]] * 2)
+        injected = {"outcome": nuisance.ols_fits(pair)[0], "propensity": nuisance.logistic_fits(pair)[0]}[model]
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        fits = [count_calls(monkeypatch, name) for name in ("ols_fits", "logistic_fits", "_resample_cells")]
+        with pytest.raises(ValidationError, match="^a prefit model is a batch of 2 samples, but the data hold 1$"):
+            estimate_many(data, ["ipw", "aipw"], [BATE], boot=BootstrapConfig(10, seed=rng), **{model: injected})
+        assert fits == [[], [], []]
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValidationError, match="^a prefit model is a batch of 2 samples, but the data hold 3$"):
+            estimators.estimate_cells(CellBatch.stack([data.cells[0]] * 3), ["aipw"], np.array([BATE.contrast]),
+                                      **{model: injected})
+
 
 INJECTED_DESIGNS = {
     "paper": lambda: sample_dgp(DgpSpec(), 500, seed=3),

@@ -177,11 +177,20 @@ def test_every_public_name_resolves():
 
 def test_import_loads_neither_scipy_stats_nor_integrate():
     """`scipy.stats` and `scipy.integrate` take most of a bare import; the
-    package needs only `scipy.special` until `truth_oracle` runs."""
-    probe = "import sys, bineffect; print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])"
+    package needs only `scipy.special`, also to compute a truth, run a Monte
+    Carlo study or print the `truth` command."""
+    probe = "; ".join([
+        "import sys, bineffect",
+        "from bineffect import cli, simulation",
+        "bare = [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules]",
+        "simulation.truth_oracle(simulation.DgpSpec())",
+        "simulation.run_monte_carlo(simulation.DgpSpec(), [50], 2, ['reg'], seed=1)",
+        "assert cli.main(['truth']) == 0",
+        "print(bare, [m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])",
+    ])
     path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=120, check=True,
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[] []"

@@ -1,6 +1,5 @@
 import pickle
 import re
-import warnings
 from collections import Counter
 from dataclasses import replace
 
@@ -54,12 +53,12 @@ def constant_outcome(a, w):
 
 
 def column_outcome(a, w):
-    """An (n, 1) column, which broadcasts against the (n,) noise to (n, n);
-    a scalar at the truth oracle's scalar a."""
-    return (a + w)[:, None] if np.ndim(a) else a + w
+    """An (n, 1) column, which broadcasts against the (n,) noise to (n, n)."""
+    return (a + w)[:, None]
 
 
 COLUMN_OUTCOME_ERROR = "column lengths disagree: t has 50, y has 2500, w has 50 rows"
+COLUMN_OUTCOME_TRUTH_ERROR = r"^outcome_fn must give a scalar or one value per point, got shape \((\d+), 1\) for \1 points$"
 
 
 def outcome_nan_in_the_far_tail(a, w):
@@ -270,11 +269,17 @@ class TestTruthOracle:
         ids=["default", "slope4", "sd2_cutoff5", "w_prob", "linear", "noiseless"],
     )
     def test_closed_form_density_matches_scipy(self, changes):
+        """The four values agree with quad on scipy.stats' density, each
+        within the two error bounds; the oracle's bound is finite and within
+        the 1e-4 target."""
         spec = DgpSpec(**changes)
         report = truth_oracle(spec)
-        values = (report.psi_bate, report.psi_peb1, report.psi_peb0, report.e_y,
-                  report.quadrature_error_bound)
-        assert values == pytest.approx(scipy_density_truth(spec), rel=1e-12)
+        values = (report.psi_bate, report.psi_peb1, report.psi_peb0, report.e_y)
+        *reference, reference_bound = scipy_density_truth(spec)
+        assert values == pytest.approx(tuple(reference), rel=1e-12)
+        bound = report.quadrature_error_bound
+        assert np.isfinite(bound) and bound <= 1e-4
+        assert all(abs(v - r) <= bound + reference_bound for v, r in zip(values, reference))
 
     def test_constant_outcome(self):
         spec = DgpSpec(outcome_fn=lambda a, w: np.full_like(np.asarray(a, dtype=float), 7.5))
@@ -289,10 +294,31 @@ class TestTruthOracle:
 
     def test_quadrature_failure_names_interval(self):
         spec = DgpSpec(outcome_fn=lambda a, w: np.sin(1e7 * a) * np.exp(np.minimum(a, 30.0)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # quad's own accuracy warning
-            with pytest.raises(QuadratureError, match=r"over \["):
-                truth_oracle(spec)
+        with pytest.raises(QuadratureError, match=r"over \["):
+            truth_oracle(spec)
+
+    def test_reaching_the_panel_cap_raises(self, dgp, monkeypatch):
+        """The default process needs two panels on some piece, so a cap of
+        one panel stops the oracle, naming the piece's interval."""
+        monkeypatch.setattr(simulation, "_MAX_PANELS", 1)
+        with pytest.raises(QuadratureError, match=r"^quadrature error estimate \S+ over \[-?\d+, \d+\] is above "
+                                                  r"its \S+ goal at the 1-panel cap$"):
+            truth_oracle(dgp)
+
+    def test_a_non_finite_integrand_raises(self):
+        """log(a - 6) is NaN below the cutoff, which once gave NaN truth values."""
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(QuadratureError, match=r"^non-finite integrand or estimate over \[-5, 6\]$"):
+                truth_oracle(DgpSpec(outcome_fn=lambda a, w: np.log(a - 6.0)))
+
+    def test_an_outcome_of_another_shape_is_rejected(self):
+        with pytest.raises(ValidationError, match=COLUMN_OUTCOME_TRUTH_ERROR):
+            truth_oracle(DgpSpec(outcome_fn=column_outcome))
+
+    def test_a_scalar_outcome_serves_every_point(self):
+        report = truth_oracle(DgpSpec(outcome_fn=constant_outcome))
+        assert report.e_y == pytest.approx(7.5, rel=1e-12)
+        assert report.psi_bate == pytest.approx(0.0, abs=1e-9)
 
     def test_stable_under_refinement(self, dgp):
         # deterministic, and already converged well past the accuracy target
@@ -586,8 +612,13 @@ class TestMonteCarlo:
         assert result.row("reg", BATE).n_failed == 0
 
     def test_an_outcome_column_stops_the_run_with_the_error_of_its_sample(self):
+        """The run stops at the truth, before any draw; a chunk, which draws a
+        block of samples, stops with the error of its first sample."""
+        spec = DgpSpec(outcome_fn=column_outcome)
+        with pytest.raises(ValidationError, match=COLUMN_OUTCOME_TRUTH_ERROR):
+            run_monte_carlo(spec, [50], 12, ["reg"], seed=1)
         with pytest.raises(ValidationError, match=f"^{re.escape(COLUMN_OUTCOME_ERROR)}$"):
-            run_monte_carlo(DgpSpec(outcome_fn=column_outcome), [50], 12, ["reg"], seed=1)
+            simulation._chunk_worker((spec, 50, ["reg"], (BATE,), None, 1, range(12)))
 
     def test_pool_is_capped_at_the_replicate_count(self, dgp, monkeypatch):
         pools = []
