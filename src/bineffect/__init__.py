@@ -31,10 +31,8 @@ from .core import (
 from .estimators import (
     ESTIMATOR_NAMES,
     BootstrapConfig,
-    TmleFit,
-    aipw_influence,
     estimate_many,
-    tmle_update,
+    influence_values,
 )
 from .nuisance import (
     OutcomeModel,

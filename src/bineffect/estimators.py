@@ -24,8 +24,6 @@ from .nuisance import (
     OutcomeModel,
     PropensityModel,
     RegressionFit,
-    fit_logistic,
-    fit_ols_interacted,
     logistic_design,
     logistic_fits,
     ols_fits,
@@ -69,24 +67,15 @@ class BootstrapConfig:
 def _per_sample(cells: CellBatch, prediction) -> np.ndarray:
     """A model's `prediction` at the cell rows of `cells` as (R, k): the (k,)
     prediction of one model serves every sample. Raises ValidationError for
-    the models of another number of samples."""
+    the models of another number of samples or a prediction of another
+    number of cells."""
     prediction = np.asarray(prediction, dtype=float)
     samples = prediction.shape[0] if prediction.ndim == 2 else 1
     if samples not in (1, cells.n.size):
         raise ValidationError(f"a prefit model is a batch of {samples} samples, but the data hold {cells.n.size}")
+    if prediction.ndim and prediction.shape[-1] != cells.t.size:
+        raise ValidationError(f"a prefit model predicts {prediction.shape[-1]} cells, but the data hold {cells.t.size}")
     return np.broadcast_to(prediction, cells.sizes.shape)
-
-
-def _nuisances(
-    data: ObservationSet, outcome: OutcomeModel | None, propensity: PropensityModel | None
-) -> list[np.ndarray]:
-    """(pscore, m1, m0) at the cells of `data`, each (1, k), from the
-    injected models or, where one is None, from its fit on `data`; the
-    propensity comes first."""
-    cells = data.cells[0]
-    pscore = (fit_logistic(data) if propensity is None else propensity).predict_proba(cells.w)
-    outcome = fit_ols_interacted(data) if outcome is None else outcome
-    return [_per_sample(cells, v) for v in (pscore, outcome.predict(1.0, cells.w), outcome.predict(0.0, cells.w))]
 
 
 def _per_contrast(theta: np.ndarray, a: list, b: list, contrasts: np.ndarray) -> list[tuple]:
@@ -230,16 +219,6 @@ def _aipw_fits(cells: CellBatch, pscore: np.ndarray, m1: np.ndarray, m0: np.ndar
     return _per_contrast(theta, [v - theta[:, j, None] for j, v in enumerate(z)], b, contrasts)
 
 
-@dataclass(frozen=True)
-class TmleFit:
-    """Targeted estimate for one estimand: point, fluctuation coefficient and
-    per-unit influence values."""
-
-    point: float
-    fluctuation: float
-    influence: np.ndarray
-
-
 def _fluctuate(ys_sums: np.ndarray, sizes: np.ndarray, offset: np.ndarray, h: np.ndarray) -> np.ndarray:
     """One-dimensional logistic fluctuation ys ~ expit(offset + beta * h) of
     each of R samples, on their cells: in row r of each (R, k) argument,
@@ -336,12 +315,13 @@ _CELL_FITS = {"reg": _reg_fits, "aipw": _aipw_fits, "tmle": _tmle_fits}
 _NOT_TARGETED = f"targeting fluctuation did not converge in {_TMLE_MAX_ITER} iterations"
 
 
-def _cell_estimates(name: str, cells: CellBatch, contrasts: np.ndarray, nuisances) -> tuple[np.ndarray, ...]:
+def _cell_estimates(name: str, cells: CellBatch, contrasts: np.ndarray, nuisances) -> tuple:
     """reg, aipw or tmle on the R samples of `cells`, from their `ols_fits`
     batch (reg) or their (pscore, m1, m0) at the cells (aipw, tmle): the
-    (R, E) points and SEs, and the (R,) mask of the samples whose tmle
-    fluctuation did not converge. The SE is sqrt(sum_c n_c a_c^2 + b_c^2
-    M2_c) / n, i.e. sqrt(mean(phi^2) / n)."""
+    (R, E) points and SEs, the (R,) mask of the samples whose tmle
+    fluctuation did not converge, and the cell terms (a, b) per row of
+    `contrasts`. The SE is sqrt(sum_c n_c a_c^2 + b_c^2 M2_c) / n, i.e.
+    sqrt(mean(phi^2) / n)."""
     fits = _CELL_FITS[name](cells, *nuisances, contrasts)
     shape = (len(fits), cells.n.size)
     points = np.reshape([fit[0] for fit in fits], shape).T
@@ -350,7 +330,7 @@ def _cell_estimates(name: str, cells: CellBatch, contrasts: np.ndarray, nuisance
     failed = np.zeros(shape[1], dtype=bool)
     if name == "tmle":
         failed = np.isnan(np.reshape([fit[3] for fit in fits], shape)).any(axis=0)
-    return points, ses.T / cells.n[:, None], failed
+    return points, ses.T / cells.n[:, None], failed, [fit[1:3] for fit in fits]
 
 
 def check_estimate_args(estimators: Sequence[str], estimands: Sequence[EstimandSpec], ci_level: float) -> None:
@@ -399,7 +379,7 @@ def estimate_many(
     reports: list[EstimateReport] = []
     positivity = None
     for name in estimators:
-        points, ses, [stop], [cis], [note] = results[name]
+        points, ses, [stop], [cis], [note], _ = results[name]
         if stop is not None:
             raise stop
         diagnostics = ()
@@ -420,9 +400,12 @@ def estimate_cells(
     *, outcome: OutcomeModel | None = None, propensity: PropensityModel | None = None,
 ) -> tuple[dict, np.ndarray | None]:
     """Every estimator on the R samples of `cells`: per estimator, the (R, E)
-    points and SEs per row of `contrasts` and, per sample, ipw's percentile
-    intervals, None or the error that stopped it, and ipw's redraw note; and
-    the (R, k) propensities at the cells, None if no estimator reads them.
+    points and SEs per row of `contrasts`; per sample, None or the error that
+    stopped it, ipw's percentile intervals and ipw's redraw note; and per
+    row of `contrasts`, the (R, k) cell terms (a, b) of the influence values
+    (`_unit_influence`), NaN for a sample that stopped before the estimator
+    ran, or None for ipw and where every sample did. Also the (R, k)
+    propensities at the cells, None if no estimator reads them.
 
     ipw needs `units`: per sample, its units' cell indices, their y and its
     BootstrapConfig. A prefit `outcome` or `propensity` model replaces its
@@ -455,6 +438,7 @@ def estimate_cells(
     for name in estimators:
         stops = list(o_stops if name == "reg" else p_stops if name == "ipw" else joint)
         points, ses, cis, notes = np.full((r, e), np.nan), np.full((r, e), np.nan), [None] * r, [None] * r
+        terms = None
         rows = np.flatnonzero([stop is None for stop in stops])
         if name == "ipw" and rows.size:
             bootstraps = _bootstrap_many(logistic_design(cells.w), cells.t, [units[i] for i in rows], pscore[rows],
@@ -471,43 +455,44 @@ def estimate_cells(
                 nuisances = [RegressionFit(*(getattr(fits, f.name)[live] for f in fields(fits))), implied[live]]
             else:
                 nuisances = [v[live] for v in (pscore, *arms)]
-            points[live], ses[live], failed = _cell_estimates(name, cells.take(live), contrasts, nuisances)
+            points[live], ses[live], failed, terms = _cell_estimates(name, cells.take(live), contrasts, nuisances)
+            if rows.size < r:  # NaN terms for the samples that stopped before the estimator ran
+                full = np.full((e, 2) + cells.sizes.shape, np.nan)
+                for j, (a, b) in enumerate(terms):
+                    full[j, 0, rows], full[j, 1, rows] = a, b
+                terms = full
             for i in rows[failed]:
                 stops[i] = ConvergenceError(_NOT_TARGETED)
         good = np.isfinite(ses) & (ses >= 0.0)
         for i in np.flatnonzero([stop is None for stop in stops] & ~good.all(axis=1)):
             stops[i] = ValidationError(f"se must be finite and >= 0, got {ses[i][~good[i]][0]}")
-        out[name] = points, ses, stops, cis, notes
+        out[name] = points, ses, stops, cis, notes, terms
     return out, pscore
 
 
-def aipw_influence(
+def influence_values(
     data: ObservationSet,
-    estimand: EstimandSpec,
+    estimators: Sequence[str],
+    estimands: Sequence[EstimandSpec],
+    *,
     outcome: OutcomeModel | None = None,
     propensity: PropensityModel | None = None,
-) -> np.ndarray:
-    """Estimated efficient influence values at the AIPW solution, one per
-    unit (mean zero); the AIPW SE is sqrt(mean(phi**2) / n)."""
-    [(_, a, b)] = _aipw_fits(data.cells[0], *_nuisances(data, outcome, propensity), [estimand.contrast])
-    return _unit_influence(data, a[0], b[0])
-
-
-def tmle_update(
-    data: ObservationSet,
-    estimand: EstimandSpec,
-    outcome: OutcomeModel | None = None,
-    propensity: PropensityModel | None = None,
-) -> TmleFit:
-    """Targeted maximum likelihood update and plug-in estimate.
-
-    The outcome is min-max scaled to [0, 1]; initial predictions are bounded
-    away from 0/1, fluctuated on the logit scale with the clever covariate as
-    the single regressor and the initial logit as a fixed offset, and the
-    updated predictions are mapped back to the original scale. Point
-    estimates and influence values are invariant to affine rescaling of y.
-    """
-    [(point, a, b, beta)] = _tmle_fits(data.cells[0], *_nuisances(data, outcome, propensity), [estimand.contrast])
-    if np.isnan(beta[0]):
-        raise ConvergenceError(_NOT_TARGETED)
-    return TmleFit(float(point[0]), float(beta[0]), _unit_influence(data, a[0], b[0]))
+) -> list[np.ndarray]:
+    """Per-unit influence values phi, one (n,) array per (estimator,
+    estimand) in the order of `estimate_many`'s reports: the cell terms of
+    `estimate_cells` on the sample, with the same models and first stop.
+    Each report's SE is sqrt(mean(phi^2) / n). reg's values hold the
+    covariate mean that centers w fixed, as its SE does. ipw, whose SE is a
+    bootstrap, is a ValidationError raised before anything is fitted."""
+    check_estimate_args(estimators, estimands, 0.95)
+    if "ipw" in estimators:
+        raise ValidationError("ipw has no influence values: its SE is a bootstrap")
+    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
+    results, _ = estimate_cells(data.cells[0], estimators, contrasts, outcome=outcome, propensity=propensity)
+    values = []
+    for name in estimators:
+        _, _, [stop], _, _, terms = results[name]
+        if stop is not None:
+            raise stop
+        values += [_unit_influence(data, a[0], b[0]) for a, b in terms]
+    return values

@@ -24,16 +24,15 @@ from bineffect import (
     SeparationError,
     SingularDesignError,
     ValidationError,
-    aipw_influence,
     cli,
     core,
     estimate_many,
     estimators,
     fit_logistic,
     fit_ols_interacted,
+    influence_values,
     nuisance,
     save_csv,
-    tmle_update,
 )
 from bineffect.nuisance import CellBatch, interacted_design
 from bineffect.simulation import sample_dgp
@@ -125,12 +124,21 @@ def stratified_plug_in_bate(data):
     return total
 
 
-def cell_nuisances(data):
-    """(pscore, m1, m0) of the fitted propensity and outcome model at the
-    (t, w) cells of `data.cells`, each a (1, k) row."""
-    propensity, outcome = fit_logistic(data), fit_ols_interacted(data)
+def cell_nuisances(data, outcome=None, propensity=None):
+    """(pscore, m1, m0) of the propensity and outcome model at the (t, w)
+    cells of `data.cells`, each a (1, k) row: the models given, or else
+    their fits on `data`."""
+    propensity = fit_logistic(data) if propensity is None else propensity
+    outcome = fit_ols_interacted(data) if outcome is None else outcome
     w = data.cells[0].w
     return propensity.predict_proba(w)[None], outcome.predict(1.0, w)[None], outcome.predict(0.0, w)[None]
+
+
+def cell_tmle(data, estimand, **models):
+    """(fluctuation, point) of tmle's targeted fit on the cells of `data`,
+    from `cell_nuisances`."""
+    [(point, _, _, beta)] = estimators._tmle_fits(data.cells[0], *cell_nuisances(data, **models), [estimand.contrast])
+    return beta[0], point[0]
 
 
 class TestRegression:
@@ -270,7 +278,7 @@ def three_normal_covariates(n, seed):
     w = rng.normal(size=(n, 3))
     a = rng.normal(5.0 + w[:, 0], 1.5)
     y = a**3 / 10.0 + w @ np.array([1.0, 2.0, 3.0]) + rng.normal(size=n)
-    return ObservationSet(w=w, t=(a >= 6.0).astype(float), y=y)
+    return ObservationSet(w=w, t=(a >= 6.0).astype(float), y=y, a=a, rule=BinarizationRule(6.0))
 
 
 IPW_GATE_B = 400
@@ -338,7 +346,7 @@ class TestAipw:
 
     def test_influence_mean_zero_and_se(self, dataset):
         for estimand in (BATE, PEB1, PEB0):
-            phi = aipw_influence(dataset, estimand)
+            [phi] = influence_values(dataset, ["aipw"], [estimand])
             assert abs(phi.mean()) < 1e-8
             [report] = estimate_many(dataset, ["aipw"], [estimand])
             assert report.se == pytest.approx(np.sqrt(np.mean(phi**2) / dataset.n), rel=1e-12)
@@ -352,17 +360,17 @@ class TestTmle:
     def test_saturated_case_has_zero_fluctuation(self):
         data = make_binary_w_dataset(n=60, seed=9)
         for estimand in (BATE, PEB1):
-            fit = tmle_update(data, estimand)
-            assert fit.fluctuation == pytest.approx(0.0, abs=1e-8)
+            fluctuation, _ = cell_tmle(data, estimand)
+            assert fluctuation == pytest.approx(0.0, abs=1e-8)
         reg, tmle = estimate_many(data, ["reg", "tmle"], [BATE])
         assert tmle.point == pytest.approx(reg.point, abs=1e-8)
 
     def test_influence_mean_zero_after_update(self, dgp):
         data = sample_dgp(dgp, 400, seed=3)
         for estimand in (BATE, PEB1, PEB0):
-            fit = tmle_update(data, estimand)
-            scale = max(1.0, np.abs(fit.influence).max())
-            assert abs(fit.influence.mean()) / scale < 1e-8
+            [phi] = influence_values(data, ["tmle"], [estimand])
+            scale = max(1.0, np.abs(phi).max())
+            assert abs(phi.mean()) / scale < 1e-8
 
     def test_affine_rescaling_invariance(self):
         data = make_dataset(n=80, p=2, seed=13, y_scale=3.0)
@@ -407,12 +415,13 @@ class TestTmleSharedStart:
         fits = estimators._tmle_fits(data.cells[0], *cell_nuisances(data), contrasts)
         for e, report, (point, a, b, beta) in zip(estimands, joint, fits):
             [single] = estimate_many(data, ["tmle"], [e])
-            update = tmle_update(data, e)
+            [phi] = influence_values(data, ["tmle"], [e])
+            fluctuation, single_point = cell_tmle(data, e)
             assert report == single
-            assert report.point == update.point == point[0]
-            assert report.se == pytest.approx(np.sqrt(np.mean(update.influence**2) / data.n), rel=1e-12)
-            assert update.fluctuation == beta[0]
-            assert np.array_equal(update.influence, estimators._unit_influence(data, a[0], b[0]))
+            assert report.point == single_point == point[0]
+            assert report.se == pytest.approx(np.sqrt(np.mean(phi**2) / data.n), rel=1e-12)
+            assert fluctuation == beta[0]
+            assert np.array_equal(phi, estimators._unit_influence(data, a[0], b[0]))
 
     def test_start_is_scaled_once_per_call(self, monkeypatch):
         """The untargeted start is scaled once per call, the fluctuation
@@ -500,17 +509,16 @@ class TestTmleOnCells:
     def test_matches_the_units_on_discrete_designs(self, make, estimand):
         data = make()
         assert data.cells[0].t.size < data.n
-        fit = tmle_update(data, estimand)
+        fluctuation, fit_point = cell_tmle(data, estimand)
         beta, point = unit_tmle(data, estimand)
-        assert fit.fluctuation == pytest.approx(beta, abs=1e-10)
-        assert fit.point == pytest.approx(point, abs=1e-10)
+        assert fluctuation == pytest.approx(beta, abs=1e-10)
+        assert fit_point == pytest.approx(point, abs=1e-10)
 
     @pytest.mark.parametrize("n, p, seed", [(90, 2, 8), (2000, 3, 1)])
     @pytest.mark.parametrize("estimand", [BATE, PEB1, PEB0], ids=lambda e: e.key)
     def test_bit_identical_on_continuous_designs(self, n, p, seed, estimand):
         data = make_dataset(n=n, p=p, seed=seed)
-        fit = tmle_update(data, estimand)
-        assert (fit.fluctuation, fit.point) == unit_tmle(data, estimand)
+        assert cell_tmle(data, estimand) == unit_tmle(data, estimand)
 
 
 def extended_reference(data, name, estimands):
@@ -543,7 +551,7 @@ def extended_reference(data, name, estimands):
             point = z.mean()
             phi = z - point
         else:
-            beta = L(tmle_update(data, estimand).fluctuation)
+            beta = L(cell_tmle(data, estimand)[0])
             lo, span = y.min(), y.max() - y.min()
             q1, q0 = (logit(np.clip((m - lo) / span, L(5e-4), 1 - L(5e-4))) for m in (m1, m0))
             h1, h0 = c1 / e + c_y, c0 / (1 - e) + c_y
@@ -881,6 +889,34 @@ class TestEstimateMany:
             estimators.estimate_cells(CellBatch.stack([data.cells[0]] * 3), ["aipw"], np.array([BATE.contrast]),
                                       **{model: injected})
 
+    @pytest.mark.parametrize("model", ["outcome", "propensity"])
+    def test_a_prediction_of_another_cell_count_is_rejected_before_any_fit_or_draw(self, monkeypatch, model):
+        """A model whose prediction at the 4 cells of a paper sample has a
+        fifth value is rejected by cell count, not by numpy's broadcasting."""
+        data = sample_dgp(DgpSpec(), 60, seed=1)
+        assert data.cells[0].t.size == 4
+        injected = OneCellMore(fit_ols_interacted(data) if model == "outcome" else fit_logistic(data))
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        fits = [count_calls(monkeypatch, name) for name in ("ols_fits", "logistic_fits", "_resample_cells")]
+        with pytest.raises(ValidationError, match="^a prefit model predicts 5 cells, but the data hold 4$"):
+            estimate_many(data, ["ipw", "aipw"], [BATE], boot=BootstrapConfig(10, seed=rng), **{model: injected})
+        assert fits == [[], [], []]
+        assert rng.bit_generator.state == state
+
+
+class OneCellMore:
+    """A fitted model whose every prediction has one value more than its rows of w."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def predict(self, t, w):
+        return np.append(self.model.predict(t, w), 0.5)
+
+    def predict_proba(self, w):
+        return np.append(self.model.predict_proba(w), 0.5)
+
 
 INJECTED_DESIGNS = {
     "paper": lambda: sample_dgp(DgpSpec(), 500, seed=3),
@@ -889,8 +925,9 @@ INJECTED_DESIGNS = {
 
 
 class TestInjectedModels:
-    """A prefit outcome model, propensity or both give `aipw_influence` and
-    `tmle_update` the numbers `estimate_many` reports with the same models."""
+    """A prefit outcome model, propensity or both give `influence_values`
+    and tmle's targeted fit the numbers `estimate_many` reports with the
+    same models."""
 
     @pytest.mark.parametrize("case", ["outcome", "propensity", "both"])
     @pytest.mark.parametrize("design", list(INJECTED_DESIGNS))
@@ -906,12 +943,90 @@ class TestInjectedModels:
         tmle = estimate_many(data, ["tmle"], estimands, **models)
         fitted = estimate_many(data, ["tmle"], estimands)
         for e, aipw_report, tmle_report, fitted_report in zip(estimands, aipw, tmle, fitted):
-            phi = aipw_influence(data, e, **models)
+            phi, tmle_phi = influence_values(data, ["aipw", "tmle"], [e], **models)
             assert aipw_report.se == pytest.approx(np.sqrt(np.mean(phi**2) / data.n), rel=1e-12)
-            update = tmle_update(data, e, **models)
-            assert tmle_report.point == pytest.approx(update.point, rel=1e-12)
-            assert tmle_report.se == pytest.approx(np.sqrt(np.mean(update.influence**2) / data.n), rel=1e-12)
+            _, point = cell_tmle(data, e, **models)
+            assert tmle_report.point == pytest.approx(point, rel=1e-12)
+            assert tmle_report.se == pytest.approx(np.sqrt(np.mean(tmle_phi**2) / data.n), rel=1e-12)
             assert tmle_report != fitted_report  # the injected models were used
+
+
+class TestInfluenceValues:
+    """`influence_values` reads the per-unit influence values off the cell
+    terms that `estimate_cells` computes for the reports."""
+
+    ESTIMANDS = (BATE, PEB1, PEB0)
+
+    @pytest.mark.parametrize("injected", [False, True], ids=["fitted", "injected"])
+    @pytest.mark.parametrize("direction", [Direction.GEQ, Direction.LT], ids=["geq", "lt"])
+    @pytest.mark.parametrize("design", list(INJECTED_DESIGNS))
+    def test_each_report_is_the_mean_square_of_its_values(self, design, direction, injected):
+        """reg, aipw and tmle x every estimand, in the reports' order, with
+        fitted or prefit models: the SE is sqrt(mean(phi^2) / n), aipw's and
+        tmle's values have mean zero, and they are the values of their cell
+        fits on `cell_nuisances` of the same models."""
+        data = INJECTED_DESIGNS[design]()
+        data = data.with_rule(BinarizationRule(data.rule.cutoff, direction))
+        models = {}
+        if injected:
+            other = ObservationSet(w=data.w[::-1], t=data.t, y=data.y)  # the covariates of other units
+            models = {"outcome": fit_ols_interacted(other), "propensity": fit_logistic(other)}
+        names = ["reg", "aipw", "tmle"]
+        reports = estimate_many(data, names, self.ESTIMANDS, **models)
+        values = influence_values(data, names, self.ESTIMANDS, **models)
+        assert len(values) == len(reports) == 9
+        contrasts = np.array([e.contrast for e in self.ESTIMANDS])
+        nuisances = cell_nuisances(data, **models)
+        fits = {name: getattr(estimators, f"_{name}_fits")(data.cells[0], *nuisances, contrasts)
+                for name in ("aipw", "tmle")}
+        for i, (report, phi) in enumerate(zip(reports, values)):
+            assert phi.shape == (data.n,)
+            assert report.se == pytest.approx(np.sqrt(np.mean(phi**2) / data.n), rel=1e-12)
+            if report.estimator != "reg":
+                assert abs(phi.mean()) / max(1.0, np.abs(phi).max()) < 1e-8
+                _, a, b, *_ = fits[report.estimator][i % 3]
+                assert np.array_equal(phi, estimators._unit_influence(data, a[0], b[0]))
+
+    def test_ipw_is_rejected_before_anything_is_fitted(self, monkeypatch):
+        data = sample_dgp(DgpSpec(), 60, seed=1)
+        fits = [count_calls(monkeypatch, name) for name in ("ols_fits", "logistic_fits", "_resample_cells")]
+        with pytest.raises(ValidationError, match="^ipw has no influence values: its SE is a bootstrap$"):
+            influence_values(data, ["reg", "ipw"], [BATE])
+        assert fits == [[], [], []]
+
+    @pytest.mark.parametrize("names, estimands", [(["aipw", "tmlee"], [BATE]), (["reg"], [PEB1, PEB1])])
+    def test_arguments_are_checked_as_estimate_many_checks_them(self, names, estimands):
+        with pytest.raises(ValidationError) as expected:
+            estimate_many(make_dataset(), names, estimands)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+            influence_values(make_dataset(), names, estimands)
+
+    @pytest.mark.parametrize("names", [["reg"], ["aipw", "reg"], ["tmle"]])
+    def test_a_one_arm_sample_raises_what_estimate_many_raises(self, names):
+        with pytest.raises(DegenerateArmError) as expected:
+            estimate_many(one_arm_sample(), names, [BATE])
+        with pytest.raises(DegenerateArmError) as info:
+            influence_values(one_arm_sample(), names, [BATE])
+        assert str(info.value) == str(expected.value)
+
+    def test_a_sample_stopped_before_the_estimator_has_nan_terms(self, monkeypatch):
+        """In a batch, a sample whose propensity stopped gets NaN cell terms
+        from aipw; the other sample keeps the terms it gets alone."""
+        data = sample_dgp(DgpSpec(), 200, seed=4)
+        fits = nuisance.logistic_fits
+
+        def second_stops(cells):
+            models, stops = fits(cells)
+            return models, [stops[0], ConvergenceError("stopped")]
+
+        monkeypatch.setattr(estimators, "logistic_fits", second_stops)
+        results, _ = estimators.estimate_cells(CellBatch.stack([data.cells[0]] * 2), ["aipw"],
+                                               np.array([BATE.contrast]))
+        _, _, stops, _, _, [(a, b)] = results["aipw"]
+        assert stops[0] is None and str(stops[1]) == "stopped"
+        assert np.isnan(a[1]).all() and np.isnan(b[1]).all()
+        monkeypatch.undo()
+        assert np.array_equal(estimators._unit_influence(data, a[0], b[0]), influence_values(data, ["aipw"], [BATE])[0])
 
 
 def one_arm_sample():
@@ -1012,12 +1127,15 @@ def test_a_batch_of_samples_gives_each_the_numbers_it_gets_alone():
     estimands = (BATE, PEB1, PEB0)
     contrasts = np.array([e.contrast for e in estimands])
     batch, _ = estimators.estimate_cells(CellBatch.stack(cells), ["reg", "aipw", "tmle"], contrasts)
-    for name, (points, ses, failures, *_) in batch.items():
+    for name, (points, ses, failures, _, _, terms) in batch.items():
         assert failures == [None] * len(samples)
-        for data, row_points, row_ses in zip(samples, points, ses):
+        for i, (data, row_points, row_ses) in enumerate(zip(samples, points, ses)):
             reports = estimate_many(data, [name], estimands)
             assert list(row_points) == [r.point for r in reports]
             assert list(row_ses) == [r.se for r in reports]
+            alone = influence_values(data, [name], estimands)
+            assert all(np.array_equal(estimators._unit_influence(data, a[i], b[i]), phi)
+                       for (a, b), phi in zip(terms, alone))
 
 
 def fluctuation_batch(seed, r=40, k=7):
@@ -1266,7 +1384,7 @@ def group_against_alone(samples, replicates):
     units = [(data.cells[1], data.y, boot) for data, boot in zip(samples, boots)]
     results, _ = estimators.estimate_cells(CellBatch.stack([d.cells[0] for d in samples]), ["ipw"],
                                            contrasts, units)
-    points, ses, stops, cis, notes = results["ipw"]
+    points, ses, stops, cis, notes, _ = results["ipw"]
     outcomes = []
     for i, data in enumerate(samples):
         alone = BootstrapConfig(replicates, seed=np.random.default_rng([7, i]), ci_method="percentile")

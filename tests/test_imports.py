@@ -160,13 +160,27 @@ def test_fitted_models_are_evaluated_only_by_their_own_methods():
 
 
 def test_estimate_cells_takes_models_as_estimate_many_does():
-    """Prefit models enter both entry points as the same keyword-only
+    """Prefit models enter every entry point as the same keyword-only
     `outcome=` and `propensity=`."""
     def keyword_only(function):
         return [name for name, p in inspect.signature(function).parameters.items() if p.kind is p.KEYWORD_ONLY]
 
-    assert keyword_only(estimators.estimate_cells) == keyword_only(estimators.estimate_many) == [
-        "outcome", "propensity"]
+    assert keyword_only(estimators.estimate_cells) == keyword_only(estimators.estimate_many) == keyword_only(
+        estimators.influence_values) == ["outcome", "propensity"]
+
+
+def test_estimators_fits_nuisances_only_through_the_batched_fits():
+    """Nuisance models are fitted in one place: `estimate_cells` calls
+    `logistic_fits` and `ols_fits`, and `estimators.py` never names the
+    one-sample wrappers `fit_logistic` or `fit_ols_interacted`."""
+    tree = ast.parse((PACKAGE / "estimators.py").read_text(encoding="utf-8"))
+    named = [
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(tree)
+        for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        if name in ("fit_logistic", "fit_ols_interacted")
+    ]
+    assert named == [], f"estimators.py names {named}"
 
 
 def test_every_public_name_resolves():
