@@ -13,7 +13,8 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import special
+
+from ._special import ndtri
 
 
 class ValidationError(ValueError):
@@ -49,7 +50,7 @@ def z_quantile(ci_level: float) -> float:
     """Two-sided normal critical value for a confidence level (1.959964 at 0.95)."""
     if not 0.0 < ci_level < 1.0:
         raise ValidationError(f"ci_level must be in (0, 1), got {ci_level}")
-    return float(special.ndtri(0.5 + ci_level / 2.0))
+    return ndtri(0.5 + ci_level / 2.0)
 
 
 def check_integer(name: str, value) -> None:

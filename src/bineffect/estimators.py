@@ -6,8 +6,8 @@ from dataclasses import dataclass, fields
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
+from ._special import expit, logit
 from .core import (
     CellBatch,
     ConvergenceError,

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.special import expit
 
+from ._special import expit
 from .core import (
     CellBatch,
     ConvergenceError,

@@ -11,8 +11,8 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
+from ._special import ndtr
 from .core import (
     BinarizationRule,
     CellBatch,
@@ -82,7 +82,7 @@ class DgpSpec:
 
     def propensity(self, w: float) -> float:
         """Population Pr(A >= cutoff | W = w), from the normal survival function."""
-        return float(special.ndtr(-((self.cutoff - self.a_mean(w)) / self.a_sd)))
+        return ndtr(-((self.cutoff - self.a_mean(w)) / self.a_sd))
 
 
 @dataclass(frozen=True)

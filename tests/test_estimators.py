@@ -454,25 +454,26 @@ def unit_tmle(data, estimand):
     """(fluctuation, point) of TMLE with the fluctuation fitted on the units,
     one row each: the reference for the fluctuation on cells. Newton steps
     with halving, written out from the estimator's definition, with every
-    sum over the units an elementwise product's `.sum()` as in the estimator."""
+    sum over the units an elementwise product's `.sum()` as in the estimator
+    and the estimator's own `expit` and `logit`."""
     cell = data.cells[1]
     pscore, m1, m0 = (v[0, cell] for v in cell_nuisances(data))  # one value per unit
     t, y = data.t, data.y
     lo = float(y.min())
     span = float(y.max()) - lo
     ys = (y - lo) / span
-    logit_q1, logit_q0 = (logit(np.clip((m - lo) / span, 5e-4, 1.0 - 5e-4)) for m in (m1, m0))
+    logit_q1, logit_q0 = (estimators.logit(np.clip((m - lo) / span, 5e-4, 1.0 - 5e-4)) for m in (m1, m0))
     c1, c0, c_y = estimand.contrast
     h1, h0 = c1 / pscore + c_y, c0 / (1.0 - pscore) + c_y
     offset, h = np.where(t == 1.0, logit_q1, logit_q0), np.where(t == 1.0, h1, h0)
 
     def loglik(beta):
-        probs = np.clip(expit(offset + beta * h), 1e-12, 1.0 - 1e-12)
+        probs = np.clip(estimators.expit(offset + beta * h), 1e-12, 1.0 - 1e-12)
         return float((ys * np.log(probs)).sum() + ((1.0 - ys) * np.log(1.0 - probs)).sum())
 
     beta, current = 0.0, loglik(0.0)
     for _ in range(100):
-        probs = expit(offset + beta * h)
+        probs = estimators.expit(offset + beta * h)
         curvature = float((h * h * (probs * (1.0 - probs))).sum())
         if curvature <= 0.0:
             break
@@ -487,7 +488,7 @@ def unit_tmle(data, estimand):
         beta, current = beta + step, candidate
         if abs(step) < 1e-10:
             break
-    q1, q0 = expit(logit_q1 + beta * h1), expit(logit_q0 + beta * h0)
+    q1, q0 = estimators.expit(logit_q1 + beta * h1), estimators.expit(logit_q0 + beta * h0)
     y1, y0 = lo + span * q1, lo + span * q0
     plug_in = c1 * y1 + c0 * y0 + c_y * (lo + span * np.where(t == 1.0, q1, q0))
     return beta, float(np.mean(plug_in))

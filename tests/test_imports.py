@@ -208,3 +208,28 @@ def test_import_loads_neither_scipy_stats_nor_integrate():
         capture_output=True, text=True, timeout=120, check=True,
     )
     assert out.stdout.strip().splitlines()[-1] == "[] []"
+
+
+def test_no_entry_point_loads_scipy(tmp_path):
+    """The package computes its special functions itself: neither an import
+    nor an `estimate` with every estimator, the `truth` command or a Monte
+    Carlo study with every estimator loads any part of scipy."""
+    from bineffect import DgpSpec, sample_dgp, save_csv
+
+    save_csv(sample_dgp(DgpSpec(), 200, seed=5), tmp_path / "obs.csv")
+    probe = "; ".join([
+        "import sys, bineffect",
+        "from bineffect import cli",
+        "assert cli.main(['estimate', '--input', 'obs.csv', '--cutoff', '6', '--estimator', 'reg,ipw,aipw,tmle',"
+        " '--boot-reps', '20', '--output', 'estimate.json']) == 0",
+        "assert cli.main(['truth']) == 0",
+        "assert cli.main(['simulate', '--n', '100', '--reps', '4', '--estimators', 'reg,ipw,aipw,tmle',"
+        " '--boot-reps', '20', '--threads', '1', '--seed', '3', '--output', 'mc.json']) == 0",
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    ])
+    path = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe], cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"

@@ -443,14 +443,14 @@ def both_arms(counts, t):
 
 def irls_refit(x, t, counts, start):
     """Every resample with both arms refitted by one batched IRLS from
-    `start`, and the mask of those on which it converges: the reference for
-    the saturated closed form."""
+    `start`, and the mask of those on which it converges (probabilities from
+    the package's own `expit`): the reference for the saturated closed form."""
     ok = both_arms(counts, t)
     beta = np.tile(start, (counts.shape[0], 1))
     both = np.flatnonzero(ok)
     if both.size:
         beta[both], ok[both], _ = _irls(x, t, counts=counts[both], start=start, pooled=True)
-    return np.clip(expit(beta @ x.T), 1e-15, 1.0 - 1e-15), ok
+    return np.clip(nuisance.expit(beta @ x.T), 1e-15, 1.0 - 1e-15), ok
 
 
 def patterned_sample(levels, n, seed):
