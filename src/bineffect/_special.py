@@ -4,7 +4,9 @@
 evaluates their exp, log and log1p, so where those are SIMD they can differ
 from scipy's in the last few bits. `ndtr` and `ndtri` act on one float and are
 the Cephes routines that scipy.special wraps, coefficient for coefficient and
-in the same order of operations, so they give scipy's bits.
+in the same order of operations, so they give scipy's bits. Of Cephes' erf
+and erfc only the branches that `ndtr` reaches are ported: erf below 1/sqrt(2)
+and erfc from 1/sqrt(2) up.
 """
 
 from __future__ import annotations
@@ -82,29 +84,22 @@ _NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099
 
 
 def _erf(x: float) -> float:
-    if x < 0.0:
-        return -_erf(-x)
-    if x > 1.0:
-        return 1.0 - _erfc(x)
+    """erf(x) for |x| < 1/sqrt(2), the only arguments `ndtr` passes."""
     z = x * x
     return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
 
 
-def _erfc(a: float) -> float:
-    x = abs(a)
+def _erfc(x: float) -> float:
+    """erfc(x) for x >= 1/sqrt(2) or NaN, the only arguments `ndtr` passes."""
     if x < 1.0:
-        return 1.0 - _erf(a)
-    z = -a * a
+        return 1.0 - _erf(x)
+    z = -x * x
     if z < -_MAXLOG:
-        return 2.0 if a < 0.0 else 0.0
+        return 0.0
     z = math.exp(z)
     if x < 8.0:
-        y = (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
-    else:
-        y = (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
-    if a < 0.0:
-        y = 2.0 - y
-    return y
+        return (z * _polevl(x, _ERFC_P)) / _polevl(x, _ERFC_Q)
+    return (z * _polevl(x, _ERFC_R)) / _polevl(x, _ERFC_S)
 
 
 def ndtr(a: float) -> float:

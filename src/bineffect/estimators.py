@@ -333,9 +333,10 @@ def _cell_estimates(name: str, cells: CellBatch, contrasts: np.ndarray, nuisance
     return points, ses.T / cells.n[:, None], failed, [fit[1:3] for fit in fits]
 
 
-def check_estimate_args(estimators: Sequence[str], estimands: Sequence[EstimandSpec], ci_level: float) -> None:
-    """Raise ValidationError for an unknown or repeated estimator name, a
-    repeated estimand or a level outside (0, 1)."""
+def check_estimate_args(estimators: Sequence[str], estimands: Sequence[EstimandSpec], ci_level: float) -> np.ndarray:
+    """The (E, 3) contrasts of `estimands`, one (c1, c0, c_y) row each; raise
+    ValidationError for an unknown or repeated estimator name, a repeated
+    estimand or a level outside (0, 1)."""
     z_quantile(ci_level)
     for i, name in enumerate(estimators):
         if name not in ESTIMATOR_NAMES:
@@ -345,6 +346,7 @@ def check_estimate_args(estimators: Sequence[str], estimands: Sequence[EstimandS
     for i, estimand in enumerate(estimands):
         if estimand in estimands[:i]:
             raise ValidationError(f"estimand {estimand.key!r} is named more than once")
+    return np.reshape([e.contrast for e in estimands], (-1, 3))
 
 
 def estimate_many(
@@ -370,9 +372,8 @@ def estimate_many(
     contrast of the policy means (mu1, mu0, E[Y]); tmle targets each
     estimand separately from one initial fit.
     """
-    check_estimate_args(estimators, estimands, ci_level)
+    contrasts = check_estimate_args(estimators, estimands, ci_level)
     cells, cell = data.cells
-    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
     units = [(cell, data.y, boot or BootstrapConfig())]
     results, pscore = estimate_cells(cells, estimators, contrasts, units, ci_level,
                                      outcome=outcome, propensity=propensity)
@@ -484,10 +485,9 @@ def influence_values(
     Each report's SE is sqrt(mean(phi^2) / n). reg's values hold the
     covariate mean that centers w fixed, as its SE does. ipw, whose SE is a
     bootstrap, is a ValidationError raised before anything is fitted."""
-    check_estimate_args(estimators, estimands, 0.95)
+    contrasts = check_estimate_args(estimators, estimands, 0.95)
     if "ipw" in estimators:
         raise ValidationError("ipw has no influence values: its SE is a bootstrap")
-    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
     results, _ = estimate_cells(data.cells[0], estimators, contrasts, outcome=outcome, propensity=propensity)
     values = []
     for name in estimators:

@@ -322,10 +322,11 @@ class McResult:
         return {**asdict(self), "rows": [r.to_dict() for r in self.rows]}
 
 
-def _chunk_worker(task) -> list[dict]:
+def _chunk_worker(task) -> dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The Monte Carlo replicates `reps` of one sample size; returns per
-    replicate {(estimator, estimand key): (point, se), or the name of the
-    EstimationError class that stopped the estimator}.
+    estimator the (reps, E) points and SEs per row of `contrasts`, NaN where
+    the estimator stopped, and per replicate the name of the EstimationError
+    class that stopped it, or "".
 
     Replicate `rep` draws from default_rng([seed, n, rep]), as `sample_dgp`
     does, and its ipw bootstrap continues that stream. The samples are drawn
@@ -337,9 +338,10 @@ def _chunk_worker(task) -> list[dict]:
     numbers equal `estimate_many` on its sample, whatever chunk or block it
     is in.
     """
-    spec, n, estimators, estimands, boot, seed, reps = task
-    contrasts = np.reshape([e.contrast for e in estimands], (-1, 3))
-    outcomes: list[dict] = [{} for _ in reps]
+    spec, n, estimators, contrasts, boot, seed, reps = task
+    shape = (len(reps), len(contrasts))
+    out = {name: (np.full(shape, np.nan), np.full(shape, np.nan), np.full(len(reps), "", dtype=object))
+           for name in estimators}
     groups: dict = {}
     per_block = max(1, _BLOCK_UNITS // n)
     for lo in range(0, len(reps), per_block):
@@ -348,7 +350,7 @@ def _chunk_worker(task) -> list[dict]:
         block, rows, first = CellBatch.groups(t, w, y)
         for key, (members, batch) in block.items():
             group = groups.setdefault(key, ([], [], []))
-            group[0].extend(outcomes[lo + i] for i in members)
+            group[0].extend(lo + i for i in members)
             group[1].append(batch)
             if boot is not None:  # the bootstrap indices continue the replicate's stream after its sample
                 group[2].extend((rows[i] - first[i], y[i], replace(boot, seed=rngs[i])) for i in members)
@@ -358,13 +360,15 @@ def _chunk_worker(task) -> list[dict]:
         for members, batches, units in groups.values():
             results, _ = estimate_cells(CellBatch.stack(batches), estimators, contrasts, units)
             for est, (points, ses, stops, *_) in results.items():
-                for out, row_points, row_ses, stop in zip(members, points, ses, stops):
+                for stop in stops:
                     if stop is not None and not isinstance(stop, EstimationError):
                         raise stop
-                    for e, point, se in zip(estimands, row_points, row_ses):
-                        out[(est, e.key)] = type(stop).__name__ if stop else (float(point), float(se))
+                stopped = np.array([stop is not None for stop in stops])
+                points[stopped] = ses[stopped] = np.nan
+                out[est][0][members], out[est][1][members] = points, ses
+                out[est][2][members] = [type(stop).__name__ if stop else "" for stop in stops]
         groups.clear()
-    return outcomes
+    return out
 
 
 def run_monte_carlo(
@@ -384,10 +388,10 @@ def run_monte_carlo(
     replicates. Replicates whose estimator fails (degenerate arm, separation)
     are excluded and counted by cause. The replicates of each sample size
     are split into contiguous `_chunk_worker` chunks, eight per worker
-    process when `threads` > 1 (at most one process per replicate).
-    Deterministic for a fixed seed regardless of `threads`. Every argument
-    is checked before any work, the estimator names and bootstrap size
-    included.
+    process when `threads` > 1 (at most one process per replicate), and one
+    pool runs the chunks of every sample size. Deterministic for a fixed
+    seed regardless of `threads`. Every argument is checked before any work,
+    the estimator names and bootstrap size included.
     """
     for name, value in [("replicates", replicates), ("seed", seed), ("threads", threads), *(("n", n) for n in n_list)]:
         check_integer(name, value)
@@ -398,50 +402,39 @@ def run_monte_carlo(
         raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
-    check_estimate_args(estimators, estimands, 0.95)  # the level estimate_many reports at
+    contrasts = check_estimate_args(estimators, estimands, 0.95)  # the level estimate_many reports at
     boot = BootstrapConfig(boot_replicates) if "ipw" in estimators else None
     truth = _truth(spec) if isinstance(spec.outcome_fn, Hashable) else truth_oracle(spec)
     threads = min(threads, replicates)  # a pool starts all its workers at the first task
 
-    results = []
-    for n in n_list:
-        chunks = 1 if threads == 1 else min(replicates, 8 * threads)  # several per worker, for balance
-        bounds = [replicates * i // chunks for i in range(chunks + 1)]
-        tasks = [
-            (spec, int(n), estimators, estimands, boot, int(seed), range(lo, hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                outcomes = [o for chunk in pool.map(_chunk_worker, tasks) for o in chunk]
-        else:
-            outcomes = _chunk_worker(tasks[0])
+    chunks = 1 if threads == 1 else min(replicates, 8 * threads)  # several per worker, for balance
+    bounds = [replicates * i // chunks for i in range(chunks + 1)]
+    tasks = [
+        (spec, int(n), estimators, contrasts, boot, int(seed), range(lo, hi))
+        for n in n_list
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            outputs = list(pool.map(_chunk_worker, tasks))
+    else:
+        outputs = [_chunk_worker(task) for task in tasks]
 
+    results = []
+    for i, n in enumerate(n_list):
         rows = []
         for est in estimators:
-            for e in estimands:
-                values = [o[(est, e.key)] for o in outcomes]
-                cells = [v for v in values if not isinstance(v, str)]
-                n_failed = replicates - len(cells)
-                failures = tuple(sorted(Counter(v for v in values if isinstance(v, str)).items()))
-                points = np.array([c[0] for c in cells])
-                ses = np.array([c[1] for c in cells])
-                if len(cells) >= 2:
-                    mean_est = float(points.mean())
-                    row = McRow(
-                        estimator=est,
-                        estimand=e,
-                        mean_estimate=mean_est,
-                        bias=float(mean_est - truth.value(e)),
-                        mean_est_se=float(ses.mean()),
-                        sim_se=float(points.std(ddof=1)),
-                        n_failed=n_failed,
-                        failures=failures,
-                    )
-                else:  # every replicate failed for this estimator
-                    nan = float("nan")
-                    row = McRow(est, e, nan, nan, nan, nan, n_failed, failures)
-                rows.append(row)
+            points, ses, stops = map(np.concatenate, zip(*(o[est] for o in outputs[i * chunks : (i + 1) * chunks])))
+            kept = stops == ""
+            n_failed = replicates - int(kept.sum())
+            failures = tuple(sorted(Counter(stops[~kept]).items()))
+            for j, e in enumerate(estimands):
+                p, s = points[kept, j], ses[kept, j]
+                if p.size >= 2:
+                    stats = p.mean(), p.mean() - truth.value(e), s.mean(), p.std(ddof=1)
+                else:  # fewer than two replicates delivered by this estimator
+                    stats = (np.nan,) * 4
+                rows.append(McRow(est, e, *map(float, stats), n_failed, failures))
         results.append(McResult(n=int(n), replicates=replicates, seed=int(seed), rows=tuple(rows)))
     return results
 

@@ -130,6 +130,21 @@ def test_the_monte_carlo_engine_calls_only_the_batched_path():
     assert names == [], f"simulation.py names estimate_many at {names}"
 
 
+def test_the_chunk_worker_sees_estimands_only_as_contrasts():
+    """`run_monte_carlo` hands `_chunk_worker` the (E, 3) contrasts that
+    `check_estimate_args` returns, and the chunk returns arrays with one
+    column per contrast: it names no `EstimandSpec`, `.key` or `.contrast`."""
+    tree = ast.parse((PACKAGE / "simulation.py").read_text(encoding="utf-8"))
+    [worker] = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == "_chunk_worker"]
+    named = [
+        f"line {node.lineno}"
+        for node in ast.walk(worker)
+        if (isinstance(node, ast.Name) and node.id == "EstimandSpec")
+        or (isinstance(node, ast.Attribute) and node.attr in ("EstimandSpec", "key", "contrast"))
+    ]
+    assert named == [], f"_chunk_worker names an estimand at {named}"
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "nuisance.py"))
 def test_interacted_design_is_named_only_in_nuisance(module):
     """The interacted design's column layout stays in `nuisance.py`; other
@@ -190,9 +205,10 @@ def test_every_public_name_resolves():
 
 
 def test_import_loads_neither_scipy_stats_nor_integrate():
-    """`scipy.stats` and `scipy.integrate` take most of a bare import; the
-    package needs only `scipy.special`, also to compute a truth, run a Monte
-    Carlo study or print the `truth` command."""
+    """`scipy.stats` and `scipy.integrate` take most of a bare scipy import;
+    the package loads neither, also to compute a truth, run a Monte Carlo
+    study or print the `truth` command (no part of scipy at all:
+    `test_no_entry_point_loads_scipy`)."""
     probe = "; ".join([
         "import sys, bineffect",
         "from bineffect import cli, simulation",

@@ -66,6 +66,29 @@ def outcome_nan_in_the_far_tail(a, w):
     return np.where(a > 9.5, np.nan, a**3 + np.sin(a) + 100.0 * w)
 
 
+def contrasts_of(estimands):
+    """The (E, 3) contrast matrix that `_chunk_worker` takes."""
+    return np.array([e.contrast for e in estimands], dtype=float)
+
+
+def chunk_outcomes(spec, n, names, estimands, boot, seed, reps):
+    """`_chunk_worker`'s arrays as one {(estimator, estimand key): (point, se)
+    or the name of the error that stopped the estimator} per replicate,
+    after checking that each estimator's points and SEs are NaN exactly
+    where its replicate stopped."""
+    out = simulation._chunk_worker((spec, n, names, contrasts_of(estimands), boot, seed, reps))
+    assert list(out) == list(names)
+    outcomes = [{} for _ in reps]
+    for name, (points, ses, stops) in out.items():
+        stopped = stops != ""
+        assert points.shape == ses.shape == (len(reps), len(estimands)) and stops.shape == (len(reps),)
+        assert (np.isnan(points) == stopped[:, None]).all() and (np.isnan(ses) == stopped[:, None]).all()
+        for outcome, row_points, row_ses, stop in zip(outcomes, points, ses, stops):
+            for e, point, se in zip(estimands, row_points, row_ses):
+                outcome[(name, e.key)] = stop or (float(point), float(se))
+    return outcomes
+
+
 def trapezoid_truth(spec):
     """Independent non-adaptive route to the same integrals.
 
@@ -428,7 +451,7 @@ class TestMonteCarlo:
         names, boot = ["reg", "ipw", "aipw", "tmle"], BootstrapConfig(30)
 
         def chunk(lo, hi):
-            return simulation._chunk_worker((dgp, n, names, estimands, boot, seed, range(lo, hi)))
+            return chunk_outcomes(dgp, n, names, estimands, boot, seed, range(lo, hi))
 
         whole = chunk(0, reps)
         assert chunk(0, 7) + chunk(7, reps) == whole
@@ -562,7 +585,7 @@ class TestMonteCarlo:
             return {"reg": (np.full((rows.size, 1), len(seen) - 1.0), rows[:, None] + 0.0, [None] * rows.size)}, None
 
         monkeypatch.setattr(simulation, "estimate_cells", capture)
-        outcomes = simulation._chunk_worker((spec, n, ["reg"], (BATE,), None, 6, range(reps)))
+        outcomes = chunk_outcomes(spec, n, ["reg"], (BATE,), None, 6, range(reps))
         for rep, outcome in enumerate(outcomes):
             batch, row = outcome[("reg", "bate")]
             got = seen[int(batch)].take([int(row)])
@@ -580,7 +603,7 @@ class TestMonteCarlo:
         for names, boot in ((["reg", "aipw", "tmle"], None), (["reg", "ipw", "aipw", "tmle"], BootstrapConfig(20))):
 
             def chunk(reps):
-                return simulation._chunk_worker((dgp, n, names, estimands, boot, 2, reps))
+                return chunk_outcomes(dgp, n, names, estimands, boot, 2, reps)
 
             assert chunk(reps) == [o for r in reps for o in chunk(range(r, r + 1))]
 
@@ -596,13 +619,13 @@ class TestMonteCarlo:
                 message = str(err)
                 break
         assert rep > 0 and message.startswith("non-finite value in column 'y'")
-        task = (spec, n, names, (BATE,), BootstrapConfig(10), seed, range(100))
+        task = (spec, n, names, contrasts_of((BATE,)), BootstrapConfig(10), seed, range(100))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             simulation._chunk_worker(task)
 
     def test_a_scalar_outcome_gives_each_replicate_the_numbers_of_its_sample(self):
         spec, n, seed, names = DgpSpec(outcome_fn=constant_outcome), 50, 2, ["reg", "aipw"]
-        outcomes = simulation._chunk_worker((spec, n, names, (BATE, PEB1), None, seed, range(12)))
+        outcomes = chunk_outcomes(spec, n, names, (BATE, PEB1), None, seed, range(12))
         for rep, outcome in enumerate(outcomes):
             data = sample_dgp(spec, n, np.random.default_rng([seed, n, rep]))
             for name in names:
@@ -618,7 +641,7 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match=COLUMN_OUTCOME_TRUTH_ERROR):
             run_monte_carlo(spec, [50], 12, ["reg"], seed=1)
         with pytest.raises(ValidationError, match=f"^{re.escape(COLUMN_OUTCOME_ERROR)}$"):
-            simulation._chunk_worker((spec, 50, ["reg"], (BATE,), None, 1, range(12)))
+            simulation._chunk_worker((spec, 50, ["reg"], contrasts_of((BATE,)), None, 1, range(12)))
 
     def test_pool_is_capped_at_the_replicate_count(self, dgp, monkeypatch):
         pools = []
@@ -638,7 +661,7 @@ class TestMonteCarlo:
 
         monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
         run_monte_carlo(dgp, [60, 80], 3, ["reg"], seed=0, threads=64)
-        assert pools == [3, 3]
+        assert pools == [3]  # one pool for every sample size
 
     def test_bias_is_against_oracle(self, dgp):
         results = run_monte_carlo(dgp, [100], 3, ["reg"], seed=2, estimands=(BATE,))
