@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -81,6 +82,22 @@ def _check_output_path(path: str | None) -> None:
         raise ValidationError(f"--output {path}: directory {Path(path).parent} does not exist")
 
 
+def _json_text(payload) -> str:
+    """Indented JSON with null for every non-finite float, since RFC 8259
+    has no NaN or Infinity token."""
+
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(payload), indent=2, allow_nan=False) + "\n"
+
+
 def _sig6(x: float) -> str:
     return f"{x:.6g}"
 
@@ -112,7 +129,7 @@ def cmd_estimate(args: argparse.Namespace) -> str:
 
     if args.format == "json":
         payload = [r.to_dict() for r in reports]
-        return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2) + "\n"
+        return _json_text(payload[0] if len(payload) == 1 else payload)
     if args.format == "csv":
         header = "estimand,arm,estimator,point,se,ci_low,ci_high,ci_level,n,seed,warnings".split(",")
         rows = [
@@ -133,7 +150,7 @@ def cmd_estimate(args: argparse.Namespace) -> str:
 def cmd_truth(args: argparse.Namespace) -> str:
     truth = truth_oracle(_dgp_from_args(args)).to_dict()
     if args.format == "json":
-        return json.dumps(truth, indent=2) + "\n"
+        return _json_text(truth)
     if args.format == "csv":
         return csv_text(list(truth), [list(truth.values())])
     return _text_table(["quantity", "value"], [[k, _sig6(v)] for k, v in truth.items()])
@@ -159,7 +176,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         threads=args.threads,
     )
     if args.format == "json":
-        return json.dumps([r.to_dict() for r in results], indent=2) + "\n"
+        return _json_text([r.to_dict() for r in results])
     if args.format == "csv":
         return mc_results_to_csv(results, estimators, estimands)
     truth = truth_oracle(spec)
@@ -190,7 +207,7 @@ def cmd_densities(args: argparse.Namespace) -> str:
     curve = density_curve(spec, args.arm, args.w, grid)
     if args.format == "json":
         points = [[a, d] for a, d in curve]
-        return json.dumps({"arm": args.arm, "w": args.w, "points": points}, indent=2) + "\n"
+        return _json_text({"arm": args.arm, "w": args.w, "points": points})
     return csv_text(["a", "density"], curve.tolist())
 
 

@@ -391,7 +391,7 @@ def run_monte_carlo(
     process when `threads` > 1 (at most one process per replicate), and one
     pool runs the chunks of every sample size. Deterministic for a fixed
     seed regardless of `threads`. Every argument is checked before any work,
-    the estimator names and bootstrap size included.
+    the estimator names, bootstrap size and repeated sample sizes included.
     """
     for name, value in [("replicates", replicates), ("seed", seed), ("threads", threads), *(("n", n) for n in n_list)]:
         check_integer(name, value)
@@ -400,6 +400,9 @@ def run_monte_carlo(
     seeded_rng("seed", seed)
     if any(n < 1 for n in n_list):
         raise ValidationError(f"every sample size must be >= 1, got {list(n_list)}")
+    for i, n in enumerate(n_list):
+        if n in n_list[:i]:  # its replicates would be the same draws, run twice
+            raise ValidationError(f"sample size {n} is named more than once")
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
     contrasts = check_estimate_args(estimators, estimands, 0.95)  # the level estimate_many reports at

@@ -473,6 +473,44 @@ class TestSimulateCommand:
         assert payload[0]["n"] == 60
         assert payload[0]["rows"][0]["estimator"] == "reg"
 
+    def test_json_writes_null_where_a_cell_has_no_statistics(self, capsys):
+        """n = 20 gives reg a singular design in every replicate, so each
+        cell delivers fewer than two replicates and its statistics are NaN
+        in the library; the JSON text holds null there and no NaN token."""
+        code = run_cli("simulate", "--n", "20", "--reps", "3", "--estimators", "reg",
+                       "--format", "json", "--threads", "1")
+        assert code == 0
+        text = capsys.readouterr().out
+
+        def no_constant(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        rows = json.loads(text, parse_constant=no_constant)[0]["rows"]
+        assert [r["estimand"] for r in rows] == ["bate", "peb1"]
+        for row in rows:
+            assert [row[k] for k in ("mean_estimate", "bias", "mean_est_se", "sim_se")] == [None] * 4
+            assert row["n_failed"] == 3 and row["failures"] == [["SingularDesignError", 3]]
+
+    def test_json_and_csv_keep_finite_values(self, capsys):
+        args = ["simulate", "--n", "20,60", "--reps", "3", "--estimators", "reg", "--threads", "1"]
+        assert run_cli(*args, "--format", "json") == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert run_cli(*args, "--format", "csv") == 0
+        text = capsys.readouterr().out
+        results = run_monte_carlo(DgpSpec(), [20, 60], 3, ["reg"], seed=0)
+        assert text == mc_results_to_csv(results, ["reg"], [EstimandSpec("bate"), EstimandSpec("peb1")])
+        assert "nan" in text  # the CSV keeps its NaN fields
+        lib = [r.to_dict() for r in results]
+        assert np.isnan(lib[0]["rows"][0]["mean_estimate"])  # the library keeps its floats
+        assert payload[1]["rows"] == [{**r, "failures": [list(f) for f in r["failures"]]} for r in lib[1]["rows"]]
+
+    def test_a_repeated_sample_size_is_a_validation_error(self, capsys, monkeypatch):
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "_chunk_worker")
+        assert run_cli("simulate", "--reps", "2", "--n", "20,60,20", "--threads", "1") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sample size 20 is named more than once\n"
+
 
 class TestDensitiesCommand:
     def test_grid_csv(self, capsys):

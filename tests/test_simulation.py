@@ -699,6 +699,15 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError, match="^estimand 'peb1' is named more than once$"):
             run_monte_carlo(dgp, [50], 2, ["reg"], seed=0, estimands=(peb1, EstimandSpec("bate"), peb1), threads=2)
 
+    @pytest.mark.parametrize("n_list", [[20, 20], [60, 20, 90, 20], (50, 60, 60)])
+    def test_repeated_sample_size_rejected_before_any_replicate(self, dgp, monkeypatch, n_list):
+        """Replicate seeds are [seed, n, rep], so a repeated size would run
+        the same replicates twice and print the same rows twice."""
+        forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor", "_chunk_worker")
+        repeated = next(n for i, n in enumerate(n_list) if n in n_list[:i])
+        with pytest.raises(ValidationError, match=f"^sample size {repeated} is named more than once$"):
+            run_monte_carlo(dgp, n_list, 2, ["reg"], seed=0, threads=2)
+
     def test_bootstrap_size_rejected_before_any_replicate(self, dgp, monkeypatch):
         forbid(monkeypatch, simulation, "truth_oracle", "sample_dgp", "ProcessPoolExecutor")
         with pytest.raises(ValidationError, match="at least 2 replicates"):
